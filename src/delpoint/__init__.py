@@ -38,6 +38,7 @@ from .errors import (
     FloorViolated,
     IndexOutOfRange,
     InvalidValue,
+    NumericOverflow,
     TooManyDeletions,
     WouldEmptyDataset,
     ZeroFeatureNorm,
@@ -97,6 +98,7 @@ __all__ = [
     "IndexOutOfRange",
     "InvalidValue",
     "MembershipError",
+    "NumericOverflow",
     "PrivacyFloor",
     "RiskBounds",
     "SelectionResult",

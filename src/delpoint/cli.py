@@ -22,7 +22,7 @@ from . import __version__
 from .core import HyperParams, load_csv, save_csv
 from .datagen import GenConfig, generate
 from .errors import DelpointError, DimensionMismatch
-from .bounds import privacy_floor, risk_change_bounds, risk_change_bounds_floor
+from .bounds import bounds_arrays
 from .selector import find_perfect_deleted_point, selection_to_json
 from .sim import StepConfig, experiment_to_doc, run_protocol
 from .snr import scan_arrays, write_scores_csv
@@ -109,12 +109,13 @@ def _guard(fn):
     """Translate library errors into the documented exit codes."""
     try:
         return fn()
-    except (DelpointError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+    # before DelpointError: NumericOverflow is both
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         click.echo(f"numeric error: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
+    except (DelpointError, OSError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(EXIT_INPUT)
 
 
 @click.group()
@@ -201,6 +202,22 @@ def select(dataset, gamma, sigma, alpha, delta, w0_text, seed,
         sys.exit(EXIT_NO_PERFECT_POINT)
 
 
+def _bounds_doc(ds, w0, hp, b_floor) -> dict:
+    """bounds.json content; the column arrays are freed before encoding."""
+    arrays = scan_arrays(ds, w0, hp)
+    cols = bounds_arrays(ds, w0, hp, arrays["eps_v"], b=b_floor)
+    rows = [{"index": index, "lower": lower, "upper": upper,
+             "actual_delta": actual, "contained_A": contained_a,
+             "contained_B": contained_b, "privacy_floor": floor}
+            for index, lower, upper, actual, contained_a, contained_b, floor
+            in zip(arrays["ids"].tolist(), cols["lower"].tolist(),
+                   cols["upper"].tolist(), cols["actual_delta"].tolist(),
+                   cols["contained_a"].tolist(), cols["contained_b"].tolist(),
+                   cols["privacy_floor"].tolist())]
+    return {"format_version": BOUNDS_FORMAT_VERSION,
+            "target": arrays["target"], "rows": rows}
+
+
 @main.command()
 @click.option("--dataset", type=click.Path(exists=True, dir_okay=False,
               path_type=Path), required=True)
@@ -211,33 +228,20 @@ def select(dataset, gamma, sigma, alpha, delta, w0_text, seed,
               path_type=Path), default=None)
 def bounds(dataset, gamma, sigma, alpha, delta, w0_text, seed,
            snr_convention, tie_break, b_floor, out_dir):
-    """Per-point risk-change interval and privacy floor, as JSON."""
+    """Per-point risk-change interval and privacy floor, as JSON.
+
+    The per-point interval divides by ||x_v||, so a dataset with a zero
+    feature vector exits 2, naming that point's id, before any row is
+    computed or written.  With --b-floor, B must be positive and at most
+    the smallest feature norm.
+    """
     def body():
         start = time.perf_counter()
         ds = load_csv(dataset)
         hp = HyperParams(gamma=gamma, sigma=sigma, alpha=alpha, delta=delta,
                          snr_convention=snr_convention, seed=seed)
         w0 = _parse_w0(w0_text, ds.dim)
-        arrays = scan_arrays(ds, w0, hp)
-        rows = []
-        for pos in range(ds.n):
-            eps = float(arrays["eps_v"][pos])
-            if b_floor is None:
-                rb = risk_change_bounds(ds, pos, w0, hp, eps)
-            else:
-                rb = risk_change_bounds_floor(ds, pos, w0, hp, eps, b_floor)
-            pf = privacy_floor(eps, hp.alpha)
-            rows.append({
-                "index": int(arrays["ids"][pos]),
-                "lower": rb.lower,
-                "upper": rb.upper,
-                "actual_delta": rb.actual_delta,
-                "contained_A": rb.contained_a,
-                "contained_B": rb.contained_b,
-                "privacy_floor": pf.eps_lower,
-            })
-        doc = {"format_version": BOUNDS_FORMAT_VERSION,
-               "target": arrays["target"], "rows": rows}
+        doc = _bounds_doc(ds, w0, hp, b_floor)
         payload = json.dumps(doc, indent=2) + "\n"
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)

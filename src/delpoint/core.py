@@ -11,8 +11,9 @@ Deleting a point produces a new snapshot whose stats are updated
 incrementally (O(d^2)) rather than recomputed; the two paths agree to
 1e-12 relative and tests enforce it.
 
-Points carry stable integer ids so that reports written after a chain of
-deletions can still reference the original sample.
+Points carry stable, strictly increasing integer ids so that reports
+written after a chain of deletions can still reference the original
+sample.  Moments that overflow float64 raise NumericOverflow.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     EmptyDataset,
     IndexOutOfRange,
     InvalidValue,
+    NumericOverflow,
     WouldEmptyDataset,
 )
 
@@ -76,9 +78,16 @@ class SufficientStats:
 
 def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> SufficientStats:
     n = X.shape[0]
-    s_yx = X.T @ y / n
-    s_xx = X.T @ X / n
-    s_xx = (s_xx + s_xx.T) / 2.0  # kill BLAS rounding asymmetry
+    # Overflow is detected from the result, not from floating-point flags:
+    # BLAS may run in threads whose flags numpy never sees.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_yx = X.T @ y / n
+        s_xx = X.T @ X / n
+        s_xx = (s_xx + s_xx.T) / 2.0  # kill BLAS rounding asymmetry
+    if not (np.isfinite(s_yx).all() and np.isfinite(s_xx).all()):
+        raise NumericOverflow(
+            "sufficient statistics overflow: the feature and label "
+            "magnitudes are too large for float64 moments")
     return SufficientStats(s_yx=s_yx, s_xx=s_xx)
 
 
@@ -134,6 +143,8 @@ class Dataset:
             ids = np.array(ids, dtype=np.int64)
             if ids.shape != (X.shape[0],):
                 raise DimensionMismatch("ids must have one entry per point")
+            if np.any(np.diff(ids) <= 0):
+                raise DomainError("ids must be strictly increasing")
         for a in (X, y, ids):
             a.setflags(write=False)
         return cls(X=X, y=y, ids=ids, stats=_stats_from_arrays(X, y))
@@ -169,7 +180,11 @@ class Dataset:
         return [self.point(i) for i in range(self.n)]
 
     def position_of(self, point_id: int) -> int:
-        """Current position of an original point id (ids stay sorted)."""
+        """Current position of an original point id.
+
+        Ids are strictly increasing: from_arrays rejects any other order
+        and delete_point keeps it, so a binary search finds the id.
+        """
         pos = int(np.searchsorted(self.ids, point_id))
         if pos >= self.n or self.ids[pos] != point_id:
             raise IndexOutOfRange(f"point id {point_id} not in dataset")
@@ -190,8 +205,14 @@ def delete_point(ds: Dataset, index: int) -> Dataset:
     n = ds.n
     xv = ds.X[index]
     yv = ds.y[index]
-    s_yx = (n * ds.stats.s_yx - yv * xv) / (n - 1)
-    s_xx = (n * ds.stats.s_xx - np.outer(xv, xv)) / (n - 1)
+    try:
+        # elementwise ufuncs in this thread, so numpy's flags see overflow
+        with np.errstate(over="raise"):
+            s_yx = (n * ds.stats.s_yx - yv * xv) / (n - 1)
+            s_xx = (n * ds.stats.s_xx - np.outer(xv, xv)) / (n - 1)
+    except FloatingPointError:
+        raise NumericOverflow(
+            "updated sufficient statistics overflow float64") from None
     X = np.delete(ds.X, index, axis=0)
     y = np.delete(ds.y, index)
     ids = np.delete(ds.ids, index)

@@ -45,5 +45,9 @@ class TooManyDeletions(DelpointError):
     """A protocol asks for more deletion steps than the dataset can support."""
 
 
+class NumericOverflow(DelpointError, ArithmeticError):
+    """A computed quantity, such as a sufficient statistic, is not finite."""
+
+
 class EmptyInput(DelpointError):
     """A summary operation received an empty sample collection."""

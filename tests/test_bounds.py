@@ -6,6 +6,7 @@ from delpoint import (
     DomainError,
     FloorViolated,
     HyperParams,
+    IndexOutOfRange,
     WouldEmptyDataset,
     ZeroFeatureNorm,
     advantage_target,
@@ -15,7 +16,7 @@ from delpoint import (
     risk_change_bounds_floor,
     snr_closed_form,
 )
-from delpoint.bounds import interval_endpoints
+from delpoint.bounds import bounds_arrays, interval_endpoints
 
 from conftest import random_dataset
 from _oracles import bounds_calc, privacy_floor_calc
@@ -97,9 +98,21 @@ class TestRiskChangeBounds:
         assert rb.change_nonnegative is False
 
     def test_zero_feature_rejected(self, hp_default):
-        ds = Dataset.from_arrays([[0.0], [1.0]], [1.0, 2.0])
+        ds = Dataset.from_arrays([[1.0], [0.0], [2.0]], [1.0, 2.0, 3.0],
+                                 ids=[3, 7, 9])
         with pytest.raises(ZeroFeatureNorm):
-            risk_change_bounds(ds, 0, [0.5], hp_default, 0.0)
+            risk_change_bounds(ds, 1, [0.5], hp_default, 0.0)
+        # the whole-dataset call rejects before any row, naming the point id
+        with pytest.raises(ZeroFeatureNorm, match="point id 7 "):
+            bounds_arrays(ds, [0.5], hp_default, np.zeros(3))
+        # other points of the same dataset still have a per-point interval
+        rb = risk_change_bounds(ds, 2, [0.5], hp_default, 0.0)
+        assert rb.lower <= rb.upper
+
+    def test_index_out_of_range(self, t3, hp_default):
+        for index in (3, -1):
+            with pytest.raises(IndexOutOfRange):
+                risk_change_bounds(t3, index, [0.5], hp_default, 0.0)
 
     def test_singleton_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0]], [1.0])
@@ -138,6 +151,9 @@ class TestFloorVariant:
             risk_change_bounds_floor(t3, 0, [0.5], hp_default, 0.0, b=0.0)
         with pytest.raises(FloorViolated):
             risk_change_bounds_floor(t3, 0, [0.5], hp_default, 0.0, b=-1.0)
+        with pytest.raises(FloorViolated):
+            risk_change_bounds_floor(t3, 0, [0.5], hp_default, 0.0,
+                                     b=float("nan"))
 
     def test_matches_reference_calculator(self, rng):
         hp = HyperParams(gamma=0.02, sigma=2.5, alpha=0.05)

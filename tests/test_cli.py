@@ -1,9 +1,10 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from scipy.stats import chi2
+from scipy.stats import chi2, norm
 
 from delpoint import (
     HyperParams,
@@ -16,6 +17,8 @@ from delpoint import (
 from delpoint.cli import main
 
 from conftest import tuned_dataset
+from _oracles import (bounds_calc, privacy_floor_calc, risk_loop,
+                      snr_by_deletion)
 
 
 @pytest.fixture
@@ -151,6 +154,72 @@ class TestBounds:
                                    "--w0", "0.4"])
         doc = json.loads(res.output)
         assert doc["rows"][0]["privacy_floor"] == 0.0
+
+    def test_rows_match_oracles_both_variants(self, runner, tmp_path):
+        path = gen_dataset(runner, tmp_path, "--n", "300",
+                           "--extra-features", "2", "--seed", "11")
+        ds = load_csv(path)
+        xs, ys = ds.X.tolist(), ds.y.tolist()
+        n, w = len(ys), [2.9, 0.1, 0.1]
+        gamma, sigma, alpha = 0.01, 2.0, 0.05
+        target = 2.0 * norm.ppf(1.0 - alpha)
+        eps = [snr_by_deletion(xs, ys, i, w, gamma, sigma) - target
+               for i in range(n)]
+        l0 = risk_loop(w, xs, ys)
+        actual = [risk_loop(w, xs[:i] + xs[i + 1:], ys[:i] + ys[i + 1:]) - l0
+                  for i in range(n)]
+        abs_resid = [(l0 - abs(y - sum(a * b for a, b in zip(w, x)))) / (n - 1)
+                     for x, y in zip(xs, ys)]
+        b_floor = 0.5 * float(np.linalg.norm(ds.X, axis=1).min())
+        floors = [privacy_floor_calc(e, alpha) for e in eps]
+        assert any(f > 0.0 for f in floors)
+        for extra, b in (([], None), (["--b-floor", repr(b_floor)], b_floor)):
+            res = runner.invoke(main, ["bounds", "--dataset", str(path),
+                                       "--alpha", str(alpha),
+                                       "--w0", "2.9,0.1,0.1", *extra])
+            assert res.exit_code == 0, res.output
+            rows = json.loads(res.output)["rows"]
+            assert [r["index"] for r in rows] == list(range(n))
+            for i, row in enumerate(rows):
+                lo, hi, _ = bounds_calc(xs, ys, i, w, gamma, sigma, alpha,
+                                        eps[i], b=b)
+                assert row["lower"] == pytest.approx(lo, abs=1e-9)
+                assert row["upper"] == pytest.approx(hi, abs=1e-9)
+                assert row["actual_delta"] == pytest.approx(actual[i],
+                                                            abs=1e-8)
+                assert row["privacy_floor"] == pytest.approx(floors[i],
+                                                             abs=1e-9)
+                for key, value in (("contained_A", actual[i]),
+                                   ("contained_B", abs_resid[i])):
+                    if min(abs(value - lo), abs(value - hi)) > 1e-8:
+                        assert row[key] == (lo <= value <= hi)
+
+    def test_zero_feature_vector_exits_two_naming_point(self, runner,
+                                                        tmp_path):
+        path = tmp_path / "zero.csv"
+        path.write_text("x0,x1,y\n1.0,2.0,3.0\n0.0,0.0,1.0\n2.0,1.0,4.0\n")
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["bounds", "--dataset", str(path),
+                                   "--out", str(out)])
+        assert res.exit_code == 2
+        assert "point id 1 has a zero feature vector" in res.stderr
+        assert not (out / "bounds.json").exists()
+        res = runner.invoke(main, ["bounds", "--dataset", str(path),
+                                   "--b-floor", "0.5"])
+        assert res.exit_code == 2
+        assert "(point id 1)" in res.stderr
+
+
+@pytest.mark.parametrize("command", ["select", "bounds"])
+def test_overflow_exits_four_without_warning(runner, tmp_path, command):
+    path = tmp_path / "big.csv"
+    path.write_text("x0,y\n1e200,1.0\n2.0,3.0\n3.0,4.0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, [command, "--dataset", str(path)])
+    assert res.exit_code == 4, res.output
+    assert "overflow" in res.stderr
+    assert [str(w.message) for w in caught] == []
 
 
 class TestSimulate:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from delpoint import (
     HyperParams,
     IndexOutOfRange,
     InvalidValue,
+    NumericOverflow,
+    SufficientStats,
     WouldEmptyDataset,
     compute_stats,
     delete_point,
@@ -73,6 +77,32 @@ class TestComputeStats:
         np.testing.assert_allclose(base.s_yx, other.s_yx, rtol=1e-12)
         np.testing.assert_allclose(base.s_xx, other.s_xx, rtol=1e-12)
 
+    def test_overflowing_moments_rejected(self):
+        # x^2 = 1e400 overflows float64; reported as an error, not a warning
+        with pytest.raises(NumericOverflow):
+            Dataset.from_arrays([[1e200], [2.0]], [1.0, 3.0])
+        with pytest.raises(NumericOverflow):
+            compute_stats(points(([1.0], 1e200), ([1e200], 1.0)))
+
+
+class TestIds:
+    def test_unsorted_or_repeated_ids_rejected(self):
+        X, y = [[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]
+        for ids in ([5, 2, 9], [2, 2, 9], [9, 5, 2]):
+            with pytest.raises(DomainError):
+                Dataset.from_arrays(X, y, ids=ids)
+
+    def test_lookup_on_sorted_noncontiguous_ids(self):
+        ds = Dataset.from_arrays([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0],
+                                 ids=[2, 5, 9])
+        assert [ds.position_of(i) for i in (2, 5, 9)] == [0, 1, 2]
+        for missing in (0, 3, 10):
+            with pytest.raises(IndexOutOfRange):
+                ds.position_of(missing)
+        out = delete_point(ds, 0)
+        assert list(out.ids) == [5, 9]
+        assert out.position_of(9) == 1
+
 
 class TestDeletePoint:
     def test_t3_delete_last(self, t3):
@@ -121,6 +151,14 @@ class TestDeletePoint:
         assert out.position_of(2) == 1
         with pytest.raises(IndexOutOfRange):
             out.position_of(1)
+
+    def test_overflowing_update_rejected(self):
+        # finite moments whose leave-one-out update overflows: n s_yx = 3e308
+        ds = Dataset.from_arrays([[1.0], [1.0], [1.0]], [1.0, 1.0, 1.0])
+        big = dataclasses.replace(
+            ds, stats=SufficientStats(s_yx=[1e308], s_xx=[[1.0]]))
+        with pytest.raises(NumericOverflow):
+            delete_point(big, 0)
 
     def test_snapshots_independent(self, t3):
         out = delete_point(t3, 0)
