@@ -22,7 +22,6 @@ from .core import (
     Dataset,
     HyperParams,
     SufficientStats,
-    compute_stats,
     delete_point,
     load_csv,
     save_csv,
@@ -50,7 +49,6 @@ from .lossgrad import (
     point_loss,
     risk,
     risk_grad,
-    risk_grad_direct,
 )
 from .selector import (
     SelectionResult,
@@ -68,14 +66,11 @@ from .sim import (
 )
 from .snr import (
     CandidateScore,
-    MembershipError,
     SnrValue,
     advantage_target,
     membership_advantage,
     membership_error,
-    scan_candidates,
     snr_closed_form,
-    snr_definition_form,
     write_scores_csv,
 )
 
@@ -97,7 +92,6 @@ __all__ = [
     "HyperParams",
     "IndexOutOfRange",
     "InvalidValue",
-    "MembershipError",
     "NumericOverflow",
     "PrivacyFloor",
     "RiskBounds",
@@ -109,7 +103,6 @@ __all__ = [
     "WouldEmptyDataset",
     "ZeroFeatureNorm",
     "advantage_target",
-    "compute_stats",
     "delete_point",
     "deleted_grad",
     "empirical_advantage",
@@ -129,15 +122,12 @@ __all__ = [
     "risk_change_bounds",
     "risk_change_bounds_floor",
     "risk_grad",
-    "risk_grad_direct",
     "run_protocol",
     "sample_gaussian",
     "save_csv",
-    "scan_candidates",
     "selection_to_json",
     "sgd_step",
     "snr_closed_form",
-    "snr_definition_form",
     "summarize",
     "write_scores_csv",
 ]

@@ -1,35 +1,19 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The whole-dataset candidate scan kernel.
 
-The only kernel that matters for throughput is the whole-dataset candidate
-scan: for every point it evaluates the residual-factored perturbation norm
+For every point it evaluates the residual-factored perturbation norm
 
     ||(y_i - <x_i, w>) * x_i - g||_2      with  g = s_yx - s_xx @ w
 
 plus the feature norm ||x_i||_2, in a single O(n*d) pass.
-
-Backend selection: the numba path is used when numba imports cleanly and the
-environment variable ``DELPOINT_NUMBA`` is not set to ``0``/``false``/``off``.
-Both implementations are importable directly so the benchmark in
-``benchmarks/bench_kernels.py`` can time them side by side.
 """
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_ENV_FLAG = "DELPOINT_NUMBA"
 
-
-def _numba_requested() -> bool:
-    value = os.environ.get(_ENV_FLAG, "1").strip().lower()
-    return value not in ("0", "false", "off", "no")
-
-
-def scan_norms_numpy(X, y, w, g):
-    """Vectorized numpy scan; always available."""
+def scan_norms(X, y, w, g):
+    """Perturbation numerators and feature norms of every point."""
     resid = y - X @ w
     diff = resid[:, None] * X - g[None, :]
     numer = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -37,41 +21,6 @@ def scan_norms_numpy(X, y, w, g):
     return numer, fnorm
 
 
-def _scan_norms_loop(X, y, w, g):
-    n, d = X.shape
-    numer = np.empty(n)
-    fnorm = np.empty(n)
-    for i in range(n):
-        dot = 0.0
-        for j in range(d):
-            dot += X[i, j] * w[j]
-        resid = y[i] - dot
-        nsq = 0.0
-        fsq = 0.0
-        for j in range(d):
-            t = resid * X[i, j] - g[j]
-            nsq += t * t
-            fsq += X[i, j] * X[i, j]
-        numer[i] = math.sqrt(nsq)
-        fnorm[i] = math.sqrt(fsq)
-    return numer, fnorm
-
-
-scan_norms_numba = None
-if _numba_requested():
-    try:
-        import numba
-
-        scan_norms_numba = numba.njit(cache=True)(_scan_norms_loop)
-        BACKEND = "numba"
-    except ImportError:
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
-
-scan_norms = scan_norms_numba if BACKEND == "numba" else scan_norms_numpy
-
-
 def active_backend() -> str:
-    """Name of the scan backend selected at import time."""
-    return BACKEND
+    """Name of the scan implementation; numpy is the only one."""
+    return "numpy"

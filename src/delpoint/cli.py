@@ -37,34 +37,15 @@ EXIT_NO_PERFECT_POINT = 3
 EXIT_NUMERIC = 4
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to reproduce one CLI run."""
-
-    command: str
-    config: dict
-    seed: int
-    artifacts: list[str]
-    tool_version: str
-    wall_time_s: float
-
-    def to_doc(self) -> dict:
-        return {
-            "format_version": MANIFEST_FORMAT_VERSION,
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "artifacts": self.artifacts,
-            "tool_version": self.tool_version,
-            "wall_time_s": self.wall_time_s,
-        }
-
-
-def _write_manifest(out_dir: Path, manifest: RunManifest) -> Path:
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest.to_doc(), indent=2) + "\n",
-                    encoding="utf-8")
-    return path
+def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
+                    artifacts: list[str], start: float) -> None:
+    """manifest.json: everything needed to reproduce one CLI run."""
+    doc = {"format_version": MANIFEST_FORMAT_VERSION, "command": command,
+           "config": config, "seed": seed, "artifacts": artifacts,
+           "tool_version": __version__,
+           "wall_time_s": time.perf_counter() - start}
+    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n",
+                                           encoding="utf-8")
 
 
 def _parse_w0(value: str | None, dim: int) -> np.ndarray:
@@ -81,7 +62,19 @@ def _parse_w0(value: str | None, dim: int) -> np.ndarray:
     return w0
 
 
+def _load_inputs(dataset: Path, w0_text: str | None, hyper: dict):
+    """Dataset, HyperParams and start weights of a dataset command.
+
+    ``hyper`` holds the HyperParams fields that _hyper_options parsed.  The
+    CSV is read through this module's ``load_csv`` attribute, which
+    perfbench/probe.py replaces to serve datasets it has already loaded.
+    """
+    ds = load_csv(dataset)
+    return ds, HyperParams(**hyper), _parse_w0(w0_text, ds.dim)
+
+
 def _hyper_options(fn):
+    """--w0 plus one option per HyperParams field; see _load_inputs."""
     fn = click.option("--gamma", type=float, default=0.01, show_default=True,
                       help="Learning rate.")(fn)
     fn = click.option("--sigma", type=float, default=2.0, show_default=True,
@@ -99,10 +92,13 @@ def _hyper_options(fn):
                       type=click.Choice(["paper", "consistent"]),
                       default="paper", show_default=True,
                       help="Denominator convention for d_v.")(fn)
-    fn = click.option("--tie-break", type=click.Choice(["norm-first", "paper"]),
-                      default="norm-first", show_default=True,
-                      help="Tie handling among near-minimal candidates.")(fn)
     return fn
+
+
+_tie_break_option = click.option(
+    "--tie-break", type=click.Choice(["norm-first", "paper"]),
+    default="norm-first", show_default=True,
+    help="Tie handling among near-minimal candidates.")
 
 
 def _guard(fn):
@@ -148,11 +144,8 @@ def gen(n, x_low, x_high, slope, noise_std, noise_scale, extra_features,
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "dataset.csv"
         save_csv(ds, csv_path)
-        manifest = RunManifest(
-            command="gen", config=dataclasses.asdict(cfg), seed=seed,
-            artifacts=[csv_path.name], tool_version=__version__,
-            wall_time_s=time.perf_counter() - start)
-        _write_manifest(out_dir, manifest)
+        _write_manifest(out_dir, "gen", dataclasses.asdict(cfg), seed,
+                        [csv_path.name], start)
         click.echo(str(csv_path))
     _guard(body)
 
@@ -161,20 +154,17 @@ def gen(n, x_low, x_high, slope, noise_std, noise_scale, extra_features,
 @click.option("--dataset", type=click.Path(exists=True, dir_okay=False,
               path_type=Path), required=True)
 @_hyper_options
+@_tie_break_option
 @click.option("--scores-csv", type=click.Path(dir_okay=False, path_type=Path),
               default=None, help="Also write the per-point scan CSV here.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
               path_type=Path), default=None,
               help="Directory for selection.json and the manifest.")
-def select(dataset, gamma, sigma, alpha, delta, w0_text, seed,
-           snr_convention, tie_break, scores_csv, out_dir):
+def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
     """Find the best single point to delete; exit 3 if none clears delta."""
     def body():
         start = time.perf_counter()
-        ds = load_csv(dataset)
-        hp = HyperParams(gamma=gamma, sigma=sigma, alpha=alpha, delta=delta,
-                         snr_convention=snr_convention, seed=seed)
-        w0 = _parse_w0(w0_text, ds.dim)
+        ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
         result = find_perfect_deleted_point(ds, w0, hp, tie_break=tie_break)
         payload = selection_to_json(result)
         artifacts = []
@@ -185,16 +175,13 @@ def select(dataset, gamma, sigma, alpha, delta, w0_text, seed,
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "selection.json").write_text(payload, encoding="utf-8")
             artifacts.append("selection.json")
-            manifest = RunManifest(
-                command="select",
-                config={"dataset": str(dataset), "gamma": gamma,
-                        "sigma": sigma, "alpha": alpha, "delta": delta,
-                        "w0": [float(v) for v in w0],
-                        "snr_convention": snr_convention,
-                        "tie_break": tie_break},
-                seed=seed, artifacts=artifacts, tool_version=__version__,
-                wall_time_s=time.perf_counter() - start)
-            _write_manifest(out_dir, manifest)
+            config = {"dataset": str(dataset), "gamma": hp.gamma,
+                      "sigma": hp.sigma, "alpha": hp.alpha,
+                      "delta": hp.delta, "w0": w0.tolist(),
+                      "snr_convention": hp.snr_convention,
+                      "tie_break": tie_break}
+            _write_manifest(out_dir, "select", config, hp.seed, artifacts,
+                            start)
         click.echo(payload, nl=False)
         return result
     result = _guard(body)
@@ -226,8 +213,7 @@ def _bounds_doc(ds, w0, hp, b_floor) -> dict:
               help="Use the norm-floor bound variant with this B.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
               path_type=Path), default=None)
-def bounds(dataset, gamma, sigma, alpha, delta, w0_text, seed,
-           snr_convention, tie_break, b_floor, out_dir):
+def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
     """Per-point risk-change interval and privacy floor, as JSON.
 
     The per-point interval divides by ||x_v||, so a dataset with a zero
@@ -237,26 +223,19 @@ def bounds(dataset, gamma, sigma, alpha, delta, w0_text, seed,
     """
     def body():
         start = time.perf_counter()
-        ds = load_csv(dataset)
-        hp = HyperParams(gamma=gamma, sigma=sigma, alpha=alpha, delta=delta,
-                         snr_convention=snr_convention, seed=seed)
-        w0 = _parse_w0(w0_text, ds.dim)
+        ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
         doc = _bounds_doc(ds, w0, hp, b_floor)
         payload = json.dumps(doc, indent=2) + "\n"
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "bounds.json").write_text(payload, encoding="utf-8")
-            manifest = RunManifest(
-                command="bounds",
-                config={"dataset": str(dataset), "gamma": gamma,
-                        "sigma": sigma, "alpha": alpha, "delta": delta,
-                        "w0": [float(v) for v in w0],
-                        "snr_convention": snr_convention,
-                        "b_floor": b_floor},
-                seed=seed, artifacts=["bounds.json"],
-                tool_version=__version__,
-                wall_time_s=time.perf_counter() - start)
-            _write_manifest(out_dir, manifest)
+            config = {"dataset": str(dataset), "gamma": hp.gamma,
+                      "sigma": hp.sigma, "alpha": hp.alpha,
+                      "delta": hp.delta, "w0": w0.tolist(),
+                      "snr_convention": hp.snr_convention,
+                      "b_floor": b_floor}
+            _write_manifest(out_dir, "bounds", config, hp.seed,
+                            ["bounds.json"], start)
         click.echo(payload, nl=False)
     _guard(body)
 
@@ -273,17 +252,15 @@ def bounds(dataset, gamma, sigma, alpha, delta, w0_text, seed,
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Parallel worker processes for iterations.")
 @_hyper_options
+@_tie_break_option
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
               path_type=Path), required=True)
-def simulate(dataset, protocol, steps, iterations, bins, jobs, gamma, sigma,
-             alpha, delta, w0_text, seed, snr_convention, tie_break, out_dir):
+def simulate(dataset, protocol, steps, iterations, bins, jobs, w0_text,
+             tie_break, out_dir, **hyper):
     """Run a multi-step deletion protocol; write weights.csv + summary.json."""
     def body():
         start = time.perf_counter()
-        ds = load_csv(dataset)
-        hp = HyperParams(gamma=gamma, sigma=sigma, alpha=alpha, delta=delta,
-                         snr_convention=snr_convention, seed=seed)
-        w0 = _parse_w0(w0_text, ds.dim)
+        ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
         cfg = StepConfig(protocol=protocol.replace("-", "_"), steps=steps,
                          iterations=iterations, hp=hp, w0=w0, bins=bins,
                          tie_break=tie_break)
@@ -302,9 +279,9 @@ def simulate(dataset, protocol, steps, iterations, bins, jobs, gamma, sigma,
         config_doc = {
             "dataset": str(dataset), "protocol": cfg.protocol,
             "steps": steps, "iterations": iterations, "bins": bins,
-            "gamma": gamma, "sigma": sigma, "alpha": alpha, "delta": delta,
-            "w0": [float(v) for v in w0], "seed": seed,
-            "snr_convention": snr_convention, "tie_break": tie_break,
+            "gamma": hp.gamma, "sigma": hp.sigma, "alpha": hp.alpha,
+            "delta": hp.delta, "w0": w0.tolist(), "seed": hp.seed,
+            "snr_convention": hp.snr_convention, "tie_break": tie_break,
         }
         summary_doc = {"format_version": SUMMARY_FORMAT_VERSION,
                        "config": config_doc} | experiment_to_doc(result)
@@ -312,12 +289,8 @@ def simulate(dataset, protocol, steps, iterations, bins, jobs, gamma, sigma,
         summary_path.write_text(json.dumps(summary_doc, indent=2) + "\n",
                                 encoding="utf-8")
 
-        manifest = RunManifest(
-            command="simulate", config=config_doc, seed=seed,
-            artifacts=[weights_path.name, summary_path.name],
-            tool_version=__version__,
-            wall_time_s=time.perf_counter() - start)
-        _write_manifest(out_dir, manifest)
+        _write_manifest(out_dir, "simulate", config_doc, hp.seed,
+                        [weights_path.name, summary_path.name], start)
         click.echo(str(summary_path))
     _guard(body)
 
@@ -350,12 +323,9 @@ def report(summaries, seed, out_dir):
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "report.md").write_text(text, encoding="utf-8")
-            manifest = RunManifest(
-                command="report",
-                config={"summaries": [str(p) for p in summaries]},
-                seed=seed, artifacts=["report.md"], tool_version=__version__,
-                wall_time_s=time.perf_counter() - start)
-            _write_manifest(out_dir, manifest)
+            _write_manifest(out_dir, "report",
+                            {"summaries": [str(p) for p in summaries]},
+                            seed, ["report.md"], start)
         click.echo(text, nl=False)
     _guard(body)
 

@@ -91,24 +91,6 @@ def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> SufficientStats:
     return SufficientStats(s_yx=s_yx, s_xx=s_xx)
 
 
-def compute_stats(points: Sequence[DataPoint]) -> SufficientStats:
-    """Averaged moments of a point sequence.
-
-    Raises EmptyDataset for no points, DimensionMismatch for mixed
-    dimensions, InvalidValue for non-finite entries.
-    """
-    points = list(points)
-    if not points:
-        raise EmptyDataset("cannot compute stats of an empty point sequence")
-    d = points[0].dim
-    for p in points:
-        if p.dim != d:
-            raise DimensionMismatch(f"mixed dimensions: {p.dim} vs {d}")
-    X = np.stack([p.x for p in points])
-    y = np.array([p.y for p in points])
-    return _stats_from_arrays(X, y)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable ordered collection of points with cached stats.

@@ -6,8 +6,6 @@ through the cached sufficient statistics (O(d^2) regardless of n):
 
     grad_w L(w; D) = 2 (s_xx w - s_yx)
 
-``risk_grad_direct`` evaluates the same quantity from the raw residuals
-instead and is kept as an independent arithmetic path for cross-checks.
 The deleted-dataset gradient uses the exact leave-one-out identity
 
     grad L(w; D \\ v) = n/(n-1) grad L(w; D) - 1/(n-1) grad l(w; v)
@@ -58,13 +56,6 @@ def risk_grad(w, ds: Dataset) -> np.ndarray:
     """Mean-loss gradient from sufficient statistics: 2 (s_xx w - s_yx)."""
     w = as_weights(w, ds.dim)
     return 2.0 * (ds.stats.s_xx @ w - ds.stats.s_yx)
-
-
-def risk_grad_direct(w, ds: Dataset) -> np.ndarray:
-    """Mean-loss gradient from raw residuals; stats-free reference path."""
-    w = as_weights(w, ds.dim)
-    r = ds.y - ds.X @ w
-    return -2.0 / ds.n * (ds.X.T @ r)
 
 
 def deleted_grad(w, ds: Dataset, index: int) -> np.ndarray:

@@ -78,13 +78,6 @@ class Histogram:
 
 
 @dataclass(frozen=True)
-class Summary:
-    mean: np.ndarray
-    variance: np.ndarray
-    histograms: list[Histogram]
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     """Per-iteration final weights with summary statistics."""
 
@@ -148,17 +141,18 @@ def run_protocol(cfg: StepConfig, ds: Dataset, jobs: int = 1) -> ExperimentResul
 
     finals = np.stack([w for w, _ in outcomes])
     logs = [events for _, events in outcomes]
-    summary = summarize(finals, cfg.bins)
+    mean, variance, histograms = summarize(finals, cfg.bins)
     return ExperimentResult(
         final_weights=finals,
-        mean=summary.mean,
-        variance=summary.variance,
-        histograms=summary.histograms,
+        mean=mean,
+        variance=variance,
+        histograms=histograms,
         deletions_log=logs,
     )
 
 
-def summarize(weights, bins: int) -> Summary:
+def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,
+                                          list[Histogram]]:
     """Per-coordinate mean, unbiased variance, and equal-width histograms."""
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim == 1:
@@ -174,7 +168,7 @@ def summarize(weights, bins: int) -> Summary:
     for j in range(arr.shape[1]):
         counts, edges = np.histogram(arr[:, j], bins=bins)
         histograms.append(Histogram(edges=edges, counts=counts))
-    return Summary(mean=mean, variance=variance, histograms=histograms)
+    return mean, variance, histograms
 
 
 def empirical_advantage(ds: Dataset, index: int, w, hp: HyperParams,

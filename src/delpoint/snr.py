@@ -40,9 +40,10 @@ import numpy as np
 
 from ._kernels import scan_norms
 from .core import Dataset, HyperParams
-from .errors import DegenerateNoise, DomainError, IndexOutOfRange, WouldEmptyDataset
+from .errors import (DegenerateNoise, DomainError, IndexOutOfRange,
+                     NumericOverflow, WouldEmptyDataset)
 from .gauss import phi, phi_inv
-from .lossgrad import as_weights, point_grad, risk_grad_direct
+from .lossgrad import as_weights
 
 
 @dataclass(frozen=True)
@@ -52,13 +53,6 @@ class SnrValue:
     d_v: float
     numerator: float
     denominator: float
-
-
-@dataclass(frozen=True)
-class MembershipError:
-    """Signed distance of d_v to the advantage-nulling target."""
-
-    eps_v: float
 
 
 @dataclass(frozen=True)
@@ -107,22 +101,6 @@ def snr_closed_form(ds: Dataset, index: int, w, hp: HyperParams) -> SnrValue:
     return SnrValue(d_v=numer / denom, numerator=numer, denominator=denom)
 
 
-def snr_definition_form(ds: Dataset, index: int, w, hp: HyperParams) -> SnrValue:
-    """d_v from raw gradients; independent cross-check of the closed form.
-
-    The gradient difference grad L(w; D0) - grad l(w; v) equals twice the
-    closed-form numerator vector, so its norm is halved before applying the
-    shared denominator.
-    """
-    w = as_weights(w, ds.dim)
-    denom = snr_denominator(ds.n, hp)
-    if not 0 <= index < ds.n:
-        raise IndexOutOfRange(f"index {index} outside [0, {ds.n})")
-    diff = risk_grad_direct(w, ds) - point_grad(w, ds.point(index))
-    numer = float(np.linalg.norm(diff)) / 2.0
-    return SnrValue(d_v=numer / denom, numerator=numer, denominator=denom)
-
-
 def membership_advantage(d: float, alpha: float) -> float:
     """|Phi(Phi_inv(1 - alpha) - d) - alpha| for a separation d >= 0."""
     _check_alpha(alpha)
@@ -131,26 +109,33 @@ def membership_advantage(d: float, alpha: float) -> float:
     return abs(phi(phi_inv(1.0 - alpha) - d) - alpha)
 
 
-def membership_error(d, alpha: float) -> MembershipError:
+def membership_error(d, alpha: float) -> float:
     """eps_v = d_v - 2 Phi_inv(1 - alpha); accepts an SnrValue or a float."""
     d_v = d.d_v if isinstance(d, SnrValue) else float(d)
-    return MembershipError(eps_v=d_v - advantage_target(alpha))
+    return d_v - advantage_target(alpha)
 
 
 def scan_arrays(ds: Dataset, w, hp: HyperParams):
     """One-pass scores for every point, as a dict of aligned arrays.
 
     Keys: ids, d_v, eps_v, distance, advantage, feature_norm, target.
-    Shares a single s_xx @ w precompute across all n points.
+    Shares a single s_xx @ w precompute across all n points.  Raises
+    NumericOverflow when a score or feature norm is not finite in float64.
     """
     w = as_weights(w, ds.dim)
     denom = snr_denominator(ds.n, hp)
-    target = advantage_target(hp.alpha)
-    g = ds.stats.s_yx - ds.stats.s_xx @ w
-    numer, fnorm = scan_norms(ds.X, ds.y, w, g)
-    d_v = numer / denom
-    eps = d_v - target
     q = phi_inv(1.0 - hp.alpha)
+    target = 2.0 * q
+    # overflow is detected from the results, as in core._stats_from_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = ds.stats.s_yx - ds.stats.s_xx @ w
+        numer, fnorm = scan_norms(ds.X, ds.y, w, g)
+        d_v = numer / denom
+    if not (np.isfinite(d_v).all() and np.isfinite(fnorm).all()):
+        raise NumericOverflow(
+            "candidate scores overflow: the feature and label magnitudes "
+            "are too large for float64 norms")
+    eps = d_v - target
     adv = np.abs(phi(q - d_v) - hp.alpha)
     return {
         "ids": ds.ids,
@@ -161,22 +146,6 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
         "feature_norm": fnorm,
         "target": target,
     }
-
-
-def scan_candidates(ds: Dataset, w, hp: HyperParams) -> list[CandidateScore]:
-    """CandidateScore list for every point, in dataset order."""
-    a = scan_arrays(ds, w, hp)
-    return [
-        CandidateScore(
-            index=int(a["ids"][i]),
-            d_v=float(a["d_v"][i]),
-            eps_v=float(a["eps_v"][i]),
-            distance=float(a["distance"][i]),
-            advantage=float(a["advantage"][i]),
-            feature_norm=float(a["feature_norm"][i]),
-        )
-        for i in range(ds.n)
-    ]
 
 
 def write_scores_csv(scores: list[CandidateScore], path) -> None:

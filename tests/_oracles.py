@@ -58,11 +58,31 @@ def snr_by_deletion(xs, ys, index, w, gamma, sigma, convention="paper"):
     g1 = mean_grad_loop(w, xs1, ys1)
     # grad L(D1) - grad L(D0) = (grad L(D0) - grad l(v)) / (n - 1)
     numer = float(np.linalg.norm(g1 - g0)) * (n - 1) / 2.0
+    return numer / _snr_denominator(n, gamma, sigma, convention)
+
+
+def _snr_denominator(n, gamma, sigma, convention):
     if convention == "consistent":
-        denom = (n - 1) * sigma / 2.0
-    else:
-        denom = math.sqrt(gamma * (n - 1) / 2.0) * sigma
-    return numer / denom
+        return (n - 1) * sigma / 2.0
+    return math.sqrt(gamma * (n - 1) / 2.0) * sigma
+
+
+def risk_grad_direct(w, X, y):
+    """Mean-loss gradient from raw residuals, without sufficient statistics."""
+    r = np.asarray(y) - np.asarray(X) @ np.asarray(w)
+    return -2.0 / len(r) * (np.asarray(X).T @ r)
+
+
+def snr_definition_form(X, y, index, w, gamma, sigma, convention="paper"):
+    """d_v from raw gradients: ||grad L(w; D0) - grad l(w; v)|| / 2, over
+    the convention's denominator.
+
+    The gradient difference is twice the closed-form numerator vector.
+    """
+    X, y, w = np.asarray(X), np.asarray(y), np.asarray(w)
+    point_grad = -2.0 * (y[index] - X[index] @ w) * X[index]
+    numer = float(np.linalg.norm(risk_grad_direct(w, X, y) - point_grad)) / 2.0
+    return numer / _snr_denominator(len(y), gamma, sigma, convention)
 
 
 def advantage_formula(d, alpha):

@@ -24,10 +24,10 @@ from delpoint import (
     risk_change_bounds,
     run_protocol,
     snr_closed_form,
-    snr_definition_form,
 )
 
-from _oracles import bounds_calc, privacy_floor_calc, select_strict_loop
+from _oracles import (bounds_calc, privacy_floor_calc, select_strict_loop,
+                      snr_definition_form)
 
 PF_NEG1_A005 = 0.19021616457866483  # frozen mpmath oracle value
 
@@ -49,7 +49,7 @@ def test_criterion_01_snr_forms_agree():
                          alpha=0.05)
         i = int(rng.integers(n))
         a = snr_closed_form(ds, i, w, hp).d_v
-        b = snr_definition_form(ds, i, w, hp).d_v
+        b = snr_definition_form(ds.X, ds.y, i, w, hp.gamma, hp.sigma)
         rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
         worst = max(worst, rel)
         assert rel <= 1e-10

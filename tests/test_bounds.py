@@ -36,7 +36,7 @@ PF_NEG1_A005 = 0.19021616457866483
 
 def t3_eps(t3, hp):
     s = snr_closed_form(t3, 0, [0.5], hp)
-    return membership_error(s, hp.alpha).eps_v
+    return membership_error(s, hp.alpha)
 
 
 class TestRiskChangeBounds:
@@ -92,7 +92,7 @@ class TestRiskChangeBounds:
         # point 2 of T3 has above-average loss at w=0.5, so the
         # risk change from deleting it is negative
         eps = membership_error(snr_closed_form(t3, 2, [0.5], hp_default),
-                               hp_default.alpha).eps_v
+                               hp_default.alpha)
         rb = risk_change_bounds(t3, 2, [0.5], hp_default, eps)
         assert rb.actual_delta < 0.0
         assert rb.change_nonnegative is False

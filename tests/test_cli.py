@@ -1,4 +1,5 @@
 import json
+import shutil
 import warnings
 
 import numpy as np
@@ -212,14 +213,89 @@ class TestBounds:
 
 @pytest.mark.parametrize("command", ["select", "bounds"])
 def test_overflow_exits_four_without_warning(runner, tmp_path, command):
-    path = tmp_path / "big.csv"
-    path.write_text("x0,y\n1e200,1.0\n2.0,3.0\n3.0,4.0\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = runner.invoke(main, [command, "--dataset", str(path)])
-    assert res.exit_code == 4, res.output
-    assert "overflow" in res.stderr
-    assert [str(w.message) for w in caught] == []
+    # the first moments overflow when loaded; the second are finite, but
+    # the scan's squared norms overflow
+    for rows in ("1e200,1.0\n2.0,3.0\n3.0,4.0\n",
+                 "1e100,1e100\n2e100,1e100\n1e100,3e100\n"):
+        path = tmp_path / "big.csv"
+        path.write_text("x0,y\n" + rows)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, [command, "--dataset", str(path)])
+        assert res.exit_code == 4, res.output
+        assert "overflow" in res.stderr
+        assert [str(w.message) for w in caught] == []
+
+
+HYPER_ARGS = ["--gamma", "0.02", "--sigma", "1.5", "--alpha", "0.05",
+              "--delta", "50", "--w0", "0.5", "--seed", "9",
+              "--snr-convention", "consistent"]
+HYPER_CONFIG = [("gamma", 0.02), ("sigma", 1.5), ("alpha", 0.05),
+                ("delta", 50.0), ("w0", [0.5])]
+MANIFEST_KEYS = ["format_version", "command", "config", "seed", "artifacts",
+                 "tool_version", "wall_time_s"]
+
+
+def test_manifest_config_keys_and_order(runner, tmp_path):
+    path = gen_dataset(runner, tmp_path)
+    dataset = [("dataset", str(path))]
+    sim = [("protocol", "perfect_delete"), ("steps", 2), ("iterations", 3),
+           ("bins", 4)]
+    cases = {
+        "select": (["--tie-break", "paper"],
+                   dataset + HYPER_CONFIG + [("snr_convention", "consistent"),
+                                             ("tie_break", "paper")],
+                   ["selection.json"]),
+        "bounds": (["--b-floor", "0.005"],
+                   dataset + HYPER_CONFIG + [("snr_convention", "consistent"),
+                                             ("b_floor", 0.005)],
+                   ["bounds.json"]),
+        "simulate": (["--protocol", "perfect-delete", "--steps", "2",
+                      "--iterations", "3", "--bins", "4",
+                      "--tie-break", "paper"],
+                     dataset + sim + HYPER_CONFIG
+                     + [("seed", 9), ("snr_convention", "consistent"),
+                        ("tie_break", "paper")],
+                     ["weights.csv", "summary.json"]),
+    }
+    for command, (extra, config, artifacts) in cases.items():
+        out = tmp_path / command
+        res = runner.invoke(main, [command, "--dataset", str(path),
+                                   *HYPER_ARGS, *extra, "--out", str(out)])
+        assert res.exit_code in (0, 3), res.output
+        doc = json.loads((out / "manifest.json").read_text())
+        assert list(doc) == MANIFEST_KEYS
+        assert (doc["command"], doc["seed"]) == (command, 9)
+        assert list(doc["config"].items()) == config
+        assert doc["artifacts"] == artifacts
+        if command == "simulate":
+            summary = json.loads((out / "summary.json").read_text())
+            assert list(summary["config"].items()) == config
+
+
+@pytest.mark.parametrize("command", ["select", "bounds", "simulate"])
+def test_reruns_write_identical_artifacts(runner, tmp_path, command):
+    path = gen_dataset(runner, tmp_path)
+    run = tmp_path / "run"
+    extra = {"select": ["--scores-csv", str(run / "scores.csv")],
+             "bounds": [],
+             "simulate": ["--protocol", "perfect-delete", "--steps", "3",
+                          "--iterations", "4"]}[command]
+    runs = []
+    for _ in range(2):
+        run.mkdir()
+        res = runner.invoke(main, [command, "--dataset", str(path),
+                                   *HYPER_ARGS, *extra,
+                                   "--out", str(run / "out")])
+        assert res.exit_code == 0, res.output
+        files = {f.relative_to(run).as_posix(): f.read_bytes()
+                 for f in sorted(run.rglob("*")) if f.is_file()}
+        manifest = json.loads(files.pop("out/manifest.json"))
+        assert manifest.pop("wall_time_s") >= 0.0
+        runs.append((res.output, files, manifest))
+        shutil.rmtree(run)
+    assert len(runs[0][1]) == (2 if command != "bounds" else 1)
+    assert runs[0] == runs[1]
 
 
 class TestSimulate:

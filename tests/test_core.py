@@ -14,7 +14,6 @@ from delpoint import (
     NumericOverflow,
     SufficientStats,
     WouldEmptyDataset,
-    compute_stats,
     delete_point,
     load_csv,
     save_csv,
@@ -28,29 +27,35 @@ def points(*pairs):
     return [DataPoint(x=np.array(x, dtype=float), y=y) for x, y in pairs]
 
 
+def stats_of(pts):
+    return Dataset.from_points(pts).stats
+
+
 class TestComputeStats:
+    """Validation and moments of Dataset.from_points."""
+
     def test_t3_hand_sum(self):
-        st = compute_stats(points(([1], 2), ([2], 3), ([3], 5)))
+        st = stats_of(points(([1], 2), ([2], 3), ([3], 5)))
         assert st.s_yx == pytest.approx([23 / 3], rel=1e-15)
         np.testing.assert_allclose(st.s_xx, [[14 / 3]], rtol=1e-15)
 
     def test_zero_point(self):
-        st = compute_stats(points(([0], 0)))
+        st = stats_of(points(([0], 0)))
         assert st.s_yx == pytest.approx([0.0])
         np.testing.assert_allclose(st.s_xx, [[0.0]])
 
     def test_two_unit_points(self):
-        st = compute_stats(points(([1, 0], 1), ([0, 1], 1)))
+        st = stats_of(points(([1, 0], 1), ([0, 1], 1)))
         assert st.s_yx == pytest.approx([0.5, 0.5])
         np.testing.assert_allclose(st.s_xx, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            compute_stats([])
+            stats_of([])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(DimensionMismatch):
-            compute_stats(points(([1], 1), ([1, 2], 1)))
+            stats_of(points(([1], 1), ([1, 2], 1)))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidValue):
@@ -63,7 +68,7 @@ class TestComputeStats:
             n, d = int(rng.integers(1, 30)), int(rng.integers(1, 5))
             X = rng.normal(size=(n, d))
             y = rng.normal(size=n)
-            st = compute_stats(points(*[(X[i], y[i]) for i in range(n)]))
+            st = stats_of(points(*[(X[i], y[i]) for i in range(n)]))
             o_yx, o_xx = stats_loop(X.tolist(), y.tolist())
             np.testing.assert_allclose(st.s_yx, o_yx, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(st.s_xx, o_xx, rtol=1e-12, atol=1e-14)
@@ -71,9 +76,9 @@ class TestComputeStats:
     def test_permutation_invariant(self, rng):
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
-        base = compute_stats(points(*[(X[i], y[i]) for i in range(12)]))
+        base = stats_of(points(*[(X[i], y[i]) for i in range(12)]))
         perm = rng.permutation(12)
-        other = compute_stats(points(*[(X[i], y[i]) for i in perm]))
+        other = stats_of(points(*[(X[i], y[i]) for i in perm]))
         np.testing.assert_allclose(base.s_yx, other.s_yx, rtol=1e-12)
         np.testing.assert_allclose(base.s_xx, other.s_xx, rtol=1e-12)
 
@@ -82,7 +87,7 @@ class TestComputeStats:
         with pytest.raises(NumericOverflow):
             Dataset.from_arrays([[1e200], [2.0]], [1.0, 3.0])
         with pytest.raises(NumericOverflow):
-            compute_stats(points(([1.0], 1e200), ([1e200], 1.0)))
+            stats_of(points(([1.0], 1e200), ([1e200], 1.0)))
 
 
 class TestIds:

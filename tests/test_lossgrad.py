@@ -13,7 +13,6 @@ from delpoint import (
     point_loss,
     risk,
     risk_grad,
-    risk_grad_direct,
 )
 
 from conftest import random_dataset
@@ -98,8 +97,6 @@ class TestRiskGrad:
             w = rng.normal(size=ds.dim)
             loop = mean_grad_loop(w, ds.X.tolist(), ds.y.tolist())
             np.testing.assert_allclose(risk_grad(w, ds), loop,
-                                       rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(risk_grad_direct(w, ds), loop,
                                        rtol=1e-10, atol=1e-12)
 
     def test_matches_finite_differences_of_risk(self, rng):

@@ -206,20 +206,20 @@ class TestRunProtocol:
 
 class TestSummarize:
     def test_constant_sequence(self):
-        s = summarize(np.full((7, 1), 2.5), bins=5)
-        assert s.variance[0] == 0.0
-        assert s.histograms[0].counts.sum() == 7
-        assert (s.histograms[0].counts > 0).sum() == 1
+        _, variance, histograms = summarize(np.full((7, 1), 2.5), bins=5)
+        assert variance[0] == 0.0
+        assert histograms[0].counts.sum() == 7
+        assert (histograms[0].counts > 0).sum() == 1
 
     def test_hand_values(self):
-        s = summarize(np.array([[1.0], [2.0], [3.0]]), bins=2)
-        assert s.mean[0] == pytest.approx(2.0)
-        assert s.variance[0] == pytest.approx(1.0)
+        mean, variance, _ = summarize(np.array([[1.0], [2.0], [3.0]]), bins=2)
+        assert mean[0] == pytest.approx(2.0)
+        assert variance[0] == pytest.approx(1.0)
 
     def test_counts_partition_sample(self, rng):
         draws = rng.normal(size=(250, 2))
-        s = summarize(draws, bins=30)
-        for hist in s.histograms:
+        _, _, histograms = summarize(draws, bins=30)
+        for hist in histograms:
             assert hist.counts.sum() == 250
             assert len(hist.edges) == 31
 

@@ -9,14 +9,13 @@ from delpoint import (
     WouldEmptyDataset,
     advantage_target,
     membership_advantage,
+    find_perfect_deleted_point,
     membership_error,
-    scan_candidates,
     snr_closed_form,
-    snr_definition_form,
 )
 
 from conftest import random_dataset
-from _oracles import advantage_formula, snr_by_deletion
+from _oracles import advantage_formula, snr_by_deletion, snr_definition_form
 
 # Frozen from the mpmath/bisection oracle.
 TARGET_001 = 4.652695748081682      # 2 * phi_inv(0.99)
@@ -43,7 +42,8 @@ class TestSnrForms:
         for i in range(5):
             assert snr_closed_form(ds, i, [0.7], hp_default).d_v == \
                 pytest.approx(0.0, abs=1e-12)
-            assert snr_definition_form(ds, i, [0.7], hp_default).d_v == \
+            assert snr_definition_form(
+                ds.X, ds.y, i, [0.7], hp_default.gamma, hp_default.sigma) == \
                 pytest.approx(0.0, abs=1e-12)
 
     def test_zero_feature_point_leaves_s_yx(self, hp_default):
@@ -61,8 +61,8 @@ class TestSnrForms:
                              alpha=0.05)
             i = int(rng.integers(ds.n))
             a = snr_closed_form(ds, i, w, hp)
-            b = snr_definition_form(ds, i, w, hp)
-            assert b.d_v == pytest.approx(a.d_v, rel=1e-10)
+            b = snr_definition_form(ds.X, ds.y, i, w, hp.gamma, hp.sigma)
+            assert b == pytest.approx(a.d_v, rel=1e-10)
 
     def test_consistent_convention_scales(self, t3):
         hp_p = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01)
@@ -135,20 +135,20 @@ class TestAdvantage:
 
 class TestMembershipError:
     def test_zero_at_target(self):
-        e = membership_error(TARGET_001, 0.01)
-        assert e.eps_v == pytest.approx(0.0, abs=1e-12)
+        assert membership_error(TARGET_001, 0.01) == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_negative_at_zero(self):
-        assert membership_error(0.0, 0.05).eps_v == pytest.approx(
+        assert membership_error(0.0, 0.05) == pytest.approx(
             -TARGET_005, abs=1e-12)
 
     def test_positive_beyond_target(self):
-        assert membership_error(5.0, 0.01).eps_v == pytest.approx(
+        assert membership_error(5.0, 0.01) == pytest.approx(
             5.0 - TARGET_001, abs=1e-12)
 
     def test_accepts_snr_value(self, t3, hp_default):
         s = snr_closed_form(t3, 0, [0.5], hp_default)
-        assert membership_error(s, 0.01).eps_v == pytest.approx(
+        assert membership_error(s, 0.01) == pytest.approx(
             s.d_v - TARGET_001, abs=1e-12)
 
 
@@ -157,7 +157,7 @@ class TestScan:
         ds = random_dataset(rng, n=15, d=3)
         w = rng.normal(size=3)
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
-        scores = scan_candidates(ds, w, hp)
+        scores = find_perfect_deleted_point(ds, w, hp).all_scores
         assert len(scores) == ds.n
         for pos, s in enumerate(scores):
             single = snr_closed_form(ds, pos, w, hp)
@@ -173,7 +173,7 @@ class TestScan:
 
     def test_scores_csv(self, tmp_path, t3, hp_default):
         from delpoint import write_scores_csv
-        scores = scan_candidates(t3, [0.5], hp_default)
+        scores = find_perfect_deleted_point(t3, [0.5], hp_default).all_scores
         path = tmp_path / "scores.csv"
         write_scores_csv(scores, path)
         lines = path.read_text().splitlines()
