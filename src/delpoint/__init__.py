@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from ._kernels import active_backend
 from .bounds import (
-    PrivacyFloor,
     RiskBounds,
     privacy_floor,
     risk_change_bounds,
@@ -93,7 +92,6 @@ __all__ = [
     "IndexOutOfRange",
     "InvalidValue",
     "NumericOverflow",
-    "PrivacyFloor",
     "RiskBounds",
     "SelectionResult",
     "SnrValue",

@@ -86,13 +86,6 @@ class RiskBounds:
     change_nonnegative: bool
 
 
-@dataclass(frozen=True)
-class PrivacyFloor:
-    """Lower bound on the privacy budget consumed by one deletion."""
-
-    eps_lower: float
-
-
 def interval_endpoints(l0: float, t, sigma: float, gamma: float,
                        n: int, scale_norm, g_norm: float):
     """Endpoints and constant of the interval for explicit arguments.
@@ -241,7 +234,7 @@ def risk_change_bounds_floor(ds: Dataset, index: int, w, hp: HyperParams,
     return _one_row(cols, "norm_floor", float(b))
 
 
-def privacy_floor(eps_v: float, alpha: float) -> PrivacyFloor:
-    """max(ln[Phi(Phi_inv(alpha) - eps_v) + 1 - alpha], 0)."""
+def privacy_floor(eps_v: float, alpha: float) -> float:
+    """Budget floor max(ln[Phi(Phi_inv(alpha) - eps_v) + 1 - alpha], 0)."""
     column = _privacy_floor_column(np.array([eps_v], dtype=np.float64), alpha)
-    return PrivacyFloor(eps_lower=float(column[0]))
+    return float(column[0])

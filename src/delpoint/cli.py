@@ -169,7 +169,7 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
         payload = selection_to_json(result)
         artifacts = []
         if scores_csv is not None:
-            write_scores_csv(result.all_scores, scores_csv)
+            write_scores_csv(result.scores, scores_csv)
             artifacts.append(str(scores_csv))
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)

@@ -14,19 +14,22 @@ Tie-breaking (``tie_break``):
   where a candidate at distance <= the running minimum replaces the
   incumbent, so the LAST point attaining the minimum wins and a distance
   exactly equal to delta is accepted.
+
+``rank_candidates`` lists points in the same order.  Scores stay in the
+scan's columns; the advantage is computed only for reported rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
 from .core import Dataset, HyperParams
 from .errors import DomainError
-from .snr import CandidateScore, scan_arrays
+from .snr import CandidateScore, membership_advantage, scan_arrays
 
 SELECTION_JSON_FORMAT_VERSION = 1
 
@@ -34,14 +37,22 @@ TIE_WINDOW = 1e-9
 
 _TIE_BREAKS = ("norm-first", "paper")
 
+# column keys, in the order of the CandidateScore fields they fill
+_COLUMNS = ("ids", "d_v", "eps_v", "distance", "advantage", "feature_norm")
+_FIELDS = tuple(f.name for f in fields(CandidateScore))
+
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Full scan plus the chosen candidate (None when none clears delta)."""
+    """Full scan plus the chosen candidate (None when none clears delta).
+
+    ``scores`` maps each of ids, d_v, eps_v, distance, advantage and
+    feature_norm to an array over the points in dataset order.
+    """
 
     target: float
     best: Optional[CandidateScore]
-    all_scores: list[CandidateScore]
+    scores: dict
 
 
 def _check_tie_break(tie_break: str) -> None:
@@ -49,55 +60,55 @@ def _check_tie_break(tie_break: str) -> None:
         raise DomainError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
 
 
-def _choose_position(dist: np.ndarray, fnorm: np.ndarray, eps: np.ndarray,
-                     ids: np.ndarray, delta: float, tie_break: str) -> Optional[int]:
-    m = float(dist.min())
-    if m > delta:
-        return None
-    if tie_break == "paper":
-        return int(np.flatnonzero(dist == m)[-1])
-    tie = np.flatnonzero(dist <= m + TIE_WINDOW)
-    order = np.lexsort((ids[tie], (eps[tie] < 0).astype(np.int64), fnorm[tie]))
-    return int(tie[order[0]])
-
-
-def _rank_positions(dist, fnorm, eps, ids, tie_break: str) -> np.ndarray:
+def _order(a: dict, tie_break: str) -> np.ndarray:
+    """Positions of the scan ``a`` in selection order, best first."""
+    dist, ids = a["distance"], a["ids"]
     if tie_break == "paper":
         # distance ascending; equal distances ordered last-wins first
         return np.lexsort((-ids, dist))
-    m = float(dist.min())
-    tie = dist <= m + TIE_WINDOW
-    neg = (eps < 0).astype(np.int64)
-    tie_idx = np.flatnonzero(tie)
-    rest_idx = np.flatnonzero(~tie)
-    tie_order = tie_idx[np.lexsort((ids[tie_idx], neg[tie_idx], fnorm[tie_idx]))]
-    rest_order = rest_idx[np.lexsort(
-        (ids[rest_idx], neg[rest_idx], fnorm[rest_idx], dist[rest_idx]))]
-    return np.concatenate([tie_order, rest_order])
+    m = dist.min()
+    key = np.where(dist <= m + TIE_WINDOW, m, dist)
+    return np.lexsort((ids, a["eps_v"] < 0, a["feature_norm"], key))
+
+
+def _selected(a: dict, delta: float, tie_break: str) -> Optional[int]:
+    if a["distance"].min() > delta:
+        return None
+    return int(_order(a, tie_break)[0])
+
+
+def _columns(a: dict, alpha: float, rows=slice(None)) -> dict:
+    """The reported columns of the scan rows ``rows``, advantage included."""
+    adv = membership_advantage(a["d_v"][rows], alpha)
+    return {key: adv if key == "advantage" else a[key][rows]
+            for key in _COLUMNS}
+
+
+def _candidate(cols: dict, i: int) -> CandidateScore:
+    index, *values = (cols[key][i] for key in _COLUMNS)
+    return CandidateScore(int(index), *map(float, values))
 
 
 def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
                                tie_break: str = "norm-first") -> SelectionResult:
     """Score every point and return the argmin-of-distance selection.
 
-    O(n d + d^2) time, O(n) extra space; deterministic for fixed inputs.
+    O(n log n + n d + d^2) time, O(n) extra space; deterministic for fixed
+    inputs.
     """
     _check_tie_break(tie_break)
     a = scan_arrays(ds, w, hp)
-    pos = _choose_position(a["distance"], a["feature_norm"], a["eps_v"],
-                           a["ids"], hp.delta, tie_break)
-    scores = _materialize(a, np.arange(ds.n))
-    best = None if pos is None else scores[pos]
-    return SelectionResult(target=a["target"], best=best, all_scores=scores)
+    pos = _selected(a, hp.delta, tie_break)
+    scores = _columns(a, hp.alpha)
+    best = None if pos is None else _candidate(scores, pos)
+    return SelectionResult(target=a["target"], best=best, scores=scores)
 
 
 def select_position(ds: Dataset, w, hp: HyperParams,
                     tie_break: str = "norm-first") -> Optional[int]:
     """Position (not id) of the selected point; scan-only fast path."""
     _check_tie_break(tie_break)
-    a = scan_arrays(ds, w, hp)
-    return _choose_position(a["distance"], a["feature_norm"], a["eps_v"],
-                            a["ids"], hp.delta, tie_break)
+    return _selected(scan_arrays(ds, w, hp), hp.delta, tie_break)
 
 
 def rank_candidates(ds: Dataset, w, hp: HyperParams, k: int,
@@ -107,42 +118,17 @@ def rank_candidates(ds: Dataset, w, hp: HyperParams, k: int,
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     a = scan_arrays(ds, w, hp)
-    order = _rank_positions(a["distance"], a["feature_norm"], a["eps_v"],
-                            a["ids"], tie_break)
-    return _materialize(a, order[:k])
-
-
-def _materialize(a, positions) -> list[CandidateScore]:
-    return [
-        CandidateScore(
-            index=int(a["ids"][i]),
-            d_v=float(a["d_v"][i]),
-            eps_v=float(a["eps_v"][i]),
-            distance=float(a["distance"][i]),
-            advantage=float(a["advantage"][i]),
-            feature_norm=float(a["feature_norm"][i]),
-        )
-        for i in positions
-    ]
-
-
-def _score_dict(s: CandidateScore) -> dict:
-    return {
-        "index": s.index,
-        "d_v": s.d_v,
-        "eps_v": s.eps_v,
-        "distance": s.distance,
-        "advantage": s.advantage,
-        "feature_norm": s.feature_norm,
-    }
+    top = _columns(a, hp.alpha, _order(a, tie_break)[:k])
+    return [_candidate(top, i) for i in range(top["ids"].size)]
 
 
 def selection_to_json(result: SelectionResult) -> str:
     """Canonical JSON serialization; byte-stable for identical inputs."""
+    columns = [result.scores[key].tolist() for key in _COLUMNS]
     doc = {
         "format_version": SELECTION_JSON_FORMAT_VERSION,
         "target": result.target,
-        "best": None if result.best is None else _score_dict(result.best),
-        "scores": [_score_dict(s) for s in result.all_scores],
+        "best": None if result.best is None else asdict(result.best),
+        "scores": [dict(zip(_FIELDS, row)) for row in zip(*columns)],
     }
     return json.dumps(doc, indent=2) + "\n"

@@ -37,7 +37,8 @@ from typing import Optional
 import numpy as np
 
 from .core import Dataset, HyperParams, delete_point
-from .errors import DegenerateNoise, DomainError, EmptyInput, TooManyDeletions
+from .errors import (DegenerateNoise, DomainError, EmptyInput,
+                     NumericOverflow, TooManyDeletions)
 from .gauss import make_rng, phi_inv, sample_gaussian
 from .lossgrad import as_weights, deleted_grad, risk_grad
 from .selector import select_position
@@ -90,10 +91,17 @@ class ExperimentResult:
 
 def sgd_step(w, ds: Dataset, hp: HyperParams,
              rng: np.random.Generator) -> np.ndarray:
-    """w - gamma * (grad L(w; ds) + eta) with eta ~ N(0, sigma^2 I)."""
+    """w - gamma * (grad L(w; ds) + eta) with eta ~ N(0, sigma^2 I).
+
+    Raises NumericOverflow when the new weights are not finite in float64;
+    as in snr.scan_arrays, overflow is detected from the result.
+    """
     w = as_weights(w, ds.dim)
-    noisy = sample_gaussian(rng, risk_grad(w, ds), hp.sigma)
-    return w - hp.gamma * noisy
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = w - hp.gamma * sample_gaussian(rng, risk_grad(w, ds), hp.sigma)
+    if not np.isfinite(w).all():
+        raise NumericOverflow("SGD step overflows: the weights are not finite")
+    return w
 
 
 def _run_iteration(ds: Dataset, cfg: StepConfig, it: int):

@@ -101,12 +101,20 @@ def snr_closed_form(ds: Dataset, index: int, w, hp: HyperParams) -> SnrValue:
     return SnrValue(d_v=numer / denom, numerator=numer, denominator=denom)
 
 
-def membership_advantage(d: float, alpha: float) -> float:
-    """|Phi(Phi_inv(1 - alpha) - d) - alpha| for a separation d >= 0."""
+def membership_advantage(d, alpha: float):
+    """|Phi(Phi_inv(1 - alpha) - d) - alpha| for separations d >= 0.
+
+    Elementwise: an array of separations gives an array, a float gives a
+    float.  Raises DomainError if any separation is negative or not finite.
+    """
     _check_alpha(alpha)
-    if d < 0.0 or not np.isfinite(d):
-        raise DomainError(f"separation must be finite and >= 0, got {d}")
-    return abs(phi(phi_inv(1.0 - alpha) - d) - alpha)
+    arr = np.asarray(d, dtype=np.float64)
+    bad = arr[~(np.isfinite(arr) & (arr >= 0.0))]
+    if bad.size:
+        raise DomainError(
+            f"separation must be finite and >= 0, got {float(bad[0])}")
+    adv = np.abs(phi(phi_inv(1.0 - alpha) - arr) - alpha)
+    return adv if arr.ndim else float(adv)
 
 
 def membership_error(d, alpha: float) -> float:
@@ -118,14 +126,13 @@ def membership_error(d, alpha: float) -> float:
 def scan_arrays(ds: Dataset, w, hp: HyperParams):
     """One-pass scores for every point, as a dict of aligned arrays.
 
-    Keys: ids, d_v, eps_v, distance, advantage, feature_norm, target.
-    Shares a single s_xx @ w precompute across all n points.  Raises
-    NumericOverflow when a score or feature norm is not finite in float64.
+    Keys: ids, d_v, eps_v, distance, feature_norm, target (a float).  One
+    s_xx @ w precompute serves all n points, and no Phi is evaluated.
+    Raises NumericOverflow when a score or feature norm is not finite.
     """
     w = as_weights(w, ds.dim)
     denom = snr_denominator(ds.n, hp)
-    q = phi_inv(1.0 - hp.alpha)
-    target = 2.0 * q
+    target = advantage_target(hp.alpha)
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
         g = ds.stats.s_yx - ds.stats.s_xx @ w
@@ -136,23 +143,22 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
             "candidate scores overflow: the feature and label magnitudes "
             "are too large for float64 norms")
     eps = d_v - target
-    adv = np.abs(phi(q - d_v) - hp.alpha)
     return {
         "ids": ds.ids,
         "d_v": d_v,
         "eps_v": eps,
         "distance": np.abs(eps),
-        "advantage": adv,
         "feature_norm": fnorm,
         "target": target,
     }
 
 
-def write_scores_csv(scores: list[CandidateScore], path) -> None:
-    """Scan output CSV: index,d_v,eps_v,advantage,feature_norm."""
+def write_scores_csv(scores: dict, path) -> None:
+    """CSV index,d_v,eps_v,advantage,feature_norm of SelectionResult.scores."""
+    header = ["index", "d_v", "eps_v", "advantage", "feature_norm"]
+    columns = [scores[key].tolist() for key in ["ids", *header[1:]]]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "d_v", "eps_v", "advantage", "feature_norm"])
-        for s in scores:
-            writer.writerow([s.index, repr(s.d_v), repr(s.eps_v),
-                             repr(s.advantage), repr(s.feature_norm)])
+        writer.writerow(header)
+        writer.writerows([index, *map(repr, values)]
+                         for index, *values in zip(*columns))

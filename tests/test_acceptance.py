@@ -88,10 +88,10 @@ def test_criterion_03_advantage_identities():
 
 def test_criterion_04_privacy_floor_identities():
     for alpha in (0.01, 0.05, 0.1, 0.25):
-        assert privacy_floor(0.0, alpha).eps_lower == 0.0
+        assert privacy_floor(0.0, alpha) == 0.0
     for eps in (0.0, 1e-6, 0.1, 1.0, 4.0, 25.0):
-        assert privacy_floor(eps, 0.05).eps_lower == 0.0
-    val = privacy_floor(-1.0, 0.05).eps_lower
+        assert privacy_floor(eps, 0.05) == 0.0
+    val = privacy_floor(-1.0, 0.05)
     assert val > 0.0
     assert abs(val - PF_NEG1_A005) <= 1e-6
     _report(4, f"floor(-1, 0.05) = {val:.10f} vs oracle {PF_NEG1_A005:.10f}")
@@ -201,7 +201,7 @@ def test_criterion_09_bound_goldens_and_containment_report():
         assert abs(rb.lower - lo) <= 1e-10 * max(1.0, abs(lo))
         assert abs(rb.upper - hi) <= 1e-10 * max(1.0, abs(hi))
         assert abs(rb.constant - c) <= 1e-10 * max(1.0, abs(c))
-        pf = privacy_floor(eps - 2.0, hp.alpha).eps_lower
+        pf = privacy_floor(eps - 2.0, hp.alpha)
         assert abs(pf - privacy_floor_calc(eps - 2.0, hp.alpha)) <= 1e-10
         # containment is reported, never asserted
         contained["A"] += rb.contained_a

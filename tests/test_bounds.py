@@ -175,31 +175,32 @@ class TestFloorVariant:
 
 class TestPrivacyFloor:
     def test_zero_error_gives_zero(self):
-        assert privacy_floor(0.0, 0.05).eps_lower == 0.0
-        assert privacy_floor(0.0, 0.01).eps_lower == 0.0
+        assert type(privacy_floor(0.0, 0.05)) is float
+        assert privacy_floor(0.0, 0.05) == 0.0
+        assert privacy_floor(0.0, 0.01) == 0.0
 
     def test_frozen_negative_one(self):
-        assert privacy_floor(-1.0, 0.05).eps_lower == pytest.approx(
+        assert privacy_floor(-1.0, 0.05) == pytest.approx(
             PF_NEG1_A005, abs=1e-12)
 
     def test_positive_error_clamps_to_zero(self):
-        assert privacy_floor(1.0, 0.05).eps_lower == 0.0
+        assert privacy_floor(1.0, 0.05) == 0.0
 
     def test_zero_for_all_nonnegative_errors(self):
         for eps in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0):
-            assert privacy_floor(eps, 0.05).eps_lower == 0.0
-            assert privacy_floor(eps, 0.2).eps_lower == 0.0
+            assert privacy_floor(eps, 0.05) == 0.0
+            assert privacy_floor(eps, 0.2) == 0.0
 
     def test_nonincreasing(self):
         grid = np.linspace(-5, 5, 101)
-        vals = [privacy_floor(float(e), 0.05).eps_lower for e in grid]
+        vals = [privacy_floor(float(e), 0.05) for e in grid]
         assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
     def test_matches_reference(self, rng):
         for _ in range(50):
             eps = float(rng.uniform(-5, 5))
             alpha = float(rng.uniform(0.01, 0.45))
-            assert privacy_floor(eps, alpha).eps_lower == pytest.approx(
+            assert privacy_floor(eps, alpha) == pytest.approx(
                 privacy_floor_calc(eps, alpha), abs=1e-10)
 
     def test_alpha_domain(self):

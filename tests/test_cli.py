@@ -104,6 +104,31 @@ class TestSelect:
         assert lines[0] == "index,d_v,eps_v,advantage,feature_norm"
         assert len(lines) == 201
 
+    def test_scores_csv_agrees_with_selection_json(self, runner, tmp_path):
+        path = gen_dataset(runner, tmp_path, "--n", "300",
+                           "--extra-features", "2", "--seed", "11")
+        scores_csv = tmp_path / "scores.csv"
+        for tie_break in ("norm-first", "paper"):
+            out = tmp_path / tie_break
+            res = runner.invoke(main, ["select", "--dataset", str(path),
+                                       "--w0", "2.9,0.1,-0.4",
+                                       "--tie-break", tie_break,
+                                       "--scores-csv", str(scores_csv),
+                                       "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            doc = json.loads((out / "selection.json").read_text())
+            lines = scores_csv.read_text().splitlines()
+            header = lines[0].split(",")
+            assert header == ["index", "d_v", "eps_v", "advantage",
+                              "feature_norm"]
+            assert len(lines) == 1 + len(doc["scores"]) == 301
+            for line, entry in zip(lines[1:], doc["scores"]):
+                index, *values = line.split(",")
+                assert int(index) == entry["index"]
+                for key, text in zip(header[1:], values):
+                    assert float(text) == entry[key]
+            assert doc["best"] == doc["scores"][doc["best"]["index"]]
+
     def test_malformed_input_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
@@ -143,7 +168,7 @@ class TestBounds:
         eps = scan_arrays(ds, np.zeros(1), hp)["eps_v"]
         for pos, row in enumerate(doc["rows"]):
             assert row["privacy_floor"] == pytest.approx(
-                privacy_floor(float(eps[pos]), 0.01).eps_lower, abs=1e-12)
+                privacy_floor(float(eps[pos]), 0.01), abs=1e-12)
 
     def test_zero_eps_row_has_zero_floor(self, runner, tmp_path):
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01)
@@ -211,19 +236,36 @@ class TestBounds:
         assert "(point id 1)" in res.stderr
 
 
-@pytest.mark.parametrize("command", ["select", "bounds"])
+OVERFLOW_ARGS = {
+    "select": ["select"],
+    "bounds": ["bounds"],
+    "simulate-no-delete": ["simulate", "--protocol", "no-delete",
+                           "--steps", "2", "--iterations", "2"],
+    "simulate-random-delete": ["simulate", "--protocol", "random-delete",
+                               "--steps", "2", "--iterations", "2"],
+}
+
+
+@pytest.mark.parametrize("command", list(OVERFLOW_ARGS))
 def test_overflow_exits_four_without_warning(runner, tmp_path, command):
     # the first moments overflow when loaded; the second are finite, but
-    # the scan's squared norms overflow
+    # the scan's squared norms overflow, and so does s_xx @ w in the
+    # second SGD step
+    args = OVERFLOW_ARGS[command]
+    if args[0] == "simulate":
+        args = args + ["--out", str(tmp_path / "out")]
     for rows in ("1e200,1.0\n2.0,3.0\n3.0,4.0\n",
                  "1e100,1e100\n2e100,1e100\n1e100,3e100\n"):
         path = tmp_path / "big.csv"
         path.write_text("x0,y\n" + rows)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = runner.invoke(main, [command, "--dataset", str(path)])
+            res = runner.invoke(main, [*args, "--dataset", str(path)])
         assert res.exit_code == 4, res.output
         assert "overflow" in res.stderr
+        assert "numeric error" in res.stderr
+        # an uncaught exception would be a traceback, not SystemExit
+        assert isinstance(res.exception, SystemExit)
         assert [str(w.message) for w in caught] == []
 
 

@@ -55,7 +55,7 @@ class TestSelection:
         ds = random_dataset(rng, n=20, d=2)
         result = find_perfect_deleted_point(ds, np.zeros(2), hp)
         assert result.best is None
-        assert len(result.all_scores) == 20
+        assert [len(col) for col in result.scores.values()] == [20] * 6
 
     def test_strict_mode_matches_loop_oracle(self, rng):
         hp = HyperParams(gamma=0.02, sigma=1.5, alpha=0.05, delta=100.0)
@@ -132,8 +132,8 @@ class TestSelection:
     def test_lowest_id_breaks_full_ties(self, hp_default):
         ds = Dataset.from_arrays([[2.0], [2.0], [5.0]], [3.0, 3.0, 1.0])
         got = find_perfect_deleted_point(ds, [0.1], hp_default)
-        dup = {s.index: s for s in got.all_scores}
-        if dup[0].distance <= dup[2].distance:
+        dist = dict(zip(got.scores["ids"], got.scores["distance"]))
+        if dist[0] <= dist[2]:
             assert got.best.index == 0
 
     def test_delta_boundary_closed(self, rng, hp_default):
@@ -178,13 +178,37 @@ class TestRanking:
         assert sorted(s.index for s in ranked) == list(range(12))
 
     def test_top1_equals_selection(self, rng, hp_default):
-        for _ in range(10):
-            ds = random_dataset(rng, n=10, d=2)
-            w = rng.normal(size=2)
-            top = rank_candidates(ds, w, hp_default, k=1)[0]
-            best = find_perfect_deleted_point(ds, w, hp_default).best
-            assert best is not None
-            assert top == best
+        # a loop, not parametrize, so the test keeps its id
+        for tie_break in ("norm-first", "paper"):
+            for _ in range(10):
+                ds = random_dataset(rng, n=10, d=2)
+                w = rng.normal(size=2)
+                top = rank_candidates(ds, w, hp_default, k=1,
+                                      tie_break=tie_break)[0]
+                best = find_perfect_deleted_point(ds, w, hp_default,
+                                                  tie_break=tie_break).best
+                assert best is not None
+                assert top == best
+
+    def test_tie_block_precedes_smaller_norm(self, hp_default):
+        # points 0 and 1 tie within the window, 1 at the larger distance
+        # but the smaller norm; point 2, just outside the window, has the
+        # smallest norm of all.  The tie block ranks first, by norm.
+        hp = hp_default
+        w = np.array([0.25])
+        target = advantage_target(hp.alpha)
+        h = 1e-3
+        X = np.array([[2.0], [-1.5], [0.5], [1.3], [0.9]])
+        y = assign_labels_1d(X, w, hp, [target - h, target + h + 5e-10,
+                                        target + 2 * h, target + 3.0])
+        ds = Dataset.from_arrays(X, y)
+        a = scan_arrays(ds, w, hp)
+        assert 0.0 < a["distance"][1] - a["distance"][0] <= 1e-9
+        assert a["distance"][2] > a["distance"][0] + 1e-9
+        assert a["feature_norm"][2] < a["feature_norm"][1]
+        ranked = rank_candidates(ds, w, hp, k=5)
+        assert [s.index for s in ranked[:3]] == [1, 0, 2]
+        assert ranked[0] == find_perfect_deleted_point(ds, w, hp).best
 
     def test_distances_nondecreasing_within_window(self, rng, hp_default):
         ds = random_dataset(rng, n=30, d=2)

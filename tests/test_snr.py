@@ -132,6 +132,24 @@ class TestAdvantage:
         with pytest.raises(DomainError):
             membership_advantage(-0.5, 0.05)
 
+    def test_elementwise_matches_scalar_calls(self, rng):
+        # separations reach all three erfc regimes of Phi(q - d)
+        d = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 12.0, 300),
+                            [40.0]])
+        for alpha in (0.01, 0.05, 0.3):
+            got = membership_advantage(d, alpha)
+            assert isinstance(got, np.ndarray) and got.shape == d.shape
+            scalar = [membership_advantage(float(v), alpha) for v in d]
+            assert all(type(v) is float for v in scalar)
+            assert got.tobytes() == np.array(scalar).tobytes()
+
+    def test_elementwise_domain_errors(self):
+        for bad in (-0.5, -1e-300, np.nan, np.inf):
+            with pytest.raises(DomainError):
+                membership_advantage(np.array([1.0, bad, 2.0]), 0.05)
+            with pytest.raises(DomainError):
+                membership_advantage(bad, 0.05)
+
 
 class TestMembershipError:
     def test_zero_at_target(self):
@@ -157,23 +175,26 @@ class TestScan:
         ds = random_dataset(rng, n=15, d=3)
         w = rng.normal(size=3)
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
-        scores = find_perfect_deleted_point(ds, w, hp).all_scores
-        assert len(scores) == ds.n
-        for pos, s in enumerate(scores):
+        scores = find_perfect_deleted_point(ds, w, hp).scores
+        assert [len(col) for col in scores.values()] == [ds.n] * 6
+        rows = zip(scores["ids"], scores["d_v"], scores["eps_v"],
+                   scores["distance"], scores["advantage"],
+                   scores["feature_norm"])
+        for pos, (index, d_v, eps_v, distance, adv, fnorm) in enumerate(rows):
             single = snr_closed_form(ds, pos, w, hp)
-            assert s.index == pos
-            assert s.d_v == pytest.approx(single.d_v, rel=1e-12)
-            assert s.eps_v == pytest.approx(
+            assert index == pos
+            assert d_v == pytest.approx(single.d_v, rel=1e-12)
+            assert eps_v == pytest.approx(
                 single.d_v - advantage_target(0.05), abs=1e-10)
-            assert s.distance == pytest.approx(abs(s.eps_v), abs=0)
-            assert s.advantage == pytest.approx(
-                membership_advantage(s.d_v, 0.05), abs=1e-12)
-            assert s.feature_norm == pytest.approx(
+            assert distance == pytest.approx(abs(eps_v), abs=0)
+            assert adv == pytest.approx(
+                membership_advantage(float(d_v), 0.05), abs=1e-12)
+            assert fnorm == pytest.approx(
                 np.linalg.norm(ds.X[pos]), rel=1e-12)
 
     def test_scores_csv(self, tmp_path, t3, hp_default):
         from delpoint import write_scores_csv
-        scores = find_perfect_deleted_point(t3, [0.5], hp_default).all_scores
+        scores = find_perfect_deleted_point(t3, [0.5], hp_default).scores
         path = tmp_path / "scores.csv"
         write_scores_csv(scores, path)
         lines = path.read_text().splitlines()
