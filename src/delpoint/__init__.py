@@ -10,14 +10,8 @@ reproducible multi-step deletion experiments.
 __version__ = "0.1.0"
 
 from ._kernels import active_backend
-from .bounds import (
-    RiskBounds,
-    privacy_floor,
-    risk_change_bounds,
-    risk_change_bounds_floor,
-)
+from .bounds import privacy_floor
 from .core import (
-    DataPoint,
     Dataset,
     HyperParams,
     SufficientStats,
@@ -42,13 +36,7 @@ from .errors import (
     ZeroFeatureNorm,
 )
 from .gauss import make_rng, phi, phi_inv, sample_gaussian
-from .lossgrad import (
-    deleted_grad,
-    point_grad,
-    point_loss,
-    risk,
-    risk_grad,
-)
+from .lossgrad import risk, risk_grad
 from .selector import (
     SelectionResult,
     find_perfect_deleted_point,
@@ -65,11 +53,8 @@ from .sim import (
 )
 from .snr import (
     CandidateScore,
-    SnrValue,
     advantage_target,
     membership_advantage,
-    membership_error,
-    snr_closed_form,
     write_scores_csv,
 )
 
@@ -77,7 +62,6 @@ __all__ = [
     "__version__",
     "active_backend",
     "CandidateScore",
-    "DataPoint",
     "Dataset",
     "DegenerateNoise",
     "DelpointError",
@@ -92,9 +76,7 @@ __all__ = [
     "IndexOutOfRange",
     "InvalidValue",
     "NumericOverflow",
-    "RiskBounds",
     "SelectionResult",
-    "SnrValue",
     "StepConfig",
     "SufficientStats",
     "TooManyDeletions",
@@ -102,30 +84,23 @@ __all__ = [
     "ZeroFeatureNorm",
     "advantage_target",
     "delete_point",
-    "deleted_grad",
     "empirical_advantage",
     "find_perfect_deleted_point",
     "generate",
     "load_csv",
     "make_rng",
     "membership_advantage",
-    "membership_error",
     "phi",
     "phi_inv",
-    "point_grad",
-    "point_loss",
     "privacy_floor",
     "rank_candidates",
     "risk",
-    "risk_change_bounds",
-    "risk_change_bounds_floor",
     "risk_grad",
     "run_protocol",
     "sample_gaussian",
     "save_csv",
     "selection_to_json",
     "sgd_step",
-    "snr_closed_form",
     "summarize",
     "write_scores_csv",
 ]

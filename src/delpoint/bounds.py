@@ -34,7 +34,7 @@ nonincreasing in eps_v and identically 0 for eps_v >= 0.
 ``bounds_arrays`` evaluates all of this for many points in one O(n d)
 pass: L0, ||s_yx - s_xx w||, the target, Phi_inv(alpha), the feature norms
 and the floor check are computed once, every per-point quantity as one
-array operation.  The single-point functions are one-row calls of it.
+array operation; one point is a one-row call with ``positions=[i]``.
 Its safety checks run on the whole array before any row is computed, so
 one zero feature vector (per-point variant) rejects the whole call with
 ZeroFeatureNorm naming that point's id.
@@ -51,7 +51,6 @@ last ulp on some inputs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -67,23 +66,7 @@ from .errors import (
 )
 from .gauss import phi, phi_inv
 from .lossgrad import as_weights, risk
-from .snr import advantage_target
-
-
-@dataclass(frozen=True)
-class RiskBounds:
-    """Risk-change interval plus the dual-interpretation actuals."""
-
-    lower: float
-    upper: float
-    constant: float                 # C (per_point) or D (norm_floor)
-    variant: str                    # "per_point" | "norm_floor"
-    b_floor: Optional[float]        # B, only for norm_floor
-    actual_delta: float             # interpretation A: squared-loss change
-    abs_residual_delta: float       # interpretation B: absolute-residual form
-    contained_a: bool
-    contained_b: bool
-    change_nonnegative: bool
+from .snr import _check_alpha, advantage_target
 
 
 def interval_endpoints(l0: float, t, sigma: float, gamma: float,
@@ -124,8 +107,7 @@ def _feature_norms(X: np.ndarray) -> np.ndarray:
 
 
 def _privacy_floor_column(eps_v: np.ndarray, alpha: float) -> np.ndarray:
-    if not (0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
+    _check_alpha(alpha)
     arg = phi(phi_inv(alpha) - eps_v) + 1.0 - alpha
     raw = np.array([math.log(v) for v in arg.tolist()], dtype=np.float64)
     return np.maximum(raw, 0.0)
@@ -200,38 +182,6 @@ def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
         "change_nonnegative": da >= 0.0,
         "privacy_floor": _privacy_floor_column(eps_v, hp.alpha),
     }
-
-
-def _one_row(cols: dict, variant: str, b_floor: Optional[float]) -> RiskBounds:
-    return RiskBounds(
-        lower=float(cols["lower"][0]),
-        upper=float(cols["upper"][0]),
-        constant=float(cols["constant"][0]),
-        variant=variant,
-        b_floor=b_floor,
-        actual_delta=float(cols["actual_delta"][0]),
-        abs_residual_delta=float(cols["abs_residual_delta"][0]),
-        contained_a=bool(cols["contained_a"][0]),
-        contained_b=bool(cols["contained_b"][0]),
-        change_nonnegative=bool(cols["change_nonnegative"][0]),
-    )
-
-
-def risk_change_bounds(ds: Dataset, index: int, w, hp: HyperParams,
-                       eps_v: float) -> RiskBounds:
-    """Per-point interval with C = sigma/||x_v|| * sqrt(gamma/(2(n-1)))."""
-    cols = bounds_arrays(ds, w, hp, [eps_v], positions=[index])
-    return _one_row(cols, "per_point", None)
-
-
-def risk_change_bounds_floor(ds: Dataset, index: int, w, hp: HyperParams,
-                             eps_v: float, b: float) -> RiskBounds:
-    """Norm-floor interval with D = sigma/B * sqrt(gamma/(2(n-1))).
-
-    Requires 0 < B <= min_i ||x_i||_2 over the whole dataset.
-    """
-    cols = bounds_arrays(ds, w, hp, [eps_v], b=b, positions=[index])
-    return _one_row(cols, "norm_floor", float(b))
 
 
 def privacy_floor(eps_v: float, alpha: float) -> float:

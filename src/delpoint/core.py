@@ -1,4 +1,4 @@
-"""Domain types: data points, immutable datasets, sufficient statistics.
+"""Domain types: immutable datasets, sufficient statistics, run parameters.
 
 A Dataset is an immutable snapshot backed by float64 arrays.  It caches the
 averaged moments
@@ -21,7 +21,6 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -36,28 +35,6 @@ from .errors import (
 )
 
 _SNR_CONVENTIONS = ("paper", "consistent")
-
-
-@dataclass(frozen=True)
-class DataPoint:
-    """One training sample: feature vector x and scalar label y."""
-
-    x: np.ndarray
-    y: float
-
-    def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64)  # own copy; caller keeps theirs
-        if x.ndim != 1 or x.size < 1:
-            raise DimensionMismatch("x must be a vector of dimension >= 1")
-        if not np.all(np.isfinite(x)) or not np.isfinite(self.y):
-            raise InvalidValue("data point entries must be finite")
-        x.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", float(self.y))
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -95,7 +72,7 @@ def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> SufficientStats:
 class Dataset:
     """Immutable ordered collection of points with cached stats.
 
-    Construct through from_arrays / from_points / load_csv.  delete_point
+    Construct through from_arrays / load_csv.  delete_point
     returns a new snapshot; existing snapshots are never mutated, so any
     number of readers can share one.
     """
@@ -131,19 +108,6 @@ class Dataset:
             a.setflags(write=False)
         return cls(X=X, y=y, ids=ids, stats=_stats_from_arrays(X, y))
 
-    @classmethod
-    def from_points(cls, points: Sequence[DataPoint]) -> "Dataset":
-        points = list(points)
-        if not points:
-            raise EmptyDataset("a dataset needs at least one point")
-        d = points[0].dim
-        for p in points:
-            if p.dim != d:
-                raise DimensionMismatch(f"mixed dimensions: {p.dim} vs {d}")
-        X = np.stack([p.x for p in points])
-        y = np.array([p.y for p in points])
-        return cls.from_arrays(X, y)
-
     @property
     def n(self) -> int:
         return self.X.shape[0]
@@ -151,15 +115,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def point(self, index: int) -> DataPoint:
-        if not 0 <= index < self.n:
-            raise IndexOutOfRange(f"index {index} outside [0, {self.n})")
-        return DataPoint(x=self.X[index], y=float(self.y[index]))
-
-    @property
-    def points(self) -> list[DataPoint]:
-        return [self.point(i) for i in range(self.n)]
 
     def position_of(self, point_id: int) -> int:
         """Current position of an original point id.

@@ -1,4 +1,5 @@
-"""Per-point signal-to-noise ratio, membership advantage, membership error.
+"""Whole-dataset scan of the deletion signal-to-noise ratio, and the
+membership advantage.
 
 Deleting point v = (x_v, y_v) perturbs the one-step update distribution by
 an amount summarized in the scalar
@@ -25,14 +26,15 @@ The membership advantage of a separation d at Type I error alpha is
 
     |Adv| = |Phi(Phi_inv(1 - alpha) - d) - alpha|
 
-which vanishes exactly at d = 2 Phi_inv(1 - alpha); the absolute
-membership error eps_v = d_v - 2 Phi_inv(1 - alpha) measures the signed
-distance to that null point.
+which vanishes exactly at d = 2 Phi_inv(1 - alpha); the membership error
+eps_v = d_v - 2 Phi_inv(1 - alpha), the ``eps_v`` column of
+``scan_arrays``, measures the signed distance to that null point.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -40,19 +42,10 @@ import numpy as np
 
 from ._kernels import scan_norms
 from .core import Dataset, HyperParams
-from .errors import (DegenerateNoise, DomainError, IndexOutOfRange,
-                     NumericOverflow, WouldEmptyDataset)
+from .errors import (DegenerateNoise, DomainError, NumericOverflow,
+                     WouldEmptyDataset)
 from .gauss import phi, phi_inv
 from .lossgrad import as_weights
-
-
-@dataclass(frozen=True)
-class SnrValue:
-    """Signal-to-noise ratio with its numerator/denominator factors."""
-
-    d_v: float
-    numerator: float
-    denominator: float
 
 
 @dataclass(frozen=True)
@@ -67,8 +60,12 @@ class CandidateScore:
     feature_norm: float
 
 
+@functools.lru_cache(maxsize=8)
 def advantage_target(alpha: float) -> float:
-    """The separation 2 Phi_inv(1 - alpha) at which the advantage is zero."""
+    """The separation 2 Phi_inv(1 - alpha) at which the advantage is zero.
+
+    Cached: every scan of a simulation run asks for the same alpha.
+    """
     _check_alpha(alpha)
     return 2.0 * phi_inv(1.0 - alpha)
 
@@ -89,18 +86,6 @@ def snr_denominator(n: int, hp: HyperParams) -> float:
     return math.sqrt(hp.gamma * (n - 1) / 2.0) * hp.sigma
 
 
-def snr_closed_form(ds: Dataset, index: int, w, hp: HyperParams) -> SnrValue:
-    """d_v from sufficient statistics (the production path)."""
-    w = as_weights(w, ds.dim)
-    denom = snr_denominator(ds.n, hp)
-    if not 0 <= index < ds.n:
-        raise IndexOutOfRange(f"index {index} outside [0, {ds.n})")
-    g = ds.stats.s_yx - ds.stats.s_xx @ w
-    resid = float(ds.y[index] - ds.X[index] @ w)
-    numer = float(np.linalg.norm(resid * ds.X[index] - g))
-    return SnrValue(d_v=numer / denom, numerator=numer, denominator=denom)
-
-
 def membership_advantage(d, alpha: float):
     """|Phi(Phi_inv(1 - alpha) - d) - alpha| for separations d >= 0.
 
@@ -115,12 +100,6 @@ def membership_advantage(d, alpha: float):
             f"separation must be finite and >= 0, got {float(bad[0])}")
     adv = np.abs(phi(phi_inv(1.0 - alpha) - arr) - alpha)
     return adv if arr.ndim else float(adv)
-
-
-def membership_error(d, alpha: float) -> float:
-    """eps_v = d_v - 2 Phi_inv(1 - alpha); accepts an SnrValue or a float."""
-    d_v = d.d_v if isinstance(d, SnrValue) else float(d)
-    return d_v - advantage_target(alpha)
 
 
 def scan_arrays(ds: Dataset, w, hp: HyperParams):

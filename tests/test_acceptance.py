@@ -21,10 +21,10 @@ from delpoint import (
     generate,
     membership_advantage,
     privacy_floor,
-    risk_change_bounds,
     run_protocol,
-    snr_closed_form,
 )
+from delpoint.bounds import bounds_arrays
+from delpoint.snr import scan_arrays
 
 from _oracles import (bounds_calc, privacy_floor_calc, select_strict_loop,
                       snr_definition_form)
@@ -48,7 +48,7 @@ def test_criterion_01_snr_forms_agree():
                          sigma=float(rng.uniform(0.1, 5.0)),
                          alpha=0.05)
         i = int(rng.integers(n))
-        a = snr_closed_form(ds, i, w, hp).d_v
+        a = scan_arrays(ds, w, hp)["d_v"][i]
         b = snr_definition_form(ds.X, ds.y, i, w, hp.gamma, hp.sigma)
         rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
         worst = max(worst, rel)
@@ -171,7 +171,7 @@ def test_criterion_08_empirical_advantage_agreement():
                          seed=int(rng.integers(1_000_000)),
                          snr_convention="consistent")
         i = int(rng.integers(n))
-        closed = membership_advantage(snr_closed_form(ds, i, w, hp).d_v,
+        closed = membership_advantage(scan_arrays(ds, w, hp)["d_v"][i],
                                       hp.alpha)
         est = empirical_advantage(ds, i, w, hp, trials=trials)
         diff = abs(est - closed)
@@ -195,17 +195,17 @@ def test_criterion_09_bound_goldens_and_containment_report():
                          alpha=float(rng.uniform(0.01, 0.4)))
         i = int(rng.integers(n))
         eps = float(rng.uniform(0.0, 3.0))
-        rb = risk_change_bounds(ds, i, w, hp, eps)
+        rb = bounds_arrays(ds, w, hp, [eps], positions=[i])
         lo, hi, c = bounds_calc(ds.X.tolist(), ds.y.tolist(), i, w.tolist(),
                                 hp.gamma, hp.sigma, hp.alpha, eps)
-        assert abs(rb.lower - lo) <= 1e-10 * max(1.0, abs(lo))
-        assert abs(rb.upper - hi) <= 1e-10 * max(1.0, abs(hi))
-        assert abs(rb.constant - c) <= 1e-10 * max(1.0, abs(c))
+        assert abs(rb["lower"][0] - lo) <= 1e-10 * max(1.0, abs(lo))
+        assert abs(rb["upper"][0] - hi) <= 1e-10 * max(1.0, abs(hi))
+        assert abs(rb["constant"][0] - c) <= 1e-10 * max(1.0, abs(c))
         pf = privacy_floor(eps - 2.0, hp.alpha)
         assert abs(pf - privacy_floor_calc(eps - 2.0, hp.alpha)) <= 1e-10
         # containment is reported, never asserted
-        contained["A"] += rb.contained_a
-        contained["B"] += rb.contained_b
+        contained["A"] += bool(rb["contained_a"][0])
+        contained["B"] += bool(rb["contained_b"][0])
     _report(9, f"50 inputs match reference to 1e-10; containment report: "
                f"A {contained['A']}/50, B {contained['B']}/50")
 

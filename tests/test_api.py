@@ -1,0 +1,31 @@
+import importlib
+
+import delpoint
+from delpoint import Dataset
+
+# The per-point API that scan_arrays, bounds_arrays and risk_grad on a
+# one-row dataset replace, by the module that defined it.
+REMOVED = {
+    "delpoint.core": ["DataPoint"],
+    "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad"],
+    "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error"],
+    "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
+                        "risk_change_bounds_floor"],
+}
+
+
+def test_all_names_resolve_once():
+    assert len(delpoint.__all__) == len(set(delpoint.__all__))
+    for name in delpoint.__all__:
+        assert hasattr(delpoint, name), name
+
+
+def test_per_point_api_is_gone():
+    for module_name, names in REMOVED.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert not hasattr(delpoint, name), name
+            assert not hasattr(module, name), f"{module_name}.{name}"
+            assert name not in delpoint.__all__
+    for attr in ("from_points", "point", "points"):
+        assert not hasattr(Dataset, attr), attr

@@ -10,13 +10,10 @@ from delpoint import (
     WouldEmptyDataset,
     ZeroFeatureNorm,
     advantage_target,
-    membership_error,
     privacy_floor,
-    risk_change_bounds,
-    risk_change_bounds_floor,
-    snr_closed_form,
 )
 from delpoint.bounds import bounds_arrays, interval_endpoints
+from delpoint.snr import scan_arrays
 
 from conftest import random_dataset
 from _oracles import bounds_calc, privacy_floor_calc
@@ -35,24 +32,28 @@ PF_NEG1_A005 = 0.19021616457866483
 
 
 def t3_eps(t3, hp):
-    s = snr_closed_form(t3, 0, [0.5], hp)
-    return membership_error(s, hp.alpha)
+    return scan_arrays(t3, [0.5], hp)["eps_v"][0]
+
+
+def row(ds, index, w, hp, eps_v, b=None):
+    """The bounds of one point: element 0 of a one-row bounds_arrays."""
+    cols = bounds_arrays(ds, w, hp, [eps_v], b=b, positions=[index])
+    return {key: col.tolist()[0] for key, col in cols.items()}
 
 
 class TestRiskChangeBounds:
     def test_t3_golden(self, t3, hp_default):
         eps = t3_eps(t3, hp_default)
         assert eps == pytest.approx(T3_EPS, rel=1e-12)
-        rb = risk_change_bounds(t3, 0, [0.5], hp_default, eps)
-        assert rb.lower == pytest.approx(T3_LOWER, abs=1e-12)
-        assert rb.upper == pytest.approx(T3_UPPER, abs=1e-12)
-        assert rb.constant == pytest.approx(T3_C, rel=1e-12)
-        assert rb.actual_delta == pytest.approx(T3_ACTUAL, rel=1e-12)
-        assert rb.abs_residual_delta == pytest.approx(T3_ABS_RESIDUAL, rel=1e-12)
-        assert rb.variant == "per_point"
-        assert rb.b_floor is None
-        assert rb.contained_a is True
-        assert rb.change_nonnegative is True
+        rb = row(t3, 0, [0.5], hp_default, eps)
+        assert rb["lower"] == pytest.approx(T3_LOWER, abs=1e-12)
+        assert rb["upper"] == pytest.approx(T3_UPPER, abs=1e-12)
+        assert rb["constant"] == pytest.approx(T3_C, rel=1e-12)
+        assert rb["actual_delta"] == pytest.approx(T3_ACTUAL, rel=1e-12)
+        assert rb["abs_residual_delta"] == pytest.approx(T3_ABS_RESIDUAL,
+                                                         rel=1e-12)
+        assert rb["contained_a"] is True
+        assert rb["change_nonnegative"] is True
 
     def test_width_identity(self, rng):
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
@@ -61,10 +62,10 @@ class TestRiskChangeBounds:
             ds = random_dataset(rng, n=10, d=2)
             w = rng.normal(size=2)
             eps = float(rng.uniform(-target, 5.0))
-            rb = risk_change_bounds(ds, 3, w, hp, eps)
-            width = 2.0 * (eps + target) * rb.constant
-            assert rb.upper - rb.lower == pytest.approx(width, rel=1e-10,
-                                                        abs=1e-12)
+            rb = row(ds, 3, w, hp, eps)
+            width = 2.0 * (eps + target) * rb["constant"]
+            assert rb["upper"] - rb["lower"] == pytest.approx(
+                width, rel=1e-10, abs=1e-12)
 
     def test_lower_bound_drops_with_feature_norm(self):
         # same arguments, shrinking ||x_v||
@@ -81,79 +82,70 @@ class TestRiskChangeBounds:
                              alpha=float(rng.uniform(0.01, 0.4)))
             i = int(rng.integers(ds.n))
             eps = float(rng.uniform(0.0, 3.0))
-            rb = risk_change_bounds(ds, i, w, hp, eps)
+            rb = row(ds, i, w, hp, eps)
             lo, hi, c = bounds_calc(ds.X.tolist(), ds.y.tolist(), i, w.tolist(),
                                     hp.gamma, hp.sigma, hp.alpha, eps)
-            assert rb.lower == pytest.approx(lo, abs=1e-10)
-            assert rb.upper == pytest.approx(hi, abs=1e-10)
-            assert rb.constant == pytest.approx(c, rel=1e-10)
+            assert rb["lower"] == pytest.approx(lo, abs=1e-10)
+            assert rb["upper"] == pytest.approx(hi, abs=1e-10)
+            assert rb["constant"] == pytest.approx(c, rel=1e-10)
 
     def test_nonneg_assumption_flagged(self, t3, hp_default):
         # point 2 of T3 has above-average loss at w=0.5, so the
         # risk change from deleting it is negative
-        eps = membership_error(snr_closed_form(t3, 2, [0.5], hp_default),
-                               hp_default.alpha)
-        rb = risk_change_bounds(t3, 2, [0.5], hp_default, eps)
-        assert rb.actual_delta < 0.0
-        assert rb.change_nonnegative is False
+        eps = scan_arrays(t3, [0.5], hp_default)["eps_v"][2]
+        rb = row(t3, 2, [0.5], hp_default, eps)
+        assert rb["actual_delta"] < 0.0
+        assert rb["change_nonnegative"] is False
 
     def test_zero_feature_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0], [0.0], [2.0]], [1.0, 2.0, 3.0],
                                  ids=[3, 7, 9])
         with pytest.raises(ZeroFeatureNorm):
-            risk_change_bounds(ds, 1, [0.5], hp_default, 0.0)
+            row(ds, 1, [0.5], hp_default, 0.0)
         # the whole-dataset call rejects before any row, naming the point id
         with pytest.raises(ZeroFeatureNorm, match="point id 7 "):
             bounds_arrays(ds, [0.5], hp_default, np.zeros(3))
         # other points of the same dataset still have a per-point interval
-        rb = risk_change_bounds(ds, 2, [0.5], hp_default, 0.0)
-        assert rb.lower <= rb.upper
+        rb = row(ds, 2, [0.5], hp_default, 0.0)
+        assert rb["lower"] <= rb["upper"]
 
     def test_index_out_of_range(self, t3, hp_default):
         for index in (3, -1):
             with pytest.raises(IndexOutOfRange):
-                risk_change_bounds(t3, index, [0.5], hp_default, 0.0)
+                row(t3, index, [0.5], hp_default, 0.0)
 
     def test_singleton_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0]], [1.0])
         with pytest.raises(WouldEmptyDataset):
-            risk_change_bounds(ds, 0, [0.5], hp_default, 0.0)
+            row(ds, 0, [0.5], hp_default, 0.0)
 
     def test_negative_implied_d_v_rejected(self, t3, hp_default):
         target = advantage_target(hp_default.alpha)
         with pytest.raises(DomainError):
-            risk_change_bounds(t3, 0, [0.5], hp_default, -target - 1.0)
+            row(t3, 0, [0.5], hp_default, -target - 1.0)
 
 
 class TestFloorVariant:
     def test_reduces_to_per_point_at_own_norm(self, t3, hp_default):
         eps = t3_eps(t3, hp_default)
-        per_point = risk_change_bounds(t3, 0, [0.5], hp_default, eps)
-        floored = risk_change_bounds_floor(t3, 0, [0.5], hp_default, eps,
-                                           b=1.0)  # ||x_0|| = 1 = min norm
-        assert floored.lower == pytest.approx(per_point.lower, rel=1e-12)
-        assert floored.upper == pytest.approx(per_point.upper, rel=1e-12)
-        assert floored.constant == pytest.approx(per_point.constant, rel=1e-12)
-        assert floored.variant == "norm_floor"
-        assert floored.b_floor == 1.0
+        per_point = row(t3, 0, [0.5], hp_default, eps)
+        floored = row(t3, 0, [0.5], hp_default, eps,
+                      b=1.0)  # ||x_0|| = 1 = min norm
+        for key in ("lower", "upper", "constant"):
+            assert floored[key] == pytest.approx(per_point[key], rel=1e-12)
 
     def test_smaller_floor_widens(self, t3, hp_default):
         eps = t3_eps(t3, hp_default)
-        wide = risk_change_bounds_floor(t3, 0, [0.5], hp_default, eps, b=0.5)
-        tight = risk_change_bounds_floor(t3, 0, [0.5], hp_default, eps, b=1.0)
-        assert wide.upper - wide.lower > tight.upper - tight.lower
-        assert wide.constant > tight.constant
+        wide = row(t3, 0, [0.5], hp_default, eps, b=0.5)
+        tight = row(t3, 0, [0.5], hp_default, eps, b=1.0)
+        assert (wide["upper"] - wide["lower"]
+                > tight["upper"] - tight["lower"])
+        assert wide["constant"] > tight["constant"]
 
     def test_floor_validation(self, t3, hp_default):
-        with pytest.raises(FloorViolated):
-            risk_change_bounds_floor(t3, 0, [0.5], hp_default, 0.0, b=1.5)
-        with pytest.raises(FloorViolated):
-            risk_change_bounds_floor(t3, 0, [0.5], hp_default, 0.0, b=0.0)
-        with pytest.raises(FloorViolated):
-            risk_change_bounds_floor(t3, 0, [0.5], hp_default, 0.0, b=-1.0)
-        with pytest.raises(FloorViolated):
-            risk_change_bounds_floor(t3, 0, [0.5], hp_default, 0.0,
-                                     b=float("nan"))
+        for b in (1.5, 0.0, -1.0, float("nan")):
+            with pytest.raises(FloorViolated):
+                row(t3, 0, [0.5], hp_default, 0.0, b=b)
 
     def test_matches_reference_calculator(self, rng):
         hp = HyperParams(gamma=0.02, sigma=2.5, alpha=0.05)
@@ -165,12 +157,12 @@ class TestFloorVariant:
                 continue
             w = rng.normal(size=2)
             eps = float(rng.uniform(0.0, 2.0))
-            rb = risk_change_bounds_floor(ds, 1, w, hp, eps, b=b)
+            rb = row(ds, 1, w, hp, eps, b=b)
             lo, hi, c = bounds_calc(ds.X.tolist(), ds.y.tolist(), 1, w.tolist(),
                                     hp.gamma, hp.sigma, hp.alpha, eps, b=b)
-            assert rb.lower == pytest.approx(lo, abs=1e-10)
-            assert rb.upper == pytest.approx(hi, abs=1e-10)
-            assert rb.constant == pytest.approx(c, rel=1e-10)
+            assert rb["lower"] == pytest.approx(lo, abs=1e-10)
+            assert rb["upper"] == pytest.approx(hi, abs=1e-10)
+            assert rb["constant"] == pytest.approx(c, rel=1e-10)
 
 
 class TestPrivacyFloor:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from delpoint import (
-    DataPoint,
     Dataset,
     DimensionMismatch,
     EmptyDataset,
@@ -23,52 +22,54 @@ from delpoint.errors import DomainError
 from _oracles import stats_loop
 
 
-def points(*pairs):
-    return [DataPoint(x=np.array(x, dtype=float), y=y) for x, y in pairs]
-
-
-def stats_of(pts):
-    return Dataset.from_points(pts).stats
+def stats_of(X, y):
+    return Dataset.from_arrays(X, y).stats
 
 
 class TestComputeStats:
-    """Validation and moments of Dataset.from_points."""
+    """Validation and moments of Dataset.from_arrays."""
 
     def test_t3_hand_sum(self):
-        st = stats_of(points(([1], 2), ([2], 3), ([3], 5)))
+        st = stats_of([[1], [2], [3]], [2, 3, 5])
         assert st.s_yx == pytest.approx([23 / 3], rel=1e-15)
         np.testing.assert_allclose(st.s_xx, [[14 / 3]], rtol=1e-15)
 
     def test_zero_point(self):
-        st = stats_of(points(([0], 0)))
+        st = stats_of([[0]], [0])
         assert st.s_yx == pytest.approx([0.0])
         np.testing.assert_allclose(st.s_xx, [[0.0]])
 
     def test_two_unit_points(self):
-        st = stats_of(points(([1, 0], 1), ([0, 1], 1)))
+        st = stats_of([[1, 0], [0, 1]], [1, 1])
         assert st.s_yx == pytest.approx([0.5, 0.5])
         np.testing.assert_allclose(st.s_xx, [[0.5, 0.0], [0.0, 0.5]])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            stats_of([])
+            stats_of(np.empty((0, 1)), np.empty(0))
 
     def test_mixed_dimensions_rejected(self):
+        # an array has one row length; what can still disagree is the
+        # number of labels, the rank of X, or an empty feature dimension
         with pytest.raises(DimensionMismatch):
-            stats_of(points(([1], 1), ([1, 2], 1)))
+            stats_of([[1.0], [2.0]], [1.0])
+        with pytest.raises(DimensionMismatch):
+            stats_of([1.0, 2.0], [1.0, 1.0])
+        with pytest.raises(DimensionMismatch):
+            stats_of(np.empty((2, 0)), [1.0, 1.0])
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidValue):
-            DataPoint(x=np.array([np.nan]), y=1.0)
+            stats_of([[np.nan]], [1.0])
         with pytest.raises(InvalidValue):
-            DataPoint(x=np.array([1.0]), y=float("inf"))
+            stats_of([[1.0]], [float("inf")])
 
     def test_matches_loop_oracle(self, rng):
         for _ in range(25):
             n, d = int(rng.integers(1, 30)), int(rng.integers(1, 5))
             X = rng.normal(size=(n, d))
             y = rng.normal(size=n)
-            st = stats_of(points(*[(X[i], y[i]) for i in range(n)]))
+            st = stats_of(X, y)
             o_yx, o_xx = stats_loop(X.tolist(), y.tolist())
             np.testing.assert_allclose(st.s_yx, o_yx, rtol=1e-12, atol=1e-14)
             np.testing.assert_allclose(st.s_xx, o_xx, rtol=1e-12, atol=1e-14)
@@ -76,9 +77,9 @@ class TestComputeStats:
     def test_permutation_invariant(self, rng):
         X = rng.normal(size=(12, 3))
         y = rng.normal(size=12)
-        base = stats_of(points(*[(X[i], y[i]) for i in range(12)]))
+        base = stats_of(X, y)
         perm = rng.permutation(12)
-        other = stats_of(points(*[(X[i], y[i]) for i in perm]))
+        other = stats_of(X[perm], y[perm])
         np.testing.assert_allclose(base.s_yx, other.s_yx, rtol=1e-12)
         np.testing.assert_allclose(base.s_xx, other.s_xx, rtol=1e-12)
 
@@ -87,7 +88,7 @@ class TestComputeStats:
         with pytest.raises(NumericOverflow):
             Dataset.from_arrays([[1e200], [2.0]], [1.0, 3.0])
         with pytest.raises(NumericOverflow):
-            stats_of(points(([1.0], 1e200), ([1e200], 1.0)))
+            stats_of([[1.0], [1e200]], [1e200, 1.0])
 
 
 class TestIds:

@@ -2,60 +2,58 @@ import numpy as np
 import pytest
 
 from delpoint import (
-    DataPoint,
     Dataset,
     DimensionMismatch,
     IndexOutOfRange,
     WouldEmptyDataset,
     delete_point,
-    deleted_grad,
-    point_grad,
-    point_loss,
     risk,
     risk_grad,
 )
 
 from conftest import random_dataset
-from _oracles import mean_grad_loop
+from _oracles import mean_grad_loop, point_grad_loop, risk_loop
 
 
-def dp(x, y):
-    return DataPoint(x=np.asarray(x, dtype=float), y=y)
+def one(x, y):
+    """One-row dataset: risk and risk_grad on it are the point's loss and
+    gradient."""
+    return Dataset.from_arrays([np.asarray(x, dtype=float)], [y])
 
 
 class TestPointLoss:
     def test_direct_arithmetic(self):
-        assert point_loss([0.5], dp([2], 3)) == pytest.approx(4.0)
+        assert risk([0.5], one([2], 3)) == pytest.approx(4.0)
 
     def test_exact_fit(self):
-        assert point_loss([1.0], dp([1], 1)) == 0.0
+        assert risk([1.0], one([1], 1)) == 0.0
 
     def test_two_dim(self):
-        assert point_loss([1.0, 1.0], dp([2, 3], 10)) == pytest.approx(25.0)
+        assert risk([1.0, 1.0], one([2, 3], 10)) == pytest.approx(25.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            point_loss([1.0, 2.0], dp([1], 1))
+            risk([1.0, 2.0], one([1], 1))
 
 
 class TestPointGrad:
     def test_hand_value(self):
-        assert point_grad([0.5], dp([2], 3)) == pytest.approx([-8.0])
+        assert risk_grad([0.5], one([2], 3)) == pytest.approx([-8.0])
 
     def test_zero_at_exact_fit(self):
-        np.testing.assert_array_equal(point_grad([1.0], dp([1], 1)), [0.0])
+        np.testing.assert_array_equal(risk_grad([1.0], one([1], 1)), [0.0])
 
     def test_finite_differences(self, rng):
         h = 1e-5
         for _ in range(10):
             d = int(rng.integers(1, 5))
             w = rng.normal(size=d)
-            v = dp(rng.normal(size=d), float(rng.normal()))
-            g = point_grad(w, v)
+            v = one(rng.normal(size=d), float(rng.normal()))
+            g = risk_grad(w, v)
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
-                fd = (point_loss(w + e, v) - point_loss(w - e, v)) / (2 * h)
+                fd = (risk(w + e, v) - risk(w - e, v)) / (2 * h)
                 assert g[j] == pytest.approx(fd, abs=1e-6)
 
 
@@ -70,7 +68,7 @@ class TestRisk:
 
     def test_single_point_equals_point_loss(self):
         ds = Dataset.from_arrays([[2.0]], [3.0])
-        assert risk([0.5], ds) == point_loss([0.5], dp([2], 3))
+        assert risk([0.5], ds) == risk_loop([0.5], [[2.0]], [3.0])
 
     def test_nonnegative_and_zero_iff_fit(self, rng):
         for _ in range(10):
@@ -112,22 +110,26 @@ class TestRiskGrad:
 
 
 class TestDeletedGrad:
+    """The leave-one-out gradient as simulate computes it: risk_grad on the
+    moments that delete_point downdates, against the deleted rows."""
+
     def test_identity_matches_physical_deletion(self, t3):
         w = [0.5]
-        via_identity = deleted_grad(w, t3, 2)
-        via_recompute = risk_grad(w, delete_point(t3, 2))
+        via_identity = risk_grad(w, delete_point(t3, 2))
+        via_recompute = mean_grad_loop(w, t3.X[:2].tolist(), t3.y[:2].tolist())
         np.testing.assert_allclose(via_identity, via_recompute,
                                    rtol=1e-12, atol=1e-14)
 
     def test_two_identical_points(self):
         ds = Dataset.from_arrays([[2.0], [2.0]], [3.0, 3.0])
-        np.testing.assert_allclose(deleted_grad([0.5], ds, 0),
-                                   point_grad([0.5], dp([2], 3)), rtol=1e-14)
+        np.testing.assert_allclose(risk_grad([0.5], delete_point(ds, 0)),
+                                   point_grad_loop([0.5], [2.0], 3.0),
+                                   rtol=1e-14)
 
     def test_mean_gradient_point_is_neutral(self):
         # symmetric pair: the survivor's gradient equals the mean gradient
         ds = Dataset.from_arrays([[1.0], [-1.0]], [1.0, -1.0])
-        np.testing.assert_allclose(deleted_grad([0.0], ds, 0),
+        np.testing.assert_allclose(risk_grad([0.0], delete_point(ds, 0)),
                                    risk_grad([0.0], ds), rtol=1e-14)
 
     def test_identity_on_random_instances(self, rng):
@@ -135,12 +137,13 @@ class TestDeletedGrad:
             ds = random_dataset(rng)
             w = rng.normal(size=ds.dim)
             i = int(rng.integers(ds.n))
-            lhs = deleted_grad(w, ds, i)
-            rhs = risk_grad(w, delete_point(ds, i))
+            lhs = risk_grad(w, delete_point(ds, i))
+            rhs = mean_grad_loop(w, np.delete(ds.X, i, axis=0).tolist(),
+                                 np.delete(ds.y, i).tolist())
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
 
     def test_guards(self, t3):
         with pytest.raises(WouldEmptyDataset):
-            deleted_grad([0.5], Dataset.from_arrays([[1.0]], [1.0]), 0)
+            delete_point(Dataset.from_arrays([[1.0]], [1.0]), 0)
         with pytest.raises(IndexOutOfRange):
-            deleted_grad([0.5], t3, 5)
+            delete_point(t3, 5)

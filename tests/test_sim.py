@@ -11,8 +11,10 @@ from delpoint import (
     EmptyInput,
     GenConfig,
     HyperParams,
+    IndexOutOfRange,
     StepConfig,
     TooManyDeletions,
+    WouldEmptyDataset,
     advantage_target,
     empirical_advantage,
     generate,
@@ -24,7 +26,7 @@ from delpoint import (
     summarize,
 )
 from delpoint.sim import experiment_to_doc
-from delpoint.snr import snr_closed_form
+from delpoint.snr import scan_arrays
 
 from conftest import assign_labels_1d, random_dataset
 
@@ -238,6 +240,17 @@ class TestEmpiricalAdvantage:
                                 HyperParams(gamma=0.0, sigma=2.0, alpha=0.05),
                                 trials=2000)
 
+    def test_deletion_guards(self, t3):
+        # the leave-one-out mean needs a real position and a survivor;
+        # a negative index must not wrap around to the last point
+        hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05)
+        for index in (-1, t3.n):
+            with pytest.raises(IndexOutOfRange):
+                empirical_advantage(t3, index, np.zeros(1), hp, trials=1000)
+        with pytest.raises(WouldEmptyDataset):
+            empirical_advantage(Dataset.from_arrays([[1.0]], [2.0]), 0,
+                                np.zeros(1), hp, trials=1000)
+
     def test_identical_points_maximal_advantage(self):
         ds = Dataset.from_arrays([[2.0]] * 6, [3.0] * 6)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05, seed=8)
@@ -253,8 +266,8 @@ class TestEmpiricalAdvantage:
         X = rng.uniform(0.5, 2.0, (6, 1))
         y = assign_labels_1d(X, w, hp, [target, 1.0, 2.0, 6.0, 7.0])
         ds = Dataset.from_arrays(X, y)
-        assert snr_closed_form(ds, 0, w, hp).d_v == pytest.approx(target,
-                                                                  rel=1e-12)
+        assert scan_arrays(ds, w, hp)["d_v"][0] == pytest.approx(target,
+                                                                 rel=1e-12)
         est = empirical_advantage(ds, 0, w, hp, trials=100_000)
         assert abs(est) <= 3 / np.sqrt(100_000)
 
@@ -268,7 +281,7 @@ class TestEmpiricalAdvantage:
                              alpha=0.05, seed=int(rng.integers(1_000_000)),
                              snr_convention="consistent")
             i = int(rng.integers(ds.n))
-            closed = membership_advantage(snr_closed_form(ds, i, w, hp).d_v,
+            closed = membership_advantage(scan_arrays(ds, w, hp)["d_v"][i],
                                           hp.alpha)
             est = empirical_advantage(ds, i, w, hp, trials=trials)
             assert abs(est - closed) <= 3 / np.sqrt(trials)

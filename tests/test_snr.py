@@ -10,11 +10,11 @@ from delpoint import (
     advantage_target,
     membership_advantage,
     find_perfect_deleted_point,
-    membership_error,
-    snr_closed_form,
 )
+from delpoint._kernels import scan_norms
+from delpoint.snr import scan_arrays, snr_denominator
 
-from conftest import random_dataset
+from conftest import assign_labels_1d, random_dataset
 from _oracles import advantage_formula, snr_by_deletion, snr_definition_form
 
 # Frozen from the mpmath/bisection oracle.
@@ -23,24 +23,37 @@ TARGET_005 = 3.2897072539029445     # 2 * phi_inv(0.95)
 ADV_D1_A005 = 0.690488977158556     # |phi(phi_inv(0.95) - 1) - 0.05|
 
 
+def numerators(ds, w):
+    """||(y_i - <x_i, w>) x_i - (s_yx - s_xx w)|| per point, from the kernel."""
+    w = np.asarray(w, dtype=float)
+    g = ds.stats.s_yx - ds.stats.s_xx @ w
+    return scan_norms(ds.X, ds.y, w, g)[0]
+
+
+def d_v(ds, index, w, hp):
+    return scan_arrays(ds, w, hp)["d_v"][index]
+
+
 class TestSnrForms:
     def test_t3_closed_form(self, t3, hp_default):
-        s = snr_closed_form(t3, 0, [0.5], hp_default)
-        assert s.numerator == pytest.approx(23 / 6, rel=1e-14)
-        assert s.denominator == pytest.approx(0.2, rel=1e-14)
-        assert s.d_v == pytest.approx(23 / 1.2, rel=1e-13)
-        assert s.d_v == pytest.approx(s.numerator / s.denominator, rel=1e-15)
+        numer = numerators(t3, [0.5])[0]
+        denom = snr_denominator(t3.n, hp_default)
+        d = d_v(t3, 0, [0.5], hp_default)
+        assert numer == pytest.approx(23 / 6, rel=1e-14)
+        assert denom == pytest.approx(0.2, rel=1e-14)
+        assert d == pytest.approx(23 / 1.2, rel=1e-13)
+        assert d == pytest.approx(numer / denom, rel=1e-15)
 
     def test_t3_matches_deletion_oracle(self, t3, hp_default):
         d_oracle = snr_by_deletion(t3.X.tolist(), t3.y.tolist(), 0, [0.5],
                                    hp_default.gamma, hp_default.sigma)
-        assert snr_closed_form(t3, 0, [0.5], hp_default).d_v == pytest.approx(
+        assert d_v(t3, 0, [0.5], hp_default) == pytest.approx(
             d_oracle, rel=1e-12)
 
     def test_identical_points_give_zero(self, hp_default):
         ds = Dataset.from_arrays([[2.0]] * 5, [3.0] * 5)
         for i in range(5):
-            assert snr_closed_form(ds, i, [0.7], hp_default).d_v == \
+            assert d_v(ds, i, [0.7], hp_default) == \
                 pytest.approx(0.0, abs=1e-12)
             assert snr_definition_form(
                 ds.X, ds.y, i, [0.7], hp_default.gamma, hp_default.sigma) == \
@@ -48,9 +61,10 @@ class TestSnrForms:
 
     def test_zero_feature_point_leaves_s_yx(self, hp_default):
         ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [0.0, 2.0, 3.0])
-        s = snr_closed_form(ds, 0, [0.0], hp_default)
-        expected = np.linalg.norm(ds.stats.s_yx) / s.denominator
-        assert s.d_v == pytest.approx(expected, rel=1e-14)
+        expected = (np.linalg.norm(ds.stats.s_yx)
+                    / snr_denominator(ds.n, hp_default))
+        assert d_v(ds, 0, [0.0], hp_default) == pytest.approx(expected,
+                                                              rel=1e-14)
 
     def test_forms_agree_on_random_instances(self, rng):
         for _ in range(100):
@@ -60,43 +74,49 @@ class TestSnrForms:
                              sigma=float(rng.uniform(0.1, 5.0)),
                              alpha=0.05)
             i = int(rng.integers(ds.n))
-            a = snr_closed_form(ds, i, w, hp)
+            a = d_v(ds, i, w, hp)
             b = snr_definition_form(ds.X, ds.y, i, w, hp.gamma, hp.sigma)
-            assert b == pytest.approx(a.d_v, rel=1e-10)
+            assert b == pytest.approx(a, rel=1e-10)
 
     def test_consistent_convention_scales(self, t3):
         hp_p = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01)
         hp_c = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01,
                            snr_convention="consistent")
-        a = snr_closed_form(t3, 0, [0.5], hp_p)
-        b = snr_closed_form(t3, 0, [0.5], hp_c)
-        assert b.numerator == pytest.approx(a.numerator, rel=1e-15)
-        assert b.denominator == pytest.approx((t3.n - 1) * 2.0 / 2.0, rel=1e-15)
+        # one numerator, whatever the convention
+        numer = numerators(t3, [0.5])[0]
+        a = d_v(t3, 0, [0.5], hp_p)
+        b = d_v(t3, 0, [0.5], hp_c)
+        assert a == pytest.approx(numer / snr_denominator(t3.n, hp_p),
+                                  rel=1e-15)
+        assert b == pytest.approx(numer / snr_denominator(t3.n, hp_c),
+                                  rel=1e-15)
+        assert snr_denominator(t3.n, hp_c) == pytest.approx(
+            (t3.n - 1) * 2.0 / 2.0, rel=1e-15)
         # the two conventions differ by sqrt(2 * gamma / (n - 1))
         ratio = np.sqrt(2 * 0.01 / (t3.n - 1))
-        assert b.d_v * 1.0 == pytest.approx(a.d_v * ratio, rel=1e-12)
+        assert b * 1.0 == pytest.approx(a * ratio, rel=1e-12)
 
     def test_sigma_scaling_inverse(self, t3):
-        base = snr_closed_form(
-            t3, 1, [0.5], HyperParams(gamma=0.01, sigma=2.0, alpha=0.01))
+        base = d_v(t3, 1, [0.5],
+                   HyperParams(gamma=0.01, sigma=2.0, alpha=0.01))
         for c in (0.5, 3.0, 10.0):
-            scaled = snr_closed_form(
-                t3, 1, [0.5], HyperParams(gamma=0.01, sigma=2.0 * c, alpha=0.01))
-            assert scaled.d_v == pytest.approx(base.d_v / c, rel=1e-12)
+            scaled = d_v(t3, 1, [0.5],
+                         HyperParams(gamma=0.01, sigma=2.0 * c, alpha=0.01))
+            assert scaled == pytest.approx(base / c, rel=1e-12)
 
     def test_degenerate_noise_rejected(self, t3):
         with pytest.raises(DegenerateNoise):
-            snr_closed_form(t3, 0, [0.5],
-                            HyperParams(gamma=0.0, sigma=2.0, alpha=0.01))
+            scan_arrays(t3, [0.5],
+                        HyperParams(gamma=0.0, sigma=2.0, alpha=0.01))
         with pytest.raises(DegenerateNoise):
-            snr_closed_form(t3, 0, [0.5],
-                            HyperParams(gamma=0.01, sigma=0.0, alpha=0.01))
+            scan_arrays(t3, [0.5],
+                        HyperParams(gamma=0.01, sigma=0.0, alpha=0.01))
 
     def test_singleton_rejected(self):
         ds = Dataset.from_arrays([[1.0]], [1.0])
         with pytest.raises(WouldEmptyDataset):
-            snr_closed_form(ds, 0, [0.5],
-                            HyperParams(gamma=0.01, sigma=2.0, alpha=0.01))
+            scan_arrays(ds, [0.5],
+                        HyperParams(gamma=0.01, sigma=2.0, alpha=0.01))
 
 
 class TestAdvantage:
@@ -151,23 +171,33 @@ class TestAdvantage:
                 membership_advantage(bad, 0.05)
 
 
+def eps_column(alpha, d_vs):
+    """The scan's eps_v on a 1-D dataset whose first points have the given
+    d_v (the last point absorbs the slack)."""
+    hp = HyperParams(gamma=0.01, sigma=2.0, alpha=alpha)
+    w = np.array([0.3])
+    X = np.array([[1.0], [2.0], [1.5], [0.7]])
+    ds = Dataset.from_arrays(X, assign_labels_1d(X, w, hp, d_vs))
+    return scan_arrays(ds, w, hp)["eps_v"]
+
+
 class TestMembershipError:
     def test_zero_at_target(self):
-        assert membership_error(TARGET_001, 0.01) == pytest.approx(
+        assert eps_column(0.01, [TARGET_001, 1.0, 2.0])[0] == pytest.approx(
             0.0, abs=1e-12)
 
     def test_negative_at_zero(self):
-        assert membership_error(0.0, 0.05) == pytest.approx(
+        assert eps_column(0.05, [0.0, 1.0, 2.0])[0] == pytest.approx(
             -TARGET_005, abs=1e-12)
 
     def test_positive_beyond_target(self):
-        assert membership_error(5.0, 0.01) == pytest.approx(
+        assert eps_column(0.01, [5.0, 1.0, 2.0])[0] == pytest.approx(
             5.0 - TARGET_001, abs=1e-12)
 
-    def test_accepts_snr_value(self, t3, hp_default):
-        s = snr_closed_form(t3, 0, [0.5], hp_default)
-        assert membership_error(s, 0.01) == pytest.approx(
-            s.d_v - TARGET_001, abs=1e-12)
+    def test_t3_column_matches_frozen_target(self, t3, hp_default):
+        cols = scan_arrays(t3, [0.5], hp_default)
+        assert cols["eps_v"][0] == pytest.approx(
+            cols["d_v"][0] - TARGET_001, abs=1e-12)
 
 
 class TestScan:
@@ -180,15 +210,16 @@ class TestScan:
         rows = zip(scores["ids"], scores["d_v"], scores["eps_v"],
                    scores["distance"], scores["advantage"],
                    scores["feature_norm"])
-        for pos, (index, d_v, eps_v, distance, adv, fnorm) in enumerate(rows):
-            single = snr_closed_form(ds, pos, w, hp)
+        for pos, (index, d, eps_v, distance, adv, fnorm) in enumerate(rows):
+            single = snr_definition_form(ds.X, ds.y, pos, w,
+                                         hp.gamma, hp.sigma)
             assert index == pos
-            assert d_v == pytest.approx(single.d_v, rel=1e-12)
+            assert d == pytest.approx(single, rel=1e-12)
             assert eps_v == pytest.approx(
-                single.d_v - advantage_target(0.05), abs=1e-10)
+                single - advantage_target(0.05), abs=1e-10)
             assert distance == pytest.approx(abs(eps_v), abs=0)
             assert adv == pytest.approx(
-                membership_advantage(float(d_v), 0.05), abs=1e-12)
+                membership_advantage(float(d), 0.05), abs=1e-12)
             assert fnorm == pytest.approx(
                 np.linalg.norm(ds.X[pos]), rel=1e-12)
 
