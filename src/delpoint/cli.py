@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import HyperParams, load_csv, save_csv
+from .core import HyperParams, _json_rows, load_csv, save_csv
 from .datagen import GenConfig, generate
 from .errors import DelpointError, DimensionMismatch
 from .bounds import bounds_arrays
@@ -189,20 +189,20 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
         sys.exit(EXIT_NO_PERFECT_POINT)
 
 
-def _bounds_doc(ds, w0, hp, b_floor) -> dict:
-    """bounds.json content; the column arrays are freed before encoding."""
+_BOUNDS_ROW = ("index", "lower", "upper", "actual_delta", "contained_A",
+               "contained_B", "privacy_floor")
+
+
+def _bounds_json(ds, w0, hp, b_floor) -> str:
+    """bounds.json content: one row per point, in dataset order."""
     arrays = scan_arrays(ds, w0, hp)
     cols = bounds_arrays(ds, w0, hp, arrays["eps_v"], b=b_floor)
-    rows = [{"index": index, "lower": lower, "upper": upper,
-             "actual_delta": actual, "contained_A": contained_a,
-             "contained_B": contained_b, "privacy_floor": floor}
-            for index, lower, upper, actual, contained_a, contained_b, floor
-            in zip(arrays["ids"].tolist(), cols["lower"].tolist(),
-                   cols["upper"].tolist(), cols["actual_delta"].tolist(),
-                   cols["contained_a"].tolist(), cols["contained_b"].tolist(),
-                   cols["privacy_floor"].tolist())]
-    return {"format_version": BOUNDS_FORMAT_VERSION,
-            "target": arrays["target"], "rows": rows}
+    head = {"format_version": BOUNDS_FORMAT_VERSION,
+            "target": arrays["target"]}
+    return _json_rows(head, "rows", _BOUNDS_ROW,
+                     [arrays["ids"], cols["lower"], cols["upper"],
+                      cols["actual_delta"], cols["contained_a"],
+                      cols["contained_b"], cols["privacy_floor"]])
 
 
 @main.command()
@@ -224,8 +224,7 @@ def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
     def body():
         start = time.perf_counter()
         ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
-        doc = _bounds_doc(ds, w0, hp, b_floor)
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = _bounds_json(ds, w0, hp, b_floor)
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "bounds.json").write_text(payload, encoding="utf-8")

@@ -19,7 +19,9 @@ sample.  Moments that overflow float64 raise NumericOverflow.
 from __future__ import annotations
 
 import csv
+import json
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +87,13 @@ class Dataset:
     @classmethod
     def from_arrays(cls, X, y, ids=None) -> "Dataset":
         # own copies: the snapshot is frozen read-only, callers keep theirs
-        X = np.array(X, dtype=np.float64, order="C")
-        y = np.array(y, dtype=np.float64, order="C")
+        try:
+            X = np.array(X, dtype=np.float64, order="C")
+            y = np.array(y, dtype=np.float64, order="C")
+        except ValueError as exc:  # ragged rows, or an entry not a number
+            raise DimensionMismatch(
+                f"X and y must be rectangular arrays of numbers: {exc}"
+            ) from None
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
             raise DimensionMismatch(
                 f"need X (n, d) and y (n,), got {X.shape} and {y.shape}")
@@ -205,32 +212,85 @@ def save_csv(ds: Dataset, path) -> None:
                             + [repr(float(ds.y[i]))])
 
 
+def _json_rows(head: dict, key: str, names, columns) -> str:
+    """``json.dumps(head | {key: rows}, indent=2)`` and a newline, faster.
+
+    Row i maps ``names`` to element i of the arrays ``columns``, which hold
+    at least one element; ``key`` is not in ``head``.  ``indent`` turns off
+    CPython's C encoder, so only the small head goes through ``indent=2``.
+    The C encoder writes each column as a flat list, whose tokens (ints,
+    float reprs, true/false, NaN, Infinity) are exactly what ``indent=2``
+    writes, and one row template lays them out in its place.
+
+    Private, because perfbench's tracer wraps public functions only: the
+    writing time stays in the spans of selection_to_json and cli.
+    """
+    text = json.dumps(head | {key: []}, indent=2)
+    tokens = [json.dumps(col.tolist())[1:-1].split(", ") for col in columns]
+    template = "{" + ",".join(f"\n      {json.dumps(name)}: %s"
+                              for name in names) + "\n    }"
+    rows = ",\n    ".join([template % row for row in zip(*tokens)])
+    # the list is the last value of the top-level object: "[]\n}"
+    return text[:-4] + "[\n    " + rows + "\n  ]\n}\n"
+
+
 def load_csv(path) -> Dataset:
-    """Read a dataset from the canonical CSV layout."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    """Read a dataset from the canonical CSV layout.
+
+    ``np.loadtxt`` parses the rows.  A file that it rejects, or reads to
+    another shape, goes through ``_parse_rows``, whose errors name
+    ``path:lineno``.  Both parse with correctly rounded conversions, so
+    the arrays are the same either way.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            d = _check_header(path, next(csv.reader(fh), None))
+        try:
+            with warnings.catch_warnings():
+                # a file without data rows warns; _parse_rows reports it
+                warnings.simplefilter("ignore", UserWarning)
+                arr = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2,
+                                 comments=None, encoding="utf-8")
+        except ValueError:
+            arr = None
+        if arr is None or arr.shape[0] == 0 or arr.shape[1] != d + 1:
+            arr = _parse_rows(path, d)
+    except UnicodeDecodeError as exc:
+        raise InvalidValue(f"{path}: not UTF-8 text (byte "
+                           f"0x{exc.object[exc.start]:02x}: {exc.reason})"
+                           ) from None
+    return Dataset.from_arrays(arr[:, :d], arr[:, d])
+
+
+def _check_header(path, header) -> int:
+    """Feature dimension d of the header row x0,...,x{d-1},y."""
+    if header is None:
         raise EmptyDataset(f"{path}: empty file")
-    header = rows[0]
     if len(header) < 2 or header[-1] != "y":
         raise InvalidValue(f"{path}: header must be x0,...,x{{d-1}},y")
     for j, name in enumerate(header[:-1]):
         m = _HEADER_RE.match(name)
         if not m or int(m.group(1)) != j:
             raise InvalidValue(f"{path}: unexpected column {name!r} at {j}")
-    d = len(header) - 1
-    data = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != d + 1:
-            raise DimensionMismatch(
-                f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
-        try:
-            data.append([float(v) for v in row])
-        except ValueError as exc:
-            raise InvalidValue(f"{path}:{lineno}: {exc}") from None
+    return len(header) - 1
+
+
+def _parse_rows(path, d: int) -> np.ndarray:
+    """The data rows, field by field; the first bad line raises."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = csv.reader(fh)
+        next(rows)
+        data = []
+        for lineno, row in enumerate(rows, start=2):
+            if not row:
+                continue
+            if len(row) != d + 1:
+                raise DimensionMismatch(
+                    f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
+            try:
+                data.append([float(v) for v in row])
+            except ValueError as exc:
+                raise InvalidValue(f"{path}:{lineno}: {exc}") from None
     if not data:
         raise EmptyDataset(f"{path}: no data rows")
-    arr = np.asarray(data, dtype=np.float64)
-    return Dataset.from_arrays(arr[:, :d], arr[:, d])
+    return np.asarray(data, dtype=np.float64)

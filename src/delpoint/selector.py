@@ -21,13 +21,12 @@ scan's columns; the advantage is computed only for reported rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams
+from .core import Dataset, HyperParams, _json_rows
 from .errors import DomainError
 from .snr import CandidateScore, membership_advantage, scan_arrays
 
@@ -124,11 +123,8 @@ def rank_candidates(ds: Dataset, w, hp: HyperParams, k: int,
 
 def selection_to_json(result: SelectionResult) -> str:
     """Canonical JSON serialization; byte-stable for identical inputs."""
-    columns = [result.scores[key].tolist() for key in _COLUMNS]
-    doc = {
-        "format_version": SELECTION_JSON_FORMAT_VERSION,
-        "target": result.target,
-        "best": None if result.best is None else asdict(result.best),
-        "scores": [dict(zip(_FIELDS, row)) for row in zip(*columns)],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
+            "target": result.target,
+            "best": None if result.best is None else asdict(result.best)}
+    return _json_rows(head, "scores", _FIELDS,
+                     [result.scores[key] for key in _COLUMNS])

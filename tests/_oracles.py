@@ -6,6 +6,7 @@ normal distribution, so no code path is shared with the package under
 test.
 """
 
+import json
 import math
 
 import numpy as np
@@ -119,3 +120,10 @@ def bounds_calc(xs, ys, index, w, gamma, sigma, alpha, eps_v, b=None):
 
 def privacy_floor_calc(eps_v, alpha):
     return max(math.log(norm.cdf(norm.ppf(alpha) - eps_v) + 1.0 - alpha), 0.0)
+
+
+def json_doc_indent2(head, key, names, columns):
+    """A row table the way json.dumps writes it: one dict per row, indent=2."""
+    rows = [dict(zip(names, row))
+            for row in zip(*(np.asarray(col).tolist() for col in columns))]
+    return json.dumps(head | {key: rows}, indent=2) + "\n"

@@ -15,11 +15,13 @@ from delpoint import (
     save_csv,
     selection_to_json,
 )
+from delpoint.bounds import bounds_arrays
 from delpoint.cli import main
+from delpoint.snr import scan_arrays
 
 from conftest import tuned_dataset
-from _oracles import (bounds_calc, privacy_floor_calc, risk_loop,
-                      snr_by_deletion)
+from _oracles import (bounds_calc, json_doc_indent2, privacy_floor_calc,
+                      risk_loop, snr_by_deletion)
 
 
 @pytest.fixture
@@ -164,7 +166,6 @@ class TestBounds:
         doc = json.loads(res.output)
         ds = load_csv(path)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01)
-        from delpoint.snr import scan_arrays
         eps = scan_arrays(ds, np.zeros(1), hp)["eps_v"]
         for pos, row in enumerate(doc["rows"]):
             assert row["privacy_floor"] == pytest.approx(
@@ -220,6 +221,29 @@ class TestBounds:
                     if min(abs(value - lo), abs(value - hi)) > 1e-8:
                         assert row[key] == (lo <= value <= hi)
 
+    def test_payload_matches_indent2_oracle(self, runner, tmp_path):
+        path = gen_dataset(runner, tmp_path, "--n", "300",
+                           "--extra-features", "2", "--seed", "11")
+        ds = load_csv(path)
+        w = np.array([2.9, 0.1, 0.1])
+        hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05)
+        a = scan_arrays(ds, w, hp)
+        names = ["index", "lower", "upper", "actual_delta", "contained_A",
+                 "contained_B", "privacy_floor"]
+        for extra, b in (([], None), (["--b-floor", "0.5"], 0.5)):
+            res = runner.invoke(main, ["bounds", "--dataset", str(path),
+                                       "--alpha", "0.05",
+                                       "--w0", "2.9,0.1,0.1", *extra])
+            assert res.exit_code == 0, res.output
+            cols = bounds_arrays(ds, w, hp, a["eps_v"], b=b)
+            assert set(cols["contained_a"].tolist()) == {True, False}
+            columns = [a["ids"], cols["lower"], cols["upper"],
+                       cols["actual_delta"], cols["contained_a"],
+                       cols["contained_b"], cols["privacy_floor"]]
+            assert res.output == json_doc_indent2(
+                {"format_version": 1, "target": a["target"]}, "rows", names,
+                columns)
+
     def test_zero_feature_vector_exits_two_naming_point(self, runner,
                                                         tmp_path):
         path = tmp_path / "zero.csv"
@@ -267,6 +291,20 @@ def test_overflow_exits_four_without_warning(runner, tmp_path, command):
         # an uncaught exception would be a traceback, not SystemExit
         assert isinstance(res.exception, SystemExit)
         assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("command", ["select", "bounds", "simulate"])
+def test_non_utf8_dataset_exits_two(runner, tmp_path, command):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"x0,y\n1.0,2.0\n\xff,3.0\n")
+    args = [command, "--dataset", str(path)]
+    if command == "simulate":
+        args += ["--protocol", "no-delete", "--out", str(tmp_path / "out")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: {path}: not UTF-8 text")
+    # an uncaught exception would be a traceback, not SystemExit
+    assert isinstance(res.exception, SystemExit)
 
 
 HYPER_ARGS = ["--gamma", "0.02", "--sigma", "1.5", "--alpha", "0.05",

@@ -1,4 +1,7 @@
 import dataclasses
+import importlib
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,8 +52,10 @@ class TestComputeStats:
             stats_of(np.empty((0, 1)), np.empty(0))
 
     def test_mixed_dimensions_rejected(self):
-        # an array has one row length; what can still disagree is the
-        # number of labels, the rank of X, or an empty feature dimension
+        # rows of different lengths, a label count that differs from the
+        # row count, a 1-D X, or an empty feature dimension
+        with pytest.raises(DimensionMismatch):
+            stats_of([[1.0], [1.0, 2.0]], [1.0, 1.0])
         with pytest.raises(DimensionMismatch):
             stats_of([[1.0], [2.0]], [1.0])
         with pytest.raises(DimensionMismatch):
@@ -223,3 +228,62 @@ class TestCsvRoundTrip:
         path.write_text("x0,y\nfoo,2\n")
         with pytest.raises(InvalidValue):
             load_csv(path)
+
+    def test_header_only_is_empty_without_warning(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("x0,y\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(EmptyDataset, match="no data rows"):
+                load_csv(path)
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("x0,y\n1,2\n   \n3,4\n", DimensionMismatch,
+         "3: expected 2 fields, got 1"),
+        ("x0,y\n1,2 # c\n", InvalidValue,
+         "2: could not convert string to float: '2 # c'"),
+        ("x0,x1,y\n1,2\n3,4\n", DimensionMismatch,
+         "2: expected 3 fields, got 2"),
+    ], ids=["whitespace-line", "comment", "narrow-rows"])
+    def test_loop_errors_name_the_line(self, tmp_path, text, error, message):
+        path = tmp_path / "edge.csv"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:{message}"
+
+    @pytest.mark.parametrize("text, X, y", [
+        ('x0,y\n"1",2\n', [[1.0]], [2.0]),
+        ("x0,y\n1_0,2\n", [[10.0]], [2.0]),
+        ("x0,y\r\n1,2\r\n3,4\r\n", [[1.0], [3.0]], [2.0, 4.0]),
+        ("x0,y\n 1 , 2\n", [[1.0]], [2.0]),
+        ("x0,y\n\n1,2\n\n\n3,4\n\n", [[1.0], [3.0]], [2.0, 4.0]),
+    ], ids=["quoted", "underscore", "crlf", "spaces", "blank-lines"])
+    def test_accepted_like_float(self, tmp_path, text, X, y):
+        path = tmp_path / "edge.csv"
+        path.write_bytes(text.encode("utf-8"))
+        ds = load_csv(path)
+        assert ds.X.tolist() == X and ds.y.tolist() == y
+
+    def test_non_utf8_past_first_chunk_rejected(self, tmp_path):
+        # the header read decodes only the first chunk, so np.loadtxt meets
+        # this byte and the line loop reports it
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"x0,y\n" + b"1.0,2.0\n" * 5000 + b"\xff,3.0\n")
+        with pytest.raises(InvalidValue, match="not UTF-8 text"):
+            load_csv(path)
+
+    def test_large_file_matches_loop_bit_for_bit(self, tmp_path,
+                                                 monkeypatch):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        inputs = importlib.import_module("inputs")
+        made = inputs.make_input(tmp_path / "big.csv", 200_000, 3, seed=1)
+        ds = load_csv(made.path)
+        lines = made.path.read_text().splitlines()[1:]
+        loop = np.array([[float(v) for v in line.split(",")]
+                         for line in lines])
+        for got, want in ((ds.X, loop[:, :3]), (ds.y, loop[:, 3]),
+                          (ds.X, made.X), (ds.y, made.y)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()

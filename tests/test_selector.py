@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from delpoint import (
+    CandidateScore,
     Dataset,
     DegenerateNoise,
     DomainError,
@@ -15,7 +18,7 @@ from delpoint import (
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset, tuned_dataset
-from _oracles import select_strict_loop
+from _oracles import json_doc_indent2, select_strict_loop
 
 
 def solve_label(X, y, index, w, hp, want_d_v):
@@ -167,6 +170,52 @@ class TestSelection:
                                        HyperParams(gamma=0.01, sigma=2.0,
                                                    alpha=0.01),
                                        tie_break="bogus")
+
+
+class TestSelectionJson:
+    """selection_to_json equals json.dumps(indent=2) of the row dicts."""
+
+    @staticmethod
+    def check(ds, w, hp, tie_break="norm-first"):
+        result = find_perfect_deleted_point(ds, w, hp, tie_break=tie_break)
+        head = {"format_version": 1, "target": result.target,
+                "best": None if result.best is None
+                else dataclasses.asdict(result.best)}
+        names = [f.name for f in dataclasses.fields(CandidateScore)]
+        columns = [result.scores[key] for key in
+                   ("ids", "d_v", "eps_v", "distance", "advantage",
+                    "feature_norm")]
+        text = selection_to_json(result)
+        assert text == json_doc_indent2(head, "scores", names, columns)
+        return result, text
+
+    @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
+    def test_both_tie_breaks_with_both_eps_signs(self, rng, hp_default,
+                                                tie_break):
+        ds = random_dataset(rng, n=40, d=3)
+        result, _ = self.check(ds, np.array([0.3, -0.2, 0.1]), hp_default,
+                               tie_break)
+        eps = result.scores["eps_v"]
+        assert result.best is not None
+        assert (eps < 0).any() and (eps > 0).any()
+
+    def test_no_best(self, rng):
+        ds = random_dataset(rng, n=12, d=2)
+        hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, delta=0.0)
+        result, text = self.check(ds, np.zeros(2), hp)
+        assert result.best is None
+        assert '"best": null' in text
+
+    def test_two_points(self, hp_default):
+        ds = Dataset.from_arrays([[1.0], [-2.5]], [0.5, 3.0])
+        self.check(ds, np.array([0.1]), hp_default)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e20])
+    def test_exponent_reprs(self, rng, hp_default, scale):
+        ds = Dataset.from_arrays(rng.normal(size=(30, 2)) * scale,
+                                 rng.normal(size=30) * scale)
+        _, text = self.check(ds, np.array([0.5, -1.0]), hp_default)
+        assert ("e-150" in text) if scale < 1 else ("e+20" in text)
 
 
 class TestRanking:
