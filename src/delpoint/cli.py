@@ -19,9 +19,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import HyperParams, _json_rows, load_csv, save_csv
+from .core import HyperParams, _json_rows, _write_csv, load_csv, save_csv
 from .datagen import GenConfig, generate
-from .errors import DelpointError, DimensionMismatch
+from .errors import DelpointError, DimensionMismatch, InvalidValue
 from .bounds import bounds_arrays
 from .selector import find_perfect_deleted_point, selection_to_json
 from .sim import StepConfig, experiment_to_doc, run_protocol
@@ -248,14 +248,12 @@ def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
 @click.option("--steps", type=int, default=1, show_default=True)
 @click.option("--iterations", type=int, default=100, show_default=True)
 @click.option("--bins", type=int, default=30, show_default=True)
-@click.option("--jobs", type=int, default=1, show_default=True,
-              help="Parallel worker processes for iterations.")
 @_hyper_options
 @_tie_break_option
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
               path_type=Path), required=True)
-def simulate(dataset, protocol, steps, iterations, bins, jobs, w0_text,
-             tie_break, out_dir, **hyper):
+def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
+             out_dir, **hyper):
     """Run a multi-step deletion protocol; write weights.csv + summary.json."""
     def body():
         start = time.perf_counter()
@@ -263,17 +261,13 @@ def simulate(dataset, protocol, steps, iterations, bins, jobs, w0_text,
         cfg = StepConfig(protocol=protocol.replace("-", "_"), steps=steps,
                          iterations=iterations, hp=hp, w0=w0, bins=bins,
                          tie_break=tie_break)
-        result = run_protocol(cfg, ds, jobs=jobs)
+        result = run_protocol(cfg, ds)
         out_dir.mkdir(parents=True, exist_ok=True)
 
         weights_path = out_dir / "weights.csv"
-        with open(weights_path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(["iteration"]
-                              + [f"w{j}" for j in range(ds.dim)]) + "\n")
-            for it in range(iterations):
-                row = [str(it)] + [repr(float(v))
-                                   for v in result.final_weights[it]]
-                fh.write(",".join(row) + "\n")
+        _write_csv(weights_path,
+                   ["iteration"] + [f"w{j}" for j in range(ds.dim)],
+                   [np.arange(iterations), *result.final_weights.T])
 
         config_doc = {
             "dataset": str(dataset), "protocol": cfg.protocol,
@@ -294,6 +288,18 @@ def simulate(dataset, protocol, steps, iterations, bins, jobs, w0_text,
     _guard(body)
 
 
+def _summary_row(path: Path) -> tuple:
+    """(steps, protocol, mean, variance) of a simulate summary.json."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        cfg = doc["config"]
+        return (int(cfg["steps"]), str(cfg["protocol"]),
+                list(doc["mean"]), list(doc["variance"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidValue(
+            f"{path}: not a simulate summary.json: {exc}") from None
+
+
 @main.command()
 @click.argument("summaries", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False, path_type=Path))
@@ -305,12 +311,7 @@ def report(summaries, seed, out_dir):
     """Render a protocol-by-steps table from simulate summary files."""
     def body():
         start = time.perf_counter()
-        rows = []
-        for path in summaries:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            cfg = doc["config"]
-            rows.append((int(cfg["steps"]), str(cfg["protocol"]),
-                         doc["mean"], doc["variance"]))
+        rows = [_summary_row(path) for path in summaries]
         rows.sort(key=lambda r: (r[0], r[1]))
         lines = ["| steps | protocol | mean | variance |",
                  "|------:|----------|------|----------|"]

@@ -199,17 +199,28 @@ class HyperParams:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-_HEADER_RE = re.compile(r"^x(\d+)$")
+_HEADER_RE = re.compile(r"x([0-9]+)")
 
 
 def save_csv(ds: Dataset, path) -> None:
     """Write the dataset in the canonical CSV layout x0,...,x{d-1},y."""
+    _write_csv(path, [f"x{j}" for j in range(ds.dim)] + ["y"],
+               [*ds.X.T, ds.y])
+
+
+def _write_csv(path, header, columns) -> None:
+    """CSV of ``header`` and one row per element of the arrays ``columns``.
+
+    A value is written as the repr of its ``tolist()`` element, so floats
+    round-trip exactly and ints print as digits; lines end in "\n".  The
+    repr of a number holds no comma, quote or line break, so no value needs
+    quoting.  Private, like _json_rows, so the writing time stays in the
+    spans of its callers.
+    """
+    rows = zip(*[map(repr, col.tolist()) for col in columns])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j}" for j in range(ds.dim)] + ["y"])
-        for i in range(ds.n):
-            writer.writerow([repr(float(v)) for v in ds.X[i]]
-                            + [repr(float(ds.y[i]))])
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _json_rows(head: dict, key: str, names, columns) -> str:
@@ -269,7 +280,7 @@ def _check_header(path, header) -> int:
     if len(header) < 2 or header[-1] != "y":
         raise InvalidValue(f"{path}: header must be x0,...,x{{d-1}},y")
     for j, name in enumerate(header[:-1]):
-        m = _HEADER_RE.match(name)
+        m = _HEADER_RE.fullmatch(name)
         if not m or int(m.group(1)) != j:
             raise InvalidValue(f"{path}: unexpected column {name!r} at {j}")
     return len(header) - 1

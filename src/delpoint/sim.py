@@ -30,7 +30,6 @@ separation d = ||mu(D1) - mu(D0)|| / (gamma sigma).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -126,27 +125,13 @@ def _run_iteration(ds: Dataset, cfg: StepConfig, it: int):
     return w, events
 
 
-def run_protocol(cfg: StepConfig, ds: Dataset, jobs: int = 1) -> ExperimentResult:
-    """Monte Carlo campaign; deterministic for a fixed (config, seed, jobs)."""
+def run_protocol(cfg: StepConfig, ds: Dataset) -> ExperimentResult:
+    """Monte Carlo campaign; deterministic for a fixed (config, seed)."""
     as_weights(cfg.w0, ds.dim)
     if cfg.protocol != "no_delete" and cfg.steps > ds.n - 1:
         raise TooManyDeletions(
             f"{cfg.steps} deletion steps would exhaust {ds.n} points")
-    if jobs < 1:
-        raise DomainError(f"jobs must be >= 1, got {jobs}")
-
-    if jobs == 1:
-        outcomes = [_run_iteration(ds, cfg, it) for it in range(cfg.iterations)]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(
-                _run_iteration,
-                [ds] * cfg.iterations,
-                [cfg] * cfg.iterations,
-                range(cfg.iterations),
-                chunksize=max(1, cfg.iterations // (4 * jobs)),
-            ))
-
+    outcomes = [_run_iteration(ds, cfg, it) for it in range(cfg.iterations)]
     finals = np.stack([w for w, _ in outcomes])
     logs = [events for _, events in outcomes]
     mean, variance, histograms = summarize(finals, cfg.bins)

@@ -33,7 +33,6 @@ eps_v = d_v - 2 Phi_inv(1 - alpha), the ``eps_v`` column of
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import scan_norms
-from .core import Dataset, HyperParams
+from .core import Dataset, HyperParams, _write_csv
 from .errors import (DegenerateNoise, DomainError, NumericOverflow,
                      WouldEmptyDataset)
 from .gauss import phi, phi_inv
@@ -135,9 +134,4 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
 def write_scores_csv(scores: dict, path) -> None:
     """CSV index,d_v,eps_v,advantage,feature_norm of SelectionResult.scores."""
     header = ["index", "d_v", "eps_v", "advantage", "feature_norm"]
-    columns = [scores[key].tolist() for key in ["ids", *header[1:]]]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([index, *map(repr, values)]
-                         for index, *values in zip(*columns))
+    _write_csv(path, header, [scores[key] for key in ["ids", *header[1:]]])

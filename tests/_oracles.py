@@ -6,6 +6,8 @@ normal distribution, so no code path is shared with the package under
 test.
 """
 
+import csv
+import io
 import json
 import math
 
@@ -127,3 +129,12 @@ def json_doc_indent2(head, key, names, columns):
     rows = [dict(zip(names, row))
             for row in zip(*(np.asarray(col).tolist() for col in columns))]
     return json.dumps(head | {key: rows}, indent=2) + "\n"
+
+
+def csv_writer_text(header, rows):
+    """A CSV the way csv.writer writes it with "\n" line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

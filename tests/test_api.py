@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import delpoint
 from delpoint import Dataset
@@ -29,3 +33,14 @@ def test_per_point_api_is_gone():
             assert name not in delpoint.__all__
     for attr in ("from_points", "point", "points"):
         assert not hasattr(Dataset, attr), attr
+
+
+def test_cli_import_loads_no_process_pool():
+    code = ("import sys, delpoint.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=os.environ | {"PYTHONPATH": path})
+    assert out.stdout == "[]\n"

@@ -425,20 +425,6 @@ class TestSimulate:
         doc = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert all(e is None for log in doc["deletions_log"] for e in log)
 
-    def test_jobs_do_not_change_results(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
-        blobs = []
-        for jobs, name in (("1", "j1"), ("2", "j2")):
-            out = tmp_path / name
-            res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                                       "--protocol", "random-delete",
-                                       "--steps", "3", "--iterations", "8",
-                                       "--jobs", jobs, "--seed", "5",
-                                       "--out", str(out)])
-            assert res.exit_code == 0, res.output
-            blobs.append((out / "weights.csv").read_bytes())
-        assert blobs[0] == blobs[1]
-
 
 class TestReport:
     def _simulate(self, runner, tmp_path, proto, steps, name):
@@ -470,6 +456,19 @@ class TestReport:
         doc = json.loads(s3.read_text())
         assert float(cells[0][2]) == doc["mean"][0]
         assert float(cells[0][3]) == doc["variance"][0]
+
+    @pytest.mark.parametrize("content", [b"not json\n", b'{"a": 1}\n',
+                                         b"\xff"],
+                             ids=["non-json", "no-config", "non-utf8"])
+    def test_non_summary_exits_two(self, runner, tmp_path, content):
+        path = tmp_path / "summary.json"
+        path.write_bytes(content)
+        res = runner.invoke(main, ["report", str(path)])
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith(
+            f"error: {path}: not a simulate summary.json: ")
+        # an uncaught exception would be a traceback, not SystemExit
+        assert isinstance(res.exception, SystemExit)
 
     def test_out_dir_gets_report_and_manifest(self, runner, tmp_path):
         s = self._simulate(runner, tmp_path, "no-delete", 1, "a")

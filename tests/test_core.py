@@ -22,7 +22,7 @@ from delpoint import (
 )
 from delpoint.errors import DomainError
 
-from _oracles import stats_loop
+from _oracles import csv_writer_text, stats_loop
 
 
 def stats_of(X, y):
@@ -216,6 +216,23 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidValue):
             load_csv(path)
+
+    @pytest.mark.parametrize("header", ['"x0\n",y', "x\u0660,y"],
+                             ids=["trailing-newline", "arabic-indic-zero"])
+    def test_header_names_are_ascii_x_index(self, tmp_path, header):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n1,2\n", encoding="utf-8")
+        with pytest.raises(InvalidValue, match="unexpected column"):
+            load_csv(path)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        X = [[1.0, -0.0], [1e-300, 2.5e20], [0.1, -3.0]]
+        y = [7.0, 5e-324, -1.25]
+        path = tmp_path / "data.csv"
+        save_csv(Dataset.from_arrays(X, y), path)
+        rows = [[repr(v) for v in [*x, t]] for x, t in zip(X, y)]
+        want = csv_writer_text(["x0", "x1", "y"], rows)
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"

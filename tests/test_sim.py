@@ -182,17 +182,6 @@ class TestRunProtocol:
         run_protocol(StepConfig(protocol="no_delete", steps=5, iterations=2,
                                 hp=hp, w0=np.zeros(1)), ds)
 
-    def test_parallel_jobs_match_serial(self, rng):
-        ds = random_dataset(rng, n=20, d=1)
-        hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05, seed=31)
-        cfg = StepConfig(protocol="perfect_delete", steps=3, iterations=8,
-                         hp=hp, w0=np.zeros(1))
-        serial = run_protocol(cfg, ds, jobs=1)
-        parallel = run_protocol(cfg, ds, jobs=2)
-        np.testing.assert_array_equal(serial.final_weights,
-                                      parallel.final_weights)
-        assert serial.deletions_log == parallel.deletions_log
-
     def test_config_validation(self, t3):
         hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
         with pytest.raises(DomainError):
