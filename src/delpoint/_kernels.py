@@ -4,7 +4,16 @@ For every point it evaluates the residual-factored perturbation norm
 
     ||(y_i - <x_i, w>) * x_i - g||_2      with  g = s_yx - s_xx @ w
 
-plus the feature norm ||x_i||_2, in a single O(n*d) pass.
+plus the feature norm ||x_i||_2, in a single O(n*d) pass.  ``w`` and
+``g`` may carry a leading batch axis of K weight vectors, which scores the
+same points against K weights at once; ``simulate`` uses that to advance a
+block of iterations together.
+
+Every batch row is bit-identical to a call with that row alone.  The
+residuals come from ``np.matmul(X, w[..., None])``, one matrix-vector
+product per batch row, which sums each row of X in the order of ``X @ w``.
+``W @ X.T``, ``X @ W.T`` and ``einsum`` over the weight axis do not: they
+sum the d products in another order, and the last bits differ for d >= 2.
 """
 
 from __future__ import annotations
@@ -13,10 +22,14 @@ import numpy as np
 
 
 def scan_norms(X, y, w, g):
-    """Perturbation numerators and feature norms of every point."""
-    resid = y - X @ w
-    diff = resid[:, None] * X - g[None, :]
-    numer = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    """Perturbation numerators and feature norms of every point.
+
+    X is (n, d) and y (n,); w and g are (d,) or (K, d).  Returns numer of
+    shape (n,) or (K, n), and fnorm of shape (n,).
+    """
+    resid = y - np.matmul(X, w[..., None])[..., 0]
+    diff = resid[..., None] * X - g[..., None, :]
+    numer = np.sqrt(np.einsum("...ij,...ij->...i", diff, diff))
     fnorm = np.sqrt(np.einsum("ij,ij->i", X, X))
     return numer, fnorm
 

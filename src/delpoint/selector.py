@@ -70,10 +70,32 @@ def _order(a: dict, tie_break: str) -> np.ndarray:
     return np.lexsort((ids, a["eps_v"] < 0, a["feature_norm"], key))
 
 
+def _pick(dist, eps, fnorm, delta: float, tie_break: str) -> np.ndarray:
+    """Selected position along the last axis; -1 where none clears delta.
+
+    The first element of ``_order`` by masks and argmin, for one scan
+    (n,) or a batch (K, n).  A distance of inf marks a non-candidate.
+    """
+    m = dist.min(axis=-1, keepdims=True)
+    if tie_break == "paper":
+        # the last position attaining the minimum has the largest id
+        tie = dist == m
+        pos = tie.shape[-1] - 1 - np.argmax(tie[..., ::-1], axis=-1)
+    else:
+        tie = dist <= m + TIE_WINDOW
+        norm = np.where(tie, fnorm, np.inf)
+        tie &= norm == norm.min(axis=-1, keepdims=True)
+        nonneg = tie & ~(eps < 0)
+        tie = np.where(nonneg.any(axis=-1, keepdims=True), nonneg, tie)
+        # the first remaining position has the lowest id
+        pos = np.argmax(tie, axis=-1)
+    return np.where(m[..., 0] <= delta, pos, -1)
+
+
 def _selected(a: dict, delta: float, tie_break: str) -> Optional[int]:
-    if a["distance"].min() > delta:
-        return None
-    return int(_order(a, tie_break)[0])
+    pos = int(_pick(a["distance"], a["eps_v"], a["feature_norm"], delta,
+                    tie_break))
+    return None if pos < 0 else pos
 
 
 def _columns(a: dict, alpha: float, rows=slice(None)) -> dict:
@@ -101,13 +123,6 @@ def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
     scores = _columns(a, hp.alpha)
     best = None if pos is None else _candidate(scores, pos)
     return SelectionResult(target=a["target"], best=best, scores=scores)
-
-
-def select_position(ds: Dataset, w, hp: HyperParams,
-                    tie_break: str = "norm-first") -> Optional[int]:
-    """Position (not id) of the selected point; scan-only fast path."""
-    _check_tie_break(tie_break)
-    return _selected(scan_arrays(ds, w, hp), hp.delta, tie_break)
 
 
 def rank_candidates(ds: Dataset, w, hp: HyperParams, k: int,

@@ -21,6 +21,25 @@ the same seed share identical noise realizations, making cross-protocol
 comparisons paired.  Deletions shrink the working dataset within an
 iteration and reset between iterations.
 
+The iterations run as one array program.  A block of K iterations
+advances together: weights W (K, d), moments s_yx (K, d) and s_xx
+(K, d, d) downdated by delete_point's formulas, a (K, n) mask of the
+surviving points in place of reduced copies, and a point count per
+iteration, since perfect_delete may skip a deletion.  K is set by a fixed
+budget, K (n + steps) d <= 2**20.  Each iteration draws its step noise up
+front, make_rng(seed, it).standard_normal((steps, d)), which is the
+sequence that ``steps`` single draws give.  The final weights and
+deletion logs are bit-identical to running each iteration alone through
+scan_arrays, delete_point and sgd_step, whatever the block size.
+
+Errors are those of the one-iteration functions: perfect_delete with
+sigma = 0 or gamma = 0 raises DegenerateNoise before any step, and moments,
+scores or weights that overflow float64 raise NumericOverflow, with no
+RuntimeWarning.  The overflow is raised at the earliest failing step of
+any iteration in the block, where a loop over iterations would raise at
+the first failing step of the earliest iteration; the class, and so the
+CLI exit code, is the same.
+
 The empirical advantage estimator draws one-step updates under both the
 keep and delete hypotheses, applies the optimal likelihood-ratio threshold
 test at level alpha, and returns |accept_rate(H0) + accept_rate(H1) - 1|,
@@ -35,12 +54,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams, delete_point
+from .core import Dataset, HyperParams
 from .errors import (DegenerateNoise, DomainError, EmptyInput, IndexOutOfRange,
                      NumericOverflow, TooManyDeletions, WouldEmptyDataset)
 from .gauss import make_rng, phi_inv, sample_gaussian
 from .lossgrad import as_weights, risk_grad
-from .selector import select_position
+from .selector import _check_tie_break, _pick
+from .snr import _scores, advantage_target, snr_denominator
 
 PROTOCOLS = ("perfect_delete", "random_delete", "no_delete")
 
@@ -103,37 +123,28 @@ def sgd_step(w, ds: Dataset, hp: HyperParams,
     return w
 
 
-def _run_iteration(ds: Dataset, cfg: StepConfig, it: int):
-    noise_rng = make_rng(cfg.hp.seed, it)
-    delete_rng = make_rng(cfg.hp.seed, it, 1)
-    cur = ds
-    w = cfg.w0
-    events: list[Optional[int]] = []
-    for _ in range(cfg.steps):
-        if cfg.protocol == "perfect_delete":
-            pos = select_position(cur, w, cfg.hp, cfg.tie_break)
-            if pos is None:
-                events.append(None)
-            else:
-                events.append(int(cur.ids[pos]))
-                cur = delete_point(cur, pos)
-        elif cfg.protocol == "random_delete":
-            pos = int(delete_rng.integers(cur.n))
-            events.append(int(cur.ids[pos]))
-            cur = delete_point(cur, pos)
-        w = sgd_step(w, cur, cfg.hp, noise_rng)
-    return w, events
+# Largest K * (n + steps) * d that one block of K iterations may hold; it
+# bounds the (K, n, d) temporaries of the perfect_delete scan and the
+# (K, steps, d) noise.
+_BLOCK_ELEMS = 2 ** 20
 
 
 def run_protocol(cfg: StepConfig, ds: Dataset) -> ExperimentResult:
-    """Monte Carlo campaign; deterministic for a fixed (config, seed)."""
+    """Monte Carlo campaign; deterministic for a fixed (config, seed).
+
+    Iterations run in blocks of K at once; the results do not depend on K.
+    """
     as_weights(cfg.w0, ds.dim)
     if cfg.protocol != "no_delete" and cfg.steps > ds.n - 1:
         raise TooManyDeletions(
             f"{cfg.steps} deletion steps would exhaust {ds.n} points")
-    outcomes = [_run_iteration(ds, cfg, it) for it in range(cfg.iterations)]
-    finals = np.stack([w for w, _ in outcomes])
-    logs = [events for _, events in outcomes]
+    size = max(1, _BLOCK_ELEMS // ((ds.n + cfg.steps) * ds.dim))
+    blocks = [_run_block(ds, cfg, range(lo, min(lo + size, cfg.iterations)))
+              for lo in range(0, cfg.iterations, size)]
+    finals = np.concatenate([w for w, _ in blocks])
+    ids = ds.ids.tolist()
+    logs = [[None if pos < 0 else ids[pos] for pos in row]
+            for _, deleted in blocks for row in deleted.tolist()]
     mean, variance, histograms = summarize(finals, cfg.bins)
     return ExperimentResult(
         final_weights=finals,
@@ -142,6 +153,76 @@ def run_protocol(cfg: StepConfig, ds: Dataset) -> ExperimentResult:
         histograms=histograms,
         deletions_log=logs,
     )
+
+
+def _run_block(ds: Dataset, cfg: StepConfig, its: range):
+    """Final weights (K, d) and deleted positions (K, steps) of the
+    iterations ``its``; -1 is a skipped deletion, and no_delete gives
+    (K, 0).
+
+    Each iteration keeps its own weights, moments, point count and mask of
+    surviving points.  Per iteration, the arithmetic is that of
+    scan_arrays, delete_point and sgd_step on its reduced dataset.
+    """
+    hp, steps, n = cfg.hp, cfg.steps, ds.n
+    k = len(its)
+    w = np.tile(cfg.w0, (k, 1))
+    s_yx = np.tile(ds.stats.s_yx, (k, 1))
+    s_xx = np.tile(ds.stats.s_xx, (k, 1, 1))
+    count = np.full(k, n)
+    live = np.ones((k, n), dtype=bool)
+    deleted = np.full((k, 0 if cfg.protocol == "no_delete" else steps), -1)
+    if cfg.protocol == "perfect_delete":
+        _check_tie_break(cfg.tie_break)
+        low = n - steps + 1  # the fewest points a scan sees
+        denom = np.array([snr_denominator(m, hp) for m in range(low, n + 1)])
+        target = advantage_target(hp.alpha)
+    elif cfg.protocol == "random_delete":
+        deleted[:] = [_random_schedule(n, steps, make_rng(hp.seed, it, 1))
+                      for it in its]
+    # the same draws as `steps` calls of sample_gaussian, which draws
+    # nothing when sigma = 0
+    noise = None if hp.sigma == 0.0 else np.stack(
+        [make_rng(hp.seed, it).standard_normal((steps, ds.dim)) for it in its])
+    for t in range(steps):
+        if cfg.protocol == "perfect_delete":
+            d_v, fnorm = _scores(ds.X, ds.y, s_yx, s_xx, w,
+                                 denom[count - low, None], live)
+            eps = d_v - target
+            dist = np.where(live, np.abs(eps), np.inf)
+            deleted[:, t] = _pick(dist, eps, fnorm, hp.delta, cfg.tie_break)
+        if cfg.protocol != "no_delete":
+            act = np.flatnonzero(deleted[:, t] >= 0)
+            pos = deleted[act, t]
+            c = count[act, None]
+            xv, yv = ds.X[pos], ds.y[pos, None]
+            try:
+                # delete_point's downdates, one row per iteration
+                with np.errstate(over="raise"):
+                    s_yx[act] = (c * s_yx[act] - yv * xv) / (c - 1)
+                    s_xx[act] = ((c[..., None] * s_xx[act]
+                                  - xv[:, :, None] * xv[:, None, :])
+                                 / (c[..., None] - 1))
+            except FloatingPointError:
+                raise NumericOverflow(
+                    "updated sufficient statistics overflow float64") from None
+            live[act, pos] = False
+            count[act] -= 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = 2.0 * (np.matmul(s_xx, w[..., None])[..., 0] - s_yx)
+            if noise is not None:
+                grad = grad + hp.sigma * noise[:, t]
+            w = w - hp.gamma * grad
+        if not np.isfinite(w).all():
+            raise NumericOverflow(
+                "SGD step overflows: the weights are not finite")
+    return w, deleted
+
+
+def _random_schedule(n: int, steps: int, rng: np.random.Generator) -> list:
+    """Original positions of ``steps`` uniform draws among the survivors."""
+    left = list(range(n))
+    return [left.pop(int(rng.integers(len(left)))) for _ in range(steps)]
 
 
 def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,

@@ -109,17 +109,9 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
     Raises NumericOverflow when a score or feature norm is not finite.
     """
     w = as_weights(w, ds.dim)
-    denom = snr_denominator(ds.n, hp)
+    d_v, fnorm = _scores(ds.X, ds.y, ds.stats.s_yx, ds.stats.s_xx, w,
+                         snr_denominator(ds.n, hp))
     target = advantage_target(hp.alpha)
-    # overflow is detected from the results, as in core._stats_from_arrays
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = ds.stats.s_yx - ds.stats.s_xx @ w
-        numer, fnorm = scan_norms(ds.X, ds.y, w, g)
-        d_v = numer / denom
-    if not (np.isfinite(d_v).all() and np.isfinite(fnorm).all()):
-        raise NumericOverflow(
-            "candidate scores overflow: the feature and label magnitudes "
-            "are too large for float64 norms")
     eps = d_v - target
     return {
         "ids": ds.ids,
@@ -129,6 +121,29 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
         "feature_norm": fnorm,
         "target": target,
     }
+
+
+def _scores(X, y, s_yx, s_xx, w, denom, live=None):
+    """d_v and the feature norm of every row of X.
+
+    ``w`` is (d,), or (K, d) with s_yx (K, d), s_xx (K, d, d) and denom
+    (K, 1) batched alike; then d_v is (K, n).  Raises NumericOverflow when a
+    feature norm, or a d_v where the (K, n) mask ``live`` holds, is not
+    finite.
+    """
+    # overflow is detected from the results, as in core._stats_from_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = s_yx - np.matmul(s_xx, w[..., None])[..., 0]
+        numer, fnorm = scan_norms(X, y, w, g)
+        d_v = numer / denom
+    finite = np.isfinite(d_v)
+    if live is not None:
+        finite |= ~live
+    if not (finite.all() and np.isfinite(fnorm).all()):
+        raise NumericOverflow(
+            "candidate scores overflow: the feature and label magnitudes "
+            "are too large for float64 norms")
+    return d_v, fnorm
 
 
 def write_scores_csv(scores: dict, path) -> None:

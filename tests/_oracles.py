@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way (plain loops,
 physically rebuilt deleted datasets) and leans on scipy/mpmath for the
 normal distribution, so no code path is shared with the package under
-test.
+test.  The one exception is ``run_protocol_loop``, which replays the
+simulation protocols one iteration at a time through the package's public
+one-step functions.
 """
 
 import csv
@@ -13,6 +15,9 @@ import math
 
 import numpy as np
 from scipy.stats import norm
+
+from delpoint import delete_point, make_rng, sgd_step
+from delpoint.snr import scan_arrays
 
 
 def stats_loop(xs, ys):
@@ -138,3 +143,48 @@ def csv_writer_text(header, rows):
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+def select_loop(a, delta, tie_break):
+    """Selected position of the scan ``a`` by the documented tie rules."""
+    dist, ids = a["distance"].tolist(), a["ids"].tolist()
+    m = min(dist)
+    if m > delta:
+        return None
+    if tie_break == "paper":
+        # the last point attaining the minimum wins
+        return max((i for i in range(len(dist)) if dist[i] == m),
+                   key=lambda i: ids[i])
+    tie = [i for i in range(len(dist)) if dist[i] <= m + 1e-9]
+    fnorm, eps = a["feature_norm"].tolist(), a["eps_v"].tolist()
+    return min(tie, key=lambda i: (fnorm[i], eps[i] < 0, ids[i]))
+
+
+def run_protocol_loop(cfg, ds):
+    """Final weights (iterations, d) and deletion logs, one iteration and
+    one step at a time.
+
+    Each iteration draws its noise from make_rng(seed, it) and its random
+    deletions from make_rng(seed, it, 1), rebuilds its dataset with
+    delete_point, and steps with sgd_step.
+    """
+    finals, logs = [], []
+    for it in range(cfg.iterations):
+        noise_rng = make_rng(cfg.hp.seed, it)
+        delete_rng = make_rng(cfg.hp.seed, it, 1)
+        cur, w, events = ds, cfg.w0, []
+        for _ in range(cfg.steps):
+            pos = None
+            if cfg.protocol == "perfect_delete":
+                pos = select_loop(scan_arrays(cur, w, cfg.hp), cfg.hp.delta,
+                                  cfg.tie_break)
+                events.append(None if pos is None else int(cur.ids[pos]))
+            elif cfg.protocol == "random_delete":
+                pos = int(delete_rng.integers(cur.n))
+                events.append(int(cur.ids[pos]))
+            if pos is not None:
+                cur = delete_point(cur, pos)
+            w = sgd_step(w, cur, cfg.hp, noise_rng)
+        finals.append(w)
+        logs.append(events)
+    return np.stack(finals), logs

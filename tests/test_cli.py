@@ -263,6 +263,8 @@ class TestBounds:
 OVERFLOW_ARGS = {
     "select": ["select"],
     "bounds": ["bounds"],
+    "simulate-perfect-delete": ["simulate", "--protocol", "perfect-delete",
+                                "--steps", "2", "--iterations", "2"],
     "simulate-no-delete": ["simulate", "--protocol", "no-delete",
                            "--steps", "2", "--iterations", "2"],
     "simulate-random-delete": ["simulate", "--protocol", "random-delete",

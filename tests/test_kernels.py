@@ -24,6 +24,22 @@ class TestScanKernels:
                 np.linalg.norm(resid[i] * X[i] - g), rel=1e-12)
             assert fnorm[i] == pytest.approx(np.linalg.norm(X[i]), rel=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_batch_rows_match_single_calls(self, rng, d):
+        # each batch row is the one-row call, and that call sums each row
+        # in the order of X @ w, bit for bit
+        X, y, _, _ = random_inputs(rng, 60, d)
+        W, G = rng.normal(size=(7, d)), rng.normal(size=(7, d))
+        numer, fnorm = scan_norms(X, y, W, G)
+        assert numer.shape == (7, 60)
+        for k in range(7):
+            one, one_fnorm = scan_norms(X, y, W[k], G[k])
+            np.testing.assert_array_equal(numer[k], one)
+            np.testing.assert_array_equal(fnorm, one_fnorm)
+            diff = (y - X @ W[k])[:, None] * X - G[k]
+            np.testing.assert_array_equal(
+                one, np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+
     def test_active_dispatch(self, rng):
         # scan_arrays scores are exactly the kernel's output at
         # g = s_yx - s_xx w, over the SNR denominator

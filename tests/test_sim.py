@@ -25,10 +25,12 @@ from delpoint import (
     sgd_step,
     summarize,
 )
-from delpoint.sim import experiment_to_doc
+from delpoint import sim
+from delpoint.sim import PROTOCOLS, experiment_to_doc
 from delpoint.snr import scan_arrays
 
 from conftest import assign_labels_1d, random_dataset
+from _oracles import run_protocol_loop
 
 
 def reference_dataset():
@@ -193,6 +195,87 @@ class TestRunProtocol:
         with pytest.raises(DomainError):
             StepConfig(protocol="no_delete", steps=1, iterations=0, hp=hp,
                        w0=np.zeros(1))
+
+
+def assert_matches_loop(cfg, ds):
+    result = run_protocol(cfg, ds)
+    weights, logs = run_protocol_loop(cfg, ds)
+    assert np.array_equal(result.final_weights, weights)
+    assert result.deletions_log == logs
+    return result
+
+
+def loop_config(protocol, d, tie_break="norm-first", **hp_args):
+    hp = HyperParams(**{"gamma": 0.05, "sigma": 1.0, "alpha": 0.05,
+                        "seed": 3, **hp_args})
+    return StepConfig(protocol=protocol, steps=10, iterations=12, hp=hp,
+                      w0=np.full(d, 0.5), tie_break=tie_break)
+
+
+class TestBatchedEngine:
+    """run_protocol against the serial per-iteration loop, bit for bit."""
+
+    @pytest.mark.parametrize("convention", ["paper", "consistent"])
+    @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
+    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_matches_serial_loop(self, protocol, d, tie_break, convention):
+        ds = random_dataset(np.random.default_rng(d), n=40, d=d)
+        assert_matches_loop(
+            loop_config(protocol, d, tie_break, snr_convention=convention), ds)
+
+    @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_skips_vary_across_iterations(self, d, tie_break):
+        # a small delta skips some steps, so the iterations of one block
+        # hold different numbers of points
+        ds = random_dataset(np.random.default_rng(d), n=40, d=d)
+        result = assert_matches_loop(
+            loop_config("perfect_delete", d, tie_break, delta=0.1), ds)
+        assert len({log.count(None) for log in result.deletions_log}) > 1
+
+    @pytest.mark.parametrize("protocol", ["random_delete", "no_delete"])
+    def test_without_noise(self, protocol):
+        # sigma = 0 draws nothing from the noise stream
+        ds = random_dataset(np.random.default_rng(3), n=40, d=3)
+        result = assert_matches_loop(loop_config(protocol, 3, sigma=0.0), ds)
+        if protocol == "no_delete":
+            assert np.ptp(result.final_weights, axis=0).max() == 0.0
+
+    @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
+    def test_duplicated_points_tie(self, tie_break):
+        # every point appears three times, so the first scan's minimum is
+        # attained three times in every iteration
+        rng = np.random.default_rng(4)
+        base = random_dataset(rng, n=12, d=1)
+        ds = Dataset.from_arrays(np.repeat(base.X, 3, axis=0),
+                                 np.repeat(base.y, 3))
+        result = assert_matches_loop(
+            loop_config("perfect_delete", 1, tie_break), ds)
+        assert all(None not in log for log in result.deletions_log)
+
+    @pytest.mark.parametrize("hp_args", [{"sigma": 0.0}, {"gamma": 0.0}])
+    def test_perfect_delete_needs_noise(self, hp_args):
+        ds = random_dataset(np.random.default_rng(1), n=20, d=1)
+        cfg = loop_config("perfect_delete", 1, **hp_args)
+        with pytest.raises(DegenerateNoise):
+            run_protocol(cfg, ds)
+        with pytest.raises(DegenerateNoise):
+            run_protocol_loop(cfg, ds)
+
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_block_size_does_not_change_results(self, monkeypatch, protocol):
+        ds = random_dataset(np.random.default_rng(3), n=40, d=3)
+        cfg = loop_config(protocol, 3, delta=0.1)
+        results = []
+        for per_block in (1, 7, cfg.iterations):
+            monkeypatch.setattr(sim, "_BLOCK_ELEMS",
+                                per_block * (ds.n + cfg.steps) * ds.dim)
+            results.append(run_protocol(cfg, ds))
+        for other in results[1:]:
+            assert np.array_equal(other.final_weights,
+                                  results[0].final_weights)
+            assert other.deletions_log == results[0].deletions_log
 
 
 class TestSummarize:
