@@ -19,7 +19,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import HyperParams, _json_rows, _write_csv, load_csv, save_csv
+from .core import (HyperParams, _json_rows, _tokens, _write_csv, load_csv,
+                   save_csv)
 from .datagen import GenConfig, generate
 from .errors import DelpointError, DimensionMismatch, InvalidValue
 from .bounds import bounds_arrays
@@ -199,10 +200,10 @@ def _bounds_json(ds, w0, hp, b_floor) -> str:
     cols = bounds_arrays(ds, w0, hp, arrays["eps_v"], b=b_floor)
     head = {"format_version": BOUNDS_FORMAT_VERSION,
             "target": arrays["target"]}
-    return _json_rows(head, "rows", _BOUNDS_ROW,
-                     [arrays["ids"], cols["lower"], cols["upper"],
-                      cols["actual_delta"], cols["contained_a"],
-                      cols["contained_b"], cols["privacy_floor"]])
+    columns = [arrays["ids"], cols["lower"], cols["upper"],
+               cols["actual_delta"], cols["contained_a"], cols["contained_b"],
+               cols["privacy_floor"]]
+    return _json_rows(head, "rows", _BOUNDS_ROW, [_tokens(c) for c in columns])
 
 
 @main.command()

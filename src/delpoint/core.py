@@ -223,26 +223,40 @@ def _write_csv(path, header, columns) -> None:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _json_rows(head: dict, key: str, names, columns) -> str:
+def _tokens(col) -> list[str]:
+    """The JSON tokens of the elements of the array ``col``, in order.
+
+    The C encoder writes the column as one flat list; its tokens (ints,
+    float reprs, true/false, NaN, Infinity) are exactly what ``indent=2``
+    writes for the same values.  ``col`` holds at least one element.
+    """
+    return json.dumps(col.tolist())[1:-1].split(", ")
+
+
+def _json_rows(head: dict, key: str, names, tokens) -> str:
     """``json.dumps(head | {key: rows}, indent=2)`` and a newline, faster.
 
-    Row i maps ``names`` to element i of the arrays ``columns``, which hold
-    at least one element; ``key`` is not in ``head``.  ``indent`` turns off
-    CPython's C encoder, so only the small head goes through ``indent=2``.
-    The C encoder writes each column as a flat list, whose tokens (ints,
-    float reprs, true/false, NaN, Infinity) are exactly what ``indent=2``
-    writes, and one row template lays them out in its place.
+    Row i maps ``names`` to element i of the token lists ``tokens`` (see
+    _tokens), which hold n >= 1 tokens each; ``key`` is not in ``head``.
+    ``indent`` turns off CPython's C encoder, so only the small head goes
+    through ``indent=2``.  The rows are one interleaved join: a list of
+    2 m n strings for m columns holds, for row i and column j, the key
+    text of column j at 2 (m i + j) and the token after it.  The key text
+    of column 0 also closes the row before, so no row string is built.
 
     Private, because perfbench's tracer wraps public functions only: the
     writing time stays in the spans of selection_to_json and cli.
     """
-    text = json.dumps(head | {key: []}, indent=2)
-    tokens = [json.dumps(col.tolist())[1:-1].split(", ") for col in columns]
-    template = "{" + ",".join(f"\n      {json.dumps(name)}: %s"
-                              for name in names) + "\n    }"
-    rows = ",\n    ".join([template % row for row in zip(*tokens)])
+    m, n = len(names), len(tokens[0])
+    glue = [f"\n      {json.dumps(name)}: " for name in names]
+    parts = [""] * (2 * m * n)
+    for j, toks in enumerate(tokens):
+        parts[2 * j::2 * m] = [("," if j else "{") + glue[j]] * n
+        parts[2 * j + 1::2 * m] = toks
+    parts[2 * m::2 * m] = ["\n    },\n    {" + glue[0]] * (n - 1)
     # the list is the last value of the top-level object: "[]\n}"
-    return text[:-4] + "[\n    " + rows + "\n  ]\n}\n"
+    text = json.dumps(head | {key: []}, indent=2)
+    return text[:-4] + "[\n    " + "".join(parts) + "\n    }\n  ]\n}\n"
 
 
 def load_csv(path) -> Dataset:

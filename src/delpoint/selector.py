@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams, _json_rows
+from .core import Dataset, HyperParams, _json_rows, _tokens
 from .errors import DomainError
 from .snr import CandidateScore, membership_advantage, scan_arrays
 
@@ -136,10 +136,29 @@ def rank_candidates(ds: Dataset, w, hp: HyperParams, k: int,
     return [_candidate(top, i) for i in range(top["ids"].size)]
 
 
+def _abs_tokens(col, eps, eps_tokens: list[str]) -> list[str]:
+    """The tokens of ``col``, taken from those of ``eps`` when col is |eps|.
+
+    For a float, repr(abs(x)) is repr(x) without its leading "-" (and
+    "-Infinity" becomes "Infinity"), so the scan's distance column needs
+    no repr of its own.  A column that is not exactly |eps|, or holds NaN
+    or -0.0, is encoded itself.
+    """
+    if (col.dtype == eps.dtype == np.float64
+            and np.array_equal(col, np.abs(eps))
+            and not np.signbit(col).any()):
+        return [t[1:] if t[0] == "-" else t for t in eps_tokens]
+    return _tokens(col)
+
+
 def selection_to_json(result: SelectionResult) -> str:
     """Canonical JSON serialization; byte-stable for identical inputs."""
     head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
             "target": result.target,
             "best": None if result.best is None else asdict(result.best)}
+    s = result.scores
+    tokens = {key: _tokens(s[key]) for key in _COLUMNS if key != "distance"}
+    tokens["distance"] = _abs_tokens(s["distance"], s["eps_v"],
+                                     tokens["eps_v"])
     return _json_rows(head, "scores", _FIELDS,
-                     [result.scores[key] for key in _COLUMNS])
+                      [tokens[key] for key in _COLUMNS])

@@ -87,6 +87,7 @@ class StepConfig:
             raise DomainError(f"iterations must be >= 1, got {self.iterations}")
         if self.bins < 1:
             raise DomainError(f"bins must be >= 1, got {self.bins}")
+        _check_tie_break(self.tie_break)
         w0 = np.asarray(self.w0, dtype=np.float64)
         object.__setattr__(self, "w0", w0)
 
@@ -173,7 +174,6 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
     live = np.ones((k, n), dtype=bool)
     deleted = np.full((k, 0 if cfg.protocol == "no_delete" else steps), -1)
     if cfg.protocol == "perfect_delete":
-        _check_tie_break(cfg.tie_break)
         low = n - steps + 1  # the fewest points a scan sees
         denom = np.array([snr_denominator(m, hp) for m in range(low, n + 1)])
         target = advantage_target(hp.alpha)

@@ -9,6 +9,7 @@ one-step functions.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -134,6 +135,18 @@ def json_doc_indent2(head, key, names, columns):
     rows = [dict(zip(names, row))
             for row in zip(*(np.asarray(col).tolist() for col in columns))]
     return json.dumps(head | {key: rows}, indent=2) + "\n"
+
+
+def selection_doc_indent2(result):
+    """selection.json of a SelectionResult the way json.dumps writes it."""
+    head = {"format_version": 1, "target": result.target,
+            "best": None if result.best is None
+            else dataclasses.asdict(result.best)}
+    names = ["index", "d_v", "eps_v", "distance", "advantage", "feature_norm"]
+    columns = [result.scores[key] for key in
+               ("ids", "d_v", "eps_v", "distance", "advantage",
+                "feature_norm")]
+    return json_doc_indent2(head, "scores", names, columns)
 
 
 def csv_writer_text(header, rows):

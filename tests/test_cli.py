@@ -21,7 +21,7 @@ from delpoint.snr import scan_arrays
 
 from conftest import tuned_dataset
 from _oracles import (bounds_calc, json_doc_indent2, privacy_floor_calc,
-                      risk_loop, snr_by_deletion)
+                      risk_loop, selection_doc_indent2, snr_by_deletion)
 
 
 @pytest.fixture
@@ -92,9 +92,9 @@ class TestSelect:
         assert res.exit_code == 0
         ds = load_csv(path)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, delta=100.0)
-        expected = selection_to_json(
-            find_perfect_deleted_point(ds, np.zeros(1), hp))
-        assert res.output == expected
+        result = find_perfect_deleted_point(ds, np.zeros(1), hp)
+        assert res.output == selection_to_json(result)
+        assert res.output == selection_doc_indent2(result)
 
     def test_scores_csv_written(self, runner, tmp_path):
         path = gen_dataset(runner, tmp_path)

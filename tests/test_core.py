@@ -20,9 +20,10 @@ from delpoint import (
     load_csv,
     save_csv,
 )
+from delpoint.core import _json_rows, _tokens
 from delpoint.errors import DomainError
 
-from _oracles import csv_writer_text, stats_loop
+from _oracles import csv_writer_text, json_doc_indent2, stats_loop
 
 
 def stats_of(X, y):
@@ -195,6 +196,47 @@ class TestHyperParams:
     def test_unknown_convention_rejected(self):
         with pytest.raises(DomainError):
             HyperParams(gamma=0.1, sigma=1.0, alpha=0.05, snr_convention="x")
+
+
+class TestJsonRows:
+    """_json_rows equals json.dumps(indent=2) of the row dicts."""
+
+    HEAD = {"format_version": 1, "target": 4.65, "best": None}
+
+    @classmethod
+    def check(cls, names, columns):
+        columns = [np.asarray(col) for col in columns]
+        text = _json_rows(cls.HEAD, "rows", names,
+                          [_tokens(col) for col in columns])
+        assert text == json_doc_indent2(cls.HEAD, "rows", names, columns)
+        return text
+
+    def test_one_row_has_no_separator(self):
+        text = self.check(["index", "value", "flag"],
+                          [[7], [-2.5e-07], [True]])
+        assert "}," not in text
+
+    def test_int_and_bool_columns(self):
+        text = self.check(["index", "a", "b"],
+                          [np.arange(4), [True, False, False, True],
+                           np.array([-3, 0, 2, 10 ** 12], dtype=np.int64)])
+        assert '"a": true' in text and '"b": 1000000000000' in text
+
+    def test_non_finite_values(self):
+        text = self.check(["index", "v"],
+                          [np.arange(3), [np.nan, np.inf, -np.inf]])
+        assert '"v": NaN' in text and '"v": -Infinity' in text
+
+    @pytest.mark.parametrize("value", [-0.0, 1e-05, -2.5e-07, 1e+16, 5e-324],
+                             ids=repr)
+    def test_float_reprs(self, value):
+        text = self.check(["index", "v", "w"],
+                          [np.arange(3), [value, 0.5, value],
+                           [1.0, -value, 3.0]])
+        assert f'"v": {value!r}' in text
+
+    def test_one_column(self):
+        self.check(["v"], [[0.1, 0.2, 0.30000000000000004]])
 
 
 class TestCsvRoundTrip:

@@ -1,24 +1,23 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from delpoint import (
-    CandidateScore,
     Dataset,
     DegenerateNoise,
     DomainError,
     HyperParams,
+    SelectionResult,
     WouldEmptyDataset,
     advantage_target,
     find_perfect_deleted_point,
     rank_candidates,
     selection_to_json,
 )
+from delpoint import core, selector
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset, tuned_dataset
-from _oracles import json_doc_indent2, select_strict_loop
+from _oracles import select_strict_loop, selection_doc_indent2
 
 
 def solve_label(X, y, index, w, hp, want_d_v):
@@ -178,15 +177,8 @@ class TestSelectionJson:
     @staticmethod
     def check(ds, w, hp, tie_break="norm-first"):
         result = find_perfect_deleted_point(ds, w, hp, tie_break=tie_break)
-        head = {"format_version": 1, "target": result.target,
-                "best": None if result.best is None
-                else dataclasses.asdict(result.best)}
-        names = [f.name for f in dataclasses.fields(CandidateScore)]
-        columns = [result.scores[key] for key in
-                   ("ids", "d_v", "eps_v", "distance", "advantage",
-                    "feature_norm")]
         text = selection_to_json(result)
-        assert text == json_doc_indent2(head, "scores", names, columns)
+        assert text == selection_doc_indent2(result)
         return result, text
 
     @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
@@ -216,6 +208,60 @@ class TestSelectionJson:
                                  rng.normal(size=30) * scale)
         _, text = self.check(ds, np.array([0.5, -1.0]), hp_default)
         assert ("e-150" in text) if scale < 1 else ("e+20" in text)
+
+    def test_negative_exponent_eps(self, rng, hp_default):
+        # d_v within 1e-5 of the target on both sides: eps_v and distance
+        # print in exponent form, eps_v with and without a sign
+        target = advantage_target(hp_default.alpha)
+        w = np.array([0.4])
+        ds = tuned_dataset(rng, hp_default,
+                           [target - 2.5e-7, target - 1e-5, target + 3e-6], w)
+        result, _ = self.check(ds, w, hp_default)
+        eps = [repr(v) for v in result.scores["eps_v"].tolist()]
+        assert any(t.startswith("-") and "e-" in t for t in eps)
+        assert any(not t.startswith("-") and "e-" in t for t in eps)
+
+    @staticmethod
+    def hand_built(eps, distance):
+        eps = np.asarray(eps)
+        n = eps.size
+        scores = {"ids": np.arange(n), "d_v": eps + 4.0, "eps_v": eps,
+                  "distance": np.asarray(distance),
+                  "advantage": np.full(n, 0.25),
+                  "feature_norm": np.linspace(0.5, 1.0, n)}
+        return SelectionResult(target=4.0, best=None, scores=scores)
+
+    @staticmethod
+    def check_hand_built(result, monkeypatch):
+        """Serialize ``result``; the number of columns encoded by repr."""
+        calls = []
+
+        def spy(col):
+            calls.append(col)
+            return core._tokens(col)
+
+        monkeypatch.setattr(selector, "_tokens", spy)
+        assert selection_to_json(result) == selection_doc_indent2(result)
+        return len(calls)
+
+    def test_distance_tokens_from_eps(self, monkeypatch):
+        eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
+                        -np.inf, 3.5])
+        result = self.hand_built(eps, np.abs(eps))
+        assert self.check_hand_built(result, monkeypatch) == 5
+
+    @pytest.mark.parametrize("eps, distance", [
+        ([-2.5e-07, 1e-05, 0.0], [2.5e-07, 1e-05, 1.0]),
+        ([-2.5e-07, 1e-05, 0.0], [2.5e-07, -1e-05, 0.0]),
+        ([-2.5e-07, 1e-05, 0.0], [2.5e-07, 1e-05, -0.0]),
+        ([-2.5e-07, np.nan, 0.0], [2.5e-07, np.nan, 0.0]),
+        ([0.0, -0.0, 0.0], np.zeros(3, dtype=np.int64)),
+    ], ids=["other", "signed", "negative-zero", "nan", "int"])
+    def test_distance_encoded_itself(self, monkeypatch, eps, distance):
+        # no distance is |eps| token for token, though the negative-zero
+        # and int ones are equal to it by np.array_equal
+        result = self.hand_built(eps, distance)
+        assert self.check_hand_built(result, monkeypatch) == 6
 
 
 class TestRanking:

@@ -196,6 +196,14 @@ class TestRunProtocol:
             StepConfig(protocol="no_delete", steps=1, iterations=0, hp=hp,
                        w0=np.zeros(1))
 
+    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    def test_tie_break_checked_at_construction(self, protocol):
+        # checked even where the protocol never breaks a tie
+        hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
+        with pytest.raises(DomainError, match="tie_break"):
+            StepConfig(protocol=protocol, steps=1, iterations=1, hp=hp,
+                       w0=np.zeros(1), tie_break="bogus")
+
 
 def assert_matches_loop(cfg, ds):
     result = run_protocol(cfg, ds)
