@@ -15,7 +15,6 @@ from .core import (
     Dataset,
     HyperParams,
     SufficientStats,
-    delete_point,
     load_csv,
     save_csv,
 )
@@ -35,12 +34,12 @@ from .errors import (
     WouldEmptyDataset,
     ZeroFeatureNorm,
 )
-from .gauss import make_rng, phi, phi_inv, sample_gaussian
+from .gauss import make_rng, phi, phi_inv
 from .lossgrad import risk, risk_grad
 from .selector import (
+    CandidateScore,
     SelectionResult,
     find_perfect_deleted_point,
-    rank_candidates,
     selection_to_json,
 )
 from .sim import (
@@ -48,11 +47,9 @@ from .sim import (
     StepConfig,
     empirical_advantage,
     run_protocol,
-    sgd_step,
     summarize,
 )
 from .snr import (
-    CandidateScore,
     advantage_target,
     membership_advantage,
     write_scores_csv,
@@ -83,7 +80,6 @@ __all__ = [
     "WouldEmptyDataset",
     "ZeroFeatureNorm",
     "advantage_target",
-    "delete_point",
     "empirical_advantage",
     "find_perfect_deleted_point",
     "generate",
@@ -93,14 +89,11 @@ __all__ = [
     "phi",
     "phi_inv",
     "privacy_floor",
-    "rank_candidates",
     "risk",
     "risk_grad",
     "run_protocol",
-    "sample_gaussian",
     "save_csv",
     "selection_to_json",
-    "sgd_step",
     "summarize",
     "write_scores_csv",
 ]

@@ -7,13 +7,10 @@ averaged moments
     s_xx = (1/n) sum_i x_i x_i^T      (d, d)
 
 from which every gradient and candidate score downstream is computed.
-Deleting a point produces a new snapshot whose stats are updated
-incrementally (O(d^2)) rather than recomputed; the two paths agree to
-1e-12 relative and tests enforce it.
 
-Points carry stable, strictly increasing integer ids so that reports
-written after a chain of deletions can still reference the original
-sample.  Moments that overflow float64 raise NumericOverflow.
+Points carry stable, strictly increasing integer ids, which reports use
+to reference the original sample.  Moments that overflow float64 raise
+NumericOverflow.
 """
 
 from __future__ import annotations
@@ -30,10 +27,8 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyDataset,
-    IndexOutOfRange,
     InvalidValue,
     NumericOverflow,
-    WouldEmptyDataset,
 )
 
 _SNR_CONVENTIONS = ("paper", "consistent")
@@ -74,9 +69,8 @@ def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> SufficientStats:
 class Dataset:
     """Immutable ordered collection of points with cached stats.
 
-    Construct through from_arrays / load_csv.  delete_point
-    returns a new snapshot; existing snapshots are never mutated, so any
-    number of readers can share one.
+    Construct through from_arrays / load_csv.  A snapshot is never
+    mutated, so any number of readers can share one.
     """
 
     X: np.ndarray
@@ -122,48 +116,6 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.X.shape[1]
-
-    def position_of(self, point_id: int) -> int:
-        """Current position of an original point id.
-
-        Ids are strictly increasing: from_arrays rejects any other order
-        and delete_point keeps it, so a binary search finds the id.
-        """
-        pos = int(np.searchsorted(self.ids, point_id))
-        if pos >= self.n or self.ids[pos] != point_id:
-            raise IndexOutOfRange(f"point id {point_id} not in dataset")
-        return pos
-
-
-def delete_point(ds: Dataset, index: int) -> Dataset:
-    """New dataset without the point at position ``index``.
-
-    Stats are updated incrementally:
-        s_yx' = (n s_yx - y_v x_v) / (n - 1)
-        s_xx' = (n s_xx - x_v x_v^T) / (n - 1)
-    """
-    if ds.n == 1:
-        raise WouldEmptyDataset("cannot delete the only remaining point")
-    if not 0 <= index < ds.n:
-        raise IndexOutOfRange(f"index {index} outside [0, {ds.n})")
-    n = ds.n
-    xv = ds.X[index]
-    yv = ds.y[index]
-    try:
-        # elementwise ufuncs in this thread, so numpy's flags see overflow
-        with np.errstate(over="raise"):
-            s_yx = (n * ds.stats.s_yx - yv * xv) / (n - 1)
-            s_xx = (n * ds.stats.s_xx - np.outer(xv, xv)) / (n - 1)
-    except FloatingPointError:
-        raise NumericOverflow(
-            "updated sufficient statistics overflow float64") from None
-    X = np.delete(ds.X, index, axis=0)
-    y = np.delete(ds.y, index)
-    ids = np.delete(ds.ids, index)
-    for a in (X, y, ids):
-        a.setflags(write=False)
-    return Dataset(X=X, y=y, ids=ids,
-                   stats=SufficientStats(s_yx=s_yx, s_xx=s_xx))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Standard normal CDF, its inverse, and seeded Gaussian sampling.
+"""Standard normal CDF, its inverse, and seeded random streams.
 
 Phi is evaluated through a rational-approximation complementary error
 function (three-regime minimax form; coefficients from the classic
@@ -163,19 +163,6 @@ def phi_inv(p: float) -> float:
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     x -= (phi(x) - p) / pdf
     return x
-
-
-def sample_gaussian(rng: np.random.Generator, mean, std: float) -> np.ndarray:
-    """Draw mean + std * Z with i.i.d. standard normal Z per entry.
-
-    std = 0 returns the mean exactly (no RNG consumption).
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    if std < 0.0:
-        raise DomainError(f"std must be >= 0, got {std}")
-    if std == 0.0:
-        return mean.copy()
-    return mean + std * rng.standard_normal(mean.shape)
 
 
 def make_rng(seed: int, *subkey: int) -> np.random.Generator:

@@ -15,8 +15,7 @@ Tie-breaking (``tie_break``):
   incumbent, so the LAST point attaining the minimum wins and a distance
   exactly equal to delta is accepted.
 
-``rank_candidates`` lists points in the same order.  Scores stay in the
-scan's columns; the advantage is computed only for reported rows.
+Scores stay in the scan's columns.
 """
 
 from __future__ import annotations
@@ -28,13 +27,26 @@ import numpy as np
 
 from .core import Dataset, HyperParams, _json_rows, _tokens
 from .errors import DomainError
-from .snr import CandidateScore, membership_advantage, scan_arrays
+from .snr import membership_advantage, scan_arrays
 
 SELECTION_JSON_FORMAT_VERSION = 1
 
 TIE_WINDOW = 1e-9
 
 _TIE_BREAKS = ("norm-first", "paper")
+
+
+@dataclass(frozen=True)
+class CandidateScore:
+    """Scan result for one point, keyed by its original id."""
+
+    index: int
+    d_v: float
+    eps_v: float
+    distance: float
+    advantage: float
+    feature_norm: float
+
 
 # column keys, in the order of the CandidateScore fields they fill
 _COLUMNS = ("ids", "d_v", "eps_v", "distance", "advantage", "feature_norm")
@@ -59,22 +71,11 @@ def _check_tie_break(tie_break: str) -> None:
         raise DomainError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
 
 
-def _order(a: dict, tie_break: str) -> np.ndarray:
-    """Positions of the scan ``a`` in selection order, best first."""
-    dist, ids = a["distance"], a["ids"]
-    if tie_break == "paper":
-        # distance ascending; equal distances ordered last-wins first
-        return np.lexsort((-ids, dist))
-    m = dist.min()
-    key = np.where(dist <= m + TIE_WINDOW, m, dist)
-    return np.lexsort((ids, a["eps_v"] < 0, a["feature_norm"], key))
-
-
 def _pick(dist, eps, fnorm, delta: float, tie_break: str) -> np.ndarray:
     """Selected position along the last axis; -1 where none clears delta.
 
-    The first element of ``_order`` by masks and argmin, for one scan
-    (n,) or a batch (K, n).  A distance of inf marks a non-candidate.
+    The tie rules of the module docstring, by masks and argmin, for one
+    scan (n,) or a batch (K, n).  A distance of inf marks a non-candidate.
     """
     m = dist.min(axis=-1, keepdims=True)
     if tie_break == "paper":
@@ -92,48 +93,23 @@ def _pick(dist, eps, fnorm, delta: float, tie_break: str) -> np.ndarray:
     return np.where(m[..., 0] <= delta, pos, -1)
 
 
-def _selected(a: dict, delta: float, tie_break: str) -> Optional[int]:
-    pos = int(_pick(a["distance"], a["eps_v"], a["feature_norm"], delta,
-                    tie_break))
-    return None if pos < 0 else pos
-
-
-def _columns(a: dict, alpha: float, rows=slice(None)) -> dict:
-    """The reported columns of the scan rows ``rows``, advantage included."""
-    adv = membership_advantage(a["d_v"][rows], alpha)
-    return {key: adv if key == "advantage" else a[key][rows]
-            for key in _COLUMNS}
-
-
-def _candidate(cols: dict, i: int) -> CandidateScore:
-    index, *values = (cols[key][i] for key in _COLUMNS)
-    return CandidateScore(int(index), *map(float, values))
-
-
 def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
                                tie_break: str = "norm-first") -> SelectionResult:
     """Score every point and return the argmin-of-distance selection.
 
-    O(n log n + n d + d^2) time, O(n) extra space; deterministic for fixed
-    inputs.
+    O(n d + d^2) time, O(n) extra space; deterministic for fixed inputs.
     """
     _check_tie_break(tie_break)
     a = scan_arrays(ds, w, hp)
-    pos = _selected(a, hp.delta, tie_break)
-    scores = _columns(a, hp.alpha)
-    best = None if pos is None else _candidate(scores, pos)
+    pos = int(_pick(a["distance"], a["eps_v"], a["feature_norm"], hp.delta,
+                    tie_break))
+    adv = membership_advantage(a["d_v"], hp.alpha)
+    scores = {key: adv if key == "advantage" else a[key] for key in _COLUMNS}
+    best = None
+    if pos >= 0:
+        index, *values = (scores[key][pos] for key in _COLUMNS)
+        best = CandidateScore(int(index), *map(float, values))
     return SelectionResult(target=a["target"], best=best, scores=scores)
-
-
-def rank_candidates(ds: Dataset, w, hp: HyperParams, k: int,
-                    tie_break: str = "norm-first") -> list[CandidateScore]:
-    """Top-k candidates by ascending distance, in selection tie order."""
-    _check_tie_break(tie_break)
-    if k < 1:
-        raise DomainError(f"k must be >= 1, got {k}")
-    a = scan_arrays(ds, w, hp)
-    top = _columns(a, hp.alpha, _order(a, tie_break)[:k])
-    return [_candidate(top, i) for i in range(top["ids"].size)]
 
 
 def _abs_tokens(col, eps, eps_tokens: list[str]) -> list[str]:

@@ -21,24 +21,23 @@ the same seed share identical noise realizations, making cross-protocol
 comparisons paired.  Deletions shrink the working dataset within an
 iteration and reset between iterations.
 
-The iterations run as one array program.  A block of K iterations
-advances together: weights W (K, d), moments s_yx (K, d) and s_xx
-(K, d, d) downdated by delete_point's formulas, a (K, n) mask of the
-surviving points in place of reduced copies, and a point count per
-iteration, since perfect_delete may skip a deletion.  K is set by a fixed
-budget, K (n + steps) d <= 2**20.  Each iteration draws its step noise up
-front, make_rng(seed, it).standard_normal((steps, d)), which is the
-sequence that ``steps`` single draws give.  The final weights and
-deletion logs are bit-identical to running each iteration alone through
-scan_arrays, delete_point and sgd_step, whatever the block size.
+The iterations run as one array program (_run_block).  A block of K
+iterations advances together: weights W (K, d), moments s_yx (K, d) and
+s_xx (K, d, d) downdated in place, a (K, n) mask of the surviving points
+in place of reduced copies, and a point count per iteration, since
+perfect_delete may skip a deletion.  K is set by a fixed budget,
+K (n + steps) d <= 2**20.  Each iteration draws its step noise up front,
+make_rng(seed, it).standard_normal((steps, d)), which is the sequence
+that ``steps`` single draws give.  The final weights and deletion logs are
+bit-identical to the test suite's one-iteration, one-step replay
+(run_protocol_loop), whatever the block size.
 
-Errors are those of the one-iteration functions: perfect_delete with
-sigma = 0 or gamma = 0 raises DegenerateNoise before any step, and moments,
-scores or weights that overflow float64 raise NumericOverflow, with no
-RuntimeWarning.  The overflow is raised at the earliest failing step of
-any iteration in the block, where a loop over iterations would raise at
-the first failing step of the earliest iteration; the class, and so the
-CLI exit code, is the same.
+Errors: perfect_delete with sigma = 0 or gamma = 0 raises DegenerateNoise
+before any step, and moments, scores or weights that overflow float64
+raise NumericOverflow, with no RuntimeWarning.  The overflow is raised at
+the earliest failing step of any iteration in the block, where a loop over
+iterations would raise at the first failing step of the earliest
+iteration; the class, and so the CLI exit code, is the same.
 
 The empirical advantage estimator draws one-step updates under both the
 keep and delete hypotheses, applies the optimal likelihood-ratio threshold
@@ -57,7 +56,7 @@ import numpy as np
 from .core import Dataset, HyperParams
 from .errors import (DegenerateNoise, DomainError, EmptyInput, IndexOutOfRange,
                      NumericOverflow, TooManyDeletions, WouldEmptyDataset)
-from .gauss import make_rng, phi_inv, sample_gaussian
+from .gauss import make_rng, phi_inv
 from .lossgrad import as_weights, risk_grad
 from .selector import _check_tie_break, _pick
 from .snr import _scores, advantage_target, snr_denominator
@@ -109,21 +108,6 @@ class ExperimentResult:
     deletions_log: list[list[Optional[int]]]   # original ids; None = skipped
 
 
-def sgd_step(w, ds: Dataset, hp: HyperParams,
-             rng: np.random.Generator) -> np.ndarray:
-    """w - gamma * (grad L(w; ds) + eta) with eta ~ N(0, sigma^2 I).
-
-    Raises NumericOverflow when the new weights are not finite in float64;
-    as in snr.scan_arrays, overflow is detected from the result.
-    """
-    w = as_weights(w, ds.dim)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = w - hp.gamma * sample_gaussian(rng, risk_grad(w, ds), hp.sigma)
-    if not np.isfinite(w).all():
-        raise NumericOverflow("SGD step overflows: the weights are not finite")
-    return w
-
-
 # Largest K * (n + steps) * d that one block of K iterations may hold; it
 # bounds the (K, n, d) temporaries of the perfect_delete scan and the
 # (K, steps, d) noise.
@@ -162,8 +146,16 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
     (K, 0).
 
     Each iteration keeps its own weights, moments, point count and mask of
-    surviving points.  Per iteration, the arithmetic is that of
-    scan_arrays, delete_point and sgd_step on its reduced dataset.
+    surviving points.  Deleting point v from an iteration with n points
+    downdates its moments
+
+        s_yx' = (n s_yx - y_v x_v) / (n - 1)
+        s_xx' = (n s_xx - x_v x_v^T) / (n - 1)
+
+    and a step is w' = w - gamma (grad L(w) + sigma z), z ~ N(0, I), with
+    grad L(w) = 2 (s_xx w - s_yx).  Per iteration, the arithmetic is that
+    of scan_arrays and of the test suite's one-step replay,
+    run_protocol_loop, on its reduced dataset.
     """
     hp, steps, n = cfg.hp, cfg.steps, ds.n
     k = len(its)
@@ -180,8 +172,7 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
     elif cfg.protocol == "random_delete":
         deleted[:] = [_random_schedule(n, steps, make_rng(hp.seed, it, 1))
                       for it in its]
-    # the same draws as `steps` calls of sample_gaussian, which draws
-    # nothing when sigma = 0
+    # the draws of `steps` single steps; sigma = 0 draws nothing
     noise = None if hp.sigma == 0.0 else np.stack(
         [make_rng(hp.seed, it).standard_normal((steps, ds.dim)) for it in its])
     for t in range(steps):
@@ -197,7 +188,8 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
             c = count[act, None]
             xv, yv = ds.X[pos], ds.y[pos, None]
             try:
-                # delete_point's downdates, one row per iteration
+                # the downdates above, one row per iteration; elementwise
+                # ufuncs in this thread, so numpy's flags see overflow
                 with np.errstate(over="raise"):
                     s_yx[act] = (c * s_yx[act] - yv * xv) / (c - 1)
                     s_xx[act] = ((c[..., None] * s_xx[act]

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +44,6 @@ from .errors import (DegenerateNoise, DomainError, NumericOverflow,
                      WouldEmptyDataset)
 from .gauss import phi, phi_inv
 from .lossgrad import as_weights
-
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """Scan result for one point, keyed by its original id."""
-
-    index: int
-    d_v: float
-    eps_v: float
-    distance: float
-    advantage: float
-    feature_norm: float
 
 
 @functools.lru_cache(maxsize=8)

@@ -4,8 +4,12 @@ Everything here is deliberately written the slow, obvious way (plain loops,
 physically rebuilt deleted datasets) and leans on scipy/mpmath for the
 normal distribution, so no code path is shared with the package under
 test.  The one exception is ``run_protocol_loop``, which replays the
-simulation protocols one iteration at a time through the package's public
-one-step functions.
+simulation protocols one iteration and one step at a time: it scores
+with the package's scan_arrays and draws from make_rng, and it deletes
+and steps through ``delete_point`` and ``sgd_step`` below, which rebuild
+each reduced dataset and step from the package's risk_grad.  Their
+arithmetic is the per-iteration arithmetic of sim._run_block, so the
+engine is compared against them bit for bit.
 """
 
 import csv
@@ -17,7 +21,10 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from delpoint import delete_point, make_rng, sgd_step
+from delpoint import (Dataset, DomainError, IndexOutOfRange, NumericOverflow,
+                      SufficientStats, WouldEmptyDataset, make_rng,
+                      risk_grad)
+from delpoint.lossgrad import as_weights
 from delpoint.snr import scan_arrays
 
 
@@ -171,6 +178,64 @@ def select_loop(a, delta, tie_break):
     tie = [i for i in range(len(dist)) if dist[i] <= m + 1e-9]
     fnorm, eps = a["feature_norm"].tolist(), a["eps_v"].tolist()
     return min(tie, key=lambda i: (fnorm[i], eps[i] < 0, ids[i]))
+
+
+def delete_point(ds, index):
+    """New dataset without the point at position ``index``.
+
+    Stats are updated incrementally:
+        s_yx' = (n s_yx - y_v x_v) / (n - 1)
+        s_xx' = (n s_xx - x_v x_v^T) / (n - 1)
+    """
+    if ds.n == 1:
+        raise WouldEmptyDataset("cannot delete the only remaining point")
+    if not 0 <= index < ds.n:
+        raise IndexOutOfRange(f"index {index} outside [0, {ds.n})")
+    n = ds.n
+    xv = ds.X[index]
+    yv = ds.y[index]
+    try:
+        # elementwise ufuncs in this thread, so numpy's flags see overflow
+        with np.errstate(over="raise"):
+            s_yx = (n * ds.stats.s_yx - yv * xv) / (n - 1)
+            s_xx = (n * ds.stats.s_xx - np.outer(xv, xv)) / (n - 1)
+    except FloatingPointError:
+        raise NumericOverflow(
+            "updated sufficient statistics overflow float64") from None
+    X = np.delete(ds.X, index, axis=0)
+    y = np.delete(ds.y, index)
+    ids = np.delete(ds.ids, index)
+    for a in (X, y, ids):
+        a.setflags(write=False)
+    return Dataset(X=X, y=y, ids=ids,
+                   stats=SufficientStats(s_yx=s_yx, s_xx=s_xx))
+
+
+def sample_gaussian(rng, mean, std):
+    """Draw mean + std * Z with i.i.d. standard normal Z per entry.
+
+    std = 0 returns the mean exactly (no RNG consumption).
+    """
+    mean = np.asarray(mean, dtype=np.float64)
+    if std < 0.0:
+        raise DomainError(f"std must be >= 0, got {std}")
+    if std == 0.0:
+        return mean.copy()
+    return mean + std * rng.standard_normal(mean.shape)
+
+
+def sgd_step(w, ds, hp, rng):
+    """w - gamma * (grad L(w; ds) + eta) with eta ~ N(0, sigma^2 I).
+
+    Raises NumericOverflow when the new weights are not finite in float64;
+    as in scan_arrays, overflow is detected from the result.
+    """
+    w = as_weights(w, ds.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = w - hp.gamma * sample_gaussian(rng, risk_grad(w, ds), hp.sigma)
+    if not np.isfinite(w).all():
+        raise NumericOverflow("SGD step overflows: the weights are not finite")
+    return w
 
 
 def run_protocol_loop(cfg, ds):

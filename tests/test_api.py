@@ -8,13 +8,18 @@ import delpoint
 from delpoint import Dataset
 
 # The per-point API that scan_arrays, bounds_arrays and risk_grad on a
-# one-row dataset replace, by the module that defined it.
+# one-row dataset replace, and the one-iteration stepping and ranking API
+# that run_protocol's batched engine and find_perfect_deleted_point
+# replace, by the module that defined it.
 REMOVED = {
-    "delpoint.core": ["DataPoint"],
+    "delpoint.core": ["DataPoint", "delete_point"],
     "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error"],
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
                         "risk_change_bounds_floor"],
+    "delpoint.sim": ["sgd_step"],
+    "delpoint.gauss": ["sample_gaussian"],
+    "delpoint.selector": ["rank_candidates"],
 }
 
 
@@ -31,7 +36,7 @@ def test_per_point_api_is_gone():
             assert not hasattr(delpoint, name), name
             assert not hasattr(module, name), f"{module_name}.{name}"
             assert name not in delpoint.__all__
-    for attr in ("from_points", "point", "points"):
+    for attr in ("from_points", "point", "points", "position_of"):
         assert not hasattr(Dataset, attr), attr
 
 

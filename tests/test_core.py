@@ -14,16 +14,18 @@ from delpoint import (
     IndexOutOfRange,
     InvalidValue,
     NumericOverflow,
+    StepConfig,
     SufficientStats,
     WouldEmptyDataset,
-    delete_point,
     load_csv,
+    run_protocol,
     save_csv,
 )
 from delpoint.core import _json_rows, _tokens
 from delpoint.errors import DomainError
 
-from _oracles import csv_writer_text, json_doc_indent2, stats_loop
+from _oracles import (csv_writer_text, delete_point, json_doc_indent2,
+                      run_protocol_loop, stats_loop)
 
 
 def stats_of(X, y):
@@ -107,16 +109,21 @@ class TestIds:
     def test_lookup_on_sorted_noncontiguous_ids(self):
         ds = Dataset.from_arrays([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0],
                                  ids=[2, 5, 9])
-        assert [ds.position_of(i) for i in (2, 5, 9)] == [0, 1, 2]
-        for missing in (0, 3, 10):
-            with pytest.raises(IndexOutOfRange):
-                ds.position_of(missing)
+        assert list(ds.ids) == [2, 5, 9]
         out = delete_point(ds, 0)
         assert list(out.ids) == [5, 9]
-        assert out.position_of(9) == 1
+        # simulate logs the original id of each deleted position
+        hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05, seed=1)
+        cfg = StepConfig(protocol="random_delete", steps=2, iterations=6,
+                         hp=hp, w0=np.zeros(1))
+        logs = run_protocol(cfg, ds).deletions_log
+        assert logs == run_protocol_loop(cfg, ds)[1]
+        assert {pid for log in logs for pid in log} <= {2, 5, 9}
 
 
 class TestDeletePoint:
+    """The reference deletion of run_protocol_loop."""
+
     def test_t3_delete_last(self, t3):
         out = delete_point(t3, 2)
         assert out.n == 2
@@ -160,9 +167,8 @@ class TestDeletePoint:
     def test_ids_track_originals(self, t3):
         out = delete_point(t3, 1)
         assert list(out.ids) == [0, 2]
-        assert out.position_of(2) == 1
-        with pytest.raises(IndexOutOfRange):
-            out.position_of(1)
+        assert list(out.ids).index(2) == 1
+        assert 1 not in out.ids
 
     def test_overflowing_update_rejected(self):
         # finite moments whose leave-one-out update overflows: n s_yx = 3e308

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from delpoint import DomainError, InvalidValue, make_rng, phi, phi_inv, sample_gaussian
+from delpoint import DomainError, InvalidValue, make_rng, phi, phi_inv
+
+from _oracles import sample_gaussian
 
 # Frozen from a 40-digit mpmath oracle (erfc series + bisection on phi).
 PHI_196 = 0.9750021048517795
@@ -73,6 +75,9 @@ class TestPhiInv:
 
 
 class TestSampling:
+    """Seeded streams, and the noise draw of run_protocol_loop's
+    reference step."""
+
     def test_zero_std_is_exact(self):
         rng = make_rng(7)
         out = sample_gaussian(rng, [1.0, 2.0], 0.0)

@@ -6,13 +6,12 @@ from delpoint import (
     DimensionMismatch,
     IndexOutOfRange,
     WouldEmptyDataset,
-    delete_point,
     risk,
     risk_grad,
 )
 
 from conftest import random_dataset
-from _oracles import mean_grad_loop, point_grad_loop, risk_loop
+from _oracles import delete_point, mean_grad_loop, point_grad_loop, risk_loop
 
 
 def one(x, y):
@@ -111,7 +110,8 @@ class TestRiskGrad:
 
 class TestDeletedGrad:
     """The leave-one-out gradient as simulate computes it: risk_grad on the
-    moments that delete_point downdates, against the deleted rows."""
+    downdated moments of the oracle delete_point, against the deleted
+    rows."""
 
     def test_identity_matches_physical_deletion(self, t3):
         w = [0.5]

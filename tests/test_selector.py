@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,14 +12,13 @@ from delpoint import (
     WouldEmptyDataset,
     advantage_target,
     find_perfect_deleted_point,
-    rank_candidates,
     selection_to_json,
 )
 from delpoint import core, selector
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset, tuned_dataset
-from _oracles import select_strict_loop, selection_doc_indent2
+from _oracles import select_loop, select_strict_loop, selection_doc_indent2
 
 
 def solve_label(X, y, index, w, hp, want_d_v):
@@ -265,12 +266,8 @@ class TestSelectionJson:
 
 
 class TestRanking:
-    def test_full_scan_when_k_is_n(self, rng, hp_default):
-        ds = random_dataset(rng, n=12, d=2)
-        w = rng.normal(size=2)
-        ranked = rank_candidates(ds, w, hp_default, k=12)
-        assert len(ranked) == 12
-        assert sorted(s.index for s in ranked) == list(range(12))
+    """The selection order of the tie rules, through
+    find_perfect_deleted_point, _pick and the select_loop oracle."""
 
     def test_top1_equals_selection(self, rng, hp_default):
         # a loop, not parametrize, so the test keeps its id
@@ -278,17 +275,20 @@ class TestRanking:
             for _ in range(10):
                 ds = random_dataset(rng, n=10, d=2)
                 w = rng.normal(size=2)
-                top = rank_candidates(ds, w, hp_default, k=1,
-                                      tie_break=tie_break)[0]
-                best = find_perfect_deleted_point(ds, w, hp_default,
-                                                  tie_break=tie_break).best
-                assert best is not None
-                assert top == best
+                result = find_perfect_deleted_point(ds, w, hp_default,
+                                                    tie_break=tie_break)
+                pos = select_loop(scan_arrays(ds, w, hp_default),
+                                  hp_default.delta, tie_break)
+                assert result.best is not None
+                row = [result.scores[key][pos] for key in
+                       ("ids", "d_v", "eps_v", "distance", "advantage",
+                        "feature_norm")]
+                assert dataclasses.astuple(result.best) == tuple(row)
 
     def test_tie_block_precedes_smaller_norm(self, hp_default):
         # points 0 and 1 tie within the window, 1 at the larger distance
         # but the smaller norm; point 2, just outside the window, has the
-        # smallest norm of all.  The tie block ranks first, by norm.
+        # smallest norm of all.  The tie block comes first, by norm.
         hp = hp_default
         w = np.array([0.25])
         target = advantage_target(hp.alpha)
@@ -301,26 +301,14 @@ class TestRanking:
         assert 0.0 < a["distance"][1] - a["distance"][0] <= 1e-9
         assert a["distance"][2] > a["distance"][0] + 1e-9
         assert a["feature_norm"][2] < a["feature_norm"][1]
-        ranked = rank_candidates(ds, w, hp, k=5)
-        assert [s.index for s in ranked[:3]] == [1, 0, 2]
-        assert ranked[0] == find_perfect_deleted_point(ds, w, hp).best
-
-    def test_distances_nondecreasing_within_window(self, rng, hp_default):
-        ds = random_dataset(rng, n=30, d=2)
-        w = rng.normal(size=2)
-        ranked = rank_candidates(ds, w, hp_default, k=30)
-        dist = [s.distance for s in ranked]
-        for a, b in zip(dist, dist[1:]):
-            assert b >= a - 1e-9
-
-    def test_k_validated(self, rng, hp_default):
-        ds = random_dataset(rng, n=5, d=1)
-        with pytest.raises(DomainError):
-            rank_candidates(ds, [0.0], hp_default, k=0)
-
-    def test_truncation_prefix(self, rng, hp_default):
-        ds = random_dataset(rng, n=9, d=2)
-        w = rng.normal(size=2)
-        full = rank_candidates(ds, w, hp_default, k=9)
-        head = rank_candidates(ds, w, hp_default, k=4)
-        assert head == full[:4]
+        # select, take the choice out of the scan, and select again
+        dist, order = a["distance"].copy(), []
+        for _ in range(3):
+            pos = int(selector._pick(dist, a["eps_v"], a["feature_norm"],
+                                     hp.delta, "norm-first"))
+            assert pos == select_loop(a | {"distance": dist}, hp.delta,
+                                      "norm-first")
+            order.append(pos)
+            dist[pos] = np.inf
+        assert order == [1, 0, 2]
+        assert find_perfect_deleted_point(ds, w, hp).best.index == 1

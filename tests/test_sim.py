@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from delpoint import (
     GenConfig,
     HyperParams,
     IndexOutOfRange,
+    NumericOverflow,
     StepConfig,
+    SufficientStats,
     TooManyDeletions,
     WouldEmptyDataset,
     advantage_target,
@@ -22,7 +26,6 @@ from delpoint import (
     membership_advantage,
     risk_grad,
     run_protocol,
-    sgd_step,
     summarize,
 )
 from delpoint import sim
@@ -30,7 +33,7 @@ from delpoint.sim import PROTOCOLS, experiment_to_doc
 from delpoint.snr import scan_arrays
 
 from conftest import assign_labels_1d, random_dataset
-from _oracles import run_protocol_loop
+from _oracles import delete_point, run_protocol_loop, sgd_step
 
 
 def reference_dataset():
@@ -38,6 +41,8 @@ def reference_dataset():
 
 
 class TestSgdStep:
+    """The reference step of run_protocol_loop."""
+
     def test_zero_gamma_is_identity(self, t3):
         hp = HyperParams(gamma=0.0, sigma=2.0, alpha=0.01)
         w = np.array([0.7])
@@ -115,10 +120,10 @@ class TestRunProtocol:
         # point is the same in every iteration
         deleted = {log[0] for log in res_pf.deletions_log}
         assert len(deleted) == 1
-        from delpoint import delete_point, find_perfect_deleted_point
+        from delpoint import find_perfect_deleted_point
         sel = find_perfect_deleted_point(ds, w0, hp)
         assert deleted == {sel.best.index}
-        reduced = delete_point(ds, ds.position_of(sel.best.index))
+        reduced = delete_point(ds, list(ds.ids).index(sel.best.index))
         m_no = w0 - hp.gamma * risk_grad(w0, ds)
         m_pf = w0 - hp.gamma * risk_grad(w0, reduced)
         mc_tol = 4 * hp.gamma * hp.sigma / np.sqrt(100)
@@ -195,6 +200,29 @@ class TestRunProtocol:
         with pytest.raises(DomainError):
             StepConfig(protocol="no_delete", steps=1, iterations=0, hp=hp,
                        w0=np.zeros(1))
+
+    @pytest.mark.parametrize("protocol, s_yx, s_xx", [
+        # the moments of test_core's overflowing update: n s_yx = 3e308
+        ("random_delete", [1e308], [[1.0]]),
+        # n s_xx = 3e308; at w0 = 0 the scan never multiplies by s_xx, so
+        # the selection succeeds and the downdate overflows
+        ("random_delete", [1.0], [[1e308]]),
+        ("perfect_delete", [1.0], [[1e308]]),
+    ], ids=["random_delete-s_yx", "random_delete-s_xx",
+            "perfect_delete-s_xx"])
+    def test_overflowing_downdate_rejected(self, protocol, s_yx, s_xx):
+        ds = Dataset.from_arrays([[1.0], [1.0], [1.0]], [1.0, 1.0, 1.0])
+        big = dataclasses.replace(
+            ds, stats=SufficientStats(s_yx=s_yx, s_xx=s_xx))
+        hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
+        cfg = StepConfig(protocol=protocol, steps=1, iterations=2, hp=hp,
+                         w0=np.zeros(1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericOverflow,
+                               match="updated sufficient statistics"):
+                run_protocol(cfg, big)
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_tie_break_checked_at_construction(self, protocol):
