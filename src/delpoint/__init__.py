@@ -14,7 +14,6 @@ from .bounds import privacy_floor
 from .core import (
     Dataset,
     HyperParams,
-    SufficientStats,
     load_csv,
     save_csv,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "NumericOverflow",
     "SelectionResult",
     "StepConfig",
-    "SufficientStats",
     "TooManyDeletions",
     "WouldEmptyDataset",
     "ZeroFeatureNorm",

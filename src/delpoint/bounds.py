@@ -37,7 +37,8 @@ and the floor check are computed once, every per-point quantity as one
 array operation; one point is a one-row call with ``positions=[i]``.
 Its safety checks run on the whole array before any row is computed, so
 one zero feature vector (per-point variant) rejects the whole call with
-ZeroFeatureNorm naming that point's id.
+ZeroFeatureNorm naming that point's position as its id.  An empirical
+risk or interval endpoint that overflows float64 raises NumericOverflow.
 
 Two arithmetic choices keep every value bit-identical to evaluating the
 point on its own (a vector dot product per point, ``math.log``): feature
@@ -61,6 +62,7 @@ from .errors import (
     DomainError,
     FloorViolated,
     IndexOutOfRange,
+    NumericOverflow,
     WouldEmptyDataset,
     ZeroFeatureNorm,
 )
@@ -148,7 +150,7 @@ def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
         zero = np.flatnonzero(scale == 0.0)
         if zero.size:
             raise ZeroFeatureNorm(
-                f"point id {int(ds.ids[pos[zero[0]]])} has a zero feature "
+                f"point id {int(pos[zero[0]])} has a zero feature "
                 f"vector; per-point bounds divide by ||x_v||")
     else:
         b = float(b)
@@ -159,14 +161,18 @@ def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
         if norms[k] < b:
             raise FloorViolated(
                 f"B = {b} exceeds the smallest feature norm {float(norms[k])} "
-                f"(point id {int(ds.ids[k])})")
+                f"(point id {k})")
         scale = b
 
     l0 = risk(w, ds)
-    g_norm = float(np.linalg.norm(ds.stats.s_yx - ds.stats.s_xx @ w))
     t = eps_v + advantage_target(hp.alpha)
-    lower, upper, c = interval_endpoints(
-        l0, t, hp.sigma, hp.gamma, ds.n, scale, g_norm)
+    # overflow is detected from the results, as in core._stats_from_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_norm = float(np.linalg.norm(ds.s_yx - ds.s_xx @ w))
+        lower, upper, c = interval_endpoints(
+            l0, t, hp.sigma, hp.gamma, ds.n, scale, g_norm)
+    if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
+        raise NumericOverflow("risk-change interval overflows float64")
     resid = ds.y[pos] - _row_dots(X, w)
     lv = resid * resid
     da = (l0 - lv) / (ds.n - 1)

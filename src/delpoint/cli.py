@@ -200,7 +200,7 @@ def _bounds_json(ds, w0, hp, b_floor) -> str:
     cols = bounds_arrays(ds, w0, hp, arrays["eps_v"], b=b_floor)
     head = {"format_version": BOUNDS_FORMAT_VERSION,
             "target": arrays["target"]}
-    columns = [arrays["ids"], cols["lower"], cols["upper"],
+    columns = [arrays["index"], cols["lower"], cols["upper"],
                cols["actual_delta"], cols["contained_a"], cols["contained_b"],
                cols["privacy_floor"]]
     return _json_rows(head, "rows", _BOUNDS_ROW, [_tokens(c) for c in columns])

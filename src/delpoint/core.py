@@ -1,15 +1,15 @@
-"""Domain types: immutable datasets, sufficient statistics, run parameters.
+"""Domain types: immutable datasets and run parameters, and CSV/JSON i/o.
 
-A Dataset is an immutable snapshot backed by float64 arrays.  It caches the
-averaged moments
+A Dataset is an immutable snapshot of float64 arrays: the features X, the
+labels y and the averaged moments
 
     s_yx = (1/n) sum_i y_i x_i        (d,)
     s_xx = (1/n) sum_i x_i x_i^T      (d, d)
 
 from which every gradient and candidate score downstream is computed.
 
-Points carry stable, strictly increasing integer ids, which reports use
-to reference the original sample.  Moments that overflow float64 raise
+A point is named by its position (its row in X), which reports use to
+reference the original sample.  Moments that overflow float64 raise
 NumericOverflow.
 """
 
@@ -34,23 +34,7 @@ from .errors import (
 _SNR_CONVENTIONS = ("paper", "consistent")
 
 
-@dataclass(frozen=True)
-class SufficientStats:
-    """Averaged moments s_yx (vector) and s_xx (symmetric PSD matrix)."""
-
-    s_yx: np.ndarray
-    s_xx: np.ndarray
-
-    def __post_init__(self):
-        s_yx = np.asarray(self.s_yx, dtype=np.float64)
-        s_xx = np.asarray(self.s_xx, dtype=np.float64)
-        s_yx.setflags(write=False)
-        s_xx.setflags(write=False)
-        object.__setattr__(self, "s_yx", s_yx)
-        object.__setattr__(self, "s_xx", s_xx)
-
-
-def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> SufficientStats:
+def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> tuple:
     n = X.shape[0]
     # Overflow is detected from the result, not from floating-point flags:
     # BLAS may run in threads whose flags numpy never sees.
@@ -62,24 +46,24 @@ def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> SufficientStats:
         raise NumericOverflow(
             "sufficient statistics overflow: the feature and label "
             "magnitudes are too large for float64 moments")
-    return SufficientStats(s_yx=s_yx, s_xx=s_xx)
+    return s_yx, s_xx
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable ordered collection of points with cached stats.
+    """Immutable ordered collection of points with their averaged moments.
 
-    Construct through from_arrays / load_csv.  A snapshot is never
-    mutated, so any number of readers can share one.
+    Construct through from_arrays / load_csv.  All four arrays are
+    read-only, so any number of readers can share one snapshot.
     """
 
     X: np.ndarray
     y: np.ndarray
-    ids: np.ndarray
-    stats: SufficientStats
+    s_yx: np.ndarray
+    s_xx: np.ndarray
 
     @classmethod
-    def from_arrays(cls, X, y, ids=None) -> "Dataset":
+    def from_arrays(cls, X, y) -> "Dataset":
         # own copies: the snapshot is frozen read-only, callers keep theirs
         try:
             X = np.array(X, dtype=np.float64, order="C")
@@ -97,17 +81,10 @@ class Dataset:
             raise DimensionMismatch("feature dimension must be >= 1")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
             raise InvalidValue("dataset entries must be finite")
-        if ids is None:
-            ids = np.arange(X.shape[0], dtype=np.int64)
-        else:
-            ids = np.array(ids, dtype=np.int64)
-            if ids.shape != (X.shape[0],):
-                raise DimensionMismatch("ids must have one entry per point")
-            if np.any(np.diff(ids) <= 0):
-                raise DomainError("ids must be strictly increasing")
-        for a in (X, y, ids):
+        arrays = (X, y, *_stats_from_arrays(X, y))
+        for a in arrays:
             a.setflags(write=False)
-        return cls(X=X, y=y, ids=ids, stats=_stats_from_arrays(X, y))
+        return cls(*arrays)
 
     @property
     def n(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset
-from .errors import DimensionMismatch, InvalidValue
+from .errors import DimensionMismatch, InvalidValue, NumericOverflow
 
 
 def as_weights(w, dim: int) -> np.ndarray:
@@ -28,13 +28,18 @@ def as_weights(w, dim: int) -> np.ndarray:
 
 
 def risk(w, ds: Dataset) -> float:
-    """Mean individual loss over the dataset."""
+    """Mean individual loss over the dataset; NumericOverflow if not finite."""
     w = as_weights(w, ds.dim)
-    r = ds.y - ds.X @ w
-    return float(np.mean(r * r))
+    # overflow is detected from the result, as in core._stats_from_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = ds.y - ds.X @ w
+        mean = float(np.mean(r * r))
+    if not np.isfinite(mean):
+        raise NumericOverflow("empirical risk overflows float64")
+    return mean
 
 
 def risk_grad(w, ds: Dataset) -> np.ndarray:
     """Mean-loss gradient from sufficient statistics: 2 (s_xx w - s_yx)."""
     w = as_weights(w, ds.dim)
-    return 2.0 * (ds.stats.s_xx @ w - ds.stats.s_yx)
+    return 2.0 * (ds.s_xx @ w - ds.s_yx)

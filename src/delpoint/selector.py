@@ -9,7 +9,7 @@ Tie-breaking (``tie_break``):
 * ``norm-first`` (default): candidates within 1e-9 of the minimum distance
   form a tie set; inside it prefer the smallest feature norm (smallest
   risk-change bounds), then nonnegative eps_v over negative (zero privacy
-  floor), then the lowest original id.
+  floor), then the lowest position.
 * ``paper``: faithful single-pass semantics of the published scan loop,
   where a candidate at distance <= the running minimum replaces the
   incumbent, so the LAST point attaining the minimum wins and a distance
@@ -38,7 +38,7 @@ _TIE_BREAKS = ("norm-first", "paper")
 
 @dataclass(frozen=True)
 class CandidateScore:
-    """Scan result for one point, keyed by its original id."""
+    """Scan result for one point, keyed by its position in the dataset."""
 
     index: int
     d_v: float
@@ -48,16 +48,15 @@ class CandidateScore:
     feature_norm: float
 
 
-# column keys, in the order of the CandidateScore fields they fill
-_COLUMNS = ("ids", "d_v", "eps_v", "distance", "advantage", "feature_norm")
-_FIELDS = tuple(f.name for f in fields(CandidateScore))
+# the keys of SelectionResult.scores: the CandidateScore fields they fill
+_COLUMNS = tuple(f.name for f in fields(CandidateScore))
 
 
 @dataclass(frozen=True)
 class SelectionResult:
     """Full scan plus the chosen candidate (None when none clears delta).
 
-    ``scores`` maps each of ids, d_v, eps_v, distance, advantage and
+    ``scores`` maps each of index, d_v, eps_v, distance, advantage and
     feature_norm to an array over the points in dataset order.
     """
 
@@ -79,7 +78,7 @@ def _pick(dist, eps, fnorm, delta: float, tie_break: str) -> np.ndarray:
     """
     m = dist.min(axis=-1, keepdims=True)
     if tie_break == "paper":
-        # the last position attaining the minimum has the largest id
+        # the last position attaining the minimum wins
         tie = dist == m
         pos = tie.shape[-1] - 1 - np.argmax(tie[..., ::-1], axis=-1)
     else:
@@ -88,7 +87,7 @@ def _pick(dist, eps, fnorm, delta: float, tie_break: str) -> np.ndarray:
         tie &= norm == norm.min(axis=-1, keepdims=True)
         nonneg = tie & ~(eps < 0)
         tie = np.where(nonneg.any(axis=-1, keepdims=True), nonneg, tie)
-        # the first remaining position has the lowest id
+        # the first remaining position is the lowest
         pos = np.argmax(tie, axis=-1)
     return np.where(m[..., 0] <= delta, pos, -1)
 
@@ -136,5 +135,5 @@ def selection_to_json(result: SelectionResult) -> str:
     tokens = {key: _tokens(s[key]) for key in _COLUMNS if key != "distance"}
     tokens["distance"] = _abs_tokens(s["distance"], s["eps_v"],
                                      tokens["eps_v"])
-    return _json_rows(head, "scores", _FIELDS,
+    return _json_rows(head, "scores", _COLUMNS,
                       [tokens[key] for key in _COLUMNS])

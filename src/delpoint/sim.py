@@ -105,7 +105,7 @@ class ExperimentResult:
     mean: np.ndarray                     # per coordinate
     variance: np.ndarray                 # per coordinate, unbiased
     histograms: list[Histogram]          # per coordinate
-    deletions_log: list[list[Optional[int]]]   # original ids; None = skipped
+    deletions_log: list[list[Optional[int]]]   # positions; None = skipped
 
 
 # Largest K * (n + steps) * d that one block of K iterations may hold; it
@@ -127,8 +127,7 @@ def run_protocol(cfg: StepConfig, ds: Dataset) -> ExperimentResult:
     blocks = [_run_block(ds, cfg, range(lo, min(lo + size, cfg.iterations)))
               for lo in range(0, cfg.iterations, size)]
     finals = np.concatenate([w for w, _ in blocks])
-    ids = ds.ids.tolist()
-    logs = [[None if pos < 0 else ids[pos] for pos in row]
+    logs = [[None if pos < 0 else pos for pos in row]
             for _, deleted in blocks for row in deleted.tolist()]
     mean, variance, histograms = summarize(finals, cfg.bins)
     return ExperimentResult(
@@ -160,8 +159,8 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
     hp, steps, n = cfg.hp, cfg.steps, ds.n
     k = len(its)
     w = np.tile(cfg.w0, (k, 1))
-    s_yx = np.tile(ds.stats.s_yx, (k, 1))
-    s_xx = np.tile(ds.stats.s_xx, (k, 1, 1))
+    s_yx = np.tile(ds.s_yx, (k, 1))
+    s_xx = np.tile(ds.s_xx, (k, 1, 1))
     count = np.full(k, n)
     live = np.ones((k, n), dtype=bool)
     deleted = np.full((k, 0 if cfg.protocol == "no_delete" else steps), -1)

@@ -91,17 +91,18 @@ def membership_advantage(d, alpha: float):
 def scan_arrays(ds: Dataset, w, hp: HyperParams):
     """One-pass scores for every point, as a dict of aligned arrays.
 
-    Keys: ids, d_v, eps_v, distance, feature_norm, target (a float).  One
-    s_xx @ w precompute serves all n points, and no Phi is evaluated.
-    Raises NumericOverflow when a score or feature norm is not finite.
+    Keys: index (the positions 0..n-1), d_v, eps_v, distance,
+    feature_norm, target (a float).  One s_xx @ w precompute serves all n
+    points, and no Phi is evaluated.  Raises NumericOverflow when a score
+    or feature norm is not finite.
     """
     w = as_weights(w, ds.dim)
-    d_v, fnorm = _scores(ds.X, ds.y, ds.stats.s_yx, ds.stats.s_xx, w,
+    d_v, fnorm = _scores(ds.X, ds.y, ds.s_yx, ds.s_xx, w,
                          snr_denominator(ds.n, hp))
     target = advantage_target(hp.alpha)
     eps = d_v - target
     return {
-        "ids": ds.ids,
+        "index": np.arange(ds.n),
         "d_v": d_v,
         "eps_v": eps,
         "distance": np.abs(eps),
@@ -136,4 +137,4 @@ def _scores(X, y, s_yx, s_xx, w, denom, live=None):
 def write_scores_csv(scores: dict, path) -> None:
     """CSV index,d_v,eps_v,advantage,feature_norm of SelectionResult.scores."""
     header = ["index", "d_v", "eps_v", "advantage", "feature_norm"]
-    _write_csv(path, header, [scores[key] for key in ["ids", *header[1:]]])
+    _write_csv(path, header, [scores[key] for key in header])

@@ -3,13 +3,14 @@
 Everything here is deliberately written the slow, obvious way (plain loops,
 physically rebuilt deleted datasets) and leans on scipy/mpmath for the
 normal distribution, so no code path is shared with the package under
-test.  The one exception is ``run_protocol_loop``, which replays the
-simulation protocols one iteration and one step at a time: it scores
-with the package's scan_arrays and draws from make_rng, and it deletes
-and steps through ``delete_point`` and ``sgd_step`` below, which rebuild
-each reduced dataset and step from the package's risk_grad.  Their
-arithmetic is the per-iteration arithmetic of sim._run_block, so the
-engine is compared against them bit for bit.
+test.  Points are named by their positions, as in the package.  The one
+exception is ``run_protocol_loop``, which replays the simulation protocols
+one iteration and one step at a time: it scores with the package's
+scan_arrays and draws from make_rng, and it deletes and steps through
+``delete_point`` and ``sgd_step`` below, which rebuild each reduced
+dataset (a Dataset of read-only X, y, s_yx, s_xx) and step from the
+package's risk_grad.  Their arithmetic is the per-iteration arithmetic of
+sim._run_block, so the engine is compared against them bit for bit.
 """
 
 import csv
@@ -22,8 +23,7 @@ import numpy as np
 from scipy.stats import norm
 
 from delpoint import (Dataset, DomainError, IndexOutOfRange, NumericOverflow,
-                      SufficientStats, WouldEmptyDataset, make_rng,
-                      risk_grad)
+                      WouldEmptyDataset, make_rng, risk_grad)
 from delpoint.lossgrad import as_weights
 from delpoint.snr import scan_arrays
 
@@ -150,9 +150,7 @@ def selection_doc_indent2(result):
             "best": None if result.best is None
             else dataclasses.asdict(result.best)}
     names = ["index", "d_v", "eps_v", "distance", "advantage", "feature_norm"]
-    columns = [result.scores[key] for key in
-               ("ids", "d_v", "eps_v", "distance", "advantage",
-                "feature_norm")]
+    columns = [result.scores[key] for key in names]
     return json_doc_indent2(head, "scores", names, columns)
 
 
@@ -167,17 +165,17 @@ def csv_writer_text(header, rows):
 
 def select_loop(a, delta, tie_break):
     """Selected position of the scan ``a`` by the documented tie rules."""
-    dist, ids = a["distance"].tolist(), a["ids"].tolist()
+    dist, index = a["distance"].tolist(), a["index"].tolist()
     m = min(dist)
     if m > delta:
         return None
     if tie_break == "paper":
         # the last point attaining the minimum wins
         return max((i for i in range(len(dist)) if dist[i] == m),
-                   key=lambda i: ids[i])
+                   key=lambda i: index[i])
     tie = [i for i in range(len(dist)) if dist[i] <= m + 1e-9]
     fnorm, eps = a["feature_norm"].tolist(), a["eps_v"].tolist()
-    return min(tie, key=lambda i: (fnorm[i], eps[i] < 0, ids[i]))
+    return min(tie, key=lambda i: (fnorm[i], eps[i] < 0, index[i]))
 
 
 def delete_point(ds, index):
@@ -197,18 +195,16 @@ def delete_point(ds, index):
     try:
         # elementwise ufuncs in this thread, so numpy's flags see overflow
         with np.errstate(over="raise"):
-            s_yx = (n * ds.stats.s_yx - yv * xv) / (n - 1)
-            s_xx = (n * ds.stats.s_xx - np.outer(xv, xv)) / (n - 1)
+            s_yx = (n * ds.s_yx - yv * xv) / (n - 1)
+            s_xx = (n * ds.s_xx - np.outer(xv, xv)) / (n - 1)
     except FloatingPointError:
         raise NumericOverflow(
             "updated sufficient statistics overflow float64") from None
     X = np.delete(ds.X, index, axis=0)
     y = np.delete(ds.y, index)
-    ids = np.delete(ds.ids, index)
-    for a in (X, y, ids):
+    for a in (X, y, s_yx, s_xx):
         a.setflags(write=False)
-    return Dataset(X=X, y=y, ids=ids,
-                   stats=SufficientStats(s_yx=s_yx, s_xx=s_xx))
+    return Dataset(X, y, s_yx, s_xx)
 
 
 def sample_gaussian(rng, mean, std):
@@ -244,24 +240,27 @@ def run_protocol_loop(cfg, ds):
 
     Each iteration draws its noise from make_rng(seed, it) and its random
     deletions from make_rng(seed, it, 1), rebuilds its dataset with
-    delete_point, and steps with sgd_step.
+    delete_point, and steps with sgd_step.  ``orig`` holds the position in
+    ``ds`` of each point of the rebuilt dataset, so the log names points
+    by their original positions.
     """
     finals, logs = [], []
     for it in range(cfg.iterations):
         noise_rng = make_rng(cfg.hp.seed, it)
         delete_rng = make_rng(cfg.hp.seed, it, 1)
-        cur, w, events = ds, cfg.w0, []
+        cur, w, events, orig = ds, cfg.w0, [], list(range(ds.n))
         for _ in range(cfg.steps):
             pos = None
             if cfg.protocol == "perfect_delete":
                 pos = select_loop(scan_arrays(cur, w, cfg.hp), cfg.hp.delta,
                                   cfg.tie_break)
-                events.append(None if pos is None else int(cur.ids[pos]))
+                events.append(None if pos is None else orig[pos])
             elif cfg.protocol == "random_delete":
                 pos = int(delete_rng.integers(cur.n))
-                events.append(int(cur.ids[pos]))
+                events.append(orig[pos])
             if pos is not None:
                 cur = delete_point(cur, pos)
+                del orig[pos]
             w = sgd_step(w, cur, cfg.hp, noise_rng)
         finals.append(w)
         logs.append(events)

@@ -123,7 +123,7 @@ def test_criterion_06_one_step_mean_law():
     start = time.perf_counter()
     ds, result = _one_step_no_delete()
     elapsed = time.perf_counter() - start
-    expected = 2 * 0.01 * ds.stats.s_yx[0]
+    expected = 2 * 0.01 * ds.s_yx[0]
     tol = 4 * (0.01 * 2.0 / np.sqrt(100))  # 8e-3
     err = abs(result.mean[0] - expected)
     assert err <= tol

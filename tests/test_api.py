@@ -4,15 +4,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import delpoint
 from delpoint import Dataset
 
 # The per-point API that scan_arrays, bounds_arrays and risk_grad on a
 # one-row dataset replace, and the one-iteration stepping and ranking API
 # that run_protocol's batched engine and find_perfect_deleted_point
-# replace, by the module that defined it.
+# replace, and the moments wrapper whose arrays a Dataset now holds, by
+# the module that defined it.
 REMOVED = {
-    "delpoint.core": ["DataPoint", "delete_point"],
+    "delpoint.core": ["DataPoint", "delete_point", "SufficientStats"],
     "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error"],
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
@@ -36,8 +39,14 @@ def test_per_point_api_is_gone():
             assert not hasattr(delpoint, name), name
             assert not hasattr(module, name), f"{module_name}.{name}"
             assert name not in delpoint.__all__
-    for attr in ("from_points", "point", "points", "position_of"):
+    # a point is named by its position: no ids, and no stats wrapper
+    ds = Dataset.from_arrays([[1.0], [2.0]], [1.0, 2.0])
+    for attr in ("from_points", "point", "points", "position_of", "ids",
+                 "stats"):
         assert not hasattr(Dataset, attr), attr
+        assert not hasattr(ds, attr), attr
+    with pytest.raises(TypeError):
+        Dataset.from_arrays([[1.0], [2.0]], [1.0, 2.0], ids=[0, 1])
 
 
 def test_cli_import_loads_no_process_pool():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from delpoint import (
     FloorViolated,
     HyperParams,
     IndexOutOfRange,
+    NumericOverflow,
     WouldEmptyDataset,
     ZeroFeatureNorm,
     advantage_target,
@@ -98,12 +101,12 @@ class TestRiskChangeBounds:
         assert rb["change_nonnegative"] is False
 
     def test_zero_feature_rejected(self, hp_default):
-        ds = Dataset.from_arrays([[1.0], [0.0], [2.0]], [1.0, 2.0, 3.0],
-                                 ids=[3, 7, 9])
+        ds = Dataset.from_arrays([[1.0], [0.0], [2.0]], [1.0, 2.0, 3.0])
         with pytest.raises(ZeroFeatureNorm):
             row(ds, 1, [0.5], hp_default, 0.0)
-        # the whole-dataset call rejects before any row, naming the point id
-        with pytest.raises(ZeroFeatureNorm, match="point id 7 "):
+        # the whole-dataset call rejects before any row, naming the point
+        # by its position
+        with pytest.raises(ZeroFeatureNorm, match="point id 1 "):
             bounds_arrays(ds, [0.5], hp_default, np.zeros(3))
         # other points of the same dataset still have a per-point interval
         rb = row(ds, 2, [0.5], hp_default, 0.0)
@@ -146,6 +149,13 @@ class TestFloorVariant:
         for b in (1.5, 0.0, -1.0, float("nan")):
             with pytest.raises(FloorViolated):
                 row(t3, 0, [0.5], hp_default, 0.0, b=b)
+
+    def test_subnormal_floor_overflows(self, t3, hp_default):
+        # 0 < B <= min ||x||, but sigma / B overflows float64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflow, match="interval"):
+                bounds_arrays(t3, [0.5], hp_default, np.zeros(3), b=1e-320)
 
     def test_matches_reference_calculator(self, rng):
         hp = HyperParams(gamma=0.02, sigma=2.5, alpha=0.05)

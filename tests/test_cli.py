@@ -237,7 +237,7 @@ class TestBounds:
             assert res.exit_code == 0, res.output
             cols = bounds_arrays(ds, w, hp, a["eps_v"], b=b)
             assert set(cols["contained_a"].tolist()) == {True, False}
-            columns = [a["ids"], cols["lower"], cols["upper"],
+            columns = [a["index"], cols["lower"], cols["upper"],
                        cols["actual_delta"], cols["contained_a"],
                        cols["contained_b"], cols["privacy_floor"]]
             assert res.output == json_doc_indent2(
@@ -293,6 +293,56 @@ def test_overflow_exits_four_without_warning(runner, tmp_path, command):
         # an uncaught exception would be a traceback, not SystemExit
         assert isinstance(res.exception, SystemExit)
         assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("case", ["risk", "b-floor"])
+def test_bounds_overflow_exits_four_without_warning(runner, tmp_path, case):
+    # moments and scores are finite in both cases: the squared residuals
+    # (1e155)^2 overflow in the empirical risk, or a valid subnormal
+    # floor B = 1e-320 makes the interval constant sigma / B overflow
+    if case == "risk":
+        path = tmp_path / "big.csv"
+        path.write_text("x0,y\n1e-10,1e155\n2e-10,1e155\n3e-10,3e155\n")
+        extra = []
+    else:
+        path = gen_dataset(runner, tmp_path, "--seed", "40")
+        extra = ["--b-floor", "1e-320"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["bounds", "--dataset", str(path), *extra])
+    assert res.exit_code == 4, res.output
+    assert "numeric error" in res.stderr
+    assert isinstance(res.exception, SystemExit)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("command", ["select", "bounds", "simulate"])
+def test_load_csv_hook_serves_preloaded_dataset(runner, tmp_path,
+                                                monkeypatch, command):
+    # the benchmark's probe times the library without the CSV parse by
+    # replacing cli.load_csv; every dataset command reads through it
+    path = gen_dataset(runner, tmp_path, "--n", "30", "--seed", "5")
+    args = [command, "--dataset", str(path)]
+    if command == "simulate":
+        args += ["--protocol", "perfect-delete", "--steps", "2",
+                 "--iterations", "3", "--out", str(tmp_path / "sim")]
+    plain = runner.invoke(main, args)
+    assert plain.exit_code == 0, plain.output
+    files = [tmp_path / "sim" / name for name in ("weights.csv",
+             "summary.json") if command == "simulate"]
+    before = [f.read_bytes() for f in files]
+    ds, calls = load_csv(path), []
+
+    def served(p):
+        calls.append(p)
+        return ds
+
+    monkeypatch.setattr("delpoint.cli.load_csv", served)
+    hooked = runner.invoke(main, args)
+    assert hooked.exit_code == 0, hooked.output
+    assert calls == [path]
+    assert hooked.stdout_bytes == plain.stdout_bytes
+    assert [f.read_bytes() for f in files] == before
 
 
 @pytest.mark.parametrize("command", ["select", "bounds", "simulate"])

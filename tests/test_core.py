@@ -14,22 +14,20 @@ from delpoint import (
     IndexOutOfRange,
     InvalidValue,
     NumericOverflow,
-    StepConfig,
-    SufficientStats,
     WouldEmptyDataset,
     load_csv,
-    run_protocol,
     save_csv,
 )
 from delpoint.core import _json_rows, _tokens
 from delpoint.errors import DomainError
 
 from _oracles import (csv_writer_text, delete_point, json_doc_indent2,
-                      run_protocol_loop, stats_loop)
+                      stats_loop)
 
 
 def stats_of(X, y):
-    return Dataset.from_arrays(X, y).stats
+    """The dataset of X and y, read for its moments s_yx and s_xx."""
+    return Dataset.from_arrays(X, y)
 
 
 class TestComputeStats:
@@ -98,27 +96,15 @@ class TestComputeStats:
         with pytest.raises(NumericOverflow):
             stats_of([[1.0], [1e200]], [1e200, 1.0])
 
-
-class TestIds:
-    def test_unsorted_or_repeated_ids_rejected(self):
-        X, y = [[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]
-        for ids in ([5, 2, 9], [2, 2, 9], [9, 5, 2]):
-            with pytest.raises(DomainError):
-                Dataset.from_arrays(X, y, ids=ids)
-
-    def test_lookup_on_sorted_noncontiguous_ids(self):
-        ds = Dataset.from_arrays([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0],
-                                 ids=[2, 5, 9])
-        assert list(ds.ids) == [2, 5, 9]
-        out = delete_point(ds, 0)
-        assert list(out.ids) == [5, 9]
-        # simulate logs the original id of each deleted position
-        hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05, seed=1)
-        cfg = StepConfig(protocol="random_delete", steps=2, iterations=6,
-                         hp=hp, w0=np.zeros(1))
-        logs = run_protocol(cfg, ds).deletions_log
-        assert logs == run_protocol_loop(cfg, ds)[1]
-        assert {pid for log in logs for pid in log} <= {2, 5, 9}
+    def test_all_arrays_read_only(self, tmp_path, t3):
+        path = tmp_path / "t3.csv"
+        save_csv(t3, path)
+        for ds in (t3, load_csv(path)):
+            for name in ("X", "y", "s_yx", "s_xx"):
+                arr = getattr(ds, name)
+                assert not arr.flags.writeable, name
+                with pytest.raises(ValueError):
+                    arr.flat[0] = 1.0
 
 
 class TestDeletePoint:
@@ -127,17 +113,16 @@ class TestDeletePoint:
     def test_t3_delete_last(self, t3):
         out = delete_point(t3, 2)
         assert out.n == 2
-        assert out.stats.s_yx == pytest.approx([4.0], rel=1e-12)
-        np.testing.assert_allclose(out.stats.s_xx, [[2.5]], rtol=1e-12)
-        assert list(out.ids) == [0, 1]
+        assert out.s_yx == pytest.approx([4.0], rel=1e-12)
+        np.testing.assert_allclose(out.s_xx, [[2.5]], rtol=1e-12)
 
     def test_delete_then_reinsert_matches(self, t3):
         reduced = delete_point(t3, 2)
         back = Dataset.from_arrays(
             np.vstack([reduced.X, t3.X[2:3]]),
             np.concatenate([reduced.y, t3.y[2:3]]))
-        np.testing.assert_allclose(back.stats.s_yx, t3.stats.s_yx, rtol=1e-12)
-        np.testing.assert_allclose(back.stats.s_xx, t3.stats.s_xx, rtol=1e-12)
+        np.testing.assert_allclose(back.s_yx, t3.s_yx, rtol=1e-12)
+        np.testing.assert_allclose(back.s_xx, t3.s_xx, rtol=1e-12)
 
     def test_singleton_rejected(self):
         ds = Dataset.from_arrays([[1.0]], [1.0])
@@ -160,29 +145,30 @@ class TestDeletePoint:
                 ds = delete_point(ds, int(rng.integers(ds.n)))
                 fresh = Dataset.from_arrays(ds.X, ds.y)
                 np.testing.assert_allclose(
-                    ds.stats.s_yx, fresh.stats.s_yx, rtol=1e-10, atol=1e-12)
+                    ds.s_yx, fresh.s_yx, rtol=1e-10, atol=1e-12)
                 np.testing.assert_allclose(
-                    ds.stats.s_xx, fresh.stats.s_xx, rtol=1e-10, atol=1e-12)
+                    ds.s_xx, fresh.s_xx, rtol=1e-10, atol=1e-12)
 
     def test_ids_track_originals(self, t3):
+        # the survivors keep their order: original position 2 is now 1
         out = delete_point(t3, 1)
-        assert list(out.ids) == [0, 2]
-        assert list(out.ids).index(2) == 1
-        assert 1 not in out.ids
+        np.testing.assert_array_equal(out.X, t3.X[[0, 2]])
+        np.testing.assert_array_equal(out.y, t3.y[[0, 2]])
 
     def test_overflowing_update_rejected(self):
         # finite moments whose leave-one-out update overflows: n s_yx = 3e308
         ds = Dataset.from_arrays([[1.0], [1.0], [1.0]], [1.0, 1.0, 1.0])
-        big = dataclasses.replace(
-            ds, stats=SufficientStats(s_yx=[1e308], s_xx=[[1.0]]))
+        big = dataclasses.replace(ds, s_yx=np.array([1e308]),
+                                  s_xx=np.array([[1.0]]))
         with pytest.raises(NumericOverflow):
             delete_point(big, 0)
 
     def test_snapshots_independent(self, t3):
         out = delete_point(t3, 0)
         assert t3.n == 3 and out.n == 2
-        assert not t3.X.flags.writeable
-        assert not out.X.flags.writeable
+        for name in ("X", "y", "s_yx", "s_xx"):
+            assert not getattr(t3, name).flags.writeable, name
+            assert not getattr(out, name).flags.writeable, name
 
 
 class TestHyperParams:

@@ -46,7 +46,7 @@ class TestScanKernels:
         X, y, w, _ = random_inputs(rng, 10, 2)
         ds = Dataset.from_arrays(X, y)
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
-        numer, fnorm = scan_norms(X, y, w, ds.stats.s_yx - ds.stats.s_xx @ w)
+        numer, fnorm = scan_norms(X, y, w, ds.s_yx - ds.s_xx @ w)
         a = scan_arrays(ds, w, hp)
         np.testing.assert_array_equal(a["d_v"],
                                       numer / snr_denominator(ds.n, hp))

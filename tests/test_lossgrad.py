@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from delpoint import (
     Dataset,
     DimensionMismatch,
     IndexOutOfRange,
+    NumericOverflow,
     WouldEmptyDataset,
     risk,
     risk_grad,
@@ -78,6 +81,15 @@ class TestRisk:
             if r == 0.0:
                 np.testing.assert_allclose(ds.y, ds.X @ w)
 
+    def test_overflow_raises_without_warning(self):
+        # finite moments, but each squared residual (1e155)^2 overflows
+        ds = Dataset.from_arrays([[1e-10], [2e-10], [3e-10]],
+                                 [1e155, 1e155, 3e155])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericOverflow, match="empirical risk"):
+                risk([0.0], ds)
+
 
 class TestRiskGrad:
     def test_t3_at_zero(self, t3):
@@ -85,7 +97,7 @@ class TestRiskGrad:
 
     def test_zero_at_stationary_point(self, rng):
         ds = random_dataset(rng, n=20, d=3)
-        w = np.linalg.solve(ds.stats.s_xx, ds.stats.s_yx)
+        w = np.linalg.solve(ds.s_xx, ds.s_yx)
         np.testing.assert_allclose(risk_grad(w, ds), np.zeros(3), atol=1e-12)
 
     def test_stats_path_matches_loop(self, rng):

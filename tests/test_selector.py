@@ -135,7 +135,7 @@ class TestSelection:
     def test_lowest_id_breaks_full_ties(self, hp_default):
         ds = Dataset.from_arrays([[2.0], [2.0], [5.0]], [3.0, 3.0, 1.0])
         got = find_perfect_deleted_point(ds, [0.1], hp_default)
-        dist = dict(zip(got.scores["ids"], got.scores["distance"]))
+        dist = dict(zip(got.scores["index"], got.scores["distance"]))
         if dist[0] <= dist[2]:
             assert got.best.index == 0
 
@@ -226,7 +226,7 @@ class TestSelectionJson:
     def hand_built(eps, distance):
         eps = np.asarray(eps)
         n = eps.size
-        scores = {"ids": np.arange(n), "d_v": eps + 4.0, "eps_v": eps,
+        scores = {"index": np.arange(n), "d_v": eps + 4.0, "eps_v": eps,
                   "distance": np.asarray(distance),
                   "advantage": np.full(n, 0.25),
                   "feature_norm": np.linspace(0.5, 1.0, n)}
@@ -281,7 +281,7 @@ class TestRanking:
                                   hp_default.delta, tie_break)
                 assert result.best is not None
                 row = [result.scores[key][pos] for key in
-                       ("ids", "d_v", "eps_v", "distance", "advantage",
+                       ("index", "d_v", "eps_v", "distance", "advantage",
                         "feature_norm")]
                 assert dataclasses.astuple(result.best) == tuple(row)
 

@@ -16,7 +16,6 @@ from delpoint import (
     IndexOutOfRange,
     NumericOverflow,
     StepConfig,
-    SufficientStats,
     TooManyDeletions,
     WouldEmptyDataset,
     advantage_target,
@@ -58,7 +57,7 @@ class TestSgdStep:
     def test_conditional_mean_from_zero_start(self):
         ds = reference_dataset()
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, seed=5)
-        expected = 2 * hp.gamma * ds.stats.s_yx  # w0 = 0 makes E[w1] = 2g s_yx
+        expected = 2 * hp.gamma * ds.s_yx  # w0 = 0 makes E[w1] = 2g s_yx
         rng = make_rng(hp.seed)
         draws = np.array([sgd_step(np.zeros(1), ds, hp, rng)[0]
                           for _ in range(10_000)])
@@ -90,7 +89,7 @@ class TestRunProtocol:
         cfg = StepConfig(protocol="random_delete", steps=1, iterations=100,
                          hp=hp, w0=np.zeros(1))
         result = run_protocol(cfg, ds)
-        u = ds.y * ds.X[:, 0] - ds.stats.s_yx[0]
+        u = ds.y * ds.X[:, 0] - ds.s_yx[0]
         total = (hp.gamma * hp.sigma) ** 2 \
             + (2 * hp.gamma / (ds.n - 1)) ** 2 * u.var()
         k = cfg.iterations - 1
@@ -123,7 +122,7 @@ class TestRunProtocol:
         from delpoint import find_perfect_deleted_point
         sel = find_perfect_deleted_point(ds, w0, hp)
         assert deleted == {sel.best.index}
-        reduced = delete_point(ds, list(ds.ids).index(sel.best.index))
+        reduced = delete_point(ds, sel.best.index)
         m_no = w0 - hp.gamma * risk_grad(w0, ds)
         m_pf = w0 - hp.gamma * risk_grad(w0, reduced)
         mc_tol = 4 * hp.gamma * hp.sigma / np.sqrt(100)
@@ -212,8 +211,8 @@ class TestRunProtocol:
             "perfect_delete-s_xx"])
     def test_overflowing_downdate_rejected(self, protocol, s_yx, s_xx):
         ds = Dataset.from_arrays([[1.0], [1.0], [1.0]], [1.0, 1.0, 1.0])
-        big = dataclasses.replace(
-            ds, stats=SufficientStats(s_yx=s_yx, s_xx=s_xx))
+        big = dataclasses.replace(ds, s_yx=np.array(s_yx, dtype=float),
+                                  s_xx=np.array(s_xx, dtype=float))
         hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
         cfg = StepConfig(protocol=protocol, steps=1, iterations=2, hp=hp,
                          w0=np.zeros(1))

@@ -26,7 +26,7 @@ ADV_D1_A005 = 0.690488977158556     # |phi(phi_inv(0.95) - 1) - 0.05|
 def numerators(ds, w):
     """||(y_i - <x_i, w>) x_i - (s_yx - s_xx w)|| per point, from the kernel."""
     w = np.asarray(w, dtype=float)
-    g = ds.stats.s_yx - ds.stats.s_xx @ w
+    g = ds.s_yx - ds.s_xx @ w
     return scan_norms(ds.X, ds.y, w, g)[0]
 
 
@@ -61,7 +61,7 @@ class TestSnrForms:
 
     def test_zero_feature_point_leaves_s_yx(self, hp_default):
         ds = Dataset.from_arrays([[0.0], [1.0], [2.0]], [0.0, 2.0, 3.0])
-        expected = (np.linalg.norm(ds.stats.s_yx)
+        expected = (np.linalg.norm(ds.s_yx)
                     / snr_denominator(ds.n, hp_default))
         assert d_v(ds, 0, [0.0], hp_default) == pytest.approx(expected,
                                                               rel=1e-14)
@@ -207,7 +207,7 @@ class TestScan:
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
         scores = find_perfect_deleted_point(ds, w, hp).scores
         assert [len(col) for col in scores.values()] == [ds.n] * 6
-        rows = zip(scores["ids"], scores["d_v"], scores["eps_v"],
+        rows = zip(scores["index"], scores["d_v"], scores["eps_v"],
                    scores["distance"], scores["advantage"],
                    scores["feature_norm"])
         for pos, (index, d, eps_v, distance, adv, fnorm) in enumerate(rows):
