@@ -4,7 +4,7 @@ For every point it evaluates the residual-factored perturbation norm
 
     ||(y_i - <x_i, w>) * x_i - g||_2      with  g = s_yx - s_xx @ w
 
-plus the feature norm ||x_i||_2, in a single O(n*d) pass.  ``w`` and
+in a single O(n*d) pass; the feature norms are snr.feature_norms.  ``w`` and
 ``g`` may carry a leading batch axis of K weight vectors, which scores the
 same points against K weights at once; ``simulate`` uses that to advance a
 block of iterations together.
@@ -22,16 +22,14 @@ import numpy as np
 
 
 def scan_norms(X, y, w, g):
-    """Perturbation numerators and feature norms of every point.
+    """Perturbation numerators of every point.
 
-    X is (n, d) and y (n,); w and g are (d,) or (K, d).  Returns numer of
-    shape (n,) or (K, n), and fnorm of shape (n,).
+    X is (n, d) and y (n,); w and g are (d,) or (K, d).  Returns an array
+    of shape (n,) or (K, n).
     """
     resid = y - np.matmul(X, w[..., None])[..., 0]
     diff = resid[..., None] * X - g[..., None, :]
-    numer = np.sqrt(np.einsum("...ij,...ij->...i", diff, diff))
-    fnorm = np.sqrt(np.einsum("ij,ij->i", X, X))
-    return numer, fnorm
+    return np.sqrt(np.einsum("...ij,...ij->...i", diff, diff))
 
 
 def active_backend() -> str:

@@ -31,22 +31,14 @@ eps_v is
 
 nonincreasing in eps_v and identically 0 for eps_v >= 0.
 
-``bounds_arrays`` evaluates all of this for many points in one O(n d)
-pass: L0, ||s_yx - s_xx w||, the target, Phi_inv(alpha), the feature norms
-and the floor check are computed once, every per-point quantity as one
-array operation; one point is a one-row call with ``positions=[i]``.
-Its safety checks run on the whole array before any row is computed, so
-one zero feature vector (per-point variant) rejects the whole call with
-ZeroFeatureNorm naming that point's position as its id.  An empirical
-risk or interval endpoint that overflows float64 raises NumericOverflow.
-
-Two arithmetic choices keep every value bit-identical to evaluating the
-point on its own (a vector dot product per point, ``math.log``): feature
-norms and residuals come from batched (1 x d)(d x 1) products, which sum
-each row in the same order as a vector dot product (``X @ w``, einsum and
-``(X*X).sum(1)`` do not, and move some values by an ulp), and the floor's
-logarithm is ``math.log`` per element (``np.log`` differs from it in the
-last ulp on some inputs).
+``bounds_arrays`` evaluates all of this for every point in one O(n d)
+pass, on the scan's arithmetic: ||x_v|| is snr.feature_norms, the
+``feature_norm`` column that selection ranks by, and the residuals are
+y - X @ w.  Its safety checks run on the whole array before any row is
+computed, so one zero feature vector (per-point variant) rejects the whole
+call with ZeroFeatureNorm naming that point's position as its id.  An
+empirical risk or interval endpoint that overflows float64 raises
+NumericOverflow.
 """
 
 from __future__ import annotations
@@ -61,14 +53,14 @@ from .errors import (
     DimensionMismatch,
     DomainError,
     FloorViolated,
-    IndexOutOfRange,
+    InvalidValue,
     NumericOverflow,
     WouldEmptyDataset,
     ZeroFeatureNorm,
 )
 from .gauss import phi, phi_inv
 from .lossgrad import as_weights, risk
-from .snr import _check_alpha, advantage_target
+from .snr import _check_alpha, advantage_target, feature_norms
 
 
 def interval_endpoints(l0: float, t, sigma: float, gamma: float,
@@ -93,70 +85,43 @@ def interval_endpoints(l0: float, t, sigma: float, gamma: float,
     return base - t * c, base + t * c, c
 
 
-def _row_dots(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<X[i], v[i]> per row (``v`` may also be one vector for every row).
-
-    A batch of (1 x d)(d x 1) products sums each row in the same order as
-    the dot product of two vectors, so row i is bit-identical to
-    ``X[i] @ v[i]``; ``X @ w`` and einsum sum in other orders.
-    """
-    return np.matmul(X[:, None, :], v[..., :, None])[:, 0, 0]
-
-
-def _feature_norms(X: np.ndarray) -> np.ndarray:
-    """||x_i||_2 per row, bit-identical to np.linalg.norm of each row."""
-    return np.sqrt(_row_dots(X, X))
-
-
 def _privacy_floor_column(eps_v: np.ndarray, alpha: float) -> np.ndarray:
     _check_alpha(alpha)
-    arg = phi(phi_inv(alpha) - eps_v) + 1.0 - alpha
-    raw = np.array([math.log(v) for v in arg.tolist()], dtype=np.float64)
-    return np.maximum(raw, 0.0)
+    return np.maximum(np.log(phi(phi_inv(alpha) - eps_v) + 1.0 - alpha), 0.0)
 
 
 def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
-                  b: Optional[float] = None, positions=None) -> dict:
+                  b: Optional[float] = None) -> dict:
     """Risk-change interval, actual changes and privacy floor per point.
 
-    ``eps_v[k]`` is the membership error of the point at ``positions[k]``
-    (default: every position in dataset order, matching the ``eps_v``
-    column of ``snr.scan_arrays``).  ``b`` selects the norm-floor variant
-    with floor B, which must satisfy 0 < B <= min_i ||x_i||_2 over the
-    whole dataset.
+    ``eps_v`` holds the n finite membership errors in dataset order, the
+    ``eps_v`` column of ``snr.scan_arrays``.  ``b`` selects the norm-floor
+    variant with floor B, which must satisfy 0 < B <= min_i ||x_i||_2.
 
-    Keys, each an array aligned with ``positions``: lower, upper,
+    Keys, each an array over the points in dataset order: lower, upper,
     constant, actual_delta, abs_residual_delta, contained_a, contained_b,
     change_nonnegative, privacy_floor.
     """
     w = as_weights(w, ds.dim)
     if ds.n < 2:
         raise WouldEmptyDataset("risk-change bounds need n >= 2")
-    if positions is None:
-        pos = np.arange(ds.n)
-    else:
-        pos = np.asarray(positions, dtype=np.int64).reshape(-1)
     eps_v = np.asarray(eps_v, dtype=np.float64).reshape(-1)
-    if eps_v.shape != pos.shape:
-        raise DimensionMismatch(
-            f"{eps_v.size} eps_v values for {pos.size} positions")
-    outside = np.flatnonzero((pos < 0) | (pos >= ds.n))
-    if outside.size:
-        raise IndexOutOfRange(
-            f"index {int(pos[outside[0]])} outside [0, {ds.n})")
-    X = ds.X[pos]
+    if eps_v.size != ds.n:
+        raise DimensionMismatch(f"{eps_v.size} eps_v values for {ds.n} points")
+    if not np.isfinite(eps_v).all():
+        raise InvalidValue("eps_v values must be finite")
+    norms = feature_norms(ds.X)
     if b is None:
-        scale = _feature_norms(X)
-        zero = np.flatnonzero(scale == 0.0)
+        zero = np.flatnonzero(norms == 0.0)
         if zero.size:
             raise ZeroFeatureNorm(
-                f"point id {int(pos[zero[0]])} has a zero feature "
+                f"point id {int(zero[0])} has a zero feature "
                 f"vector; per-point bounds divide by ||x_v||")
+        scale = norms
     else:
         b = float(b)
         if not b > 0.0:
             raise FloorViolated(f"B must be positive, got {b}")
-        norms = _feature_norms(ds.X)
         k = int(np.argmin(norms))
         if norms[k] < b:
             raise FloorViolated(
@@ -173,14 +138,14 @@ def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
             l0, t, hp.sigma, hp.gamma, ds.n, scale, g_norm)
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise NumericOverflow("risk-change interval overflows float64")
-    resid = ds.y[pos] - _row_dots(X, w)
+    resid = ds.y - ds.X @ w
     lv = resid * resid
     da = (l0 - lv) / (ds.n - 1)
     db = (l0 - np.sqrt(lv)) / (ds.n - 1)
     return {
         "lower": lower,
         "upper": upper,
-        "constant": np.broadcast_to(c, pos.shape),
+        "constant": np.broadcast_to(c, eps_v.shape),
         "actual_delta": da,
         "abs_residual_delta": db,
         "contained_a": (lower <= da) & (da <= upper),

@@ -29,7 +29,7 @@ from .sim import StepConfig, experiment_to_doc, run_protocol
 from .snr import scan_arrays, write_scores_csv
 
 MANIFEST_FORMAT_VERSION = 1
-BOUNDS_FORMAT_VERSION = 1
+BOUNDS_FORMAT_VERSION = 2
 SUMMARY_FORMAT_VERSION = 1
 
 EXIT_OK = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .errors import DomainError
+from .errors import DomainError, NumericOverflow
 from .gauss import make_rng
 
 
@@ -31,6 +31,10 @@ class GenConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"n must be >= 1, got {self.n}")
+        for name in ("x_low", "x_high", "slope", "noise_std", "noise_scale"):
+            if not np.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got "
+                                  f"{getattr(self, name)}")
         if not self.x_low < self.x_high:
             raise DomainError(
                 f"need x_low < x_high, got [{self.x_low}, {self.x_high}]")
@@ -51,7 +55,11 @@ def generate(cfg: GenConfig) -> Dataset:
     if cfg.extra_features:
         cols.append(rng.uniform(cfg.x_low, cfg.x_high,
                                 (cfg.n, cfg.extra_features)))
-    noise = cfg.noise_scale * cfg.noise_std * rng.standard_normal(cfg.n)
-    y = cfg.slope * x + noise
+    # overflow is detected from the results, as in core._stats_from_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        noise = cfg.noise_scale * cfg.noise_std * rng.standard_normal(cfg.n)
+        y = cfg.slope * x + noise
+    if not np.isfinite(y).all():
+        raise NumericOverflow("generated labels overflow float64")
     X = np.column_stack(cols)
     return Dataset.from_arrays(X, y)

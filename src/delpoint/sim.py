@@ -59,7 +59,7 @@ from .errors import (DegenerateNoise, DomainError, EmptyInput, IndexOutOfRange,
 from .gauss import make_rng, phi_inv
 from .lossgrad import as_weights, risk_grad
 from .selector import _check_tie_break, _pick
-from .snr import _scores, advantage_target, snr_denominator
+from .snr import _scores, advantage_target, feature_norms, snr_denominator
 
 PROTOCOLS = ("perfect_delete", "random_delete", "no_delete")
 
@@ -105,7 +105,7 @@ class ExperimentResult:
     mean: np.ndarray                     # per coordinate
     variance: np.ndarray                 # per coordinate, unbiased
     histograms: list[Histogram]          # per coordinate
-    deletions_log: list[list[Optional[int]]]   # positions; None = skipped
+    deletions_log: list[list[Optional[int]]]   # position; None = skipped
 
 
 # Largest K * (n + steps) * d that one block of K iterations may hold; it
@@ -140,9 +140,9 @@ def run_protocol(cfg: StepConfig, ds: Dataset) -> ExperimentResult:
 
 
 def _run_block(ds: Dataset, cfg: StepConfig, its: range):
-    """Final weights (K, d) and deleted positions (K, steps) of the
-    iterations ``its``; -1 is a skipped deletion, and no_delete gives
-    (K, 0).
+    """Final weights (K, d) and the position deleted at each step
+    (K, steps) of the iterations ``its``; -1 is a skipped deletion, and
+    no_delete gives (K, 0).
 
     Each iteration keeps its own weights, moments, point count and mask of
     surviving points.  Deleting point v from an iteration with n points
@@ -168,6 +168,7 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
         low = n - steps + 1  # the fewest points a scan sees
         denom = np.array([snr_denominator(m, hp) for m in range(low, n + 1)])
         target = advantage_target(hp.alpha)
+        fnorm = feature_norms(ds.X)
     elif cfg.protocol == "random_delete":
         deleted[:] = [_random_schedule(n, steps, make_rng(hp.seed, it, 1))
                       for it in its]
@@ -176,8 +177,8 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
         [make_rng(hp.seed, it).standard_normal((steps, ds.dim)) for it in its])
     for t in range(steps):
         if cfg.protocol == "perfect_delete":
-            d_v, fnorm = _scores(ds.X, ds.y, s_yx, s_xx, w,
-                                 denom[count - low, None], live)
+            d_v = _scores(ds.X, ds.y, s_yx, s_xx, w, denom[count - low, None],
+                          live)
             eps = d_v - target
             dist = np.where(live, np.abs(eps), np.inf)
             deleted[:, t] = _pick(dist, eps, fnorm, hp.delta, cfg.tie_break)
@@ -211,7 +212,7 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
 
 
 def _random_schedule(n: int, steps: int, rng: np.random.Generator) -> list:
-    """Original positions of ``steps`` uniform draws among the survivors."""
+    """Original position of each of ``steps`` uniform draws of a survivor."""
     left = list(range(n))
     return [left.pop(int(rng.integers(len(left)))) for _ in range(steps)]
 

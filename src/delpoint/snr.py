@@ -91,14 +91,15 @@ def membership_advantage(d, alpha: float):
 def scan_arrays(ds: Dataset, w, hp: HyperParams):
     """One-pass scores for every point, as a dict of aligned arrays.
 
-    Keys: index (the positions 0..n-1), d_v, eps_v, distance,
+    Keys: index (each position, 0..n-1), d_v, eps_v, distance,
     feature_norm, target (a float).  One s_xx @ w precompute serves all n
-    points, and no Phi is evaluated.  Raises NumericOverflow when a score
-    or feature norm is not finite.
+    points, and no Phi is evaluated.  feature_norm is feature_norms(ds.X),
+    the ||x_v|| that bounds.bounds_arrays divides by.  Raises
+    NumericOverflow when a score or feature norm is not finite.
     """
     w = as_weights(w, ds.dim)
-    d_v, fnorm = _scores(ds.X, ds.y, ds.s_yx, ds.s_xx, w,
-                         snr_denominator(ds.n, hp))
+    fnorm = feature_norms(ds.X)
+    d_v = _scores(ds.X, ds.y, ds.s_yx, ds.s_xx, w, snr_denominator(ds.n, hp))
     target = advantage_target(hp.alpha)
     eps = d_v - target
     return {
@@ -111,27 +112,48 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
     }
 
 
+_OVERFLOW = ("candidate scores overflow: the feature and label magnitudes "
+             "are too large for float64 norms")
+_TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def feature_norms(X) -> np.ndarray:
+    """||x_i||_2 of every row of X, for selection, simulation and bounds.
+
+    A row whose norm is below sqrt(tiny), about 1.5e-154, is divided by its
+    largest |x_ij| before squaring, so its squares do not underflow.
+    Raises NumericOverflow when a norm is not finite.
+    """
+    # overflow is detected from the results, as in core._stats_from_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+    if not np.isfinite(norms).all():
+        raise NumericOverflow(_OVERFLOW)
+    small = np.flatnonzero(norms < _TINY_NORM)
+    if small.size:
+        top = np.abs(X[small]).max(axis=1)
+        unit = X[small] / np.where(top > 0.0, top, 1.0)[:, None]
+        norms[small] = top * np.sqrt(np.einsum("ij,ij->i", unit, unit))
+    return norms
+
+
 def _scores(X, y, s_yx, s_xx, w, denom, live=None):
-    """d_v and the feature norm of every row of X.
+    """d_v of every row of X.
 
     ``w`` is (d,), or (K, d) with s_yx (K, d), s_xx (K, d, d) and denom
     (K, 1) batched alike; then d_v is (K, n).  Raises NumericOverflow when a
-    feature norm, or a d_v where the (K, n) mask ``live`` holds, is not
-    finite.
+    d_v where the (K, n) mask ``live`` holds is not finite.
     """
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
         g = s_yx - np.matmul(s_xx, w[..., None])[..., 0]
-        numer, fnorm = scan_norms(X, y, w, g)
-        d_v = numer / denom
+        d_v = scan_norms(X, y, w, g) / denom
     finite = np.isfinite(d_v)
     if live is not None:
         finite |= ~live
-    if not (finite.all() and np.isfinite(fnorm).all()):
-        raise NumericOverflow(
-            "candidate scores overflow: the feature and label magnitudes "
-            "are too large for float64 norms")
-    return d_v, fnorm
+    if not finite.all():
+        raise NumericOverflow(_OVERFLOW)
+    return d_v
 
 
 def write_scores_csv(scores: dict, path) -> None:

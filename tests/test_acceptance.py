@@ -195,17 +195,18 @@ def test_criterion_09_bound_goldens_and_containment_report():
                          alpha=float(rng.uniform(0.01, 0.4)))
         i = int(rng.integers(n))
         eps = float(rng.uniform(0.0, 3.0))
-        rb = bounds_arrays(ds, w, hp, [eps], positions=[i])
+        rb = {key: col[i] for key, col in
+              bounds_arrays(ds, w, hp, np.full(n, eps)).items()}
         lo, hi, c = bounds_calc(ds.X.tolist(), ds.y.tolist(), i, w.tolist(),
                                 hp.gamma, hp.sigma, hp.alpha, eps)
-        assert abs(rb["lower"][0] - lo) <= 1e-10 * max(1.0, abs(lo))
-        assert abs(rb["upper"][0] - hi) <= 1e-10 * max(1.0, abs(hi))
-        assert abs(rb["constant"][0] - c) <= 1e-10 * max(1.0, abs(c))
+        assert abs(rb["lower"] - lo) <= 1e-10 * max(1.0, abs(lo))
+        assert abs(rb["upper"] - hi) <= 1e-10 * max(1.0, abs(hi))
+        assert abs(rb["constant"] - c) <= 1e-10 * max(1.0, abs(c))
         pf = privacy_floor(eps - 2.0, hp.alpha)
         assert abs(pf - privacy_floor_calc(eps - 2.0, hp.alpha)) <= 1e-10
         # containment is reported, never asserted
-        contained["A"] += bool(rb["contained_a"][0])
-        contained["B"] += bool(rb["contained_b"][0])
+        contained["A"] += bool(rb["contained_a"])
+        contained["B"] += bool(rb["contained_b"])
     _report(9, f"50 inputs match reference to 1e-10; containment report: "
                f"A {contained['A']}/50, B {contained['B']}/50")
 

@@ -19,7 +19,8 @@ REMOVED = {
     "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error"],
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
-                        "risk_change_bounds_floor"],
+                        "risk_change_bounds_floor", "_row_dots",
+                        "_feature_norms"],
     "delpoint.sim": ["sgd_step"],
     "delpoint.gauss": ["sample_gaussian"],
     "delpoint.selector": ["rank_candidates"],

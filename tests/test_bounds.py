@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,15 +6,17 @@ import pytest
 
 from delpoint import (
     Dataset,
+    DimensionMismatch,
     DomainError,
     FloorViolated,
     HyperParams,
-    IndexOutOfRange,
+    InvalidValue,
     NumericOverflow,
     WouldEmptyDataset,
     ZeroFeatureNorm,
     advantage_target,
     privacy_floor,
+    risk,
 )
 from delpoint.bounds import bounds_arrays, interval_endpoints
 from delpoint.snr import scan_arrays
@@ -39,9 +42,9 @@ def t3_eps(t3, hp):
 
 
 def row(ds, index, w, hp, eps_v, b=None):
-    """The bounds of one point: element 0 of a one-row bounds_arrays."""
-    cols = bounds_arrays(ds, w, hp, [eps_v], b=b, positions=[index])
-    return {key: col.tolist()[0] for key, col in cols.items()}
+    """Row ``index`` of bounds_arrays when every point has error eps_v."""
+    cols = bounds_arrays(ds, w, hp, np.full(ds.n, eps_v), b=b)
+    return {key: col.tolist()[index] for key, col in cols.items()}
 
 
 class TestRiskChangeBounds:
@@ -108,14 +111,38 @@ class TestRiskChangeBounds:
         # by its position
         with pytest.raises(ZeroFeatureNorm, match="point id 1 "):
             bounds_arrays(ds, [0.5], hp_default, np.zeros(3))
-        # other points of the same dataset still have a per-point interval
-        rb = row(ds, 2, [0.5], hp_default, 0.0)
-        assert rb["lower"] <= rb["upper"]
 
-    def test_index_out_of_range(self, t3, hp_default):
-        for index in (3, -1):
-            with pytest.raises(IndexOutOfRange):
-                row(t3, index, [0.5], hp_default, 0.0)
+    def test_eps_v_must_cover_every_point(self, t3, hp_default):
+        for eps_v in ([0.5], np.zeros(2), np.zeros(4)):
+            with pytest.raises(DimensionMismatch):
+                bounds_arrays(t3, [0.5], hp_default, eps_v)
+        # one-row calls are gone: a point's bounds are row i of the scan's
+        with pytest.raises(TypeError):
+            bounds_arrays(t3, [0.5], hp_default, [0.0], positions=[0])
+
+    def test_non_finite_eps_v_rejected(self, t3, hp_default):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidValue, match="eps_v"):
+                bounds_arrays(t3, [0.5], hp_default, [bad, 0.0, 0.0])
+            with pytest.raises(InvalidValue, match="eps_v"):
+                bounds_arrays(t3, [0.5], hp_default, [0.0, 0.0, bad], b=1.0)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_scan_arithmetic(self, rng, d):
+        # the interval divides by the feature_norm that selection ranks by,
+        # and the residuals are the scan's y - X @ w, bit for bit
+        n = 1000
+        ds = Dataset.from_arrays(rng.normal(size=(n, d)), rng.normal(size=n))
+        w = rng.normal(size=d)
+        hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
+        scan = scan_arrays(ds, w, hp)
+        cols = bounds_arrays(ds, w, hp, scan["eps_v"])
+        np.testing.assert_array_equal(
+            cols["constant"], hp.sigma / scan["feature_norm"]
+            * math.sqrt(hp.gamma / (2.0 * (n - 1))))
+        r = ds.y - ds.X @ w
+        np.testing.assert_array_equal(cols["actual_delta"],
+                                      (risk(w, ds) - r * r) / (n - 1))
 
     def test_singleton_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0]], [1.0])

@@ -1,4 +1,5 @@
 import json
+import math
 import shutil
 import warnings
 
@@ -150,7 +151,7 @@ class TestBounds:
         res = runner.invoke(main, ["bounds", "--dataset", str(path)])
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert len(doc["rows"]) == 200
         keys = {"index", "lower", "upper", "actual_delta",
                 "contained_A", "contained_B", "privacy_floor"}
@@ -241,7 +242,7 @@ class TestBounds:
                        cols["actual_delta"], cols["contained_a"],
                        cols["contained_b"], cols["privacy_floor"]]
             assert res.output == json_doc_indent2(
-                {"format_version": 1, "target": a["target"]}, "rows", names,
+                {"format_version": 2, "target": a["target"]}, "rows", names,
                 columns)
 
     def test_zero_feature_vector_exits_two_naming_point(self, runner,
@@ -293,6 +294,57 @@ def test_overflow_exits_four_without_warning(runner, tmp_path, command):
         # an uncaught exception would be a traceback, not SystemExit
         assert isinstance(res.exception, SystemExit)
         assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("option", ["--x-high", "--slope"])
+def test_gen_label_overflow_exits_four_without_warning(runner, tmp_path,
+                                                       option):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, ["gen", "--n", "10", option, "1e308",
+                                   "--out", str(tmp_path / "gen")])
+    assert res.exit_code == 4, res.output
+    assert res.stderr.splitlines() == [
+        "numeric error: generated labels overflow float64"]
+    assert isinstance(res.exception, SystemExit)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("option", ["--x-high", "--noise-std"])
+def test_gen_non_finite_parameter_exits_two(runner, tmp_path, option):
+    res = runner.invoke(main, ["gen", option, "inf",
+                               "--out", str(tmp_path / "gen")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == (f"error: {option[2:].replace('-', '_')} must be "
+                          f"finite, got inf\n")
+
+
+TINY_ROWS = {1e-200: "x0,y\n1e-200,1.0\n2.0,3.0\n3.0,4.0\n",
+             math.sqrt(10.0) * 1e-200:
+             "x0,x1,y\n1e-200,3e-200,1.0\n2.0,1.0,3.0\n3.0,0.5,4.0\n"}
+
+
+@pytest.mark.parametrize("norm", list(TINY_ROWS))
+def test_select_reports_tiny_feature_norm(runner, tmp_path, norm):
+    # the squares of the first row underflow to 0 without rescaling
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY_ROWS[norm])
+    res = runner.invoke(main, ["select", "--dataset", str(path)])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["scores"][0]["feature_norm"] == norm
+
+
+@pytest.mark.parametrize("norm", list(TINY_ROWS))
+def test_bounds_accepts_tiny_feature_norm(runner, tmp_path, norm):
+    path = tmp_path / "tiny.csv"
+    path.write_text(TINY_ROWS[norm])
+    res = runner.invoke(main, ["bounds", "--dataset", str(path)])
+    assert res.exit_code == 0, res.output
+    rows = json.loads(res.output)["rows"]
+    assert len(rows) == 3
+    for row in rows:
+        for key in ("lower", "upper", "actual_delta", "privacy_floor"):
+            assert math.isfinite(row[key]), (row["index"], key)
 
 
 @pytest.mark.parametrize("case", ["risk", "b-floor"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from delpoint import DomainError, GenConfig, generate
+from delpoint import DomainError, GenConfig, NumericOverflow, generate
 
 
 class TestGenerate:
@@ -63,3 +63,14 @@ class TestGenerate:
             GenConfig(noise_std=-1.0)
         with pytest.raises(DomainError):
             GenConfig(noise_scale=-0.5)
+        for name in ("x_low", "x_high", "slope", "noise_std", "noise_scale"):
+            for value in (float("inf"), float("-inf"), float("nan")):
+                with pytest.raises(DomainError, match=name):
+                    GenConfig(**{name: value})
+
+    def test_label_overflow_raises(self):
+        for cfg in (GenConfig(n=10, x_high=1e308),
+                    GenConfig(n=10, slope=1e308),
+                    GenConfig(n=10, noise_std=1e200, noise_scale=1e200)):
+            with pytest.raises(NumericOverflow, match="labels"):
+                generate(cfg)

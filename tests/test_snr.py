@@ -27,7 +27,7 @@ def numerators(ds, w):
     """||(y_i - <x_i, w>) x_i - (s_yx - s_xx w)|| per point, from the kernel."""
     w = np.asarray(w, dtype=float)
     g = ds.s_yx - ds.s_xx @ w
-    return scan_norms(ds.X, ds.y, w, g)[0]
+    return scan_norms(ds.X, ds.y, w, g)
 
 
 def d_v(ds, index, w, hp):
