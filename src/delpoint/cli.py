@@ -9,6 +9,7 @@ tolerance (select only), 4 internal numeric failure.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import sys
@@ -19,12 +20,12 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import (HyperParams, _json_rows, _tokens, _write_csv, load_csv,
-                   save_csv)
+from .core import (HyperParams, _json_chunks, _tokens, _write_csv,
+                   load_csv, save_csv)
 from .datagen import GenConfig, generate
 from .errors import DelpointError, DimensionMismatch, InvalidValue
 from .bounds import bounds_arrays
-from .selector import find_perfect_deleted_point, selection_to_json
+from .selector import _selection_chunks, find_perfect_deleted_point
 from .sim import StepConfig, experiment_to_doc, run_protocol
 from .snr import scan_arrays, write_scores_csv
 
@@ -47,6 +48,23 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
            "wall_time_s": time.perf_counter() - start}
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n",
                                            encoding="utf-8")
+
+
+def _stream(chunks, out_dir: Path | None, name: str) -> None:
+    """Echo the pieces of a document to stdout, and write them to
+    out_dir / name when --out is given.
+
+    Only one block of rows is held at a time.  If writing the file fails
+    part way, stdout may already hold the first part of the document.
+    """
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    with (open(out_dir / name, "w", encoding="utf-8")
+          if out_dir is not None else contextlib.nullcontext()) as fh:
+        for chunk in chunks:
+            if fh is not None:
+                fh.write(chunk)
+            click.echo(chunk, nl=False)
 
 
 def _parse_w0(value: str | None, dim: int) -> np.ndarray:
@@ -167,14 +185,12 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
         start = time.perf_counter()
         ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
         result = find_perfect_deleted_point(ds, w0, hp, tie_break=tie_break)
-        payload = selection_to_json(result)
         artifacts = []
         if scores_csv is not None:
             write_scores_csv(result.scores, scores_csv)
             artifacts.append(str(scores_csv))
+        _stream(_selection_chunks(result), out_dir, "selection.json")
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "selection.json").write_text(payload, encoding="utf-8")
             artifacts.append("selection.json")
             config = {"dataset": str(dataset), "gamma": hp.gamma,
                       "sigma": hp.sigma, "alpha": hp.alpha,
@@ -183,7 +199,6 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
                       "tie_break": tie_break}
             _write_manifest(out_dir, "select", config, hp.seed, artifacts,
                             start)
-        click.echo(payload, nl=False)
         return result
     result = _guard(body)
     if result.best is None:
@@ -194,8 +209,9 @@ _BOUNDS_ROW = ("index", "lower", "upper", "actual_delta", "contained_A",
                "contained_B", "privacy_floor")
 
 
-def _bounds_json(ds, w0, hp, b_floor) -> str:
-    """bounds.json content: one row per point, in dataset order."""
+def _bounds_chunks(ds, w0, hp, b_floor):
+    """bounds.json in the pieces of _json_chunks: one row per point, in
+    dataset order.  The rows are computed before the first piece."""
     arrays = scan_arrays(ds, w0, hp)
     cols = bounds_arrays(ds, w0, hp, arrays["eps_v"], b=b_floor)
     head = {"format_version": BOUNDS_FORMAT_VERSION,
@@ -203,7 +219,9 @@ def _bounds_json(ds, w0, hp, b_floor) -> str:
     columns = [arrays["index"], cols["lower"], cols["upper"],
                cols["actual_delta"], cols["contained_a"], cols["contained_b"],
                cols["privacy_floor"]]
-    return _json_rows(head, "rows", _BOUNDS_ROW, [_tokens(c) for c in columns])
+    return _json_chunks(head, "rows", _BOUNDS_ROW,
+                        lambda lo, hi: [_tokens(c[lo:hi]) for c in columns],
+                        ds.n)
 
 
 @main.command()
@@ -225,10 +243,8 @@ def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
     def body():
         start = time.perf_counter()
         ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
-        payload = _bounds_json(ds, w0, hp, b_floor)
+        _stream(_bounds_chunks(ds, w0, hp, b_floor), out_dir, "bounds.json")
         if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "bounds.json").write_text(payload, encoding="utf-8")
             config = {"dataset": str(dataset), "gamma": hp.gamma,
                       "sigma": hp.sigma, "alpha": hp.alpha,
                       "delta": hp.delta, "w0": w0.tolist(),
@@ -236,7 +252,6 @@ def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
                       "b_floor": b_floor}
             _write_manifest(out_dir, "bounds", config, hp.seed,
                             ["bounds.json"], start)
-        click.echo(payload, nl=False)
     _guard(body)
 
 

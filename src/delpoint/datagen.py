@@ -38,6 +38,11 @@ class GenConfig:
         if not self.x_low < self.x_high:
             raise DomainError(
                 f"need x_low < x_high, got [{self.x_low}, {self.x_high}]")
+        # as Python floats, an overflowing difference is inf with no warning
+        if not np.isfinite(float(self.x_high) - float(self.x_low)):
+            raise DomainError(
+                f"x_high - x_low must be finite, got [{self.x_low}, "
+                f"{self.x_high}]")
         if self.noise_std < 0.0:
             raise DomainError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.noise_scale < 0.0:

@@ -15,7 +15,9 @@ Tie-breaking (``tie_break``):
   incumbent, so the LAST point attaining the minimum wins and a distance
   exactly equal to delta is accepted.
 
-Scores stay in the scan's columns.
+Scores stay in the scan's columns.  selection.json is produced in blocks
+of rows (core._json_chunks): the CLI streams them to its outputs, and
+selection_to_json joins them into one string.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams, _json_rows, _tokens
+from .core import Dataset, HyperParams, _json_chunks, _tokens
 from .errors import DomainError
 from .snr import membership_advantage, scan_arrays
 
@@ -116,8 +118,9 @@ def _abs_tokens(col, eps, eps_tokens: list[str]) -> list[str]:
 
     For a float, repr(abs(x)) is repr(x) without its leading "-" (and
     "-Infinity" becomes "Infinity"), so the scan's distance column needs
-    no repr of its own.  A column that is not exactly |eps|, or holds NaN
-    or -0.0, is encoded itself.
+    no repr of its own.  It is applied to one block of rows at a time: a
+    block of col that is not exactly |eps|, or holds NaN or -0.0, is
+    encoded itself.
     """
     if (col.dtype == eps.dtype == np.float64
             and np.array_equal(col, np.abs(eps))
@@ -126,14 +129,24 @@ def _abs_tokens(col, eps, eps_tokens: list[str]) -> list[str]:
     return _tokens(col)
 
 
-def selection_to_json(result: SelectionResult) -> str:
-    """Canonical JSON serialization; byte-stable for identical inputs."""
+def _selection_chunks(result: SelectionResult):
+    """selection.json in the pieces of core._json_chunks."""
     head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
             "target": result.target,
             "best": None if result.best is None else asdict(result.best)}
     s = result.scores
-    tokens = {key: _tokens(s[key]) for key in _COLUMNS if key != "distance"}
-    tokens["distance"] = _abs_tokens(s["distance"], s["eps_v"],
-                                     tokens["eps_v"])
-    return _json_rows(head, "scores", _COLUMNS,
-                      [tokens[key] for key in _COLUMNS])
+
+    def encode(lo, hi):
+        block = {key: s[key][lo:hi] for key in _COLUMNS}
+        tokens = {key: _tokens(block[key]) for key in _COLUMNS
+                  if key != "distance"}
+        tokens["distance"] = _abs_tokens(block["distance"], block["eps_v"],
+                                         tokens["eps_v"])
+        return [tokens[key] for key in _COLUMNS]
+
+    return _json_chunks(head, "scores", _COLUMNS, encode, len(s["index"]))
+
+
+def selection_to_json(result: SelectionResult) -> str:
+    """Canonical JSON serialization; byte-stable for identical inputs."""
+    return "".join(_selection_chunks(result))

@@ -12,10 +12,12 @@ from delpoint import Dataset
 # The per-point API that scan_arrays, bounds_arrays and risk_grad on a
 # one-row dataset replace, and the one-iteration stepping and ranking API
 # that run_protocol's batched engine and find_perfect_deleted_point
-# replace, and the moments wrapper whose arrays a Dataset now holds, by
+# replace, the moments wrapper whose arrays a Dataset now holds, and the
+# whole-document row writers that the streamed _json_chunks replaces, by
 # the module that defined it.
 REMOVED = {
-    "delpoint.core": ["DataPoint", "delete_point", "SufficientStats"],
+    "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
+                      "_json_rows"],
     "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error"],
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
@@ -24,6 +26,7 @@ REMOVED = {
     "delpoint.sim": ["sgd_step"],
     "delpoint.gauss": ["sample_gaussian"],
     "delpoint.selector": ["rank_candidates"],
+    "delpoint.cli": ["_bounds_json"],
 }
 
 

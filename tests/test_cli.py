@@ -10,19 +10,25 @@ from scipy.stats import chi2, norm
 
 from delpoint import (
     HyperParams,
+    SelectionResult,
+    StepConfig,
     find_perfect_deleted_point,
     load_csv,
     privacy_floor,
+    run_protocol,
     save_csv,
     selection_to_json,
+    write_scores_csv,
 )
+from delpoint import core, selector
 from delpoint.bounds import bounds_arrays
 from delpoint.cli import main
 from delpoint.snr import scan_arrays
 
 from conftest import tuned_dataset
-from _oracles import (bounds_calc, json_doc_indent2, privacy_floor_calc,
-                      risk_loop, selection_doc_indent2, snr_by_deletion)
+from _oracles import (bounds_calc, csv_writer_text, json_doc_indent2,
+                      privacy_floor_calc, risk_loop, selection_doc_indent2,
+                      snr_by_deletion)
 
 
 @pytest.fixture
@@ -131,6 +137,17 @@ class TestSelect:
                 for key, text in zip(header[1:], values):
                     assert float(text) == entry[key]
             assert doc["best"] == doc["scores"][doc["best"]["index"]]
+
+    def test_stdout_equals_written_file(self, runner, tmp_path,
+                                        monkeypatch):
+        # blocks of 7 rows: the 200 rows stream in 29 pieces
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 7)
+        path = gen_dataset(runner, tmp_path)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["select", "--dataset", str(path),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.stdout_bytes == (out / "selection.json").read_bytes()
 
     def test_malformed_input_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -245,6 +262,16 @@ class TestBounds:
                 {"format_version": 2, "target": a["target"]}, "rows", names,
                 columns)
 
+    def test_stdout_equals_written_file(self, runner, tmp_path,
+                                        monkeypatch):
+        monkeypatch.setattr(core, "_CHUNK_ROWS", 7)
+        path = gen_dataset(runner, tmp_path)
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["bounds", "--dataset", str(path),
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert res.stdout_bytes == (out / "bounds.json").read_bytes()
+
     def test_zero_feature_vector_exits_two_naming_point(self, runner,
                                                         tmp_path):
         path = tmp_path / "zero.csv"
@@ -259,6 +286,100 @@ class TestBounds:
                                    "--b-floor", "0.5"])
         assert res.exit_code == 2
         assert "(point id 1)" in res.stderr
+
+
+N_CHUNKED = 9
+
+
+@pytest.fixture(params=[1, 2, 7, N_CHUNKED - 1, N_CHUNKED, N_CHUNKED + 1],
+                ids=["1", "2", "7", "n-1", "n", "n+1"])
+def chunk_rows(request, monkeypatch):
+    """The row writers set to blocks of this many rows; N_CHUNKED rows."""
+    monkeypatch.setattr(core, "_CHUNK_ROWS", request.param)
+    return request.param
+
+
+class TestChunkBoundaries:
+    """Any block size writes the bytes of the whole-document oracles."""
+
+    @staticmethod
+    def selection_result():
+        # distance is |eps_v| except at position 7, so the block that
+        # holds it encodes its distance itself
+        eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
+                        -np.inf, 3.5, 0.1])
+        distance = np.abs(eps)
+        distance[7] = 3.0
+        scores = {"index": np.arange(N_CHUNKED), "d_v": eps + 4.0,
+                  "eps_v": eps, "distance": distance,
+                  "advantage": np.full(N_CHUNKED, 0.25),
+                  "feature_norm": np.linspace(0.5, 1.0, N_CHUNKED)}
+        return SelectionResult(target=4.0, best=None, scores=scores)
+
+    def test_selection_to_json(self, chunk_rows, monkeypatch):
+        calls = []
+
+        def spy(col):
+            calls.append(col)
+            return core._tokens(col)
+
+        monkeypatch.setattr(selector, "_tokens", spy)
+        result = self.selection_result()
+        assert selection_to_json(result) == selection_doc_indent2(result)
+        # five columns a block, and the distance of the block holding 7
+        blocks = -(-N_CHUNKED // chunk_rows)
+        assert len(calls) == 5 * blocks + 1
+
+    def test_write_scores_csv(self, chunk_rows, tmp_path):
+        scores = self.selection_result().scores
+        header = ["index", "d_v", "eps_v", "advantage", "feature_norm"]
+        path = tmp_path / "scores.csv"
+        write_scores_csv(scores, path)
+        rows = [[repr(v) for v in row]
+                for row in zip(*(scores[key].tolist() for key in header))]
+        assert path.read_bytes() == csv_writer_text(header, rows).encode()
+
+    def test_bounds_output(self, chunk_rows, runner, tmp_path):
+        path = gen_dataset(runner, tmp_path, "--n", str(N_CHUNKED),
+                           "--extra-features", "2", "--seed", "11")
+        ds = load_csv(path)
+        w = np.array([2.9, 0.1, 0.1])
+        hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05)
+        a = scan_arrays(ds, w, hp)
+        b = 0.5 * float(np.linalg.norm(ds.X, axis=1).min())
+        names = ["index", "lower", "upper", "actual_delta", "contained_A",
+                 "contained_B", "privacy_floor"]
+        for extra, floor in (([], None), (["--b-floor", repr(b)], b)):
+            res = runner.invoke(main, ["bounds", "--dataset", str(path),
+                                       "--alpha", "0.05",
+                                       "--w0", "2.9,0.1,0.1", *extra])
+            assert res.exit_code == 0, res.output
+            cols = bounds_arrays(ds, w, hp, a["eps_v"], b=floor)
+            columns = [a["index"], cols["lower"], cols["upper"],
+                       cols["actual_delta"], cols["contained_a"],
+                       cols["contained_b"], cols["privacy_floor"]]
+            assert res.output == json_doc_indent2(
+                {"format_version": 2, "target": a["target"]}, "rows", names,
+                columns)
+
+    def test_weights_csv(self, chunk_rows, runner, tmp_path):
+        path = gen_dataset(runner, tmp_path, "--extra-features", "2")
+        out = tmp_path / "sim"
+        res = runner.invoke(main, ["simulate", "--dataset", str(path),
+                                   "--protocol", "random-delete",
+                                   "--steps", "2", "--iterations",
+                                   str(N_CHUNKED), "--seed", "3",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        cfg = StepConfig(protocol="random_delete", steps=2,
+                         iterations=N_CHUNKED, w0=np.zeros(3),
+                         hp=HyperParams(gamma=0.01, sigma=2.0, alpha=0.01,
+                                        seed=3))
+        finals = run_protocol(cfg, load_csv(path)).final_weights
+        rows = [[repr(i), *map(repr, w)]
+                for i, w in enumerate(finals.tolist())]
+        want = csv_writer_text(["iteration", "w0", "w1", "w2"], rows)
+        assert (out / "weights.csv").read_bytes() == want.encode()
 
 
 OVERFLOW_ARGS = {
@@ -308,6 +429,16 @@ def test_gen_label_overflow_exits_four_without_warning(runner, tmp_path,
         "numeric error: generated labels overflow float64"]
     assert isinstance(res.exception, SystemExit)
     assert [str(w.message) for w in caught] == []
+
+
+def test_gen_range_overflow_exits_two(runner, tmp_path):
+    # both bounds are finite, but x_high - x_low overflows float64
+    res = runner.invoke(main, ["gen", "--x-low=-1e308", "--x-high=1e308",
+                               "--out", str(tmp_path / "gen")])
+    assert res.exit_code == 2, res.output
+    assert res.stderr == ("error: x_high - x_low must be finite, got "
+                          "[-1e+308, 1e+308]\n")
+    assert not (tmp_path / "gen").exists()
 
 
 @pytest.mark.parametrize("option", ["--x-high", "--noise-std"])

@@ -18,7 +18,7 @@ from delpoint import (
     load_csv,
     save_csv,
 )
-from delpoint.core import _json_rows, _tokens
+from delpoint.core import _json_chunks, _tokens
 from delpoint.errors import DomainError
 
 from _oracles import (csv_writer_text, delete_point, json_doc_indent2,
@@ -191,15 +191,18 @@ class TestHyperParams:
 
 
 class TestJsonRows:
-    """_json_rows equals json.dumps(indent=2) of the row dicts."""
+    """The pieces of _json_chunks join to json.dumps(indent=2) of the row
+    dicts."""
 
     HEAD = {"format_version": 1, "target": 4.65, "best": None}
 
     @classmethod
     def check(cls, names, columns):
         columns = [np.asarray(col) for col in columns]
-        text = _json_rows(cls.HEAD, "rows", names,
-                          [_tokens(col) for col in columns])
+        text = "".join(_json_chunks(
+            cls.HEAD, "rows", names,
+            lambda lo, hi: [_tokens(col[lo:hi]) for col in columns],
+            len(columns[0])))
         assert text == json_doc_indent2(cls.HEAD, "rows", names, columns)
         return text
 

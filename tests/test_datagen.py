@@ -67,6 +67,10 @@ class TestGenerate:
             for value in (float("inf"), float("-inf"), float("nan")):
                 with pytest.raises(DomainError, match=name):
                     GenConfig(**{name: value})
+        # finite bounds whose difference overflows float64
+        with pytest.raises(DomainError, match=r"x_high - x_low must be "
+                           r"finite, got \[-1e\+308, 1e\+308\]"):
+            GenConfig(x_low=-1e308, x_high=1e308)
 
     def test_label_overflow_raises(self):
         for cfg in (GenConfig(n=10, x_high=1e308),

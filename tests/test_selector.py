@@ -1,4 +1,6 @@
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from delpoint import (
     Dataset,
     DegenerateNoise,
     DomainError,
+    GenConfig,
     HyperParams,
     SelectionResult,
     WouldEmptyDataset,
     advantage_target,
     find_perfect_deleted_point,
+    generate,
     selection_to_json,
 )
 from delpoint import core, selector
@@ -191,6 +195,25 @@ class TestSelectionJson:
         eps = result.scores["eps_v"]
         assert result.best is not None
         assert (eps < 0).any() and (eps > 0).any()
+
+    def test_streamed_peak_memory(self, hp_default):
+        # selection.json of 1e5 points, streamed to the null device: only
+        # a block of rows is alive at a time, where the joined document
+        # holds every token string and the text at once
+        ds = generate(GenConfig(n=100_000, extra_features=2, seed=5))
+        result = find_perfect_deleted_point(ds, np.zeros(3), hp_default)
+        size = 0
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w", encoding="utf-8") as sink:
+                for chunk in selector._selection_chunks(result):
+                    sink.write(chunk)
+                    size += len(chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == len(selection_to_json(result))
+        assert peak < size / 3
 
     def test_no_best(self, rng):
         ds = random_dataset(rng, n=12, d=2)
