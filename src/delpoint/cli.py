@@ -20,13 +20,13 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import (HyperParams, _json_chunks, _tokens, _write_csv,
-                   load_csv, save_csv)
+from .core import (HyperParams, _dumps_indent2, _json_chunks, _tokens,
+                   _write_csv, load_csv, save_csv)
 from .datagen import GenConfig, generate
 from .errors import DelpointError, DimensionMismatch, InvalidValue
 from .bounds import bounds_arrays
 from .selector import _selection_chunks, find_perfect_deleted_point
-from .sim import StepConfig, experiment_to_doc, run_protocol
+from .sim import PROTOCOLS, StepConfig, experiment_to_doc, run_protocol
 from .snr import scan_arrays, write_scores_csv
 
 MANIFEST_FORMAT_VERSION = 1
@@ -295,7 +295,7 @@ def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
         summary_doc = {"format_version": SUMMARY_FORMAT_VERSION,
                        "config": config_doc} | experiment_to_doc(result)
         summary_path = out_dir / "summary.json"
-        summary_path.write_text(json.dumps(summary_doc, indent=2) + "\n",
+        summary_path.write_text(_dumps_indent2(summary_doc) + "\n",
                                 encoding="utf-8")
 
         _write_manifest(out_dir, "simulate", config_doc, hp.seed,
@@ -304,16 +304,36 @@ def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
     _guard(body)
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _summary_row(path: Path) -> tuple:
-    """(steps, protocol, mean, variance) of a simulate summary.json."""
+    """(steps, protocol, mean, variance) of a simulate summary.json.
+
+    steps is an int >= 1, protocol one of PROTOCOLS, and mean and variance
+    are non-empty lists of numbers of one length; bools are not numbers.
+    """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         cfg = doc["config"]
-        return (int(cfg["steps"]), str(cfg["protocol"]),
-                list(doc["mean"]), list(doc["variance"]))
+        row = (cfg["steps"], cfg["protocol"], doc["mean"], doc["variance"])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidValue(
             f"{path}: not a simulate summary.json: {exc}") from None
+    steps, protocol, mean, variance = row
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        problem = f"steps must be an int >= 1, got {steps!r}"
+    elif protocol not in PROTOCOLS:
+        problem = f"protocol must be one of {PROTOCOLS}, got {protocol!r}"
+    elif not all(isinstance(v, list) and v and all(map(_is_number, v))
+                 for v in (mean, variance)):
+        problem = "mean and variance must be non-empty lists of numbers"
+    elif len(mean) != len(variance):
+        problem = f"mean has {len(mean)} entries, variance {len(variance)}"
+    else:
+        return row
+    raise InvalidValue(f"{path}: not a simulate summary.json: {problem}")
 
 
 @main.command()

@@ -28,7 +28,10 @@ in place of reduced copies, and a point count per iteration, since
 perfect_delete may skip a deletion.  K is set by a fixed budget,
 K (n + steps) d <= 2**20.  Each iteration draws its step noise up front,
 make_rng(seed, it).standard_normal((steps, d)), which is the sequence
-that ``steps`` single draws give.  The final weights and deletion logs are
+that ``steps`` single draws give.  A random_delete iteration draws its
+schedule the same way, one make_rng(seed, it, 1).integers call over the
+highs n, n - 1, ..., n - steps + 1, which gives the sequence of ``steps``
+single draws of a surviving point.  The final weights and deletion logs are
 bit-identical to the test suite's one-iteration, one-step replay
 (run_protocol_loop), whatever the block size.
 
@@ -212,9 +215,17 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
 
 
 def _random_schedule(n: int, steps: int, rng: np.random.Generator) -> list:
-    """Original position of each of ``steps`` uniform draws of a survivor."""
+    """Original position of each of ``steps`` uniform draws of a survivor.
+
+    One ``integers`` call over the highs n, n - 1, ..., n - steps + 1
+    draws the whole schedule: Generator draws the elements of an array
+    ``high`` in order, by the bounded method of a scalar call, so the
+    values are those of ``steps`` single ``integers(len(left))`` draws.
+    Draw r picks the r-th survivor, in original order.
+    """
     left = list(range(n))
-    return [left.pop(int(rng.integers(len(left)))) for _ in range(steps)]
+    return [left.pop(r)
+            for r in rng.integers(np.arange(n, n - steps, -1)).tolist()]
 
 
 def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,

@@ -54,8 +54,11 @@ def test_per_point_api_is_gone():
 
 
 def test_cli_import_loads_no_process_pool():
+    # nor numpy.random: select and bounds draw nothing, and it takes ~10 ms
+    # to import, so sim and gauss reach it only when a stream is made
     code = ("import sys, delpoint.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')"
+            " or m.startswith('numpy.random')))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], check=True,

@@ -23,6 +23,7 @@ from delpoint import (
 from delpoint import core, selector
 from delpoint.bounds import bounds_arrays
 from delpoint.cli import main
+from delpoint.sim import experiment_to_doc
 from delpoint.snr import scan_arrays
 
 from conftest import tuned_dataset
@@ -660,6 +661,39 @@ class TestSimulate:
         doc = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert all(e is None for log in doc["deletions_log"] for e in log)
 
+    @pytest.mark.parametrize("proto, extra", [
+        ("perfect-delete", ["--delta", "0.2"]),
+        ("perfect-delete", ["--delta", "0.2", "--tie-break", "paper"]),
+        ("random-delete", []),
+        ("no-delete", ["--w0", "-0.0"]),
+    ], ids=["perfect-skips", "perfect-paper", "random", "none"])
+    def test_summary_bytes_are_indent2(self, runner, tmp_path, proto, extra):
+        path = gen_dataset(runner, tmp_path)
+        out = tmp_path / "sim"
+        res = runner.invoke(main, ["simulate", "--dataset", str(path),
+                                   "--protocol", proto, "--steps", "5",
+                                   "--iterations", "8", "--bins", "4",
+                                   *extra, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        text = (out / "summary.json").read_text(encoding="utf-8")
+        doc = json.loads(text)
+        assert text == json.dumps(doc, indent=2) + "\n"
+        c = doc["config"]
+        hp = HyperParams(gamma=c["gamma"], sigma=c["sigma"],
+                         alpha=c["alpha"], delta=c["delta"], seed=c["seed"],
+                         snr_convention=c["snr_convention"])
+        cfg = StepConfig(protocol=c["protocol"], steps=c["steps"],
+                         iterations=c["iterations"], hp=hp, w0=c["w0"],
+                         bins=c["bins"], tie_break=c["tie_break"])
+        built = {"format_version": 1, "config": c} | experiment_to_doc(
+            run_protocol(cfg, load_csv(path)))
+        assert text == json.dumps(built, indent=2) + "\n"
+        log = [e for row in doc["deletions_log"] for e in row]
+        if proto == "no-delete":
+            assert doc["deletions_log"] == [[]] * 8
+        elif "--delta" in extra:
+            assert None in log and set(log) != {None}
+
 
 class TestReport:
     def _simulate(self, runner, tmp_path, proto, steps, name):
@@ -692,11 +726,31 @@ class TestReport:
         assert float(cells[0][2]) == doc["mean"][0]
         assert float(cells[0][3]) == doc["variance"][0]
 
-    @pytest.mark.parametrize("content", [b"not json\n", b'{"a": 1}\n',
-                                         b"\xff"],
-                             ids=["non-json", "no-config", "non-utf8"])
+    GOOD = {"config": {"steps": 1, "protocol": "no_delete"},
+            "mean": [0.5, 1], "variance": [0.25, 0.0]}
+
+    @pytest.mark.parametrize("content", [
+        b"not json\n", b'{"a": 1}\n', b"\xff", b"[1]\n",
+        {"mean": "abc", "variance": {"a": 1}},
+        {"config": {"steps": 2.7, "protocol": "no_delete"}},
+        {"config": {"steps": True, "protocol": "no_delete"}},
+        {"config": {"steps": 0, "protocol": "no_delete"}},
+        {"config": {"steps": "1", "protocol": "no_delete"}},
+        {"config": {"steps": 1, "protocol": "x"}},
+        {"config": {"steps": 1, "protocol": ["no_delete"]}},
+        {"mean": [], "variance": []},
+        {"mean": [0.5, True]},
+        {"variance": [0.25, "0"]},
+        {"variance": [0.25]},
+        {"mean": [[0.5], [1.0]]},
+    ], ids=["non-json", "no-config", "non-utf8", "list", "str-and-dict",
+            "fractional-steps", "bool-steps", "zero-steps", "str-steps",
+            "unknown-protocol", "list-protocol", "empty-lists", "bool-mean",
+            "str-variance", "unequal-lengths", "nested-mean"])
     def test_non_summary_exits_two(self, runner, tmp_path, content):
         path = tmp_path / "summary.json"
+        if isinstance(content, dict):  # one or two fields of GOOD replaced
+            content = json.dumps(self.GOOD | content).encode()
         path.write_bytes(content)
         res = runner.invoke(main, ["report", str(path)])
         assert res.exit_code == 2, res.output
@@ -704,6 +758,15 @@ class TestReport:
             f"error: {path}: not a simulate summary.json: ")
         # an uncaught exception would be a traceback, not SystemExit
         assert isinstance(res.exception, SystemExit)
+
+    def test_good_document_passes(self, runner, tmp_path):
+        # the base of the malformed cases above is itself accepted
+        path = tmp_path / "summary.json"
+        path.write_text(json.dumps(self.GOOD))
+        res = runner.invoke(main, ["report", str(path)])
+        assert res.exit_code == 0, res.output
+        assert res.output.splitlines()[2] == (
+            "| 1 | no_delete | 0.5, 1 | 0.25, 0.0 |")
 
     def test_out_dir_gets_report_and_manifest(self, runner, tmp_path):
         s = self._simulate(runner, tmp_path, "no-delete", 1, "a")

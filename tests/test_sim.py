@@ -289,6 +289,18 @@ class TestBatchedEngine:
             loop_config("perfect_delete", 1, tie_break), ds)
         assert all(None not in log for log in result.deletions_log)
 
+    @pytest.mark.parametrize("n, steps, iterations",
+                             [(12, 11, 6), (3000, 20, 5)],
+                             ids=["last-draw-of-two", "n-3000"])
+    def test_random_schedule_edges(self, n, steps, iterations):
+        # the schedule is one integers call over the highs n .. n-steps+1;
+        # the loop makes one scalar call per step
+        ds = random_dataset(np.random.default_rng(5), n=n, d=2)
+        cfg = dataclasses.replace(loop_config("random_delete", 2),
+                                  steps=steps, iterations=iterations)
+        result = assert_matches_loop(cfg, ds)
+        assert all(len(set(log)) == steps for log in result.deletions_log)
+
     @pytest.mark.parametrize("hp_args", [{"sigma": 0.0}, {"gamma": 0.0}])
     def test_perfect_delete_needs_noise(self, hp_args):
         ds = random_dataset(np.random.default_rng(1), n=20, d=1)
