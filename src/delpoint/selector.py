@@ -75,23 +75,30 @@ def _check_tie_break(tie_break: str) -> None:
 def _pick(dist, eps, fnorm, delta: float, tie_break: str) -> np.ndarray:
     """Selected position along the last axis; -1 where none clears delta.
 
-    The tie rules of the module docstring, by masks and argmin, for one
-    scan (n,) or a batch (K, n).  A distance of inf marks a non-candidate.
+    The tie rules of the module docstring for one scan (n,) or a batch
+    (K, n); fnorm is (n,).  A distance of inf marks a non-candidate.  One
+    pass finds the tie sets of the rows whose minimum clears delta, and
+    one sort by row and the rules orders those alone.
     """
-    m = dist.min(axis=-1, keepdims=True)
+    shape, n = dist.shape[:-1], dist.shape[-1]
+    dist = dist.reshape(-1, n)
+    m = dist.min(axis=1, keepdims=True)
+    ok = m <= delta
     if tie_break == "paper":
         # the last position attaining the minimum wins
-        tie = dist == m
-        pos = tie.shape[-1] - 1 - np.argmax(tie[..., ::-1], axis=-1)
+        flat = np.flatnonzero(dist == np.where(ok, m, np.nan))
+        keys = (-flat,)
     else:
-        tie = dist <= m + TIE_WINDOW
-        norm = np.where(tie, fnorm, np.inf)
-        tie &= norm == norm.min(axis=-1, keepdims=True)
-        nonneg = tie & ~(eps < 0)
-        tie = np.where(nonneg.any(axis=-1, keepdims=True), nonneg, tie)
-        # the first remaining position is the lowest
-        pos = np.argmax(tie, axis=-1)
-    return np.where(m[..., 0] <= delta, pos, -1)
+        # the smallest norm, then nonnegative eps, then the lowest position
+        flat = np.flatnonzero(dist <= np.where(ok, m + TIE_WINDOW, -np.inf))
+        keys = (flat, eps.reshape(-1)[flat] < 0, fnorm[flat % n])
+    row = flat // n
+    order = np.lexsort(keys + (row,))
+    row, flat = row[order], flat[order]
+    first = np.diff(row, prepend=-1) != 0
+    pos = np.full(len(dist), -1)
+    pos[row[first]] = flat[first] % n
+    return pos.reshape(shape)
 
 
 def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,

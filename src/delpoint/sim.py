@@ -23,17 +23,17 @@ iteration and reset between iterations.
 
 The iterations run as one array program (_run_block).  A block of K
 iterations advances together: weights W (K, d), moments s_yx (K, d) and
-s_xx (K, d, d) downdated in place, a (K, n) mask of the surviving points
-in place of reduced copies, and a point count per iteration, since
-perfect_delete may skip a deletion.  K is set by a fixed budget,
-K (n + steps) d <= 2**20.  Each iteration draws its step noise up front,
-make_rng(seed, it).standard_normal((steps, d)), which is the sequence
-that ``steps`` single draws give.  A random_delete iteration draws its
-schedule the same way, one make_rng(seed, it, 1).integers call over the
-highs n, n - 1, ..., n - steps + 1, which gives the sequence of ``steps``
-single draws of a surviving point.  The final weights and deletion logs are
-bit-identical to the test suite's one-iteration, one-step replay
-(run_protocol_loop), whatever the block size.
+s_xx (K, d, d) downdated in place, the flat (K, n) positions of the
+deleted points in place of reduced copies, and a point count per
+iteration, since perfect_delete may skip a deletion.  K is set by a fixed
+budget, K (n + steps) d <= 2**20.  Each iteration draws its step noise up
+front, make_rng(seed, it).standard_normal((steps, d)), which is the
+sequence that ``steps`` single draws give.  A random_delete iteration
+draws its schedule the same way, one make_rng(seed, it, 1).integers call
+over the highs n, n - 1, ..., n - steps + 1, which gives the sequence of
+``steps`` single draws of a surviving point.  The final weights and
+deletion logs are bit-identical to the test suite's one-iteration,
+one-step replay (run_protocol_loop), whatever the block size.
 
 Errors: perfect_delete with sigma = 0 or gamma = 0 raises DegenerateNoise
 before any step, and moments, scores or weights that overflow float64
@@ -112,8 +112,8 @@ class ExperimentResult:
 
 
 # Largest K * (n + steps) * d that one block of K iterations may hold; it
-# bounds the (K, n, d) temporaries of the perfect_delete scan and the
-# (K, steps, d) noise.
+# bounds the (K, steps, d) noise and, for perfect_delete, the (K, n)
+# arrays of the scan: three buffers that every step reuses.
 _BLOCK_ELEMS = 2 ** 20
 
 
@@ -147,9 +147,9 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
     (K, steps) of the iterations ``its``; -1 is a skipped deletion, and
     no_delete gives (K, 0).
 
-    Each iteration keeps its own weights, moments, point count and mask of
-    surviving points.  Deleting point v from an iteration with n points
-    downdates its moments
+    Each iteration keeps its own weights, moments, point count and deleted
+    points.  Deleting point v from an iteration with n points downdates
+    its moments
 
         s_yx' = (n s_yx - y_v x_v) / (n - 1)
         s_xx' = (n s_xx - x_v x_v^T) / (n - 1)
@@ -165,13 +165,15 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
     s_yx = np.tile(ds.s_yx, (k, 1))
     s_xx = np.tile(ds.s_xx, (k, 1, 1))
     count = np.full(k, n)
-    live = np.ones((k, n), dtype=bool)
+    dead = np.empty(0, dtype=np.intp)  # flat (K, n) positions deleted
     deleted = np.full((k, 0 if cfg.protocol == "no_delete" else steps), -1)
     if cfg.protocol == "perfect_delete":
         low = n - steps + 1  # the fewest points a scan sees
         denom = np.array([snr_denominator(m, hp) for m in range(low, n + 1)])
         target = advantage_target(hp.alpha)
         fnorm = feature_norms(ds.X)
+        X = np.asfortranarray(ds.X)  # the kernel reads its columns
+        work = np.empty((3, k, n))  # the scan's temporaries, every step
     elif cfg.protocol == "random_delete":
         deleted[:] = [_random_schedule(n, steps, make_rng(hp.seed, it, 1))
                       for it in its]
@@ -180,10 +182,9 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
         [make_rng(hp.seed, it).standard_normal((steps, ds.dim)) for it in its])
     for t in range(steps):
         if cfg.protocol == "perfect_delete":
-            d_v = _scores(ds.X, ds.y, s_yx, s_xx, w, denom[count - low, None],
-                          live)
-            eps = d_v - target
-            dist = np.where(live, np.abs(eps), np.inf)
+            d_v = _scores(X, ds.y, s_yx, s_xx, w, denom[count - low, None],
+                          dead, work)
+            eps, dist = _distances(d_v, target, dead, work[1])
             deleted[:, t] = _pick(dist, eps, fnorm, hp.delta, cfg.tie_break)
         if cfg.protocol != "no_delete":
             act = np.flatnonzero(deleted[:, t] >= 0)
@@ -201,7 +202,7 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
             except FloatingPointError:
                 raise NumericOverflow(
                     "updated sufficient statistics overflow float64") from None
-            live[act, pos] = False
+            dead = np.append(dead, act * n + pos)
             count[act] -= 1
         with np.errstate(over="ignore", invalid="ignore"):
             grad = 2.0 * (np.matmul(s_xx, w[..., None])[..., 0] - s_yx)
@@ -212,6 +213,18 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
             raise NumericOverflow(
                 "SGD step overflows: the weights are not finite")
     return w, deleted
+
+
+def _distances(d_v, target, dead, out):
+    """eps = d_v - target and dist = |eps| of a (K, n) scan, with inf at
+    the flat positions ``dead``, whatever their scores, NaN included.
+
+    d_v is overwritten by eps, and ``out`` by dist.
+    """
+    eps = np.subtract(d_v, target, out=d_v)
+    dist = np.abs(eps, out=out)
+    dist.reshape(-1)[dead] = np.inf
+    return eps, dist
 
 
 def _random_schedule(n: int, steps: int, rng: np.random.Generator) -> list:

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from ._kernels import scan_norms
+from ._kernels import _row_norms, scan_norms
 from .core import Dataset, HyperParams, _write_csv
 from .errors import (DegenerateNoise, DomainError, NumericOverflow,
                      WouldEmptyDataset)
@@ -120,39 +120,45 @@ _TINY_NORM = math.sqrt(np.finfo(np.float64).tiny)
 def feature_norms(X) -> np.ndarray:
     """||x_i||_2 of every row of X, for selection, simulation and bounds.
 
-    A row whose norm is below sqrt(tiny), about 1.5e-154, is divided by its
+    The squares are summed by columns in the order of the scan kernel.  A
+    row whose norm is below sqrt(tiny), about 1.5e-154, is divided by its
     largest |x_ij| before squaring, so its squares do not underflow.
     Raises NumericOverflow when a norm is not finite.
     """
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("ij,ij->i", X, X))
+        norms = _row_norms(X)
     if not np.isfinite(norms).all():
         raise NumericOverflow(_OVERFLOW)
     small = np.flatnonzero(norms < _TINY_NORM)
     if small.size:
         top = np.abs(X[small]).max(axis=1)
         unit = X[small] / np.where(top > 0.0, top, 1.0)[:, None]
-        norms[small] = top * np.sqrt(np.einsum("ij,ij->i", unit, unit))
+        norms[small] = top * _row_norms(unit)
     return norms
 
 
-def _scores(X, y, s_yx, s_xx, w, denom, live=None):
+def _scores(X, y, s_yx, s_xx, w, denom, dead=None, work=None):
     """d_v of every row of X.
 
     ``w`` is (d,), or (K, d) with s_yx (K, d), s_xx (K, d, d) and denom
     (K, 1) batched alike; then d_v is (K, n).  Raises NumericOverflow when a
-    d_v where the (K, n) mask ``live`` holds is not finite.
+    d_v is not finite, except at the flat positions ``dead`` of d_v, the
+    points already deleted.  ``work`` is scan_norms's.
     """
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
         g = s_yx - np.matmul(s_xx, w[..., None])[..., 0]
-        d_v = scan_norms(X, y, w, g) / denom
-    finite = np.isfinite(d_v)
-    if live is not None:
-        finite |= ~live
-    if not finite.all():
-        raise NumericOverflow(_OVERFLOW)
+        d_v = scan_norms(X, y, w, g, work)
+        d_v /= denom
+        # d_v >= 0 or NaN, so one max is finite exactly when every d_v is
+        top = d_v.max()
+    if not np.isfinite(top):
+        finite = np.isfinite(d_v)
+        if dead is not None:
+            finite.reshape(-1)[dead] = True
+        if not finite.all():
+            raise NumericOverflow(_OVERFLOW)
     return d_v
 
 

@@ -163,6 +163,36 @@ def csv_writer_text(header, rows):
     return buf.getvalue()
 
 
+def scan_norms_loop(X, y, w, g):
+    """scan_norms one point and one scalar at a time, in its stated order:
+    p = x_0 w_0; p += x_j w_j; resid = y - p; acc = c_0^2; acc += c_j^2,
+    with c_j = resid x_j - g_j, then sqrt(acc)."""
+    w, g = np.asarray(w).tolist(), np.asarray(g).tolist()
+    out = []
+    for x, yi in zip(np.asarray(X).tolist(), np.asarray(y).tolist()):
+        p = x[0] * w[0]
+        for j in range(1, len(x)):
+            p += x[j] * w[j]
+        resid = yi - p
+        acc = 0.0
+        for j in range(len(x)):
+            c = resid * x[j] - g[j]
+            acc = c * c if j == 0 else acc + c * c
+        out.append(math.sqrt(acc))
+    return out
+
+
+def row_norms_loop(X):
+    """||x_i|| summed left to right: acc = x_0^2; acc += x_j^2; sqrt."""
+    out = []
+    for x in np.asarray(X).tolist():
+        acc = x[0] * x[0]
+        for v in x[1:]:
+            acc += v * v
+        out.append(math.sqrt(acc))
+    return out
+
+
 def select_loop(a, delta, tie_break):
     """Selected position of the scan ``a`` by the documented tie rules."""
     dist, index = a["distance"].tolist(), a["index"].tolist()

@@ -418,6 +418,23 @@ def test_overflow_exits_four_without_warning(runner, tmp_path, command):
         assert [str(w.message) for w in caught] == []
 
 
+def test_perfect_delete_score_overflow_exits_four(runner, tmp_path):
+    # finite moments and feature norms; the first scan's squared norms
+    # overflow at every live point
+    path = tmp_path / "big.csv"
+    path.write_text("x0,y\n1e100,1e100\n2e100,1e100\n1e100,3e100\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, [*OVERFLOW_ARGS["simulate-perfect-delete"],
+                                   "--dataset", str(path),
+                                   "--out", str(tmp_path / "out")])
+    assert res.exit_code == 4, res.output
+    assert res.stderr.startswith(
+        "numeric error: candidate scores overflow")
+    assert isinstance(res.exception, SystemExit)
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("option", ["--x-high", "--slope"])
 def test_gen_label_overflow_exits_four_without_warning(runner, tmp_path,
                                                        option):

@@ -5,6 +5,8 @@ from delpoint import Dataset, HyperParams, NumericOverflow, active_backend
 from delpoint._kernels import scan_norms
 from delpoint.snr import feature_norms, scan_arrays, snr_denominator
 
+from _oracles import row_norms_loop, scan_norms_loop
+
 
 def random_inputs(rng, n, d):
     X = np.ascontiguousarray(rng.normal(size=(n, d)))
@@ -27,20 +29,35 @@ class TestScanKernels:
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_batch_rows_match_single_calls(self, rng, d):
-        # each batch row is the one-row call, and that call sums each row
-        # in the order of X @ w, bit for bit
+        # each batch row is the one-row call, and that call is the scalar
+        # loop in the kernel's stated column order, bit for bit
         X, y, _, _ = random_inputs(rng, 60, d)
         W, G = rng.normal(size=(7, d)), rng.normal(size=(7, d))
         numer = scan_norms(X, y, W, G)
         assert numer.shape == (7, 60)
-        np.testing.assert_array_equal(
-            feature_norms(X), np.sqrt(np.einsum("ij,ij->i", X, X)))
+        assert feature_norms(X).tolist() == row_norms_loop(X)
         for k in range(7):
             one = scan_norms(X, y, W[k], G[k])
             np.testing.assert_array_equal(numer[k], one)
-            diff = (y - X @ W[k])[:, None] * X - G[k]
-            np.testing.assert_array_equal(
-                one, np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+            assert one.tolist() == scan_norms_loop(X, y, W[k], G[k])
+
+    @pytest.mark.parametrize("batch", [None, 5])
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_stated_column_order(self, rng, d, batch):
+        # magnitudes spread over 1e-3 .. 1e3, so a sum in another order
+        # rounds differently; C and Fortran layouts read the same columns
+        X, y, _, _ = random_inputs(rng, 200, d)
+        X *= 10.0 ** rng.uniform(-3, 3, size=(200, d))
+        shape = (d,) if batch is None else (batch, d)
+        W, G = rng.normal(size=shape), 1e3 * rng.normal(size=shape)
+        numer = scan_norms(X, y, W, G)
+        np.testing.assert_array_equal(
+            scan_norms(np.asfortranarray(X), y, W, G), numer)
+        rows = [numer] if batch is None else numer
+        pairs = [(W, G)] if batch is None else zip(W, G)
+        for got, (w, g) in zip(rows, pairs):
+            assert got.tolist() == scan_norms_loop(X, y, w, g)
+        assert feature_norms(X).tolist() == row_norms_loop(X)
 
     def test_active_dispatch(self, rng):
         # scan_arrays scores are exactly the kernel's output at

@@ -335,3 +335,51 @@ class TestRanking:
             dist[pos] = np.inf
         assert order == [1, 0, 2]
         assert find_perfect_deleted_point(ds, w, hp).best.index == 1
+
+    @staticmethod
+    def batch_rows(rng):
+        """(K, n) eps and dist rows of engineered ties, and fnorm (n,).
+
+        Rows: 0 duplicated points (columns 1 and 3 are one point); 1 equal
+        norms with opposite eps signs; 2 no point clears delta = 0.5; 3 the
+        minimum masked to inf; 4 a tie inside the window, the larger norm
+        nearer; 5 a minimum exactly at delta; 6 one unmasked column; 7 all
+        masked; then random rows over a few eps values.
+        """
+        fnorm = np.array([3.0, 1.0, 2.0, 1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0])
+        eps = np.full((8, 10), 0.45)
+        eps[0, [1, 3]] = 0.2
+        eps[1, [1, 3, 6]] = [-0.2, 0.2, -0.2]
+        eps[2] = rng.choice([-2.0, 1.0, 3.0], 10)
+        eps[3, [4, 7]] = [0.1, -0.3]
+        eps[4, [2, 1]] = [0.2, 0.2 + 5e-10]
+        eps[5] = 0.6
+        eps[5, [8, 9]] = [-0.5, 0.5]
+        eps[6] = rng.normal(size=10)
+        eps[6, 5] = -0.3
+        eps = np.concatenate(
+            [eps, rng.choice([-0.3, -0.2, 0.2, 0.2 + 4e-10, 0.3, 0.6],
+                             (40, 10))])
+        dist = np.abs(eps)
+        dist[3, 4] = np.inf
+        dist[6, np.arange(10) != 5] = np.inf
+        dist[7] = np.inf
+        dist[8:][rng.random((40, 10)) < 0.3] = np.inf
+        return eps, dist, fnorm
+
+    @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
+    def test_batch_rows_match_select_loop(self, rng, tie_break):
+        # every row of one (K, n) call is the loop's choice for that row
+        eps, dist, fnorm = self.batch_rows(rng)
+        got = selector._pick(dist, eps, fnorm, 0.5, tie_break)
+        assert got.shape == (len(dist),)
+        want = [select_loop({"distance": d, "eps_v": e, "feature_norm": fnorm,
+                             "index": np.arange(10)}, 0.5, tie_break)
+                for d, e in zip(dist, eps)]
+        assert got.tolist() == [-1 if pos is None else pos for pos in want]
+        for k in range(len(dist)):
+            assert selector._pick(dist[k], eps[k], fnorm, 0.5,
+                                  tie_break) == got[k]
+        assert got[:8].tolist() == {
+            "norm-first": [1, 3, -1, 7, 1, 9, 5, -1],
+            "paper": [3, 6, -1, 7, 2, 9, 5, -1]}[tie_break]

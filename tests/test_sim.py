@@ -27,7 +27,7 @@ from delpoint import (
     run_protocol,
     summarize,
 )
-from delpoint import sim
+from delpoint import sim, snr
 from delpoint.sim import PROTOCOLS, experiment_to_doc
 from delpoint.snr import scan_arrays
 
@@ -223,6 +223,21 @@ class TestRunProtocol:
                 run_protocol(cfg, big)
         assert [str(w.message) for w in caught] == []
 
+    def test_overflowing_scores_rejected(self):
+        # the moments and feature norms are finite, but every live point's
+        # squared perturbation norm overflows in the first scan
+        ds = Dataset.from_arrays([[1e100], [2e100], [1e100]],
+                                 [1e100, 1e100, 3e100])
+        hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
+        cfg = StepConfig(protocol="perfect_delete", steps=2, iterations=3,
+                         hp=hp, w0=np.zeros(1))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericOverflow,
+                               match="candidate scores overflow"):
+                run_protocol(cfg, ds)
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_tie_break_checked_at_construction(self, protocol):
         # checked even where the protocol never breaks a tie
@@ -323,6 +338,56 @@ class TestBatchedEngine:
             assert np.array_equal(other.final_weights,
                                   results[0].final_weights)
             assert other.deletions_log == results[0].deletions_log
+
+
+    def test_dead_points_read_inf(self):
+        # a deleted point is never a candidate, whatever its score
+        d_v = np.array([[1.0, np.nan, 3.0, np.inf],
+                        [np.inf, 2.0, np.nan, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps, dist = sim._distances(d_v, 1.0, np.array([1, 3, 4, 6]),
+                                       np.empty_like(d_v))
+        assert dist.tolist() == [[0.0, np.inf, 2.0, np.inf],
+                                 [np.inf, 1.0, np.inf, 0.5]]
+        assert eps[0, [0, 2]].tolist() == [0.0, 2.0]
+        assert eps[1, [1, 3]].tolist() == [1.0, -0.5]
+
+    @pytest.mark.parametrize("bad", [np.nan, 1e200])
+    def test_dead_scores_need_not_be_finite(self, bad):
+        # point 2's score is NaN, or overflows; the scan raises unless
+        # it is deleted in every row
+        X = np.array([[1.0], [2.0], [bad]])
+        y = np.array([1.0, 2.0, 3.0])
+        s_yx, s_xx, w = np.ones((2, 1)), np.ones((2, 1, 1)), np.full((2, 1), 0.5)
+        denom = np.ones((2, 1))
+        dead = np.array([2, 5])  # flat positions of point 2 in both rows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d_v = snr._scores(X, y, s_yx, s_xx, w, denom, dead)
+            assert np.isfinite(d_v[:, :2]).all()
+            assert not np.isfinite(d_v[:, 2]).any()
+            for some in ([], [2]):
+                with pytest.raises(NumericOverflow,
+                                   match="candidate scores overflow"):
+                    snr._scores(X, y, s_yx, s_xx, w, denom, some)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_downdated_moments_match_survivors(self, seed):
+        # 900 of 1,000 points deleted on the engine's random_delete
+        # schedule, through the downdates of delete_point (the engine's,
+        # bit for bit, by the tests above); the moments drift from those
+        # of the surviving rows by under 1e-12 relative
+        ds = generate(GenConfig(n=1000, extra_features=2))
+        left, cur = list(range(ds.n)), ds
+        for v in sim._random_schedule(ds.n, 900, make_rng(seed, 0, 1)):
+            pos = left.index(v)
+            cur = delete_point(cur, pos)
+            del left[pos]
+        fresh = Dataset.from_arrays(ds.X[left], ds.y[left])
+        np.testing.assert_array_equal(cur.X, fresh.X)
+        np.testing.assert_allclose(cur.s_yx, fresh.s_yx, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cur.s_xx, fresh.s_xx, rtol=1e-12, atol=0)
 
 
 class TestSummarize:
