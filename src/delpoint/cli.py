@@ -51,11 +51,14 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def _stream(chunks, out_dir: Path | None, name: str) -> None:
-    """Echo the pieces of a document to stdout, and write them to
-    out_dir / name when --out is given.
+    """Write the pieces of a document to stdout, and to out_dir / name
+    when --out is given.
 
     Only one block of rows is held at a time.  If writing the file fails
     part way, stdout may already hold the first part of the document.
+    The pieces go to sys.stdout itself, flushed once at the end: click.echo
+    would run its ANSI-stripping regex over every block when stdout is not
+    a terminal, and JSON text holds no raw escape byte to strip.
     """
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -64,7 +67,8 @@ def _stream(chunks, out_dir: Path | None, name: str) -> None:
         for chunk in chunks:
             if fh is not None:
                 fh.write(chunk)
-            click.echo(chunk, nl=False)
+            sys.stdout.write(chunk)
+    sys.stdout.flush()
 
 
 def _parse_w0(value: str | None, dim: int) -> np.ndarray:

@@ -167,11 +167,34 @@ def _write_csv(path, header, columns) -> None:
 def _tokens(col) -> list[str]:
     """The JSON tokens of the elements of the array ``col``, in order.
 
-    The C encoder writes the column as one flat list; its tokens (ints,
-    float reprs, true/false, NaN, Infinity) are exactly what ``indent=2``
+    The tokens are those ``json.dumps`` writes for the elements (ints,
+    float reprs, true/false, NaN, Infinity), which is what ``indent=2``
     writes for the same values.  ``col`` holds at least one element.
+
+    orjson writes the column as one flat list.  Its shortest round-trip
+    floats have the digits of ``repr``, but not always its layout: it
+    writes 1e-05 as 0.00001 and 1e+16 as 1e16, and NaN and +-inf as
+    null.  Those elements (nonzero |x| < 1e-4, |x| >= 1e16, non-finite)
+    are encoded again by ``json.dumps`` in one call and put in their
+    places; a column where they are more than half goes to ``json.dumps``
+    whole, which is then the cheaper.  orjson is imported at the first
+    call, so commands that write no row table never load it.
     """
-    return json.dumps(col.tolist())[1:-1].split(", ")
+    import orjson
+
+    odd = ()
+    if col.dtype.kind == "f":
+        a = np.abs(col.astype(np.float64, copy=False))
+        # NaN fails both comparisons, so it is odd too
+        odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (a != 0.0))
+        if 2 * len(odd) > len(a):
+            return json.dumps(col.tolist())[1:-1].split(", ")
+    tokens = orjson.dumps(col.tolist())[1:-1].decode().split(",")
+    if len(odd):
+        fixed = json.dumps(col[odd].tolist())[1:-1].split(", ")
+        for i, token in zip(odd.tolist(), fixed):
+            tokens[i] = token
+    return tokens
 
 
 def _json_chunks(head: dict, key: str, names, encode, n: int):
@@ -181,12 +204,12 @@ def _json_chunks(head: dict, key: str, names, encode, n: int):
     pieces join to the whole document.  Row i maps ``names`` to element i
     of the token lists (see _tokens) that ``encode(lo, hi)`` returns for
     rows lo..hi-1, one list per name.  n >= 1, and ``key`` is not in
-    ``head``.  ``indent`` turns off CPython's C encoder, so only the small
-    head goes through ``indent=2``.  The rows of a block are one
-    interleaved join: a list of 2 m k strings for m columns and k rows
-    holds, for row i and column j, the key text of column j at 2 (m i + j)
-    and the token after it.  The key text of column 0 also closes the row
-    before, so no row string is built.
+    ``head``.  ``json.dumps`` with ``indent`` encodes every value in
+    Python, so only the small head goes through it.  The rows of a block
+    are one interleaved join: a list of 2 m k strings for m columns and k
+    rows holds, for row i and column j, the key text of column j at
+    2 (m i + j) and the token after it.  The key text of column 0 also
+    closes the row before, so no row string is built.
 
     Private, because perfbench's tracer wraps public functions only: the
     writing time shows in the spans of the callers that consume the

@@ -120,38 +120,16 @@ def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
     return SelectionResult(target=a["target"], best=best, scores=scores)
 
 
-def _abs_tokens(col, eps, eps_tokens: list[str]) -> list[str]:
-    """The tokens of ``col``, taken from those of ``eps`` when col is |eps|.
-
-    For a float, repr(abs(x)) is repr(x) without its leading "-" (and
-    "-Infinity" becomes "Infinity"), so the scan's distance column needs
-    no repr of its own.  It is applied to one block of rows at a time: a
-    block of col that is not exactly |eps|, or holds NaN or -0.0, is
-    encoded itself.
-    """
-    if (col.dtype == eps.dtype == np.float64
-            and np.array_equal(col, np.abs(eps))
-            and not np.signbit(col).any()):
-        return [t[1:] if t[0] == "-" else t for t in eps_tokens]
-    return _tokens(col)
-
-
 def _selection_chunks(result: SelectionResult):
     """selection.json in the pieces of core._json_chunks."""
     head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
             "target": result.target,
             "best": None if result.best is None else asdict(result.best)}
     s = result.scores
-
-    def encode(lo, hi):
-        block = {key: s[key][lo:hi] for key in _COLUMNS}
-        tokens = {key: _tokens(block[key]) for key in _COLUMNS
-                  if key != "distance"}
-        tokens["distance"] = _abs_tokens(block["distance"], block["eps_v"],
-                                         tokens["eps_v"])
-        return [tokens[key] for key in _COLUMNS]
-
-    return _json_chunks(head, "scores", _COLUMNS, encode, len(s["index"]))
+    return _json_chunks(head, "scores", _COLUMNS,
+                        lambda lo, hi: [_tokens(s[key][lo:hi])
+                                        for key in _COLUMNS],
+                        len(s["index"]))
 
 
 def selection_to_json(result: SelectionResult) -> str:

@@ -62,14 +62,25 @@ def _check_alpha(alpha: float) -> None:
 
 
 def snr_denominator(n: int, hp: HyperParams) -> float:
-    """Noise normalization for a dataset of n points under hp's convention."""
+    """Noise normalization for a dataset of n points under hp's convention.
+
+    Raises DegenerateNoise when it is 0: sigma or gamma is 0, or their
+    product underflows.
+    """
     if n < 2:
         raise WouldEmptyDataset("signal-to-noise ratio needs n >= 2")
     if hp.sigma == 0.0 or hp.gamma == 0.0:
         raise DegenerateNoise("d_v is undefined for sigma = 0 or gamma = 0")
     if hp.snr_convention == "consistent":
-        return (n - 1) * hp.sigma / 2.0
-    return math.sqrt(hp.gamma * (n - 1) / 2.0) * hp.sigma
+        denom = (n - 1) * hp.sigma / 2.0
+    else:
+        denom = math.sqrt(hp.gamma * (n - 1) / 2.0) * hp.sigma
+    if denom == 0.0:
+        raise DegenerateNoise(
+            f"d_v is undefined: the noise scale of gamma = {hp.gamma!r}, "
+            f"sigma = {hp.sigma!r} underflows to 0 ({hp.snr_convention} "
+            f"convention, n = {n})")
+    return denom
 
 
 def membership_advantage(d, alpha: float):

@@ -13,8 +13,9 @@ from delpoint import Dataset
 # one-row dataset replace, and the one-iteration stepping and ranking API
 # that run_protocol's batched engine and find_perfect_deleted_point
 # replace, the moments wrapper whose arrays a Dataset now holds, and the
-# whole-document row writers that the streamed _json_chunks replaces, by
-# the module that defined it.
+# whole-document row writers that the streamed _json_chunks replaces,
+# and the distance-from-eps token reuse that core._tokens made needless,
+# by the module that defined it.
 REMOVED = {
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
                       "_json_rows"],
@@ -25,7 +26,7 @@ REMOVED = {
                         "_feature_norms"],
     "delpoint.sim": ["sgd_step"],
     "delpoint.gauss": ["sample_gaussian"],
-    "delpoint.selector": ["rank_candidates"],
+    "delpoint.selector": ["rank_candidates", "_abs_tokens"],
     "delpoint.cli": ["_bounds_json"],
 }
 
@@ -55,9 +56,11 @@ def test_per_point_api_is_gone():
 
 def test_cli_import_loads_no_process_pool():
     # nor numpy.random: select and bounds draw nothing, and it takes ~10 ms
-    # to import, so sim and gauss reach it only when a stream is made
+    # to import, so sim and gauss reach it only when a stream is made; nor
+    # orjson, which core._tokens imports when it first writes a row table
     code = ("import sys, delpoint.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent')"
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent', "
+            "'orjson')"
             " or m.startswith('numpy.random')))")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

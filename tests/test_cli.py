@@ -20,7 +20,7 @@ from delpoint import (
     selection_to_json,
     write_scores_csv,
 )
-from delpoint import core, selector
+from delpoint import core
 from delpoint.bounds import bounds_arrays
 from delpoint.cli import main
 from delpoint.sim import experiment_to_doc
@@ -305,8 +305,8 @@ class TestChunkBoundaries:
 
     @staticmethod
     def selection_result():
-        # distance is |eps_v| except at position 7, so the block that
-        # holds it encodes its distance itself
+        # exponent-form, signed-zero and non-finite values; distance is
+        # |eps_v| except at position 7
         eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
                         -np.inf, 3.5, 0.1])
         distance = np.abs(eps)
@@ -317,19 +317,9 @@ class TestChunkBoundaries:
                   "feature_norm": np.linspace(0.5, 1.0, N_CHUNKED)}
         return SelectionResult(target=4.0, best=None, scores=scores)
 
-    def test_selection_to_json(self, chunk_rows, monkeypatch):
-        calls = []
-
-        def spy(col):
-            calls.append(col)
-            return core._tokens(col)
-
-        monkeypatch.setattr(selector, "_tokens", spy)
+    def test_selection_to_json(self, chunk_rows):
         result = self.selection_result()
         assert selection_to_json(result) == selection_doc_indent2(result)
-        # five columns a block, and the distance of the block holding 7
-        blocks = -(-N_CHUNKED // chunk_rows)
-        assert len(calls) == 5 * blocks + 1
 
     def test_write_scores_csv(self, chunk_rows, tmp_path):
         scores = self.selection_result().scores
@@ -431,6 +421,26 @@ def test_perfect_delete_score_overflow_exits_four(runner, tmp_path):
     assert res.exit_code == 4, res.output
     assert res.stderr.startswith(
         "numeric error: candidate scores overflow")
+    assert isinstance(res.exception, SystemExit)
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("command", ["select", "bounds",
+                                     "simulate-perfect-delete"])
+def test_underflowing_noise_exits_two_without_warning(runner, tmp_path,
+                                                      command):
+    # sqrt(gamma (n - 1) / 2) sigma is 0 in float64: the noise scale, not
+    # the data, makes d_v undefined, as sigma = 0 does
+    path = gen_dataset(runner, tmp_path, "--seed", "40")
+    args = OVERFLOW_ARGS[command]
+    if args[0] == "simulate":
+        args = args + ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, [*args, "--dataset", str(path),
+                                   "--gamma", "1e-300", "--sigma", "1e-300"])
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith("error: d_v is undefined")
     assert isinstance(res.exception, SystemExit)
     assert [str(w.message) for w in caught] == []
 

