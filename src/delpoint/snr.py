@@ -110,7 +110,8 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
     """
     w = as_weights(w, ds.dim)
     fnorm = feature_norms(ds.X)
-    d_v = _scores(ds.X, ds.y, ds.s_yx, ds.s_xx, w, snr_denominator(ds.n, hp))
+    d_v = _scores(ds.X, ds.y, ds.s_yx, ds.s_xx, w, snr_denominator(ds.n, hp),
+                  hp)
     target = advantage_target(hp.alpha)
     eps = d_v - target
     return {
@@ -149,13 +150,15 @@ def feature_norms(X) -> np.ndarray:
     return norms
 
 
-def _scores(X, y, s_yx, s_xx, w, denom, dead=None, work=None):
+def _scores(X, y, s_yx, s_xx, w, denom, hp, dead=None, work=None):
     """d_v of every row of X.
 
     ``w`` is (d,), or (K, d) with s_yx (K, d), s_xx (K, d, d) and denom
     (K, 1) batched alike; then d_v is (K, n).  Raises NumericOverflow when a
     d_v is not finite, except at the flat positions ``dead`` of d_v, the
-    points already deleted.  ``work`` is scan_norms's.
+    points already deleted; when a denominator is below 1, the message
+    names it and the noise scale of ``hp``, the parameters it came from.
+    ``work`` is scan_norms's.
     """
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
@@ -169,6 +172,13 @@ def _scores(X, y, s_yx, s_xx, w, denom, dead=None, work=None):
         if dead is not None:
             finite.reshape(-1)[dead] = True
         if not finite.all():
+            low = float(np.min(denom))
+            if low < 1.0:  # then a finite norm can overflow when divided
+                raise NumericOverflow(
+                    f"candidate scores overflow: d_v is divided by {low!r}, "
+                    f"the denominator of the noise scale gamma = "
+                    f"{hp.gamma!r}, sigma = {hp.sigma!r} "
+                    f"({hp.snr_convention} convention)")
             raise NumericOverflow(_OVERFLOW)
     return d_v
 

@@ -445,6 +445,31 @@ def test_underflowing_noise_exits_two_without_warning(runner, tmp_path,
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("command",
+                         ["select", "bounds", "simulate-perfect-delete"])
+def test_tiny_noise_overflow_names_the_noise_scale(runner, tmp_path,
+                                                   command):
+    # (n - 1) sigma / 2 = 199 * 5e-324 / 2 is subnormal but not 0, so every
+    # finite score norm overflows when divided by it: exit 4, and the
+    # message names the denominator and the noise scale, not the data
+    path = gen_dataset(runner, tmp_path, "--seed", "40")
+    args = OVERFLOW_ARGS[command]
+    if args[0] == "simulate":
+        args = args + ["--out", str(tmp_path / "out")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, [*args, "--dataset", str(path),
+                                   "--snr-convention", "consistent",
+                                   "--gamma", "1", "--sigma", "5e-324"])
+    assert res.exit_code == 4, res.output
+    assert res.stderr == (
+        "numeric error: candidate scores overflow: d_v is divided by "
+        "4.94e-322, the denominator of the noise scale gamma = 1.0, "
+        "sigma = 5e-324 (consistent convention)\n")
+    assert isinstance(res.exception, SystemExit)
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("option", ["--x-high", "--slope"])
 def test_gen_label_overflow_exits_four_without_warning(runner, tmp_path,
                                                        option):

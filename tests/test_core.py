@@ -19,7 +19,9 @@ from delpoint import (
     load_csv,
     save_csv,
 )
-from delpoint.core import _dumps_indent2, _json_chunks, _tokens
+from delpoint import core
+from delpoint.core import (_dumps_indent2, _json_chunks, _parse_blocks,
+                           _tokens, _write_csv)
 from delpoint.errors import DomainError
 
 from _oracles import (csv_writer_text, delete_point, json_doc_indent2,
@@ -378,6 +380,24 @@ class TestCsvRoundTrip:
         want = csv_writer_text(["x0", "x1", "y"], rows)
         assert path.read_bytes() == want.encode("utf-8")
 
+    def test_writer_tokens_are_reprs(self, tmp_path):
+        # ints, exponent-form and non-finite floats, bools and float32:
+        # each written as the repr of its tolist() element
+        info = np.iinfo(np.int64)
+        columns = [
+            np.array([info.min, -1, 0, 7, info.max, 12], dtype=np.int64),
+            np.array([0, 1, 2, 3, 4, 2 ** 64 - 1], dtype=np.uint64),
+            np.array([1e-05, -0.0, 1e+16, np.nan, -np.inf, 5e-324]),
+            np.array([True, False, True, True, False, False]),
+            np.array([0.1, 1e-5, np.inf, 3.0, -2.5, np.nan],
+                     dtype=np.float32)]
+        path = tmp_path / "table.csv"
+        header = ["i", "u", "f", "b", "h"]
+        _write_csv(path, header, columns)
+        rows = [list(map(repr, row))
+                for row in zip(*(col.tolist() for col in columns))]
+        assert path.read_bytes() == csv_writer_text(header, rows).encode()
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("x0,x1,y\n1,2,3\n1,2\n")
@@ -428,8 +448,9 @@ class TestCsvRoundTrip:
         assert ds.X.tolist() == X and ds.y.tolist() == y
 
     def test_non_utf8_past_first_chunk_rejected(self, tmp_path):
-        # the header read decodes only the first chunk, so np.loadtxt meets
-        # this byte and the line loop reports it
+        # the header read decodes only the first chunk, so the block reader
+        # meets this byte, leaves the file to the line loop, and that
+        # reports it
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"x0,y\n" + b"1.0,2.0\n" * 5000 + b"\xff,3.0\n")
         with pytest.raises(InvalidValue, match="not UTF-8 text"):
@@ -448,3 +469,146 @@ class TestCsvRoundTrip:
         for got, want in ((ds.X, loop[:, :3]), (ds.y, loop[:, 3]),
                           (ds.X, made.X), (ds.y, made.y)):
             assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def float_oracle(text: str) -> np.ndarray:
+    """The data rows of a CSV text, each field through float(): what
+    both CSV readers must load."""
+    return np.array([[float(v) for v in line.split(",")]
+                     for line in text.splitlines()[1:] if line])
+
+
+class TestBlockReader:
+    """_parse_blocks reads the float() of each field, or leaves the whole
+    file to _parse_rows; load_csv's arrays are the same either way."""
+
+    @staticmethod
+    def check(tmp_path, text, fast=True):
+        """load_csv's X and y are the oracle's bytes; ``fast`` is whether
+        _parse_blocks takes the file."""
+        want = float_oracle(text)
+        d = want.shape[1] - 1
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, "rb") as fh:
+            arr = _parse_blocks(fh, d)
+        assert (arr is not None) == fast
+        if fast:
+            assert arr.tobytes() == want.tobytes()
+        ds = load_csv(path)
+        assert ds.X.tobytes() == np.ascontiguousarray(want[:, :d]).tobytes()
+        assert ds.y.tobytes() == want[:, d].tobytes()
+
+    @staticmethod
+    def table(values, d):
+        """CSV text of the values as reprs, d + 1 to a row."""
+        rows = np.asarray(values).reshape(-1, d + 1).tolist()
+        head = ",".join([f"x{j}" for j in range(d)] + ["y"])
+        return "".join(f"{line}\n" for line in
+                       [head] + [",".join(map(repr, row)) for row in rows])
+
+    def test_random_bit_patterns(self, tmp_path):
+        # every exponent but the non-finite one, subnormals included; the
+        # moments need |x| below about 1e154, so load_csv reads up to 2^476
+        rng = np.random.default_rng(23)
+        text = self.table(float_bits(rng, 30_000), 2)
+        path = tmp_path / "all.csv"
+        path.write_text(text)
+        with open(path, "rb") as fh:
+            assert _parse_blocks(fh, 2).tobytes() == \
+                float_oracle(text).tobytes()
+        self.check(tmp_path, self.table(float_bits(rng, 30_000, (0, 1500)),
+                                        2))
+
+    @pytest.mark.parametrize("token, fast", [
+        ("0", True), ("-0", False), ("-0.0", True), ("1E5", True),
+        ("1e+16", True), ("1e-400", True), ("-1e-400", True)], ids=repr)
+    def test_tokens(self, tmp_path, token, fast):
+        # orjson reads "-0" as the int 0, so that file goes to the loop
+        self.check(tmp_path, f"x0,y\n{token},1.5\n2.5,{token}\n", fast)
+
+    def test_integers_past_float_precision(self, tmp_path):
+        ints = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 3,
+                2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, 2 ** 63 + 1025,
+                2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 2 ** 64 + 2048,
+                2 ** 64 + 2049, 2 ** 64 + 6144, 10 ** 25 + 1, 3 ** 60]
+        tokens = [str(sign * i) for i in ints for sign in (1, -1)]
+        self.check(tmp_path, "x0,y\n" + "".join(
+            f"{a},{b}\n" for a, b in zip(tokens[::2], tokens[1::2])))
+
+    @pytest.mark.parametrize("text", [
+        "x0,x1,y\r\n1.5,2,3e-3\r\n-4,5.25,6\r\n",
+        "x0,y\n1.5,2\n3,4.75",
+        "x0,y\n1.5,-2\n",
+        "x0,y\n1.5,-2",
+    ], ids=["crlf", "no-final-newline", "one-row", "one-row-no-newline"])
+    def test_line_ends(self, tmp_path, text):
+        self.check(tmp_path, text)
+
+    def test_lone_cr_line_ends_go_to_the_loop(self, tmp_path):
+        # csv ends lines at a lone CR; the block reader leaves them to it
+        self.check(tmp_path, "x0,y\r1,2\r3,4\r", fast=False)
+        self.check(tmp_path, "x0,y\n1,2\r3,4\n", fast=False)
+
+    @pytest.mark.parametrize("size", [1, 7, 64])
+    def test_rows_straddle_blocks(self, tmp_path, monkeypatch, size):
+        # blocks smaller than a row, and rows cut anywhere
+        monkeypatch.setattr(core, "_READ_BLOCK", size)
+        values = np.random.default_rng(24).normal(size=300) * 10.0 ** 5
+        text = self.table(values, 2)
+        self.check(tmp_path, text)
+        self.check(tmp_path, text.replace("\n", "\r\n"))
+        self.check(tmp_path, text[:-1])
+
+    def test_ragged_rows_with_a_whole_field_count(self, tmp_path):
+        # 4 fields in 2 rows of a d = 1 file: a count check alone passes
+        path = tmp_path / "ragged.csv"
+        path.write_text("x0,y\n1,2,3\n4\n")
+        with open(path, "rb") as fh:
+            assert _parse_blocks(fh, 1) is None
+        with pytest.raises(DimensionMismatch) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:2: expected 2 fields, got 3"
+
+
+def halfway_tokens(rng, size):
+    """Decimal tokens of 17 to 25 significant digits at the exact midpoint
+    (2 m + 1) 2^(k) of two neighbouring doubles, m a 53-bit significand,
+    and one unit of the last digit below and above it; each in plain and
+    in exponent form, with a random sign."""
+    tokens = []
+    for m, k in zip(rng.integers(2 ** 52, 2 ** 53, size).tolist(),
+                    rng.choice([*range(-12, 0), *range(1, 28)], size)):
+        k = int(k)
+        # the midpoint is digits * 10^-scale exactly
+        digits, scale = ((2 * m + 1) << k, 0) if k > 0 else (
+            (2 * m + 1) * 5 ** -k, -k)
+        assert 17 <= len(str(digits)) <= 25
+        sign = "-" if rng.integers(2) else ""
+        for n in (digits - 1, digits, digits + 1):
+            text = str(n)
+            tokens.append(sign + (f"{text[:-scale]}.{text[-scale:]}"
+                                  if scale else text))
+            tokens.append(f"{sign}{text}e-{scale}")
+    return tokens
+
+
+class TestOrjsonNumbers:
+    """orjson.loads, then a float64 array, reads each decimal token as
+    float() does: the block reader of load_csv relies on it, so an orjson
+    whose number parser rounds otherwise fails here, not in the data."""
+
+    @staticmethod
+    def check(tokens):
+        import orjson
+        got = np.array(orjson.loads("[" + ",".join(tokens) + "]"),
+                       dtype=np.float64)
+        want = np.array([float(t) for t in tokens])
+        assert got.tobytes() == want.tobytes()
+
+    def test_random_bit_pattern_reprs(self):
+        values = float_bits(np.random.default_rng(25), 100_000)
+        self.check(list(map(repr, values.tolist())))
+
+    def test_halfway_points(self):
+        self.check(halfway_tokens(np.random.default_rng(26), 20_000))

@@ -361,16 +361,17 @@ class TestBatchedEngine:
         y = np.array([1.0, 2.0, 3.0])
         s_yx, s_xx, w = np.ones((2, 1)), np.ones((2, 1, 1)), np.full((2, 1), 0.5)
         denom = np.ones((2, 1))
+        hp = HyperParams(gamma=1.0, sigma=1.0, alpha=0.05)
         dead = np.array([2, 5])  # flat positions of point 2 in both rows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d_v = snr._scores(X, y, s_yx, s_xx, w, denom, dead)
+            d_v = snr._scores(X, y, s_yx, s_xx, w, denom, hp, dead)
             assert np.isfinite(d_v[:, :2]).all()
             assert not np.isfinite(d_v[:, 2]).any()
             for some in ([], [2]):
                 with pytest.raises(NumericOverflow,
                                    match="candidate scores overflow"):
-                    snr._scores(X, y, s_yx, s_xx, w, denom, some)
+                    snr._scores(X, y, s_yx, s_xx, w, denom, hp, some)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_downdated_moments_match_survivors(self, seed):
