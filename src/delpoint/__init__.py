@@ -26,7 +26,6 @@ from .errors import (
     EmptyDataset,
     EmptyInput,
     FloorViolated,
-    IndexOutOfRange,
     InvalidValue,
     NumericOverflow,
     TooManyDeletions,
@@ -34,17 +33,15 @@ from .errors import (
     ZeroFeatureNorm,
 )
 from .gauss import make_rng, phi, phi_inv
-from .lossgrad import risk, risk_grad
+from .lossgrad import risk
 from .selector import (
     CandidateScore,
     SelectionResult,
     find_perfect_deleted_point,
-    selection_to_json,
 )
 from .sim import (
     ExperimentResult,
     StepConfig,
-    empirical_advantage,
     run_protocol,
     summarize,
 )
@@ -69,7 +66,6 @@ __all__ = [
     "FloorViolated",
     "GenConfig",
     "HyperParams",
-    "IndexOutOfRange",
     "InvalidValue",
     "NumericOverflow",
     "SelectionResult",
@@ -78,7 +74,6 @@ __all__ = [
     "WouldEmptyDataset",
     "ZeroFeatureNorm",
     "advantage_target",
-    "empirical_advantage",
     "find_perfect_deleted_point",
     "generate",
     "load_csv",
@@ -88,10 +83,8 @@ __all__ = [
     "phi_inv",
     "privacy_floor",
     "risk",
-    "risk_grad",
     "run_protocol",
     "save_csv",
-    "selection_to_json",
     "summarize",
     "write_scores_csv",
 ]

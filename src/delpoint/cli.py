@@ -20,8 +20,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import (HyperParams, _dumps_indent2, _json_chunks, _tokens,
-                   _write_csv, load_csv, save_csv)
+from .core import (HyperParams, _dumps_indent2, _json_chunks, _write_csv,
+                   load_csv, save_csv)
 from .datagen import GenConfig, generate
 from .errors import DelpointError, DimensionMismatch, InvalidValue
 from .bounds import bounds_arrays
@@ -209,10 +209,6 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
         sys.exit(EXIT_NO_PERFECT_POINT)
 
 
-_BOUNDS_ROW = ("index", "lower", "upper", "actual_delta", "contained_A",
-               "contained_B", "privacy_floor")
-
-
 def _bounds_chunks(ds, w0, hp, b_floor):
     """bounds.json in the pieces of _json_chunks: one row per point, in
     dataset order.  The rows are computed before the first piece."""
@@ -220,12 +216,12 @@ def _bounds_chunks(ds, w0, hp, b_floor):
     cols = bounds_arrays(ds, w0, hp, arrays["eps_v"], b=b_floor)
     head = {"format_version": BOUNDS_FORMAT_VERSION,
             "target": arrays["target"]}
-    columns = [arrays["index"], cols["lower"], cols["upper"],
-               cols["actual_delta"], cols["contained_a"], cols["contained_b"],
-               cols["privacy_floor"]]
-    return _json_chunks(head, "rows", _BOUNDS_ROW,
-                        lambda lo, hi: [_tokens(c[lo:hi]) for c in columns],
-                        ds.n)
+    return _json_chunks(head, "rows", {
+        "index": arrays["index"], "lower": cols["lower"],
+        "upper": cols["upper"], "actual_delta": cols["actual_delta"],
+        "contained_A": cols["contained_a"],
+        "contained_B": cols["contained_b"],
+        "privacy_floor": cols["privacy_floor"]})
 
 
 @main.command()

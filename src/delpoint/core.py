@@ -214,14 +214,14 @@ def _tokens(col) -> list[str]:
     return tokens
 
 
-def _json_chunks(head: dict, key: str, names, encode, n: int):
+def _json_chunks(head: dict, key: str, columns: dict):
     """``json.dumps(head | {key: rows}, indent=2)`` and a newline, in pieces.
 
     Yields the head, the rows in blocks of _CHUNK_ROWS, then the tail; the
-    pieces join to the whole document.  Row i maps ``names`` to element i
-    of the token lists (see _tokens) that ``encode(lo, hi)`` returns for
-    rows lo..hi-1, one list per name.  n >= 1, and ``key`` is not in
-    ``head``.  ``json.dumps`` with ``indent`` encodes every value in
+    pieces join to the whole document.  ``columns`` maps the keys of a row,
+    in the order the row lists them, to arrays of n >= 1 elements, and row
+    i maps each key to the JSON token (see _tokens) of element i of its
+    array.  ``key`` is not in ``head``.  ``json.dumps`` with ``indent`` encodes every value in
     Python, so only the small head goes through it.  The rows of a block
     are one interleaved join: a list of 2 m k strings for m columns and k
     rows holds, for row i and column j, the key text of column j at
@@ -229,20 +229,21 @@ def _json_chunks(head: dict, key: str, names, encode, n: int):
     closes the row before, so no row string is built.
 
     Private, because perfbench's tracer wraps public functions only: the
-    writing time shows in the spans of the callers that consume the
-    pieces, selection_to_json, or cli where select and bounds stream them.
+    writing time shows in the spans of cli, where select and bounds
+    stream the pieces.
     """
-    m = len(names)
-    glue = [f"\n      {json.dumps(name)}: " for name in names]
+    m = len(columns)
+    n = len(next(iter(columns.values())))
+    glue = [f"\n      {json.dumps(name)}: " for name in columns]
     sep = "\n    },\n    {" + glue[0]
     # the list is the last value of the top-level object: "[]\n}"
     yield json.dumps(head | {key: []}, indent=2)[:-4] + "[\n    "
     for lo in range(0, n, _CHUNK_ROWS):
         k = min(_CHUNK_ROWS, n - lo)
         parts = [""] * (2 * m * k)
-        for j, toks in enumerate(encode(lo, lo + k)):
+        for j, col in enumerate(columns.values()):
             parts[2 * j::2 * m] = [("," if j else "{") + glue[j]] * k
-            parts[2 * j + 1::2 * m] = toks
+            parts[2 * j + 1::2 * m] = _tokens(col[lo:lo + k])
         parts[2 * m::2 * m] = [sep] * (k - 1)
         if lo:  # close the last row of the block before
             parts[0] = sep

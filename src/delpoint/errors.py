@@ -21,10 +21,6 @@ class InvalidValue(DelpointError):
     """A numeric input contains NaN or infinity where finite values are required."""
 
 
-class IndexOutOfRange(DelpointError):
-    """A point index is outside [0, n)."""
-
-
 class DomainError(DelpointError):
     """A scalar argument lies outside the domain of the requested function."""
 

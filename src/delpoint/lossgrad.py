@@ -1,10 +1,7 @@
-"""Squared loss: empirical risk and its gradient.
+"""Squared loss: weight validation and the empirical risk.
 
 For the model y ~ <w, x> the individual loss is (y - <w, x>)^2 and the
-empirical risk is the mean individual loss.  The gradient goes through the
-cached sufficient statistics (O(d^2) regardless of n):
-
-    grad_w L(w; D) = 2 (s_xx w - s_yx)
+empirical risk is the mean individual loss.
 """
 
 from __future__ import annotations
@@ -38,8 +35,3 @@ def risk(w, ds: Dataset) -> float:
         raise NumericOverflow("empirical risk overflows float64")
     return mean
 
-
-def risk_grad(w, ds: Dataset) -> np.ndarray:
-    """Mean-loss gradient from sufficient statistics: 2 (s_xx w - s_yx)."""
-    w = as_weights(w, ds.dim)
-    return 2.0 * (ds.s_xx @ w - ds.s_yx)

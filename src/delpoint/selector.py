@@ -16,8 +16,7 @@ Tie-breaking (``tie_break``):
   exactly equal to delta is accepted.
 
 Scores stay in the scan's columns.  selection.json is produced in blocks
-of rows (core._json_chunks): the CLI streams them to its outputs, and
-selection_to_json joins them into one string.
+of rows (core._json_chunks), which the CLI streams to its outputs.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams, _json_chunks, _tokens
+from .core import Dataset, HyperParams, _json_chunks
 from .errors import DomainError
 from .snr import membership_advantage, scan_arrays
 
@@ -125,13 +124,5 @@ def _selection_chunks(result: SelectionResult):
     head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
             "target": result.target,
             "best": None if result.best is None else asdict(result.best)}
-    s = result.scores
-    return _json_chunks(head, "scores", _COLUMNS,
-                        lambda lo, hi: [_tokens(s[key][lo:hi])
-                                        for key in _COLUMNS],
-                        len(s["index"]))
-
-
-def selection_to_json(result: SelectionResult) -> str:
-    """Canonical JSON serialization; byte-stable for identical inputs."""
-    return "".join(_selection_chunks(result))
+    return _json_chunks(head, "scores",
+                        {key: result.scores[key] for key in _COLUMNS})

@@ -1,5 +1,4 @@
-"""Noisy-SGD stepping, multi-step deletion protocols, and the empirical
-membership-advantage estimator.
+"""Noisy-SGD stepping and multi-step deletion protocols.
 
 One step of noisy SGD is
 
@@ -41,12 +40,6 @@ raise NumericOverflow, with no RuntimeWarning.  The overflow is raised at
 the earliest failing step of any iteration in the block, where a loop over
 iterations would raise at the first failing step of the earliest
 iteration; the class, and so the CLI exit code, is the same.
-
-The empirical advantage estimator draws one-step updates under both the
-keep and delete hypotheses, applies the optimal likelihood-ratio threshold
-test at level alpha, and returns |accept_rate(H0) + accept_rate(H1) - 1|,
-which converges to |Phi(Phi_inv(1-alpha) - d) - alpha| at the true update
-separation d = ||mu(D1) - mu(D0)|| / (gamma sigma).
 """
 
 from __future__ import annotations
@@ -57,10 +50,9 @@ from typing import Optional
 import numpy as np
 
 from .core import Dataset, HyperParams
-from .errors import (DegenerateNoise, DomainError, EmptyInput, IndexOutOfRange,
-                     NumericOverflow, TooManyDeletions, WouldEmptyDataset)
-from .gauss import make_rng, phi_inv
-from .lossgrad import as_weights, risk_grad
+from .errors import DomainError, EmptyInput, NumericOverflow, TooManyDeletions
+from .gauss import make_rng
+from .lossgrad import as_weights
 from .selector import _check_tie_break, _pick
 from .snr import _scores, advantage_target, feature_norms, snr_denominator
 
@@ -266,64 +258,12 @@ def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,
     return mean, variance, histograms
 
 
-def empirical_advantage(ds: Dataset, index: int, w, hp: HyperParams,
-                        trials: int, rng: Optional[np.random.Generator] = None) -> float:
-    """Monte Carlo advantage of the level-alpha likelihood-ratio test.
-
-    Draws ``trials`` one-step updates under each hypothesis; the standard
-    error of the estimate is below 1/sqrt(trials).  The update mean without
-    the point at ``index`` uses the exact leave-one-out identity
-
-        grad L(w; D \\ v) = (n grad L(w; D) - grad l(w; v)) / (n - 1)
-
-    with grad l(w; v) = -2 (y_v - <w, x_v>) x_v.
-    """
-    if trials < 1000:
-        raise DomainError(f"trials must be >= 1000, got {trials}")
-    sigma_g = hp.gamma * hp.sigma
-    if sigma_g == 0.0:
-        raise DegenerateNoise("empirical advantage needs gamma > 0 and sigma > 0")
-    w = as_weights(w, ds.dim)
-    n = ds.n
-    if n < 2:
-        raise WouldEmptyDataset("deleting a point needs at least two points")
-    if not 0 <= index < n:
-        raise IndexOutOfRange(f"index {index} outside [0, {n})")
-    if rng is None:
-        rng = make_rng(hp.seed)
-
-    g = risk_grad(w, ds)
-    g_v = -2.0 * (float(ds.y[index]) - float(w @ ds.X[index])) * ds.X[index]
-    mu0 = -hp.gamma * g
-    mu1 = -hp.gamma * ((n * g - g_v) / (n - 1))
-    direction = (mu1 - mu0) / (sigma_g * sigma_g)
-    scale = float(np.linalg.norm(direction)) * sigma_g
-
-    if scale == 0.0:
-        # identical hypotheses: the likelihood ratio is constant, so the
-        # level-alpha test randomizes; both accept rates are 1 - alpha
-        a0 = float(np.mean(rng.random(trials) >= hp.alpha))
-        a1 = float(np.mean(rng.random(trials) >= hp.alpha))
-        return abs(a0 + a1 - 1.0)
-
-    threshold = float(direction @ mu0) + scale * phi_inv(1.0 - hp.alpha)
-    d = ds.dim
-    s0 = float(direction @ mu0) + sigma_g * (rng.standard_normal((trials, d)) @ direction)
-    s1 = float(direction @ mu1) + sigma_g * (rng.standard_normal((trials, d)) @ direction)
-    a0 = float(np.mean(s0 <= threshold))
-    a1 = float(np.mean(s1 <= threshold))
-    return abs(a0 + a1 - 1.0)
-
-
 def experiment_to_doc(result: ExperimentResult) -> dict:
     """Plain-JSON-serializable view of an ExperimentResult summary."""
     return {
-        "mean": [float(v) for v in result.mean],
-        "variance": [float(v) for v in result.variance],
-        "histogram": [
-            {"edges": [float(e) for e in h.edges],
-             "counts": [int(c) for c in h.counts]}
-            for h in result.histograms
-        ],
+        "mean": result.mean.tolist(),
+        "variance": result.variance.tolist(),
+        "histogram": [{"edges": h.edges.tolist(), "counts": h.counts.tolist()}
+                      for h in result.histograms],
         "deletions_log": result.deletions_log,
     }

@@ -19,8 +19,8 @@ Two denominator conventions are supported:
                   d_v = ||mu(D1) - mu(D0)||_2 / (gamma sigma) for the
                   simulated update means mu(D) = -gamma grad L(w; D).  This
                   is the separation that actually governs the likelihood
-                  ratio test on simulated updates, and the one the
-                  empirical advantage estimator converges to.
+                  ratio test on simulated updates, and the one the test
+                  suite's Monte Carlo advantage estimator converges to.
 
 The membership advantage of a separation d at Type I error alpha is
 
@@ -59,6 +59,10 @@ def advantage_target(alpha: float) -> float:
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 0.5):
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
+    if 1.0 - alpha == 1.0:  # alpha <= 2^-54
+        raise DomainError(
+            f"alpha = {alpha} is too small: 1 - alpha rounds to 1 in "
+            f"float64, where Phi_inv(1 - alpha) is infinite")
 
 
 def snr_denominator(n: int, hp: HyperParams) -> float:

@@ -3,14 +3,23 @@
 Everything here is deliberately written the slow, obvious way (plain loops,
 physically rebuilt deleted datasets) and leans on scipy/mpmath for the
 normal distribution, so no code path is shared with the package under
-test.  Points are named by their positions, as in the package.  The one
-exception is ``run_protocol_loop``, which replays the simulation protocols
-one iteration and one step at a time: it scores with the package's
-scan_arrays and draws from make_rng, and it deletes and steps through
-``delete_point`` and ``sgd_step`` below, which rebuild each reduced
-dataset (a Dataset of read-only X, y, s_yx, s_xx) and step from the
-package's risk_grad.  Their arithmetic is the per-iteration arithmetic of
-sim._run_block, so the engine is compared against them bit for bit.
+test.  Points are named by their positions, as in the package.
+
+Two exceptions share the package's arithmetic on purpose:
+
+* ``run_protocol_loop`` replays the simulation protocols one iteration and
+  one step at a time: it scores with the package's scan_arrays and draws
+  from make_rng, and it deletes and steps through ``delete_point`` and
+  ``sgd_step`` below, which rebuild each reduced dataset (a Dataset of
+  read-only X, y, s_yx, s_xx) and step with ``risk_grad``.  Their
+  arithmetic is the per-iteration arithmetic of sim._run_block, so the
+  engine is compared against them bit for bit.
+* ``empirical_advantage`` is the Monte Carlo likelihood-ratio estimator
+  that checks the closed-form membership advantage.  It draws from
+  make_rng and thresholds with the package's phi_inv.
+
+``IndexOutOfRange`` is the error of the position guards of
+``delete_point`` and ``empirical_advantage``; no package function raises it.
 """
 
 import csv
@@ -22,10 +31,14 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from delpoint import (Dataset, DomainError, IndexOutOfRange, NumericOverflow,
-                      WouldEmptyDataset, make_rng, risk_grad)
+from delpoint import (Dataset, DegenerateNoise, DelpointError, DomainError,
+                      NumericOverflow, WouldEmptyDataset, make_rng, phi_inv)
 from delpoint.lossgrad import as_weights
 from delpoint.snr import scan_arrays
+
+
+class IndexOutOfRange(DelpointError):
+    """A point index is outside [0, n)."""
 
 
 def stats_loop(xs, ys):
@@ -237,6 +250,12 @@ def delete_point(ds, index):
     return Dataset(X, y, s_yx, s_xx)
 
 
+def risk_grad(w, ds):
+    """Mean-loss gradient from sufficient statistics: 2 (s_xx w - s_yx)."""
+    w = as_weights(w, ds.dim)
+    return 2.0 * (ds.s_xx @ w - ds.s_yx)
+
+
 def sample_gaussian(rng, mean, std):
     """Draw mean + std * Z with i.i.d. standard normal Z per entry.
 
@@ -295,3 +314,55 @@ def run_protocol_loop(cfg, ds):
         finals.append(w)
         logs.append(events)
     return np.stack(finals), logs
+
+
+def empirical_advantage(ds, index, w, hp, trials, rng=None):
+    """Monte Carlo advantage of the level-alpha likelihood-ratio test.
+
+    Draws ``trials`` one-step updates under the keep and the delete
+    hypotheses and returns |accept_rate(H0) + accept_rate(H1) - 1|, which
+    converges to |Phi(Phi_inv(1 - alpha) - d) - alpha| at the update
+    separation d = ||mu(D1) - mu(D0)|| / (gamma sigma), the d_v of the
+    consistent convention.  The standard error of the estimate is below
+    1/sqrt(trials).  The update mean without the point at ``index`` uses
+    the exact leave-one-out identity
+
+        grad L(w; D \\ v) = (n grad L(w; D) - grad l(w; v)) / (n - 1)
+
+    with grad l(w; v) = -2 (y_v - <w, x_v>) x_v.
+    """
+    if trials < 1000:
+        raise DomainError(f"trials must be >= 1000, got {trials}")
+    sigma_g = hp.gamma * hp.sigma
+    if sigma_g == 0.0:
+        raise DegenerateNoise("empirical advantage needs gamma > 0 and sigma > 0")
+    w = as_weights(w, ds.dim)
+    n = ds.n
+    if n < 2:
+        raise WouldEmptyDataset("deleting a point needs at least two points")
+    if not 0 <= index < n:
+        raise IndexOutOfRange(f"index {index} outside [0, {n})")
+    if rng is None:
+        rng = make_rng(hp.seed)
+
+    g = risk_grad(w, ds)
+    g_v = -2.0 * (float(ds.y[index]) - float(w @ ds.X[index])) * ds.X[index]
+    mu0 = -hp.gamma * g
+    mu1 = -hp.gamma * ((n * g - g_v) / (n - 1))
+    direction = (mu1 - mu0) / (sigma_g * sigma_g)
+    scale = float(np.linalg.norm(direction)) * sigma_g
+
+    if scale == 0.0:
+        # identical hypotheses: the likelihood ratio is constant, so the
+        # level-alpha test randomizes; both accept rates are 1 - alpha
+        a0 = float(np.mean(rng.random(trials) >= hp.alpha))
+        a1 = float(np.mean(rng.random(trials) >= hp.alpha))
+        return abs(a0 + a1 - 1.0)
+
+    threshold = float(direction @ mu0) + scale * phi_inv(1.0 - hp.alpha)
+    d = ds.dim
+    s0 = float(direction @ mu0) + sigma_g * (rng.standard_normal((trials, d)) @ direction)
+    s1 = float(direction @ mu1) + sigma_g * (rng.standard_normal((trials, d)) @ direction)
+    a0 = float(np.mean(s0 <= threshold))
+    a1 = float(np.mean(s1 <= threshold))
+    return abs(a0 + a1 - 1.0)

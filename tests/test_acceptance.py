@@ -7,7 +7,6 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 import time
 
 import numpy as np
-import pytest
 from scipy.stats import chi2
 
 from delpoint import (
@@ -16,7 +15,6 @@ from delpoint import (
     HyperParams,
     StepConfig,
     advantage_target,
-    empirical_advantage,
     find_perfect_deleted_point,
     generate,
     membership_advantage,
@@ -26,8 +24,8 @@ from delpoint import (
 from delpoint.bounds import bounds_arrays
 from delpoint.snr import scan_arrays
 
-from _oracles import (bounds_calc, privacy_floor_calc, select_strict_loop,
-                      snr_definition_form)
+from _oracles import (bounds_calc, empirical_advantage, privacy_floor_calc,
+                      select_strict_loop, snr_definition_form)
 
 PF_NEG1_A005 = 0.19021616457866483  # frozen mpmath oracle value
 

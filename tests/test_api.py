@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import subprocess
@@ -9,25 +10,31 @@ import pytest
 import delpoint
 from delpoint import Dataset
 
-# The per-point API that scan_arrays, bounds_arrays and risk_grad on a
+# The per-point API that scan_arrays, bounds_arrays and risk on a
 # one-row dataset replace, and the one-iteration stepping and ranking API
 # that run_protocol's batched engine and find_perfect_deleted_point
 # replace, the moments wrapper whose arrays a Dataset now holds, and the
 # whole-document row writers that the streamed _json_chunks replaces,
 # and the distance-from-eps token reuse that core._tokens made needless,
-# by the module that defined it.
+# and the code no command runs: the Monte Carlo advantage estimator with
+# the gradient and the index error that only it used, now test oracles,
+# and the joined selection.json that the streamed pieces replace; by the
+# module that defined it.
 REMOVED = {
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
                       "_json_rows"],
-    "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad"],
+    "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad",
+                          "risk_grad"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error"],
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
                         "risk_change_bounds_floor", "_row_dots",
                         "_feature_norms"],
-    "delpoint.sim": ["sgd_step"],
+    "delpoint.sim": ["sgd_step", "empirical_advantage"],
     "delpoint.gauss": ["sample_gaussian"],
-    "delpoint.selector": ["rank_candidates", "_abs_tokens"],
+    "delpoint.selector": ["rank_candidates", "_abs_tokens",
+                          "selection_to_json"],
     "delpoint.cli": ["_bounds_json"],
+    "delpoint.errors": ["IndexOutOfRange"],
 }
 
 
@@ -68,3 +75,38 @@ def test_cli_import_loads_no_process_pool():
                          capture_output=True, text=True,
                          env=os.environ | {"PYTHONPATH": path})
     assert out.stdout == "[]\n"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names that ``source`` imports and never reads or writes again.
+
+    A name counts as used when any Name node of the module has it, so an
+    ``import a.b`` is used by ``a.b.c``.  ``from __future__`` and star
+    imports bind nothing to check.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names
+                         if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(set(imported) - used)
+
+
+def test_no_unused_imports():
+    assert unused_imports("from __future__ import annotations\n"
+                          "import os.path\nimport math\n"
+                          "from json import dumps as d, loads\n"
+                          "os.path.join(d)\n") == ["loads", "math"]
+    root = Path(__file__).resolve().parents[1]
+    files = [p for p in sorted((root / "src" / "delpoint").glob("*.py"))
+             if p.name != "__init__.py"]
+    files += sorted((root / "tests").glob("*.py"))
+    assert len(files) > 20
+    found = {str(p.relative_to(root)): names for p in files
+             if (names := unused_imports(p.read_text(encoding="utf-8")))}
+    assert found == {}

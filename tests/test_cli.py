@@ -17,12 +17,12 @@ from delpoint import (
     privacy_floor,
     run_protocol,
     save_csv,
-    selection_to_json,
     write_scores_csv,
 )
 from delpoint import core
 from delpoint.bounds import bounds_arrays
 from delpoint.cli import main
+from delpoint.selector import _selection_chunks
 from delpoint.sim import experiment_to_doc
 from delpoint.snr import scan_arrays
 
@@ -101,7 +101,7 @@ class TestSelect:
         ds = load_csv(path)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, delta=100.0)
         result = find_perfect_deleted_point(ds, np.zeros(1), hp)
-        assert res.output == selection_to_json(result)
+        assert res.output == "".join(_selection_chunks(result))
         assert res.output == selection_doc_indent2(result)
 
     def test_scores_csv_written(self, runner, tmp_path):
@@ -319,7 +319,8 @@ class TestChunkBoundaries:
 
     def test_selection_to_json(self, chunk_rows):
         result = self.selection_result()
-        assert selection_to_json(result) == selection_doc_indent2(result)
+        assert ("".join(_selection_chunks(result))
+                == selection_doc_indent2(result))
 
     def test_write_scores_csv(self, chunk_rows, tmp_path):
         scores = self.selection_result().scores
@@ -443,6 +444,27 @@ def test_underflowing_noise_exits_two_without_warning(runner, tmp_path,
     assert res.stderr.startswith("error: d_v is undefined")
     assert isinstance(res.exception, SystemExit)
     assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("command", list(OVERFLOW_ARGS))
+@pytest.mark.parametrize("alpha", ["1e-17", repr(2.0 ** -54)])
+def test_tiny_alpha_names_alpha(runner, tmp_path, command, alpha):
+    # 1 - alpha rounds to 1 at alpha <= 2^-54: the commands that need the
+    # target 2 Phi_inv(1 - alpha) exit 2 naming alpha, not a p the user
+    # never passed; no-delete and random-delete never evaluate it
+    path = gen_dataset(runner, tmp_path, "--seed", "40")
+    args = OVERFLOW_ARGS[command]
+    if args[0] == "simulate":
+        args = args + ["--out", str(tmp_path / "out")]
+    res = runner.invoke(main, [*args, "--dataset", str(path),
+                               "--alpha", alpha])
+    if command in ("simulate-no-delete", "simulate-random-delete"):
+        assert res.exit_code == 0, res.output
+        return
+    assert res.exit_code == 2, res.output
+    assert res.stderr == (
+        f"error: alpha = {float(alpha)} is too small: 1 - alpha rounds to 1 "
+        "in float64, where Phi_inv(1 - alpha) is infinite\n")
 
 
 @pytest.mark.parametrize("command",

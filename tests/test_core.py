@@ -12,7 +12,6 @@ from delpoint import (
     DimensionMismatch,
     EmptyDataset,
     HyperParams,
-    IndexOutOfRange,
     InvalidValue,
     NumericOverflow,
     WouldEmptyDataset,
@@ -24,8 +23,8 @@ from delpoint.core import (_dumps_indent2, _json_chunks, _parse_blocks,
                            _tokens, _write_csv)
 from delpoint.errors import DomainError
 
-from _oracles import (csv_writer_text, delete_point, json_doc_indent2,
-                      stats_loop)
+from _oracles import (IndexOutOfRange, csv_writer_text, delete_point,
+                      json_doc_indent2, stats_loop)
 
 
 def stats_of(X, y):
@@ -202,10 +201,8 @@ class TestJsonRows:
     @classmethod
     def check(cls, names, columns):
         columns = [np.asarray(col) for col in columns]
-        text = "".join(_json_chunks(
-            cls.HEAD, "rows", names,
-            lambda lo, hi: [_tokens(col[lo:hi]) for col in columns],
-            len(columns[0])))
+        text = "".join(_json_chunks(cls.HEAD, "rows",
+                                    dict(zip(names, columns))))
         assert text == json_doc_indent2(cls.HEAD, "rows", names, columns)
         return text
 

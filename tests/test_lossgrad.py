@@ -6,15 +6,14 @@ import pytest
 from delpoint import (
     Dataset,
     DimensionMismatch,
-    IndexOutOfRange,
     NumericOverflow,
     WouldEmptyDataset,
     risk,
-    risk_grad,
 )
 
 from conftest import random_dataset
-from _oracles import delete_point, mean_grad_loop, point_grad_loop, risk_loop
+from _oracles import (IndexOutOfRange, delete_point, mean_grad_loop,
+                      point_grad_loop, risk_grad, risk_loop)
 
 
 def one(x, y):

@@ -16,13 +16,17 @@ from delpoint import (
     advantage_target,
     find_perfect_deleted_point,
     generate,
-    selection_to_json,
 )
 from delpoint import selector
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset, tuned_dataset
 from _oracles import select_loop, select_strict_loop, selection_doc_indent2
+
+
+def selection_json(result):
+    """selection.json of ``result``: the streamed pieces, joined."""
+    return "".join(selector._selection_chunks(result))
 
 
 def solve_label(X, y, index, w, hp, want_d_v):
@@ -156,8 +160,8 @@ class TestSelection:
     def test_determinism_byte_for_byte(self, rng, hp_default):
         ds = random_dataset(rng, n=25, d=3)
         w = rng.normal(size=3)
-        a = selection_to_json(find_perfect_deleted_point(ds, w, hp_default))
-        b = selection_to_json(find_perfect_deleted_point(ds, w, hp_default))
+        a = selection_json(find_perfect_deleted_point(ds, w, hp_default))
+        b = selection_json(find_perfect_deleted_point(ds, w, hp_default))
         assert a == b
 
     def test_error_propagation(self, rng):
@@ -177,12 +181,12 @@ class TestSelection:
 
 
 class TestSelectionJson:
-    """selection_to_json equals json.dumps(indent=2) of the row dicts."""
+    """selection.json equals json.dumps(indent=2) of the row dicts."""
 
     @staticmethod
     def check(ds, w, hp, tie_break="norm-first"):
         result = find_perfect_deleted_point(ds, w, hp, tie_break=tie_break)
-        text = selection_to_json(result)
+        text = selection_json(result)
         assert text == selection_doc_indent2(result)
         return result, text
 
@@ -212,7 +216,7 @@ class TestSelectionJson:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert size == len(selection_to_json(result))
+        assert size == len(selection_json(result))
         assert peak < size / 3
 
     def test_no_best(self, rng):
@@ -259,7 +263,7 @@ class TestSelectionJson:
         eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
                         -np.inf, 3.5])
         result = self.hand_built(eps, np.abs(eps))
-        assert selection_to_json(result) == selection_doc_indent2(result)
+        assert selection_json(result) == selection_doc_indent2(result)
 
     @pytest.mark.parametrize("eps, distance", [
         ([-2.5e-07, 1e-05, 0.0], [2.5e-07, 1e-05, 1.0]),
@@ -270,7 +274,7 @@ class TestSelectionJson:
     ], ids=["other", "signed", "negative-zero", "nan", "int"])
     def test_distance_encoded_itself(self, eps, distance):
         result = self.hand_built(eps, distance)
-        assert selection_to_json(result) == selection_doc_indent2(result)
+        assert selection_json(result) == selection_doc_indent2(result)
 
 
 class TestRanking:

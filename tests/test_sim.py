@@ -13,17 +13,14 @@ from delpoint import (
     EmptyInput,
     GenConfig,
     HyperParams,
-    IndexOutOfRange,
     NumericOverflow,
     StepConfig,
     TooManyDeletions,
     WouldEmptyDataset,
     advantage_target,
-    empirical_advantage,
     generate,
     make_rng,
     membership_advantage,
-    risk_grad,
     run_protocol,
     summarize,
 )
@@ -32,7 +29,8 @@ from delpoint.sim import PROTOCOLS, experiment_to_doc
 from delpoint.snr import scan_arrays
 
 from conftest import assign_labels_1d, random_dataset
-from _oracles import delete_point, run_protocol_loop, sgd_step
+from _oracles import (IndexOutOfRange, delete_point, empirical_advantage,
+                      risk_grad, run_protocol_loop, sgd_step)
 
 
 def reference_dataset():

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -168,6 +169,15 @@ class TestAdvantage:
             membership_advantage(1.0, 0.6)
         with pytest.raises(DomainError):
             membership_advantage(-0.5, 0.05)
+
+    def test_alpha_where_one_minus_alpha_rounds_to_one(self):
+        # 1 - 2^-53 is a float64 below 1; 1 - 2^-54 rounds to 1
+        assert math.isfinite(advantage_target(2.0 ** -53))
+        for alpha in (2.0 ** -54, 1e-17, 5e-324):
+            with pytest.raises(DomainError, match=r"^alpha = .* too small"):
+                advantage_target(alpha)
+            with pytest.raises(DomainError, match=r"^alpha = .* too small"):
+                membership_advantage(1.0, alpha)
 
     def test_elementwise_matches_scalar_calls(self, rng):
         # separations reach all three erfc regimes of Phi(q - d)
