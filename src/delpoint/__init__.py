@@ -48,7 +48,6 @@ from .sim import (
 from .snr import (
     advantage_target,
     membership_advantage,
-    write_scores_csv,
 )
 
 __all__ = [
@@ -86,5 +85,4 @@ __all__ = [
     "run_protocol",
     "save_csv",
     "summarize",
-    "write_scores_csv",
 ]

@@ -4,7 +4,8 @@ Every command takes an explicit ``--seed`` and, whenever it writes
 artifacts (``--out``), drops a manifest.json with the fully resolved
 configuration, so any artifact can be reproduced from its manifest alone.
 Exit codes: 0 success, 2 usage or malformed input, 3 no point within
-tolerance (select only), 4 internal numeric failure.
+tolerance (select only), 4 internal numeric failure.  Only this module
+writes files, and it decides the layout of each; core encodes the rows.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -20,18 +22,21 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import (HyperParams, _dumps_indent2, _json_chunks, _write_csv,
-                   load_csv, save_csv)
+from .core import (_SNR_CONVENTIONS, HyperParams, _dumps_indent2,
+                   _json_chunks, _write_csv, load_csv, save_csv)
 from .datagen import GenConfig, generate
 from .errors import DelpointError, DimensionMismatch, InvalidValue
 from .bounds import bounds_arrays
-from .selector import _selection_chunks, find_perfect_deleted_point
-from .sim import PROTOCOLS, StepConfig, experiment_to_doc, run_protocol
-from .snr import scan_arrays, write_scores_csv
+from .selector import _TIE_BREAKS, CandidateScore, find_perfect_deleted_point
+from .sim import PROTOCOLS, StepConfig, run_protocol
+from .snr import scan_arrays
 
 MANIFEST_FORMAT_VERSION = 1
+SELECTION_JSON_FORMAT_VERSION = 1
 BOUNDS_FORMAT_VERSION = 2
 SUMMARY_FORMAT_VERSION = 1
+
+_SCORES_CSV_HEADER = ("index", "d_v", "eps_v", "advantage", "feature_norm")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,14 +56,14 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
 
 
 def _stream(chunks, out_dir: Path | None, name: str) -> None:
-    """Write the pieces of a document to stdout, and to out_dir / name
-    when --out is given.
+    """Write the pieces of a document, the iterator ``chunks``, to stdout,
+    and to out_dir / name when --out is given.
 
     Only one block of rows is held at a time.  If writing the file fails
     part way, stdout may already hold the first part of the document.
-    The pieces go to sys.stdout itself, flushed once at the end: click.echo
-    would run its ANSI-stripping regex over every block when stdout is not
-    a terminal, and JSON text holds no raw escape byte to strip.
+    The pieces go to sys.stdout itself: click.echo would run its
+    ANSI-stripping regex over every block when stdout is not a terminal,
+    and JSON text holds no raw escape byte to strip.
     """
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -67,8 +72,19 @@ def _stream(chunks, out_dir: Path | None, name: str) -> None:
         for chunk in chunks:
             if fh is not None:
                 fh.write(chunk)
-            sys.stdout.write(chunk)
-    sys.stdout.flush()
+            try:
+                sys.stdout.write(chunk)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader has gone (| head): the rest goes to the file
+                # alone, and fd 1 to os.devnull, so the flush at exit is
+                # quiet (see the SIGPIPE note in the ``signal`` docs)
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
+                if fh is not None:
+                    fh.writelines(chunks)
+                return
 
 
 def _parse_w0(value: str | None, dim: int) -> np.ndarray:
@@ -112,14 +128,14 @@ def _hyper_options(fn):
     fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
                       show_default=True, help="Master RNG seed.")(fn)
     fn = click.option("--snr-convention",
-                      type=click.Choice(["paper", "consistent"]),
+                      type=click.Choice(_SNR_CONVENTIONS),
                       default="paper", show_default=True,
                       help="Denominator convention for d_v.")(fn)
     return fn
 
 
 _tie_break_option = click.option(
-    "--tie-break", type=click.Choice(["norm-first", "paper"]),
+    "--tie-break", type=click.Choice(_TIE_BREAKS),
     default="norm-first", show_default=True,
     help="Tie handling among near-minimal candidates.")
 
@@ -191,7 +207,8 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
         result = find_perfect_deleted_point(ds, w0, hp, tie_break=tie_break)
         artifacts = []
         if scores_csv is not None:
-            write_scores_csv(result.scores, scores_csv)
+            _write_csv(scores_csv, _SCORES_CSV_HEADER,
+                       [result.scores[key] for key in _SCORES_CSV_HEADER])
             artifacts.append(str(scores_csv))
         _stream(_selection_chunks(result), out_dir, "selection.json")
         if out_dir is not None:
@@ -207,6 +224,16 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
     result = _guard(body)
     if result.best is None:
         sys.exit(EXIT_NO_PERFECT_POINT)
+
+
+def _selection_chunks(result):
+    """selection.json in the pieces of _json_chunks; a row of scores is
+    keyed as CandidateScore's fields."""
+    best = None if result.best is None else dataclasses.asdict(result.best)
+    head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
+            "target": result.target, "best": best}
+    keys = [f.name for f in dataclasses.fields(CandidateScore)]
+    return _json_chunks(head, "scores", {k: result.scores[k] for k in keys})
 
 
 def _bounds_chunks(ds, w0, hp, b_floor):
@@ -259,8 +286,7 @@ def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
 @click.option("--dataset", type=click.Path(exists=True, dir_okay=False,
               path_type=Path), required=True)
 @click.option("--protocol", type=click.Choice(
-              ["perfect-delete", "random-delete", "no-delete"]),
-              required=True)
+              [p.replace("_", "-") for p in PROTOCOLS]), required=True)
 @click.option("--steps", type=int, default=1, show_default=True)
 @click.option("--iterations", type=int, default=100, show_default=True)
 @click.option("--bins", type=int, default=30, show_default=True)
@@ -292,8 +318,14 @@ def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
             "delta": hp.delta, "w0": w0.tolist(), "seed": hp.seed,
             "snr_convention": hp.snr_convention, "tie_break": tie_break,
         }
-        summary_doc = {"format_version": SUMMARY_FORMAT_VERSION,
-                       "config": config_doc} | experiment_to_doc(result)
+        summary_doc = {
+            "format_version": SUMMARY_FORMAT_VERSION, "config": config_doc,
+            "mean": result.mean.tolist(), "variance": result.variance.tolist(),
+            "histogram": [{"edges": h.edges.tolist(),
+                           "counts": h.counts.tolist()}
+                          for h in result.histograms],
+            "deletions_log": result.deletions_log,
+        }
         summary_path = out_dir / "summary.json"
         summary_path.write_text(_dumps_indent2(summary_doc) + "\n",
                                 encoding="utf-8")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,9 +126,6 @@ class HyperParams:
         object.__setattr__(self, "seed", int(self.seed))
 
 
-_HEADER_RE = re.compile(r"x([0-9]+)")
-
-
 def save_csv(ds: Dataset, path) -> None:
     """Write the dataset in the canonical CSV layout x0,...,x{d-1},y."""
     _write_csv(path, [f"x{j}" for j in range(ds.dim)] + ["y"],
@@ -146,39 +142,19 @@ _CHUNK_ROWS = 4096
 def _write_csv(path, header, columns) -> None:
     """CSV of ``header`` and one row per element of the arrays ``columns``.
 
-    A value is written as the repr of its ``tolist()`` element (see
-    _csv_tokens), so floats round-trip exactly and ints print as digits;
-    lines end in "\n".  The repr of a number holds no comma, quote or line
-    break, so no value needs quoting.  The rows go out in blocks of
-    _CHUNK_ROWS, each encoded from slices of the columns, so no whole
-    column is held as Python objects.  Private, like _json_chunks, so the
-    writing time stays in the spans of its callers.
+    Lines end in "\n", and the rows are those of _row_blocks: a value is
+    its JSON token, which for ints and finite floats (every caller's
+    columns pass a finiteness check) is the repr of its ``tolist()``
+    element, so floats round-trip exactly and no value needs quoting.
+    Private, like _json_chunks, so the writing time stays in the spans of
+    its callers.
     """
-    n = len(columns[0])
+    # the newline before a row's first value ends the line before it
+    glue = ["\n"] + [","] * (len(columns) - 1)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, n, _CHUNK_ROWS):
-            rows = zip(*[_csv_tokens(col[lo:lo + _CHUNK_ROWS])
-                         for col in columns])
-            fh.writelines(",".join(row) + "\n" for row in rows)
-
-
-def _csv_tokens(col) -> list[str]:
-    """The repr of each ``tolist()`` element of the array ``col``.
-
-    For ints and finite floats, which is what every caller's columns hold
-    (the checks of _scores, feature_norms, sim's weights and datagen's
-    labels), the repr is the JSON token, so _tokens encodes the column.
-    A non-finite float is written as its repr (inf, nan) in its place,
-    and a column of another kind goes through ``repr`` whole.
-    """
-    if col.dtype.kind not in "iuf":
-        return list(map(repr, col.tolist()))
-    tokens = _tokens(col)
-    if col.dtype.kind == "f":
-        for i in np.flatnonzero(~np.isfinite(col)).tolist():
-            tokens[i] = repr(col[i].item())
-    return tokens
+        fh.write(",".join(header))
+        fh.writelines(_row_blocks(columns, glue, "\n"))
+        fh.write("\n")
 
 
 def _tokens(col) -> list[str]:
@@ -217,38 +193,48 @@ def _tokens(col) -> list[str]:
 def _json_chunks(head: dict, key: str, columns: dict):
     """``json.dumps(head | {key: rows}, indent=2)`` and a newline, in pieces.
 
-    Yields the head, the rows in blocks of _CHUNK_ROWS, then the tail; the
-    pieces join to the whole document.  ``columns`` maps the keys of a row,
-    in the order the row lists them, to arrays of n >= 1 elements, and row
-    i maps each key to the JSON token (see _tokens) of element i of its
-    array.  ``key`` is not in ``head``.  ``json.dumps`` with ``indent`` encodes every value in
-    Python, so only the small head goes through it.  The rows of a block
-    are one interleaved join: a list of 2 m k strings for m columns and k
-    rows holds, for row i and column j, the key text of column j at
-    2 (m i + j) and the token after it.  The key text of column 0 also
-    closes the row before, so no row string is built.
+    Yields the head, the blocks of _row_blocks, then the tail; the pieces
+    join to the whole document.  ``columns`` maps the keys of a row, in
+    the order the row lists them, to arrays of n >= 1 elements, and row i
+    maps each key to the token of element i of its array.  ``key`` is not
+    in ``head``.  ``json.dumps`` with ``indent`` encodes every value in
+    Python, so only the small head goes through it.
 
     Private, because perfbench's tracer wraps public functions only: the
     writing time shows in the spans of cli, where select and bounds
     stream the pieces.
     """
-    m = len(columns)
-    n = len(next(iter(columns.values())))
-    glue = [f"\n      {json.dumps(name)}: " for name in columns]
-    sep = "\n    },\n    {" + glue[0]
+    glue = [("," if j else "{") + f"\n      {json.dumps(name)}: "
+            for j, name in enumerate(columns)]
     # the list is the last value of the top-level object: "[]\n}"
     yield json.dumps(head | {key: []}, indent=2)[:-4] + "[\n    "
+    yield from _row_blocks(list(columns.values()), glue,
+                           "\n    },\n    " + glue[0])
+    yield "\n    }\n  ]\n}\n"
+
+
+def _row_blocks(columns, glue, sep):
+    """The rows of the arrays ``columns`` of n >= 1 elements as text, in
+    blocks of _CHUNK_ROWS rows.
+
+    Row i is, for each column j, ``glue[j]`` and the JSON token (see
+    _tokens) of element i of column j, but ``sep`` stands for ``glue[0]``
+    after the first row, to close the row before.  A block is one
+    interleaved join: of 2 m k strings for m columns and k rows, the glue
+    of row i, column j is at 2 (m i + j) and its token after it.
+    """
+    m = len(columns)
+    n = len(columns[0])
     for lo in range(0, n, _CHUNK_ROWS):
         k = min(_CHUNK_ROWS, n - lo)
         parts = [""] * (2 * m * k)
-        for j, col in enumerate(columns.values()):
-            parts[2 * j::2 * m] = [("," if j else "{") + glue[j]] * k
+        for j, col in enumerate(columns):
+            parts[2 * j::2 * m] = [glue[j]] * k
             parts[2 * j + 1::2 * m] = _tokens(col[lo:lo + k])
         parts[2 * m::2 * m] = [sep] * (k - 1)
         if lo:  # close the last row of the block before
             parts[0] = sep
         yield "".join(parts)
-    yield "\n    }\n  ]\n}\n"
 
 
 def _dumps_indent2(doc, depth: int = 0) -> str:
@@ -373,8 +359,7 @@ def _check_header(path, header) -> int:
     if len(header) < 2 or header[-1] != "y":
         raise InvalidValue(f"{path}: header must be x0,...,x{{d-1}},y")
     for j, name in enumerate(header[:-1]):
-        m = _HEADER_RE.fullmatch(name)
-        if not m or int(m.group(1)) != j:
+        if name != f"x{j}":
             raise InvalidValue(f"{path}: unexpected column {name!r} at {j}")
     return len(header) - 1
 

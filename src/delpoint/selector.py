@@ -15,22 +15,19 @@ Tie-breaking (``tie_break``):
   incumbent, so the LAST point attaining the minimum wins and a distance
   exactly equal to delta is accepted.
 
-Scores stay in the scan's columns.  selection.json is produced in blocks
-of rows (core._json_chunks), which the CLI streams to its outputs.
+Scores stay in the scan's columns, which the CLI writes to selection.json.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams, _json_chunks
+from .core import Dataset, HyperParams
 from .errors import DomainError
 from .snr import membership_advantage, scan_arrays
-
-SELECTION_JSON_FORMAT_VERSION = 1
 
 TIE_WINDOW = 1e-9
 
@@ -118,11 +115,3 @@ def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
         best = CandidateScore(int(index), *map(float, values))
     return SelectionResult(target=a["target"], best=best, scores=scores)
 
-
-def _selection_chunks(result: SelectionResult):
-    """selection.json in the pieces of core._json_chunks."""
-    head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
-            "target": result.target,
-            "best": None if result.best is None else asdict(result.best)}
-    return _json_chunks(head, "scores",
-                        {key: result.scores[key] for key in _COLUMNS})

@@ -25,12 +25,13 @@ iterations advances together: weights W (K, d), moments s_yx (K, d) and
 s_xx (K, d, d) downdated in place, the flat (K, n) positions of the
 deleted points in place of reduced copies, and a point count per
 iteration, since perfect_delete may skip a deletion.  K is set by a fixed
-budget, K (n + steps) d <= 2**20.  Each iteration draws its step noise up
-front, make_rng(seed, it).standard_normal((steps, d)), which is the
-sequence that ``steps`` single draws give.  A random_delete iteration
-draws its schedule the same way, one make_rng(seed, it, 1).integers call
-over the highs n, n - 1, ..., n - steps + 1, which gives the sequence of
-``steps`` single draws of a surviving point.  The final weights and
+budget, K (n + steps) d <= _BLOCK_ELEMS (2**18).  Each iteration draws
+its step noise up front, make_rng(seed, it).standard_normal((steps, d)),
+which is the sequence that ``steps`` single draws give.  A random_delete
+iteration draws its schedule the same way, one
+make_rng(seed, it, 1).integers call over the highs n, n - 1, ...,
+n - steps + 1, which gives the sequence of ``steps`` single draws of a
+surviving point.  The final weights and
 deletion logs are bit-identical to the test suite's one-iteration,
 one-step replay (run_protocol_loop), whatever the block size.
 
@@ -257,13 +258,3 @@ def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,
         histograms.append(Histogram(edges=edges, counts=counts))
     return mean, variance, histograms
 
-
-def experiment_to_doc(result: ExperimentResult) -> dict:
-    """Plain-JSON-serializable view of an ExperimentResult summary."""
-    return {
-        "mean": result.mean.tolist(),
-        "variance": result.variance.tolist(),
-        "histogram": [{"edges": h.edges.tolist(), "counts": h.counts.tolist()}
-                      for h in result.histograms],
-        "deletions_log": result.deletions_log,
-    }

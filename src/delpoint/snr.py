@@ -33,25 +33,20 @@ eps_v = d_v - 2 Phi_inv(1 - alpha), the ``eps_v`` column of
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from ._kernels import _row_norms, scan_norms
-from .core import Dataset, HyperParams, _write_csv
+from .core import Dataset, HyperParams
 from .errors import (DegenerateNoise, DomainError, NumericOverflow,
                      WouldEmptyDataset)
 from .gauss import phi, phi_inv
 from .lossgrad import as_weights
 
 
-@functools.lru_cache(maxsize=8)
 def advantage_target(alpha: float) -> float:
-    """The separation 2 Phi_inv(1 - alpha) at which the advantage is zero.
-
-    Cached: every scan of a simulation run asks for the same alpha.
-    """
+    """The separation 2 Phi_inv(1 - alpha) at which the advantage is zero."""
     _check_alpha(alpha)
     return 2.0 * phi_inv(1.0 - alpha)
 
@@ -186,8 +181,3 @@ def _scores(X, y, s_yx, s_xx, w, denom, hp, dead=None, work=None):
             raise NumericOverflow(_OVERFLOW)
     return d_v
 
-
-def write_scores_csv(scores: dict, path) -> None:
-    """CSV index,d_v,eps_v,advantage,feature_norm of SelectionResult.scores."""
-    header = ["index", "d_v", "eps_v", "advantage", "feature_norm"]
-    _write_csv(path, header, [scores[key] for key in header])

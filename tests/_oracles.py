@@ -167,6 +167,17 @@ def selection_doc_indent2(result):
     return json_doc_indent2(head, "scores", names, columns)
 
 
+def summary_doc(config, result):
+    """summary.json of an ExperimentResult, as a plain document."""
+    return {"format_version": 1, "config": config,
+            "mean": [float(v) for v in result.mean],
+            "variance": [float(v) for v in result.variance],
+            "histogram": [{"edges": [float(v) for v in h.edges],
+                           "counts": [int(v) for v in h.counts]}
+                          for h in result.histograms],
+            "deletions_log": result.deletions_log}
+
+
 def csv_writer_text(header, rows):
     """A CSV the way csv.writer writes it with "\n" line ends."""
     buf = io.StringIO()

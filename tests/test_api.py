@@ -18,21 +18,24 @@ from delpoint import Dataset
 # and the distance-from-eps token reuse that core._tokens made needless,
 # and the code no command runs: the Monte Carlo advantage estimator with
 # the gradient and the index error that only it used, now test oracles,
-# and the joined selection.json that the streamed pieces replace; by the
-# module that defined it.
+# and the joined selection.json that the streamed pieces replace, and the
+# artifact layouts that moved into cli with the CSV tokens that core's one
+# row encoder made needless; by the module that defined it.
 REMOVED = {
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
-                      "_json_rows"],
+                      "_json_rows", "_csv_tokens"],
     "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad",
                           "risk_grad"],
-    "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error"],
+    "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error",
+                     "write_scores_csv"],
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
                         "risk_change_bounds_floor", "_row_dots",
                         "_feature_norms"],
-    "delpoint.sim": ["sgd_step", "empirical_advantage"],
+    "delpoint.sim": ["sgd_step", "empirical_advantage", "experiment_to_doc"],
     "delpoint.gauss": ["sample_gaussian"],
     "delpoint.selector": ["rank_candidates", "_abs_tokens",
-                          "selection_to_json"],
+                          "selection_to_json", "_selection_chunks",
+                          "SELECTION_JSON_FORMAT_VERSION"],
     "delpoint.cli": ["_bounds_json"],
     "delpoint.errors": ["IndexOutOfRange"],
 }
@@ -109,4 +112,36 @@ def test_no_unused_imports():
     assert len(files) > 20
     found = {str(p.relative_to(root)): names for p in files
              if (names := unused_imports(p.read_text(encoding="utf-8")))}
+    assert found == {}
+
+
+# the writers of core, which only cli, the module that writes files, uses
+_CORE_WRITERS = {"_write_csv", "_json_chunks", "_dumps_indent2", "_tokens",
+                 "_row_blocks"}
+
+
+def layout_breaches(source: str) -> list[str]:
+    """The ``*_FORMAT_VERSION`` names that ``source`` defines and the
+    _CORE_WRITERS it imports from core: what only cli may do."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)
+                      and t.id.endswith("_FORMAT_VERSION")]
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module in ("core", "delpoint.core")):
+            found += [a.name for a in node.names if a.name in _CORE_WRITERS]
+    return sorted(found)
+
+
+def test_only_cli_decides_artifact_layouts():
+    assert layout_breaches("from .core import Dataset, _write_csv\n"
+                           "X_FORMAT_VERSION = 1\n") == [
+        "X_FORMAT_VERSION", "_write_csv"]
+    root = Path(__file__).resolve().parents[1] / "src" / "delpoint"
+    files = sorted(root.glob("*.py"))
+    assert len(files) > 10
+    assert layout_breaches((root / "cli.py").read_text(encoding="utf-8"))
+    found = {p.name: names for p in files if p.name != "cli.py"
+             and (names := layout_breaches(p.read_text(encoding="utf-8")))}
     assert found == {}

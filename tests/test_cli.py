@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,19 +21,16 @@ from delpoint import (
     privacy_floor,
     run_protocol,
     save_csv,
-    write_scores_csv,
 )
 from delpoint import core
 from delpoint.bounds import bounds_arrays
-from delpoint.cli import main
-from delpoint.selector import _selection_chunks
-from delpoint.sim import experiment_to_doc
+from delpoint.cli import _SCORES_CSV_HEADER, _selection_chunks, main
 from delpoint.snr import scan_arrays
 
 from conftest import tuned_dataset
 from _oracles import (bounds_calc, csv_writer_text, json_doc_indent2,
                       privacy_floor_calc, risk_loop, selection_doc_indent2,
-                      snr_by_deletion)
+                      snr_by_deletion, summary_doc)
 
 
 @pytest.fixture
@@ -323,10 +324,13 @@ class TestChunkBoundaries:
                 == selection_doc_indent2(result))
 
     def test_write_scores_csv(self, chunk_rows, tmp_path):
-        scores = self.selection_result().scores
+        # the scan's checks keep every score finite: -inf becomes -1e+300
+        scores = {key: np.nan_to_num(col, neginf=-1e+300)
+                  for key, col in self.selection_result().scores.items()}
         header = ["index", "d_v", "eps_v", "advantage", "feature_norm"]
         path = tmp_path / "scores.csv"
-        write_scores_csv(scores, path)
+        core._write_csv(path, _SCORES_CSV_HEADER,
+                        [scores[key] for key in _SCORES_CSV_HEADER])
         rows = [[repr(v) for v in row]
                 for row in zip(*(scores[key].tolist() for key in header))]
         assert path.read_bytes() == csv_writer_text(header, rows).encode()
@@ -688,6 +692,47 @@ def test_reruns_write_identical_artifacts(runner, tmp_path, command):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("command", ["select", "bounds"])
+def test_closed_stdout_still_writes_out(runner, tmp_path, command):
+    # `| head -c 100`: the reader goes after 100 bytes of a document far
+    # larger than a pipe buffer, and --out still gets the whole document
+    # and the manifest, with the exit code of a run it reads to the end;
+    # without --out the command exits with that code too
+    path = gen_dataset(runner, tmp_path, "--n", "2000")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    name = {"select": "selection.json", "bounds": "bounds.json"}[command]
+    cmd = [sys.executable, "-m", "delpoint.cli", command, "--dataset",
+           str(path)]
+    whole = subprocess.run(cmd + ["--out", str(tmp_path / "whole")],
+                           env=env, stdout=subprocess.DEVNULL, timeout=120)
+    for out in (["--out", str(tmp_path / "cut")], []):
+        proc = subprocess.Popen(cmd + out, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (whole.returncode, b"")
+    docs = []
+    for out in (tmp_path / "whole", tmp_path / "cut"):
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest.pop("wall_time_s")
+        docs.append(((out / name).read_bytes(), manifest))
+    assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("command, name", [("select", "selection.json"),
+                                           ("bounds", "bounds.json")])
+def test_unwritable_out_exits_two(runner, tmp_path, command, name):
+    path = gen_dataset(runner, tmp_path)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    res = runner.invoke(main, [command, "--dataset", str(path),
+                               "--out", str(tmp_path / "out")])
+    assert res.exit_code == 2
+    assert "error:" in res.output and name in res.output
+
+
 class TestSimulate:
     def test_one_step_variance_band(self, runner, tmp_path):
         path = gen_dataset(runner, tmp_path)
@@ -759,8 +804,7 @@ class TestSimulate:
         cfg = StepConfig(protocol=c["protocol"], steps=c["steps"],
                          iterations=c["iterations"], hp=hp, w0=c["w0"],
                          bins=c["bins"], tie_break=c["tie_break"])
-        built = {"format_version": 1, "config": c} | experiment_to_doc(
-            run_protocol(cfg, load_csv(path)))
+        built = summary_doc(c, run_protocol(cfg, load_csv(path)))
         assert text == json.dumps(built, indent=2) + "\n"
         log = [e for row in doc["deletions_log"] for e in row]
         if proto == "no-delete":

@@ -360,8 +360,10 @@ class TestCsvRoundTrip:
         with pytest.raises(InvalidValue):
             load_csv(path)
 
-    @pytest.mark.parametrize("header", ['"x0\n",y', "x\u0660,y"],
-                             ids=["trailing-newline", "arabic-indic-zero"])
+    @pytest.mark.parametrize("header", ['"x0\n",y', "x\u0660,y", "x00,y",
+                                        "x0,x01,y"],
+                             ids=["trailing-newline", "arabic-indic-zero",
+                                  "leading-zero", "leading-zero-second"])
     def test_header_names_are_ascii_x_index(self, tmp_path, header):
         path = tmp_path / "bad.csv"
         path.write_text(f"{header}\n1,2\n", encoding="utf-8")
@@ -378,18 +380,18 @@ class TestCsvRoundTrip:
         assert path.read_bytes() == want.encode("utf-8")
 
     def test_writer_tokens_are_reprs(self, tmp_path):
-        # ints, exponent-form and non-finite floats, bools and float32:
-        # each written as the repr of its tolist() element
+        # ints, exponent-form and subnormal floats and float32: each
+        # written as the repr of its tolist() element.  Every column the
+        # package writes is checked finite, so no non-finite value is here
         info = np.iinfo(np.int64)
         columns = [
             np.array([info.min, -1, 0, 7, info.max, 12], dtype=np.int64),
             np.array([0, 1, 2, 3, 4, 2 ** 64 - 1], dtype=np.uint64),
-            np.array([1e-05, -0.0, 1e+16, np.nan, -np.inf, 5e-324]),
-            np.array([True, False, True, True, False, False]),
-            np.array([0.1, 1e-5, np.inf, 3.0, -2.5, np.nan],
+            np.array([1e-05, -0.0, 1e+16, -1e+300, 2.5e-310, 5e-324]),
+            np.array([0.1, 1e-5, 3.4e+38, 3.0, -2.5, 1e-45],
                      dtype=np.float32)]
         path = tmp_path / "table.csv"
-        header = ["i", "u", "f", "b", "h"]
+        header = ["i", "u", "f", "h"]
         _write_csv(path, header, columns)
         rows = [list(map(repr, row))
                 for row in zip(*(col.tolist() for col in columns))]

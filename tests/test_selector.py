@@ -18,6 +18,7 @@ from delpoint import (
     generate,
 )
 from delpoint import selector
+from delpoint.cli import _selection_chunks
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset, tuned_dataset
@@ -26,7 +27,7 @@ from _oracles import select_loop, select_strict_loop, selection_doc_indent2
 
 def selection_json(result):
     """selection.json of ``result``: the streamed pieces, joined."""
-    return "".join(selector._selection_chunks(result))
+    return "".join(_selection_chunks(result))
 
 
 def solve_label(X, y, index, w, hp, want_d_v):
@@ -210,7 +211,7 @@ class TestSelectionJson:
         tracemalloc.start()
         try:
             with open(os.devnull, "w", encoding="utf-8") as sink:
-                for chunk in selector._selection_chunks(result):
+                for chunk in _selection_chunks(result):
                     sink.write(chunk)
                     size += len(chunk)
             peak = tracemalloc.get_traced_memory()[1]

@@ -25,12 +25,12 @@ from delpoint import (
     summarize,
 )
 from delpoint import sim, snr
-from delpoint.sim import PROTOCOLS, experiment_to_doc
+from delpoint.sim import PROTOCOLS
 from delpoint.snr import scan_arrays
 
 from conftest import assign_labels_1d, random_dataset
 from _oracles import (IndexOutOfRange, delete_point, empirical_advantage,
-                      risk_grad, run_protocol_loop, sgd_step)
+                      risk_grad, run_protocol_loop, sgd_step, summary_doc)
 
 
 def reference_dataset():
@@ -137,7 +137,7 @@ class TestRunProtocol:
         a = run_protocol(cfg, ds)
         b = run_protocol(cfg, ds)
         np.testing.assert_array_equal(a.final_weights, b.final_weights)
-        assert json.dumps(experiment_to_doc(a)) == json.dumps(experiment_to_doc(b))
+        assert json.dumps(summary_doc({}, a)) == json.dumps(summary_doc({}, b))
 
     def test_paired_noise_across_protocols(self, rng):
         # delta = 0 turns every perfect step into a no-deletion step, and

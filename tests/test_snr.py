@@ -15,6 +15,8 @@ from delpoint import (
     find_perfect_deleted_point,
 )
 from delpoint._kernels import scan_norms
+from delpoint.cli import _SCORES_CSV_HEADER
+from delpoint.core import _write_csv
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset
@@ -251,10 +253,10 @@ class TestScan:
                 np.linalg.norm(ds.X[pos]), rel=1e-12)
 
     def test_scores_csv(self, tmp_path, t3, hp_default):
-        from delpoint import write_scores_csv
         scores = find_perfect_deleted_point(t3, [0.5], hp_default).scores
         path = tmp_path / "scores.csv"
-        write_scores_csv(scores, path)
+        _write_csv(path, _SCORES_CSV_HEADER,
+                   [scores[key] for key in _SCORES_CSV_HEADER])
         lines = path.read_text().splitlines()
         assert lines[0] == "index,d_v,eps_v,advantage,feature_norm"
         assert len(lines) == 1 + t3.n
