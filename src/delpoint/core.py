@@ -290,8 +290,11 @@ def load_csv(path) -> Dataset:
 # at 62.3 MB of RSS with 64 KiB and 63.5 MB with 1 MiB, and at n = 1e5,
 # d = 1 at 45.3 and 48.1 MB.
 _READ_BLOCK = 1 << 16
-# the bytes of the number tokens that _parse_blocks parses
-_NUMBER_BYTES = b"0123456789.eE+-"
+# the bytes of the number tokens that _parse_blocks parses, and the
+# blanks that JSON and float() both skip around them
+_NUMBER_BYTES = b"0123456789.eE+- \t"
+# what can follow an int "-0" token, which orjson reads as the int 0
+_MINUS_ZERO_ENDS = (b"-0,", b"-0\n", b"-0 ", b"-0\t")
 
 
 def _parse_blocks(fh, d: int):
@@ -300,14 +303,16 @@ def _parse_blocks(fh, d: int):
     this reader.
 
     A block of whole lines is taken when, with CRLF read as LF, only
-    number bytes, commas and newlines are in it and every line holds
-    exactly d commas; it is then parsed as one JSON array by orjson,
-    whose number reader rounds as ``float()`` does (the tests pin it).  A
-    block with anything else (blank lines, spaces, quotes, nan, a token
-    that JSON rejects such as 1e400) or a file without data rows gives
-    None for the whole file.  So does a block with a "-0" token, as
-    orjson reads it as the int 0 where ``float("-0")`` is -0.0: when a
-    zero came from an int token and the block holds "-0," or "-0\n".
+    number bytes, spaces, tabs, commas and newlines are in it and every
+    line holds exactly d commas; it is then parsed as one JSON array by
+    orjson, whose number reader rounds as ``float()`` does (the tests pin
+    it).  JSON skips spaces and tabs between tokens as ``float()`` does
+    around a field, and rejects them inside one ("1 2").  A block with
+    anything else (blank lines, quotes, nan, a token that JSON rejects
+    such as 1e400) or a file without data rows gives None for the whole
+    file.  So does a block with a "-0" token, as orjson reads it as the
+    int 0 where ``float("-0")`` is -0.0: when a zero came from an int
+    token and "-0" is followed by a comma, newline, space or tab.
     orjson is imported here, so ``import delpoint.cli`` does not load it.
     """
     import orjson
@@ -321,7 +326,8 @@ def _parse_blocks(fh, d: int):
     for block in _line_blocks(fh):
         if b"\r" in block:
             block = block.replace(b"\r\n", b"\n")
-        # with the number bytes deleted, d commas and a newline per line
+        # with the number bytes and blanks deleted, d commas and a newline
+        # per line
         seps = block.translate(None, _NUMBER_BYTES)
         if seps != row * (len(seps) // len(row)):
             return None
@@ -330,7 +336,7 @@ def _parse_blocks(fh, d: int):
         except orjson.JSONDecodeError:
             return None
         arr = np.array(vals, dtype=np.float64)
-        if (not arr.all() and (b"-0," in block or b"-0\n" in block)
+        if (not arr.all() and any(end in block for end in _MINUS_ZERO_ENDS)
                 and any(type(vals[i]) is int
                         for i in np.flatnonzero(arr == 0).tolist())):
             return None

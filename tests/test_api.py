@@ -64,20 +64,65 @@ def test_per_point_api_is_gone():
         Dataset.from_arrays([[1.0], [2.0]], [1.0, 2.0], ids=[0, 1])
 
 
+def run_python(code: str, check=True, **kwargs):
+    """A fresh interpreter that runs ``code`` with this checkout's src
+    first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], check=check,
+                          capture_output=True, text=True,
+                          env=os.environ | {"PYTHONPATH": path}, **kwargs)
+
+
 def test_cli_import_loads_no_process_pool():
     # nor numpy.random: select and bounds draw nothing, and it takes ~10 ms
     # to import, so sim and gauss reach it only when a stream is made; nor
     # orjson, which core._tokens imports when it first writes a row table
-    code = ("import sys, delpoint.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('multiprocessing', 'concurrent', "
-            "'orjson')"
-            " or m.startswith('numpy.random')))")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=os.environ | {"PYTHONPATH": path})
+    out = run_python(
+        "import sys, delpoint.cli; print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'orjson')"
+        " or m.startswith('numpy.random')))")
     assert out.stdout == "[]\n"
+
+
+def test_cli_import_freezes_nothing():
+    # only the process entry run() freezes the heap, not the import
+    out = run_python("import gc, delpoint.cli; print(gc.get_freeze_count())")
+    assert out.stdout == "0\n"
+
+
+@pytest.mark.parametrize("args, code", [
+    (["--version"], 0), (["select", "--dataset", "missing.csv"], 2),
+    (["select", "--dataset", "data.csv", "--delta", "0"], 3)],
+    ids=["version", "missing-dataset", "no-point"])
+def test_main_module_freezes_the_heap_at_exit(tmp_path, args, code):
+    # `python -m delpoint.cli` through run(): after the command, however it
+    # exits, the heap is frozen when the atexit hooks run
+    (tmp_path / "data.csv").write_text("x0,y\n1,2\n2,3\n3,5\n")
+    out = run_python(
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(),"
+        " file=sys.stderr))\n"
+        f"sys.argv = ['delpoint', *{args!r}]\n"
+        "runpy.run_module('delpoint.cli', run_name='__main__')\n",
+        check=False, cwd=tmp_path)
+    assert out.returncode == code, out.stderr
+    frozen = out.stderr.splitlines()[-1].split()
+    assert frozen[0] == "frozen" and int(frozen[1]) > 0
+
+
+def test_script_and_main_module_share_one_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"delpoint": "delpoint.cli:run"}
+    tree = ast.parse((root / "src" / "delpoint" / "cli.py").read_text(
+        encoding="utf-8"))
+    blocks = [node.body for node in tree.body if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(stmt) for stmt in body] for body in blocks] == [
+        ["run()"]]
 
 
 def unused_imports(source: str) -> list[str]:

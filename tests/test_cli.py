@@ -669,24 +669,37 @@ def test_manifest_config_keys_and_order(runner, tmp_path):
 
 @pytest.mark.parametrize("command", ["select", "bounds", "simulate"])
 def test_reruns_write_identical_artifacts(runner, tmp_path, command):
+    # the first run calls main in process, the second is a
+    # `python -m delpoint.cli` process, whose entry is run()
     path = gen_dataset(runner, tmp_path)
     run = tmp_path / "run"
     extra = {"select": ["--scores-csv", str(run / "scores.csv")],
              "bounds": [],
              "simulate": ["--protocol", "perfect-delete", "--steps", "3",
                           "--iterations", "4"]}[command]
+    args = [command, "--dataset", str(path), *HYPER_ARGS, *extra,
+            "--out", str(run / "out")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     runs = []
-    for _ in range(2):
+    for in_process in (True, False):
         run.mkdir()
-        res = runner.invoke(main, [command, "--dataset", str(path),
-                                   *HYPER_ARGS, *extra,
-                                   "--out", str(run / "out")])
-        assert res.exit_code == 0, res.output
+        if in_process:
+            res = runner.invoke(main, args)
+            assert res.exit_code == 0, res.output
+            output = res.output
+        else:
+            proc = subprocess.run([sys.executable, "-m", "delpoint.cli",
+                                   *args], env=env, capture_output=True,
+                                  encoding="utf-8", timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+            output = proc.stdout
         files = {f.relative_to(run).as_posix(): f.read_bytes()
                  for f in sorted(run.rglob("*")) if f.is_file()}
         manifest = json.loads(files.pop("out/manifest.json"))
         assert manifest.pop("wall_time_s") >= 0.0
-        runs.append((res.output, files, manifest))
+        runs.append((output, files, manifest))
         shutil.rmtree(run)
     assert len(runs[0][1]) == (2 if command != "bounds" else 1)
     assert runs[0] == runs[1]

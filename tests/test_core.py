@@ -425,7 +425,10 @@ class TestCsvRoundTrip:
          "2: could not convert string to float: '2 # c'"),
         ("x0,x1,y\n1,2\n3,4\n", DimensionMismatch,
          "2: expected 3 fields, got 2"),
-    ], ids=["whitespace-line", "comment", "narrow-rows"])
+        # JSON rejects a blank inside a token as float() does
+        ("x0,y\n3,4\n1 2,5\n", InvalidValue,
+         "3: could not convert string to float: '1 2'"),
+    ], ids=["whitespace-line", "comment", "narrow-rows", "blank-in-a-field"])
     def test_loop_errors_name_the_line(self, tmp_path, text, error, message):
         path = tmp_path / "edge.csv"
         path.write_text(text)
@@ -521,10 +524,26 @@ class TestBlockReader:
 
     @pytest.mark.parametrize("token, fast", [
         ("0", True), ("-0", False), ("-0.0", True), ("1E5", True),
-        ("1e+16", True), ("1e-400", True), ("-1e-400", True)], ids=repr)
+        ("1e+16", True), ("1e-400", True), ("-1e-400", True),
+        (" 0", True), ("0 ", True), ("\t1.5", True), ("-0.0\t", True),
+        (" \t-7e-3 \t", True), (" -0", False), ("-0\t", False),
+        ("-0 ", False)], ids=repr)
     def test_tokens(self, tmp_path, token, fast):
-        # orjson reads "-0" as the int 0, so that file goes to the loop
+        # orjson reads "-0" as the int 0, so that file goes to the loop,
+        # whatever blanks follow it; JSON skips blanks as float() does
         self.check(tmp_path, f"x0,y\n{token},1.5\n2.5,{token}\n", fast)
+
+    def test_blanks_around_fields(self, tmp_path):
+        # ", " separators, and spaces and tabs at either end of a field
+        rng = np.random.default_rng(25)
+        head, body = self.table(rng.normal(size=3_000) * 10.0 ** 3,
+                                2).split("\n", 1)
+        self.check(tmp_path, f"{head}\n" + body.replace(",", ", "))
+        parts = body.split(",")
+        pads = rng.choice(["", " ", "\t", " \t "], size=len(parts) - 1)
+        self.check(tmp_path, f"{head}\n" + "".join(
+            part + pad + "," + pad for part, pad in zip(parts, pads))
+            + parts[-1])
 
     def test_integers_past_float_precision(self, tmp_path):
         ints = [2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1, 2 ** 53 + 3,
