@@ -146,7 +146,7 @@ def _guard(fn):
     try:
         return fn()
     # before DelpointError: NumericOverflow is both
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
+    except ArithmeticError as exc:
         click.echo(f"numeric error: {exc}", err=True)
         sys.exit(EXIT_NUMERIC)
     except (DelpointError, OSError) as exc:

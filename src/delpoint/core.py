@@ -162,27 +162,38 @@ def _tokens(col) -> list[str]:
 
     The tokens are those ``json.dumps`` writes for the elements (ints,
     float reprs, true/false, NaN, Infinity), which is what ``indent=2``
-    writes for the same values.  ``col`` holds at least one element.
+    writes for the same values.  ``col`` holds at least one element, of
+    a bool, int or float dtype.
 
-    orjson writes the column as one flat list.  Its shortest round-trip
-    floats have the digits of ``repr``, but not always its layout: it
-    writes 1e-05 as 0.00001 and 1e+16 as 1e16, and NaN and +-inf as
-    null.  Those elements (nonzero |x| < 1e-4, |x| >= 1e16, non-finite)
-    are encoded again by ``json.dumps`` in one call and put in their
-    places; a column where they are more than half goes to ``json.dumps``
-    whole, which is then the cheaper.  orjson is imported at the first
-    call, so ``import delpoint.cli`` does not load it.
+    orjson writes the column from the array itself, with no ``tolist()``
+    in between, once three rules hold that its numpy path needs and its
+    list path does not: floats are widened to float64 (it writes a
+    float32 in float32's own shortest form, and rejects float16), the
+    column is C-contiguous (it rejects a strided view such as ``X.T[j]``)
+    and in native byte order (it writes a ">f8" 1.5 as 3.13984e-319, with
+    no error).  Its shortest round-trip floats have the digits of
+    ``repr``, but not always its layout: it writes 1e-05 as 0.00001 and
+    1e+16 as 1e16, and NaN and +-inf as null.  Those elements (nonzero
+    |x| < 1e-4, |x| >= 1e16, non-finite) are encoded again by
+    ``json.dumps`` in one call and put in their places; a column where
+    they are more than half goes to ``json.dumps`` whole, which is then
+    the cheaper.  orjson is imported at the first call, so
+    ``import delpoint.cli`` does not load it.
     """
     import orjson
 
+    col = np.ascontiguousarray(
+        col, dtype=np.float64 if col.dtype.kind == "f"
+        else col.dtype.newbyteorder("="))
     odd = ()
     if col.dtype.kind == "f":
-        a = np.abs(col.astype(np.float64, copy=False))
+        a = np.abs(col)
         # NaN fails both comparisons, so it is odd too
         odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (a != 0.0))
         if 2 * len(odd) > len(a):
             return json.dumps(col.tolist())[1:-1].split(", ")
-    tokens = orjson.dumps(col.tolist())[1:-1].decode().split(",")
+    tokens = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] \
+        .decode().split(",")
     if len(odd):
         fixed = json.dumps(col[odd].tolist())[1:-1].split(", ")
         for i, token in zip(odd.tolist(), fixed):
@@ -221,19 +232,23 @@ def _row_blocks(columns, glue, sep):
     _tokens) of element i of column j, but ``sep`` stands for ``glue[0]``
     after the first row, to close the row before.  A block is one
     interleaved join: of 2 m k strings for m columns and k rows, the glue
-    of row i, column j is at 2 (m i + j) and its token after it.
+    of row i, column j is at 2 (m i + j) and its token after it.  The glue
+    is laid out once for a full block and once for a shorter last one;
+    each block then assigns only its tokens and its first glue.
     """
     m = len(columns)
     n = len(columns[0])
+    parts = []
     for lo in range(0, n, _CHUNK_ROWS):
         k = min(_CHUNK_ROWS, n - lo)
-        parts = [""] * (2 * m * k)
+        if len(parts) != 2 * m * k:
+            parts = [""] * (2 * m * k)
+            parts[::2] = [sep, *glue[1:]] * k
+        # only the table's first row opens with glue[0]; every other
+        # row closes the one before it
+        parts[0] = sep if lo else glue[0]
         for j, col in enumerate(columns):
-            parts[2 * j::2 * m] = [glue[j]] * k
             parts[2 * j + 1::2 * m] = _tokens(col[lo:lo + k])
-        parts[2 * m::2 * m] = [sep] * (k - 1)
-        if lo:  # close the last row of the block before
-            parts[0] = sep
         yield "".join(parts)
 
 

@@ -305,6 +305,14 @@ class TestTokens:
                             dtype=np.float32))
         self.check(np.random.default_rng(22).normal(size=200)
                    .astype(np.float32))
+        # float16 is widened like float32; orjson rejects it as it is
+        f16 = np.finfo(np.float16)
+        self.check(np.array([0.1, 1e-5, f16.max, -f16.max,
+                             f16.smallest_subnormal, np.inf, 2.0],
+                            dtype=np.float16))
+        info = np.iinfo(np.int32)
+        self.check(np.array([info.min, -1, 0, 1, info.max], dtype=np.int32))
+        self.check(np.array([0, 255], dtype=np.uint8))
 
     def test_strided_and_length_one(self):
         col = np.array(self.EDGES * 3 + [0.1, 2.5, -7.0] * 20)
@@ -312,6 +320,29 @@ class TestTokens:
         self.check(col[::-2])
         for value in (0.5, 1e-5, 7, True):
             self.check([value])
+        # orjson rejects a strided view: _tokens hands it a C-contiguous
+        # copy, here of columns of X.T as save_csv writes them
+        X = np.random.default_rng(23).normal(size=(50, 3)) * 1e-3
+        for col in X.T:
+            self.check(col)
+            self.check(col[7:30])
+
+    def test_read_only(self):
+        # a contiguous float64 column reaches orjson as it is, as the
+        # frozen ds.y does from save_csv
+        col = np.array(self.EDGES + [0.25, -1.5, 3.0] * len(self.EDGES))
+        col.setflags(write=False)
+        assert np.ascontiguousarray(col, dtype=np.float64) is col
+        self.check(col)
+
+    def test_swapped_byte_order(self):
+        # orjson misreads a swapped byte order with no error
+        values = self.EDGES + [1.5, -2.25, 0.1, 3.0] * 5
+        self.check(np.array(values, dtype=">f8"))
+        self.check(np.array([1.5, 1e-5, 2.0], dtype=">f4"))
+        info = np.iinfo(np.int64)
+        self.check(np.array([1, -1, 0, 7, info.min, info.max], dtype=">i8"))
+        self.check(np.array([1, 2, 300], dtype=">u2"))
 
 
 class TestDumpsIndent2:
@@ -397,6 +428,14 @@ class TestCsvRoundTrip:
                 for row in zip(*(col.tolist() for col in columns))]
         assert path.read_bytes() == csv_writer_text(header, rows).encode()
 
+    def test_swapped_byte_order_round_trip(self, tmp_path):
+        values = np.random.default_rng(26).normal(size=(9, 2))
+        path = tmp_path / "big_endian.csv"
+        _write_csv(path, ["x0", "y"], [*values.T.astype(">f8")])
+        ds = load_csv(path)
+        assert ds.X[:, 0].tobytes() == values[:, 0].tobytes()
+        assert ds.y.tobytes() == values[:, 1].tobytes()
+
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("x0,x1,y\n1,2,3\n1,2\n")
@@ -421,6 +460,9 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("text, error, message", [
         ("x0,y\n1,2\n   \n3,4\n", DimensionMismatch,
          "3: expected 2 fields, got 1"),
+        # the line reader skips an empty line, not a line of blanks
+        ("x0,y\n1,2\n\n \t\n3,4\n", DimensionMismatch,
+         "4: expected 2 fields, got 1"),
         ("x0,y\n1,2 # c\n", InvalidValue,
          "2: could not convert string to float: '2 # c'"),
         ("x0,x1,y\n1,2\n3,4\n", DimensionMismatch,
@@ -428,7 +470,8 @@ class TestCsvRoundTrip:
         # JSON rejects a blank inside a token as float() does
         ("x0,y\n3,4\n1 2,5\n", InvalidValue,
          "3: could not convert string to float: '1 2'"),
-    ], ids=["whitespace-line", "comment", "narrow-rows", "blank-in-a-field"])
+    ], ids=["whitespace-line", "empty-then-whitespace-line", "comment",
+            "narrow-rows", "blank-in-a-field"])
     def test_loop_errors_name_the_line(self, tmp_path, text, error, message):
         path = tmp_path / "edge.csv"
         path.write_text(text)
