@@ -98,9 +98,9 @@ class HyperParams:
     """Run parameters shared by scoring, selection, bounds, and simulation.
 
     alpha must lie strictly inside (0, 0.5) so the advantage-nulling target
-    2 * phi_inv(1 - alpha) is positive.  gamma = 0 or sigma = 0 are legal to
-    construct (the plain SGD step tolerates them) but any operation whose
-    formula divides by them raises DegenerateNoise.
+    -2 * phi_inv(alpha) = 2 * phi_inv(1 - alpha) is positive.  gamma = 0 or
+    sigma = 0 are legal to construct (the plain SGD step tolerates them)
+    but any operation whose formula divides by them raises DegenerateNoise.
     """
 
     gamma: float

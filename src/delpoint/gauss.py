@@ -1,16 +1,14 @@
 """Standard normal CDF, its inverse, and seeded random streams.
 
-Phi is evaluated through a rational-approximation complementary error
-function (three-regime minimax form; coefficients from the classic
-Chebyshev-rational fit used by CALERF, relative error below 1.2e-16 in
-double precision).  The only platform math relied on is exp/sqrt/log, so
-results are bit-stable across machines.  On |z| <= 8 the absolute error of
-``phi`` is below 1e-15, well inside the 1e-12 contract.
+``phi`` is 0.5 erfc(-z / sqrt(2)) from libm's ``math.erfc``, so its last
+bits follow the platform's C library.
 
-``phi_inv`` uses a rational initial guess (lower tail / central / upper
-tail split at p = 0.02425, initial relative error ~1.15e-9) sharpened by a
-single Newton step against ``phi``, giving |phi(phi_inv(p)) - p| at the
-level of float rounding.
+``phi_inv`` works from the lower tail, where p itself carries full
+precision: Wichura's AS 241 (Applied Statistics 37, 1988), the algorithm of
+the standard library's ``statistics.NormalDist.inv_cdf``, sharpened by one
+Newton step against ``math.erfc``.  For p > 0.5 it mirrors the lower tail,
+phi_inv(p) = -phi_inv(1 - p), where 1 - p is exact.  The result stays
+within a few ulps down to p = 5e-324.
 
 Random streams are counter-based (Philox) and keyed by an explicit
 64-bit seed plus an integer subkey path, so independent Monte Carlo
@@ -20,6 +18,7 @@ streams can be split per iteration without ever sharing state.
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 
@@ -27,81 +26,7 @@ from .errors import DomainError, InvalidValue
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_INV_SQRT_PI = 5.6418958354775628695e-1
-
-# erf on |x| <= 0.46875
-_EA = (3.16112374387056560e0, 1.13864154151050156e2,
-       3.77485237685302021e2, 3.20937758913846947e3,
-       1.85777706184603153e-1)
-_EB = (2.36012909523441209e1, 2.44024637934444173e2,
-       1.28261652607737228e3, 2.84423683343917062e3)
-# erfc on 0.46875 < x <= 4
-_EC = (5.64188496988670089e-1, 8.88314979438837594e0,
-       6.61191906371416295e1, 2.98635138197400131e2,
-       8.81952221241769090e2, 1.71204761263407058e3,
-       2.05107837782607147e3, 1.23033935479799725e3,
-       2.15311535474403846e-8)
-_ED = (1.57449261107098347e1, 1.17693950891312499e2,
-       5.37181101862009858e2, 1.62138957456669019e3,
-       3.29079923573345963e3, 4.36261909014324716e3,
-       3.43936767414372164e3, 1.23033935480374942e3)
-# scaled erfc asymptote, x > 4
-_EP = (3.05326634961232344e-1, 3.60344899949804439e-1,
-       1.25781726111229246e-1, 1.60837851487422766e-2,
-       6.58749161529837803e-4, 1.63153871373020978e-2)
-_EQ = (2.56852019228982242e0, 1.87295284992346047e0,
-       5.27905102951428412e-1, 6.05183413124413191e-2,
-       2.33520497626869185e-3)
-
-_ERFC_UNDERFLOW = 26.543
-
-
-def _erfc_array(x: np.ndarray) -> np.ndarray:
-    """Complementary error function, elementwise on a float64 array."""
-    a = np.abs(x)
-    out = np.empty_like(a)
-
-    m1 = a <= 0.46875
-    if m1.any():
-        z = np.where(a[m1] > 1.11e-16, a[m1] * a[m1], 0.0)
-        num = _EA[4] * z
-        den = z.copy()
-        for i in range(3):
-            num = (num + _EA[i]) * z
-            den = (den + _EB[i]) * z
-        erf = x[m1] * (num + _EA[3]) / (den + _EB[3])
-        out[m1] = 1.0 - erf
-
-    m2 = (a > 0.46875) & (a <= 4.0)
-    if m2.any():
-        y = a[m2]
-        num = _EC[8] * y
-        den = y.copy()
-        for i in range(7):
-            num = (num + _EC[i]) * y
-            den = (den + _ED[i]) * y
-        r = (num + _EC[7]) / (den + _ED[7])
-        ysq = np.trunc(y * 16.0) / 16.0
-        r *= np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq))
-        out[m2] = np.where(x[m2] < 0.0, 2.0 - r, r)
-
-    m3 = a > 4.0
-    if m3.any():
-        y = a[m3]
-        z = 1.0 / (y * y)
-        num = _EP[5] * z
-        den = z.copy()
-        for i in range(4):
-            num = (num + _EP[i]) * z
-            den = (den + _EQ[i]) * z
-        r = z * (num + _EP[4]) / (den + _EQ[4])
-        r = (_INV_SQRT_PI - r) / y
-        ysq = np.trunc(y * 16.0) / 16.0
-        r *= np.exp(-ysq * ysq) * np.exp(-(y - ysq) * (y + ysq))
-        r = np.where(y >= _ERFC_UNDERFLOW, 0.0, r)
-        out[m3] = np.where(x[m3] < 0.0, 2.0 - r, r)
-
-    return out
+_STANDARD = statistics.NormalDist()
 
 
 def phi(z):
@@ -113,56 +38,25 @@ def phi(z):
     arr = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise InvalidValue("phi requires finite input")
-    res = 0.5 * _erfc_array(-arr / _SQRT2)
+    t = -arr / _SQRT2
+    erfc = np.fromiter(map(math.erfc, t.ravel().tolist()), np.float64, t.size)
+    res = 0.5 * erfc.reshape(t.shape)
     if np.isscalar(z) or arr.ndim == 0:
         return float(res)
     return res
 
 
-# Rational initial guess for the inverse normal CDF (Acklam's coefficients).
-_IA = (-3.969683028665376e+01, 2.209460984245205e+02,
-       -2.759285104469687e+02, 1.383577518672690e+02,
-       -3.066479806614716e+01, 2.506628277459239e+00)
-_IB = (-5.447609879822406e+01, 1.615858368580409e+02,
-       -1.556989798598866e+02, 6.680131188771972e+01,
-       -1.328068155288572e+01)
-_IC = (-7.784894002430293e-03, -3.223964580411365e-01,
-       -2.400758277161838e+00, -2.549732539343734e+00,
-       4.374664141464968e+00, 2.938163982698783e+00)
-_ID = (7.784695709041462e-03, 3.224671290700398e-01,
-       2.445134137142996e+00, 3.754408661907416e+00)
-
-_P_LOW = 0.02425
-
-
 def phi_inv(p: float) -> float:
     """Inverse standard normal CDF on (0, 1)."""
     p = float(p)
-    if not (0.0 < p < 1.0) or math.isnan(p):
+    if not (0.0 < p < 1.0):
         raise DomainError(f"phi_inv requires 0 < p < 1, got {p}")
-
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_IC[0] * q + _IC[1]) * q + _IC[2]) * q + _IC[3]) * q
-               + _IC[4]) * q + _IC[5])
-             / ((((_ID[0] * q + _ID[1]) * q + _ID[2]) * q + _ID[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_IA[0] * r + _IA[1]) * r + _IA[2]) * r + _IA[3]) * r
-               + _IA[4]) * r + _IA[5]) * q
-             / (((((_IB[0] * r + _IB[1]) * r + _IB[2]) * r + _IB[3]) * r
-                 + _IB[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -((((((_IC[0] * q + _IC[1]) * q + _IC[2]) * q + _IC[3]) * q
-                + _IC[4]) * q + _IC[5])
-              / ((((_ID[0] * q + _ID[1]) * q + _ID[2]) * q + _ID[3]) * q + 1.0))
-
-    # one Newton step against phi; pdf never underflows for the guess range
+    lower = min(p, 1.0 - p)
+    x = _STANDARD.inv_cdf(lower)
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    x -= (phi(x) - p) / pdf
-    return x
+    if pdf > 0.0:
+        x -= (0.5 * math.erfc(-x / _SQRT2) - lower) / pdf
+    return x if p <= 0.5 else -x
 
 
 def make_rng(seed: int, *subkey: int) -> np.random.Generator:

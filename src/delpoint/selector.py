@@ -1,8 +1,9 @@
 """Scan the dataset and pick the point whose d_v is closest to the target.
 
 The selected "perfect deleted point" minimizes distance = |d_v - target|
-with target = 2 Phi_inv(1 - alpha).  If even the minimum distance exceeds
-the tolerance delta, no point qualifies and ``best`` is None.
+with target = -2 Phi_inv(alpha), equal to 2 Phi_inv(1 - alpha).  If even
+the minimum distance exceeds the tolerance delta, no point qualifies and
+``best`` is None.
 
 Tie-breaking (``tie_break``):
 

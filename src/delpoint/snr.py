@@ -24,11 +24,13 @@ Two denominator conventions are supported:
 
 The membership advantage of a separation d at Type I error alpha is
 
-    |Adv| = |Phi(Phi_inv(1 - alpha) - d) - alpha|
+    |Adv| = |Phi(-Phi_inv(alpha) - d) - alpha|
 
-which vanishes exactly at d = 2 Phi_inv(1 - alpha); the membership error
-eps_v = d_v - 2 Phi_inv(1 - alpha), the ``eps_v`` column of
-``scan_arrays``, measures the signed distance to that null point.
+which vanishes exactly at d = -2 Phi_inv(alpha), equal to
+2 Phi_inv(1 - alpha); the membership error eps_v = d_v + 2 Phi_inv(alpha),
+the ``eps_v`` column of ``scan_arrays``, measures the signed distance to
+that null point.  Both are computed from the lower tail, where alpha keeps
+its full precision however small it is.
 """
 
 from __future__ import annotations
@@ -46,18 +48,15 @@ from .lossgrad import as_weights
 
 
 def advantage_target(alpha: float) -> float:
-    """The separation 2 Phi_inv(1 - alpha) at which the advantage is zero."""
+    """The separation -2 Phi_inv(alpha) = 2 Phi_inv(1 - alpha) at which the
+    advantage is zero."""
     _check_alpha(alpha)
-    return 2.0 * phi_inv(1.0 - alpha)
+    return -2.0 * phi_inv(alpha)
 
 
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 0.5):
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
-    if 1.0 - alpha == 1.0:  # alpha <= 2^-54
-        raise DomainError(
-            f"alpha = {alpha} is too small: 1 - alpha rounds to 1 in "
-            f"float64, where Phi_inv(1 - alpha) is infinite")
 
 
 def snr_denominator(n: int, hp: HyperParams) -> float:
@@ -83,7 +82,7 @@ def snr_denominator(n: int, hp: HyperParams) -> float:
 
 
 def membership_advantage(d, alpha: float):
-    """|Phi(Phi_inv(1 - alpha) - d) - alpha| for separations d >= 0.
+    """|Phi(-Phi_inv(alpha) - d) - alpha| for separations d >= 0.
 
     Elementwise: an array of separations gives an array, a float gives a
     float.  Raises DomainError if any separation is negative or not finite.
@@ -94,7 +93,7 @@ def membership_advantage(d, alpha: float):
     if bad.size:
         raise DomainError(
             f"separation must be finite and >= 0, got {float(bad[0])}")
-    adv = np.abs(phi(phi_inv(1.0 - alpha) - arr) - alpha)
+    adv = np.abs(phi(-phi_inv(alpha) - arr) - alpha)
     return adv if arr.ndim else float(adv)
 
 

@@ -5,18 +5,16 @@ physically rebuilt deleted datasets) and leans on scipy/mpmath for the
 normal distribution, so no code path is shared with the package under
 test.  Points are named by their positions, as in the package.
 
-Two exceptions share the package's arithmetic on purpose:
-
-* ``run_protocol_loop`` replays the simulation protocols one iteration and
-  one step at a time: it scores with the package's scan_arrays and draws
-  from make_rng, and it deletes and steps through ``delete_point`` and
-  ``sgd_step`` below, which rebuild each reduced dataset (a Dataset of
-  read-only X, y, s_yx, s_xx) and step with ``risk_grad``.  Their
-  arithmetic is the per-iteration arithmetic of sim._run_block, so the
-  engine is compared against them bit for bit.
-* ``empirical_advantage`` is the Monte Carlo likelihood-ratio estimator
-  that checks the closed-form membership advantage.  It draws from
-  make_rng and thresholds with the package's phi_inv.
+One exception shares the package's arithmetic on purpose:
+``run_protocol_loop`` replays the simulation protocols one iteration and
+one step at a time: it scores with the package's scan_arrays and draws from
+make_rng, and it deletes and steps through ``delete_point`` and
+``sgd_step`` below, which rebuild each reduced dataset (a Dataset of
+read-only X, y, s_yx, s_xx) and step with ``risk_grad``.  Their arithmetic
+is the per-iteration arithmetic of sim._run_block, so the engine is
+compared against them bit for bit.  ``empirical_advantage``, the Monte
+Carlo estimator that checks the closed-form membership advantage, only
+draws its samples from make_rng.
 
 ``IndexOutOfRange`` is the error of the position guards of
 ``delete_point`` and ``empirical_advantage``; no package function raises it.
@@ -32,7 +30,7 @@ import numpy as np
 from scipy.stats import norm
 
 from delpoint import (Dataset, DegenerateNoise, DelpointError, DomainError,
-                      NumericOverflow, WouldEmptyDataset, make_rng, phi_inv)
+                      NumericOverflow, WouldEmptyDataset, make_rng)
 from delpoint.lossgrad import as_weights
 from delpoint.snr import scan_arrays
 
@@ -370,7 +368,7 @@ def empirical_advantage(ds, index, w, hp, trials, rng=None):
         a1 = float(np.mean(rng.random(trials) >= hp.alpha))
         return abs(a0 + a1 - 1.0)
 
-    threshold = float(direction @ mu0) + scale * phi_inv(1.0 - hp.alpha)
+    threshold = float(direction @ mu0) + scale * norm.isf(hp.alpha)
     d = ds.dim
     s0 = float(direction @ mu0) + sigma_g * (rng.standard_normal((trials, d)) @ direction)
     s1 = float(direction @ mu1) + sigma_g * (rng.standard_normal((trials, d)) @ direction)

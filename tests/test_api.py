@@ -20,7 +20,8 @@ from delpoint import Dataset
 # the gradient and the index error that only it used, now test oracles,
 # and the joined selection.json that the streamed pieces replace, and the
 # artifact layouts that moved into cli with the CSV tokens that core's one
-# row encoder made needless; by the module that defined it.
+# row encoder made needless, and the hand-copied erfc that math.erfc
+# replaces; by the module that defined it.
 REMOVED = {
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
                       "_json_rows", "_csv_tokens"],
@@ -32,7 +33,7 @@ REMOVED = {
                         "risk_change_bounds_floor", "_row_dots",
                         "_feature_norms"],
     "delpoint.sim": ["sgd_step", "empirical_advantage", "experiment_to_doc"],
-    "delpoint.gauss": ["sample_gaussian"],
+    "delpoint.gauss": ["sample_gaussian", "_erfc_array"],
     "delpoint.selector": ["rank_candidates", "_abs_tokens",
                           "selection_to_json", "_selection_chunks",
                           "SELECTION_JSON_FORMAT_VERSION"],

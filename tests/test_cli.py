@@ -16,6 +16,7 @@ from delpoint import (
     HyperParams,
     SelectionResult,
     StepConfig,
+    advantage_target,
     find_perfect_deleted_point,
     load_csv,
     privacy_floor,
@@ -453,22 +454,29 @@ def test_underflowing_noise_exits_two_without_warning(runner, tmp_path,
 @pytest.mark.parametrize("command", list(OVERFLOW_ARGS))
 @pytest.mark.parametrize("alpha", ["1e-17", repr(2.0 ** -54)])
 def test_tiny_alpha_names_alpha(runner, tmp_path, command, alpha):
-    # 1 - alpha rounds to 1 at alpha <= 2^-54: the commands that need the
-    # target 2 Phi_inv(1 - alpha) exit 2 naming alpha, not a p the user
-    # never passed; no-delete and random-delete never evaluate it
+    # 1 - alpha rounds to 1 at alpha <= 2^-54, but the target
+    # -2 Phi_inv(alpha) comes from the lower tail: every command exits 0,
+    # select and bounds write the finite target of the alpha passed, and
+    # perfect-delete's first deletion is the point select picks at it
     path = gen_dataset(runner, tmp_path, "--seed", "40")
     args = OVERFLOW_ARGS[command]
+    out = tmp_path / "out"
     if args[0] == "simulate":
-        args = args + ["--out", str(tmp_path / "out")]
+        args = args + ["--out", str(out)]
     res = runner.invoke(main, [*args, "--dataset", str(path),
                                "--alpha", alpha])
-    if command in ("simulate-no-delete", "simulate-random-delete"):
-        assert res.exit_code == 0, res.output
+    assert res.exit_code == 0, res.output
+    target = advantage_target(float(alpha))
+    assert math.isfinite(target)
+    if args[0] != "simulate":
+        assert json.loads(res.stdout)["target"] == target
         return
-    assert res.exit_code == 2, res.output
-    assert res.stderr == (
-        f"error: alpha = {float(alpha)} is too small: 1 - alpha rounds to 1 "
-        "in float64, where Phi_inv(1 - alpha) is infinite\n")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"]["alpha"] == float(alpha)
+    if command == "simulate-perfect-delete":
+        hp = HyperParams(gamma=0.01, sigma=2.0, alpha=float(alpha))
+        best = find_perfect_deleted_point(load_csv(path), [0.0], hp).best
+        assert [log[0] for log in summary["deletions_log"]] == [best.index] * 2
 
 
 @pytest.mark.parametrize("command",

@@ -23,9 +23,9 @@ from conftest import assign_labels_1d, random_dataset
 from _oracles import advantage_formula, snr_by_deletion, snr_definition_form
 
 # Frozen from the mpmath/bisection oracle.
-TARGET_001 = 4.652695748081682      # 2 * phi_inv(0.99)
-TARGET_005 = 3.2897072539029445     # 2 * phi_inv(0.95)
-ADV_D1_A005 = 0.690488977158556     # |phi(phi_inv(0.95) - 1) - 0.05|
+TARGET_001 = 4.652695748081682      # -2 * phi_inv(0.01)
+TARGET_005 = 3.2897072539029445     # -2 * phi_inv(0.05)
+ADV_D1_A005 = 0.690488977158556     # |phi(-phi_inv(0.05) - 1) - 0.05|
 
 
 def numerators(ds, w):
@@ -173,16 +173,31 @@ class TestAdvantage:
             membership_advantage(-0.5, 0.05)
 
     def test_alpha_where_one_minus_alpha_rounds_to_one(self):
-        # 1 - 2^-53 is a float64 below 1; 1 - 2^-54 rounds to 1
-        assert math.isfinite(advantage_target(2.0 ** -53))
+        # 1 - 2^-54 rounds to 1, but the target -2 Phi_inv(alpha) is taken
+        # from the lower tail, where alpha keeps its precision
         for alpha in (2.0 ** -54, 1e-17, 5e-324):
-            with pytest.raises(DomainError, match=r"^alpha = .* too small"):
-                advantage_target(alpha)
-            with pytest.raises(DomainError, match=r"^alpha = .* too small"):
-                membership_advantage(1.0, alpha)
+            target = advantage_target(alpha)
+            assert math.isfinite(target) and target > 0.0
+            assert math.isfinite(membership_advantage(1.0, alpha))
+            assert membership_advantage(target, alpha) <= alpha
+
+    def test_target_matches_high_precision_root(self):
+        # the root of Phi(-t/2) = alpha at 80 digits, to 4 ulps, and the
+        # advantage at the target is a vanishing fraction of alpha
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(80):
+            for alpha in (0.25, 0.01, 1e-4, 1e-8, 1e-12, 1e-15, 1e-100,
+                          1e-300):
+                log_alpha = mp.log(mp.mpf(alpha))
+                x = mp.findroot(lambda x: mp.log(mp.ncdf(x)) - log_alpha,
+                                -mp.sqrt(-2 * log_alpha))
+                exact = -2 * x
+                target = advantage_target(alpha)
+                assert abs(target - exact) <= 4 * math.ulp(float(exact))
+                assert membership_advantage(target, alpha) / alpha < 1e-13
 
     def test_elementwise_matches_scalar_calls(self, rng):
-        # separations reach all three erfc regimes of Phi(q - d)
+        # separations take Phi(q - d) from its center into its far tail
         d = np.concatenate([[0.0, 1e-300], rng.uniform(0.0, 12.0, 300),
                             [40.0]])
         for alpha in (0.01, 0.05, 0.3):
@@ -212,6 +227,8 @@ def eps_column(alpha, d_vs):
 
 class TestMembershipError:
     def test_zero_at_target(self):
+        # bit for bit: default-alpha artifacts keep their bytes
+        assert advantage_target(0.01) == TARGET_001
         assert eps_column(0.01, [TARGET_001, 1.0, 2.0])[0] == pytest.approx(
             0.0, abs=1e-12)
 
