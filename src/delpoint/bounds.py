@@ -29,7 +29,9 @@ eps_v is
 
     max(ln[Phi(Phi_inv(alpha) - eps_v) + 1 - alpha], 0)
 
-nonincreasing in eps_v and identically 0 for eps_v >= 0.
+nonincreasing in eps_v and identically 0 for eps_v >= 0.  Near the target
+it is max(log1p(D), 0) with D = Phi(Phi_inv(alpha) - eps_v) - alpha the
+series of ``snr._target_gap``, so a tiny |eps_v| keeps its precision.
 
 ``bounds_arrays`` evaluates all of this for every point in one O(n d)
 pass, on the scan's arithmetic: ||x_v|| is snr.feature_norms, the
@@ -60,7 +62,7 @@ from .errors import (
 )
 from .gauss import phi, phi_inv
 from .lossgrad import as_weights, risk
-from .snr import _check_alpha, advantage_target, feature_norms
+from .snr import _check_alpha, _target_gap, advantage_target, feature_norms
 
 
 def interval_endpoints(l0: float, t, sigma: float, gamma: float,
@@ -87,7 +89,12 @@ def interval_endpoints(l0: float, t, sigma: float, gamma: float,
 
 def _privacy_floor_column(eps_v: np.ndarray, alpha: float) -> np.ndarray:
     _check_alpha(alpha)
-    return np.maximum(np.log(phi(phi_inv(alpha) - eps_v) + 1.0 - alpha), 0.0)
+    z = phi_inv(alpha)
+    near, gap = _target_gap(eps_v, z)
+    floor = np.empty_like(eps_v)
+    floor[near] = np.log1p(gap)
+    floor[~near] = np.log(phi(z - eps_v[~near]) + 1.0 - alpha)
+    return np.maximum(floor, 0.0)
 
 
 def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,

@@ -23,8 +23,8 @@ import click
 import numpy as np
 
 from . import __version__
-from .core import (_SNR_CONVENTIONS, HyperParams, _dumps_indent2,
-                   _json_chunks, _write_csv, load_csv, save_csv)
+from .core import (_SNR_CONVENTIONS, HyperParams, _json_chunks, _write_csv,
+                   load_csv, save_csv)
 from .datagen import GenConfig, generate
 from .errors import DelpointError, DimensionMismatch, InvalidValue
 from .bounds import bounds_arrays
@@ -328,7 +328,7 @@ def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
             "deletions_log": result.deletions_log,
         }
         summary_path = out_dir / "summary.json"
-        summary_path.write_text(_dumps_indent2(summary_doc) + "\n",
+        summary_path.write_text(json.dumps(summary_doc, indent=2) + "\n",
                                 encoding="utf-8")
 
         _write_manifest(out_dir, "simulate", config_doc, hp.seed,

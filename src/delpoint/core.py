@@ -252,31 +252,6 @@ def _row_blocks(columns, glue, sep):
         yield "".join(parts)
 
 
-def _dumps_indent2(doc, depth: int = 0) -> str:
-    """``json.dumps(doc, indent=2)`` for a document of str-keyed dicts,
-    lists and JSON scalars, written at nesting ``depth``.
-
-    ``indent`` turns off CPython's C encoder, so ``json.dumps`` would
-    encode every element in Python.  Here each non-empty list of scalars
-    is one C-encoder call whose item separator holds the newline and the
-    indent of its items; dicts, and lists that hold containers, are laid
-    out as ``indent=2`` lays them out.
-    """
-    if not isinstance(doc, (dict, list, tuple)) or not doc:
-        return json.dumps(doc)
-    pad = "\n" + "  " * (depth + 1)
-    if isinstance(doc, dict):
-        items = [json.dumps(k) + ": " + _dumps_indent2(v, depth + 1)
-                 for k, v in doc.items()]
-    # the set of element types: map, type and set walk a long list in C
-    elif any(issubclass(t, (dict, list, tuple)) for t in set(map(type, doc))):
-        items = [_dumps_indent2(v, depth + 1) for v in doc]
-    else:
-        items = [json.dumps(doc, separators=("," + pad, ": "))[1:-1]]
-    body = pad + ("," + pad).join(items) + pad[:-2]
-    return "{" + body + "}" if isinstance(doc, dict) else "[" + body + "]"
-
-
 def load_csv(path) -> Dataset:
     """Read a dataset from the canonical CSV layout.
 

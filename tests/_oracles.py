@@ -148,6 +148,17 @@ def privacy_floor_calc(eps_v, alpha):
     return max(math.log(norm.cdf(norm.ppf(alpha) - eps_v) + 1.0 - alpha), 0.0)
 
 
+def target_gap_mp(alpha, eps_values, dps=50):
+    """Phi(Phi_inv(alpha) - eps) - alpha for each eps, as mpmath numbers of
+    dps digits; the quantile is the root of log Phi(x) = log alpha."""
+    import mpmath as mp
+    with mp.workdps(dps):
+        log_alpha = mp.log(mp.mpf(alpha))
+        z = mp.findroot(lambda x: mp.log(mp.ncdf(x)) - log_alpha,
+                        norm.ppf(alpha))
+        return [mp.ncdf(z - mp.mpf(e)) - mp.mpf(alpha) for e in eps_values]
+
+
 def json_doc_indent2(head, key, names, columns):
     """A row table the way json.dumps writes it: one dict per row, indent=2."""
     rows = [dict(zip(names, row))

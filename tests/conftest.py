@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,22 @@ def tuned_dataset(rng, hp, targets, w, n=8):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+# membership errors inside |eps_v| (|z| + |eps_v|) <= 1, z = Phi_inv(alpha),
+# for each alpha, where the advantage and privacy floor are series in eps_v
+NEAR_ALPHAS = (0.25, 0.05, 0.01, 1e-4, 1e-12)
+NEAR_EPS = np.array([s * m for m in (1e-12, 1e-9, 1e-6, 1e-3, 0.1)
+                     for s in (1.0, -1.0)])
+
+
+def edge_pair(z, inside, sign):
+    """Adjacent floats e_in, e_out on the side of ``sign``, the last one
+    that ``inside`` accepts and the first it does not, about the edge
+    |e| (|z| + |e|) = 1 of the near-target region."""
+    e = sign * (math.sqrt(z * z + 4.0) - abs(z)) / 2.0
+    while not inside(e):
+        e = math.nextafter(e, 0.0)
+    while inside(out := math.nextafter(e, sign * math.inf)):
+        e = out
+    return e, out

@@ -24,7 +24,7 @@ from delpoint import Dataset
 # replaces; by the module that defined it.
 REMOVED = {
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
-                      "_json_rows", "_csv_tokens"],
+                      "_json_rows", "_csv_tokens", "_dumps_indent2"],
     "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad",
                           "risk_grad"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error",
@@ -112,6 +112,25 @@ def test_main_module_freezes_the_heap_at_exit(tmp_path, args, code):
     assert frozen[0] == "frozen" and int(frozen[1]) > 0
 
 
+@pytest.mark.parametrize("command", ["select", "bounds"])
+def test_near_target_series_imports_nothing(tmp_path, command):
+    # the advantage and privacy floor near the target are summed with
+    # numpy alone: no per-process import of numpy.polynomial (~3 ms),
+    # scipy or mpmath by the time the command exits
+    (tmp_path / "data.csv").write_text("x0,y\n1,2\n2,3\n3,5\n")
+    out = run_python(
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules if"
+        " m.split('.')[0] in ('scipy', 'mpmath')"
+        " or m.startswith('numpy.polynomial')), file=sys.stderr))\n"
+        f"sys.argv = ['delpoint', {command!r}, '--dataset', 'data.csv',"
+        " '--out', 'out']\n"
+        "runpy.run_module('delpoint.cli', run_name='__main__')\n",
+        check=False, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr.splitlines()[-1] == "[]"
+
+
 def test_script_and_main_module_share_one_entry():
     tomllib = pytest.importorskip("tomllib")
     root = Path(__file__).resolve().parents[1]
@@ -162,8 +181,7 @@ def test_no_unused_imports():
 
 
 # the writers of core, which only cli, the module that writes files, uses
-_CORE_WRITERS = {"_write_csv", "_json_chunks", "_dumps_indent2", "_tokens",
-                 "_row_blocks"}
+_CORE_WRITERS = {"_write_csv", "_json_chunks", "_tokens", "_row_blocks"}
 
 
 def layout_breaches(source: str) -> list[str]:

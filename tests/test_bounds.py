@@ -19,10 +19,11 @@ from delpoint import (
     risk,
 )
 from delpoint.bounds import bounds_arrays, interval_endpoints
+from delpoint.gauss import phi_inv
 from delpoint.snr import scan_arrays
 
-from conftest import random_dataset
-from _oracles import bounds_calc, privacy_floor_calc
+from conftest import NEAR_ALPHAS, NEAR_EPS, edge_pair, random_dataset
+from _oracles import bounds_calc, privacy_floor_calc, target_gap_mp
 
 # Frozen from the scipy-based reference calculator on the T3 fixture
 # (index 0, w=[0.5], gamma=0.01, sigma=2, alpha=0.01).
@@ -231,6 +232,27 @@ class TestPrivacyFloor:
             alpha = float(rng.uniform(0.01, 0.45))
             assert privacy_floor(eps, alpha) == pytest.approx(
                 privacy_floor_calc(eps, alpha), abs=1e-10)
+
+    def test_near_target_matches_high_precision(self):
+        # the log of Phi(.) + 1 - alpha rounds 1 + D to float64: at
+        # alpha = 0.01 that was 3.5e-6 off (relative) at eps_v = -1e-9
+        mp = pytest.importorskip("mpmath")
+        for alpha in NEAR_ALPHAS:
+            exact = [max(float(mp.log1p(g)), 0.0)
+                     for g in target_gap_mp(alpha, NEAR_EPS)]
+            got = [privacy_floor(float(e), alpha) for e in NEAR_EPS]
+            for e, g, x in zip(NEAR_EPS, got, exact):
+                assert abs(g - x) <= 1e-13 * x, (alpha, e)
+
+    def test_series_and_difference_agree_at_the_edge(self):
+        # the far side takes the log of Phi(.) + 1 - alpha, which is rounded
+        # to float64 and so off by up to an ulp of 1 however small the floor
+        for alpha in NEAR_ALPHAS:
+            z = phi_inv(alpha)
+            near, far = (privacy_floor(e, alpha) for e in edge_pair(
+                z, lambda e: abs(e) * (abs(z) + abs(e)) <= 1.0, -1.0))
+            assert far > 0.0
+            assert abs(near - far) <= 1e-13 * far + 2.0 * math.ulp(1.0)
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):

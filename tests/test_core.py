@@ -19,8 +19,7 @@ from delpoint import (
     save_csv,
 )
 from delpoint import core
-from delpoint.core import (_dumps_indent2, _json_chunks, _parse_blocks,
-                           _tokens, _write_csv)
+from delpoint.core import _json_chunks, _parse_blocks, _tokens, _write_csv
 from delpoint.errors import DomainError
 
 from _oracles import (IndexOutOfRange, csv_writer_text, delete_point,
@@ -343,32 +342,6 @@ class TestTokens:
         info = np.iinfo(np.int64)
         self.check(np.array([1, -1, 0, 7, info.min, info.max], dtype=">i8"))
         self.check(np.array([1, 2, 300], dtype=">u2"))
-
-
-class TestDumpsIndent2:
-    """_dumps_indent2 writes what json.dumps(indent=2) writes."""
-
-    @pytest.mark.parametrize("doc", [
-        {},
-        [],
-        None,
-        -0.0,
-        'a "quoted" \\ line\n',
-        {"a": [], "b": {}, "c": [[]], "d": [{}], "e": None},
-        {"x": [1, 2.5, -0.0, True, False, None, "s\u00e9\U0001f600"]},
-        {"nan": [float("nan"), float("inf"), -float("inf")], "k\"\u00e9": 1},
-        [[1, [2, [3, []]]], {"a": {"b": {"c": [4.0]}}}, 5],
-        [[0, None, 7], [], [None], [1, {"inner": [2, 3]}, 4]],
-        ("tuple", (1, 2), [(), (3,)]),
-        {"log": [[3, 1, None], [0, 2, 2]], "mean": [0.1, 1e+16, 5e-324]},
-    ], ids=repr)
-    def test_matches_json_dumps(self, doc):
-        assert _dumps_indent2(doc) == json.dumps(doc, indent=2)
-
-    def test_float_subclass(self):
-        # np.float64 is a float: both encoders write its float repr
-        doc = {"mean": [np.float64(0.1), np.float64(-2.5e-07)]}
-        assert _dumps_indent2(doc) == json.dumps(doc, indent=2)
 
 
 class TestCsvRoundTrip:

@@ -17,10 +17,13 @@ from delpoint import (
 from delpoint._kernels import scan_norms
 from delpoint.cli import _SCORES_CSV_HEADER
 from delpoint.core import _write_csv
+from delpoint.gauss import phi_inv
 from delpoint.snr import scan_arrays, snr_denominator
 
-from conftest import assign_labels_1d, random_dataset
-from _oracles import advantage_formula, snr_by_deletion, snr_definition_form
+from conftest import (NEAR_ALPHAS, NEAR_EPS, assign_labels_1d, edge_pair,
+                      random_dataset)
+from _oracles import (advantage_formula, snr_by_deletion, snr_definition_form,
+                      target_gap_mp)
 
 # Frozen from the mpmath/bisection oracle.
 TARGET_001 = 4.652695748081682      # -2 * phi_inv(0.01)
@@ -195,6 +198,35 @@ class TestAdvantage:
                 target = advantage_target(alpha)
                 assert abs(target - exact) <= 4 * math.ulp(float(exact))
                 assert membership_advantage(target, alpha) / alpha < 1e-13
+
+    def test_near_target_matches_high_precision(self):
+        # the advantage of d is taken at its membership error
+        # eps_v = d - advantage_target(alpha), as the scan reports it;
+        # Phi(.) - alpha was 1.1e-4 off (relative) at alpha = 0.01,
+        # eps_v = -1e-12
+        mp = pytest.importorskip("mpmath")
+        for alpha in NEAR_ALPHAS:
+            target = advantage_target(alpha)
+            d = target + NEAR_EPS
+            eps = d - target  # exact: d and target are within a factor 2
+            exact = np.array([float(abs(g)) for g in target_gap_mp(alpha, eps)])
+            got = membership_advantage(d, alpha)
+            assert np.all(np.abs(got - exact) <= 1e-13 * exact), alpha
+
+    def test_series_and_difference_agree_at_the_edge(self):
+        # adjacent separations on either side of |eps_v| (|z| + |eps_v|) = 1
+        for alpha in NEAR_ALPHAS:
+            z = phi_inv(alpha)
+            target = advantage_target(alpha)
+
+            def inside(e):
+                eps = (target + e) - target
+                return abs(eps) * (abs(z) + abs(eps)) <= 1.0
+
+            for sign in (1.0, -1.0):
+                near, far = (membership_advantage(target + e, alpha)
+                             for e in edge_pair(z, inside, sign))
+                assert abs(near - far) <= 1e-13 * far, (alpha, sign)
 
     def test_elementwise_matches_scalar_calls(self, rng):
         # separations take Phi(q - d) from its center into its far tail
