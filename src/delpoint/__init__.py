@@ -5,50 +5,44 @@ package scores every point by how distinguishable its deletion makes the
 post-step weight distribution, selects the point whose deletion is least
 detectable, bounds the resulting risk change and privacy budget, and runs
 reproducible multi-step deletion experiments.
+
+``import delpoint`` loads no numpy: each public name imports the module
+that defines it at its first access (PEP 562).
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from ._kernels import active_backend
-from .bounds import privacy_floor
-from .core import (
-    Dataset,
-    HyperParams,
-    load_csv,
-    save_csv,
-)
-from .datagen import GenConfig, generate
-from .errors import (
-    DegenerateNoise,
-    DelpointError,
-    DimensionMismatch,
-    DomainError,
-    EmptyDataset,
-    EmptyInput,
-    FloorViolated,
-    InvalidValue,
-    NumericOverflow,
-    TooManyDeletions,
-    WouldEmptyDataset,
-    ZeroFeatureNorm,
-)
-from .gauss import make_rng, phi, phi_inv
-from .lossgrad import risk
-from .selector import (
-    CandidateScore,
-    SelectionResult,
-    find_perfect_deleted_point,
-)
-from .sim import (
-    ExperimentResult,
-    StepConfig,
-    run_protocol,
-    summarize,
-)
-from .snr import (
-    advantage_target,
-    membership_advantage,
-)
+# each public name but __version__, under the module that defines it
+_MODULES = {
+    "_kernels": ("active_backend",),
+    "bounds": ("privacy_floor",),
+    "core": ("Dataset", "HyperParams", "load_csv", "save_csv"),
+    "datagen": ("GenConfig", "generate"),
+    "errors": (
+        "DegenerateNoise",
+        "DelpointError",
+        "DimensionMismatch",
+        "DomainError",
+        "EmptyDataset",
+        "EmptyInput",
+        "FloorViolated",
+        "InvalidValue",
+        "NumericOverflow",
+        "TooManyDeletions",
+        "WouldEmptyDataset",
+        "ZeroFeatureNorm",
+    ),
+    "gauss": ("make_rng", "phi", "phi_inv"),
+    "lossgrad": ("risk",),
+    "selector": ("CandidateScore", "SelectionResult",
+                 "find_perfect_deleted_point"),
+    "sim": ("ExperimentResult", "StepConfig", "run_protocol", "summarize"),
+    "snr": ("advantage_target", "membership_advantage"),
+}
+_ORIGIN = {name: module for module, names in _MODULES.items()
+           for name in names}
 
 __all__ = [
     "__version__",
@@ -86,3 +80,16 @@ __all__ = [
     "save_csv",
     "summarize",
 ]
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -29,9 +29,10 @@ eps_v is
 
     max(ln[Phi(Phi_inv(alpha) - eps_v) + 1 - alpha], 0)
 
-nonincreasing in eps_v and identically 0 for eps_v >= 0.  Near the target
-it is max(log1p(D), 0) with D = Phi(Phi_inv(alpha) - eps_v) - alpha the
-series of ``snr._target_gap``, so a tiny |eps_v| keeps its precision.
+nonincreasing in eps_v and identically 0 for eps_v >= 0.  It is computed
+as max(log1p(D), 0) with D = Phi(Phi_inv(alpha) - eps_v) - alpha, so 1 + D
+is never rounded; near the target D is the series of ``snr._target_gap``,
+so a tiny |eps_v| keeps its precision too.
 
 ``bounds_arrays`` evaluates all of this for every point in one O(n d)
 pass, on the scan's arithmetic: ||x_v|| is snr.feature_norms, the
@@ -91,10 +92,10 @@ def _privacy_floor_column(eps_v: np.ndarray, alpha: float) -> np.ndarray:
     _check_alpha(alpha)
     z = phi_inv(alpha)
     near, gap = _target_gap(eps_v, z)
-    floor = np.empty_like(eps_v)
-    floor[near] = np.log1p(gap)
-    floor[~near] = np.log(phi(z - eps_v[~near]) + 1.0 - alpha)
-    return np.maximum(floor, 0.0)
+    d = np.empty_like(eps_v)
+    d[near] = gap
+    d[~near] = phi(z - eps_v[~near]) - alpha
+    return np.maximum(np.log1p(d), 0.0)
 
 
 def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,

@@ -6,6 +6,11 @@ configuration, so any artifact can be reproduced from its manifest alone.
 Exit codes: 0 success, 2 usage or malformed input, 3 no point within
 tolerance (select only), 4 internal numeric failure.  Only this module
 writes files, and it decides the layout of each; core encodes the rows.
+
+At the top this module imports only the standard library, click and the
+package's numpy-free modules, so ``--help``, ``--version`` and ``report``
+start without numpy.  The numeric modules load with the first dataset,
+in ``load_csv``, and the command bodies take their names from them there.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import gc
+import importlib
 import json
 import os
 import sys
@@ -20,17 +26,10 @@ import time
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
-from .core import (_SNR_CONVENTIONS, HyperParams, _json_chunks, _write_csv,
-                   load_csv, save_csv)
-from .datagen import GenConfig, generate
+from ._choices import _SNR_CONVENTIONS, _TIE_BREAKS, PROTOCOLS
 from .errors import DelpointError, DimensionMismatch, InvalidValue
-from .bounds import bounds_arrays
-from .selector import _TIE_BREAKS, CandidateScore, find_perfect_deleted_point
-from .sim import PROTOCOLS, StepConfig, run_protocol
-from .snr import scan_arrays
 
 MANIFEST_FORMAT_VERSION = 1
 SELECTION_JSON_FORMAT_VERSION = 1
@@ -43,6 +42,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NO_PERFECT_POINT = 3
 EXIT_NUMERIC = 4
+
+# the modules whose names select, bounds and simulate use, with what they
+# import; load_csv imports them (see there)
+_DATASET_STACK = ("core", "snr", "selector", "bounds", "sim")
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
@@ -88,7 +91,24 @@ def _stream(chunks, out_dir: Path | None, name: str) -> None:
                 return
 
 
-def _parse_w0(value: str | None, dim: int) -> np.ndarray:
+def load_csv(path: Path):
+    """The Dataset in the CSV file ``path`` (core.load_csv), after the
+    modules of _DATASET_STACK are imported.
+
+    Every dataset command reads its CSV through this module's
+    ``load_csv`` attribute, before it uses a name of those modules, so
+    ``--help``, ``--version`` and ``report`` never load numpy.
+    perfbench/probe.py calls this function in its timed set-up and then
+    replaces it to serve the datasets it has loaded, so those imports
+    stay in the probe's set-up and out of the library path it times.
+    """
+    for name in _DATASET_STACK:
+        importlib.import_module(f".{name}", __package__)
+    return importlib.import_module(".core", __package__).load_csv(path)
+
+
+def _parse_w0(value: str | None, dim: int):
+    import numpy as np
     if value is None:
         return np.zeros(dim)
     try:
@@ -110,6 +130,7 @@ def _load_inputs(dataset: Path, w0_text: str | None, hyper: dict):
     perfbench/probe.py replaces to serve datasets it has already loaded.
     """
     ds = load_csv(dataset)
+    from .core import HyperParams
     return ds, HyperParams(**hyper), _parse_w0(w0_text, ds.dim)
 
 
@@ -176,6 +197,8 @@ def gen(n, x_low, x_high, slope, noise_std, noise_scale, extra_features,
         seed, out_dir):
     """Generate a synthetic dataset CSV plus a manifest."""
     def body():
+        from .core import save_csv
+        from .datagen import GenConfig, generate
         start = time.perf_counter()
         cfg = GenConfig(n=n, x_low=x_low, x_high=x_high, slope=slope,
                         noise_std=noise_std, noise_scale=noise_scale,
@@ -205,6 +228,8 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
     def body():
         start = time.perf_counter()
         ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
+        from .core import _write_csv
+        from .selector import find_perfect_deleted_point
         result = find_perfect_deleted_point(ds, w0, hp, tie_break=tie_break)
         artifacts = []
         if scores_csv is not None:
@@ -230,6 +255,8 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
 def _selection_chunks(result):
     """selection.json in the pieces of _json_chunks; a row of scores is
     keyed as CandidateScore's fields."""
+    from .core import _json_chunks
+    from .selector import CandidateScore
     best = None if result.best is None else dataclasses.asdict(result.best)
     head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
             "target": result.target, "best": best}
@@ -240,6 +267,9 @@ def _selection_chunks(result):
 def _bounds_chunks(ds, w0, hp, b_floor):
     """bounds.json in the pieces of _json_chunks: one row per point, in
     dataset order.  The rows are computed before the first piece."""
+    from .bounds import bounds_arrays
+    from .core import _json_chunks
+    from .snr import scan_arrays
     arrays = scan_arrays(ds, w0, hp)
     cols = bounds_arrays(ds, w0, hp, arrays["eps_v"], b=b_floor)
     head = {"format_version": BOUNDS_FORMAT_VERSION,
@@ -301,6 +331,9 @@ def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
     def body():
         start = time.perf_counter()
         ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
+        import numpy as np
+        from .core import _write_csv
+        from .sim import StepConfig, run_protocol
         cfg = StepConfig(protocol=protocol.replace("-", "_"), steps=steps,
                          iterations=iterations, hp=hp, w0=w0, bins=bins,
                          tie_break=tie_break)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._choices import _SNR_CONVENTIONS
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -28,8 +29,6 @@ from .errors import (
     InvalidValue,
     NumericOverflow,
 )
-
-_SNR_CONVENTIONS = ("paper", "consistent")
 
 
 def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> tuple:

@@ -26,13 +26,12 @@ from typing import Optional
 
 import numpy as np
 
+from ._choices import _TIE_BREAKS
 from .core import Dataset, HyperParams
 from .errors import DomainError
 from .snr import membership_advantage, scan_arrays
 
 TIE_WINDOW = 1e-9
-
-_TIE_BREAKS = ("norm-first", "paper")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -43,9 +44,12 @@ REMOVED = {
 
 
 def test_all_names_resolve_once():
-    assert len(delpoint.__all__) == len(set(delpoint.__all__))
+    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 34
+    assert set(delpoint.__all__) <= set(dir(delpoint))
     for name in delpoint.__all__:
         assert hasattr(delpoint, name), name
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        delpoint.nothing
 
 
 def test_per_point_api_is_gone():
@@ -75,15 +79,76 @@ def run_python(code: str, check=True, **kwargs):
                           env=os.environ | {"PYTHONPATH": path}, **kwargs)
 
 
+# what ``import delpoint.cli`` loads of the package: no module that
+# imports numpy
+LIGHT_MODULES = ["delpoint", "delpoint._choices", "delpoint.cli",
+                 "delpoint.errors"]
+
+# the loaded package modules and any of numpy, orjson or a process pool
+LOADED = ("sorted(m for m in sys.modules if m.split('.')[0] in ('delpoint',"
+          " 'numpy', 'orjson', 'multiprocessing', 'concurrent'))")
+
+
 def test_cli_import_loads_no_process_pool():
-    # nor numpy.random: select and bounds draw nothing, and it takes ~10 ms
-    # to import, so sim and gauss reach it only when a stream is made; nor
-    # orjson, which core._tokens imports when it first writes a row table
+    # nor numpy: the numeric stack loads with the first dataset (see
+    # cli.load_csv); nor orjson, which core imports at its first use;
+    # and ``import delpoint`` resolves its names at their first access
     out = run_python(
-        "import sys, delpoint.cli; print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'orjson')"
-        " or m.startswith('numpy.random')))")
-    assert out.stdout == "[]\n"
+        f"import sys, delpoint\nprint({LOADED})\n"
+        f"dir(delpoint)\nimport delpoint.cli\nprint({LOADED})\n"
+        "delpoint.phi\nprint(sys.modules['delpoint.gauss'].phi is"
+        " delpoint.phi, 'numpy' in sys.modules)\n")
+    assert out.stdout.splitlines() == [
+        "['delpoint']", str(LIGHT_MODULES), "True True"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--help"], ["--version"], ["report", "a/summary.json", "b/summary.json"]],
+    ids=["help", "version", "report"])
+def test_light_commands_load_no_numpy(tmp_path, args):
+    # `report` reads JSON only; `--help` and `--version` read nothing
+    for name, protocol in (("a", "no_delete"), ("b", "random_delete")):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(json.dumps({
+            "config": {"steps": 1, "protocol": protocol},
+            "mean": [0.5], "variance": [0.25]}))
+    out = run_python(
+        "import atexit, runpy, sys\n"
+        f"atexit.register(lambda: print({LOADED}, file=sys.stderr))\n"
+        f"sys.argv = ['delpoint', *{args!r}]\n"
+        "runpy.run_module('delpoint.cli', run_name='__main__')\n",
+        check=False, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    # run as __main__, the CLI module is not delpoint.cli
+    assert out.stderr.splitlines()[-1] == str(
+        [m for m in LIGHT_MODULES if m != "delpoint.cli"])
+
+
+def test_load_csv_loads_every_module_the_dataset_commands_use(tmp_path):
+    # perfbench's probe calls the real cli.load_csv in its timed set-up,
+    # then serves its datasets through a stub and times the commands as
+    # the library path: no package module may load after that first call.
+    # Nor does that call load numpy.random, which takes ~10 ms: select and
+    # bounds draw nothing, and sim and gauss reach it with the first stream.
+    (tmp_path / "data.csv").write_text("x0,y\n1,2\n2,3\n3,5\n")
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "import delpoint.cli as cli\n"
+        "ds = cli.load_csv('data.csv')\n"
+        "before = set(sys.modules)\n"
+        "print(sorted(m for m in before if m.startswith('numpy.random')"
+        " or m.split('.')[0] in ('multiprocessing', 'concurrent')))\n"
+        "cli.load_csv = lambda path: ds\n"
+        "for args in (['select'], ['bounds'], ['simulate', '--protocol',"
+        " 'perfect-delete', '--iterations', '3', '--out', 'sim']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        cli.main([*args, '--dataset', 'data.csv'],"
+        " standalone_mode=False)\n"
+        "print(sorted(m for m in set(sys.modules) - before"
+        " if m.split('.')[0] in ('delpoint', 'orjson')"
+        " or m.startswith('numpy') and not m.startswith('numpy.random')))\n",
+        cwd=tmp_path)
+    assert out.stdout == "[]\n[]\n"
 
 
 def test_cli_import_freezes_nothing():
@@ -209,3 +274,46 @@ def test_only_cli_decides_artifact_layouts():
     found = {p.name: names for p in files if p.name != "cli.py"
              and (names := layout_breaches(p.read_text(encoding="utf-8")))}
     assert found == {}
+
+
+def choice_copies(source: str, choices: dict) -> list[str]:
+    """The names of ``choices`` that ``source`` assigns, and the reprs of
+    the string tuples and lists it spells out that equal one of their
+    values."""
+    values = set(choices.values())
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Assign):
+            found += [t.id for t in node.targets
+                      if isinstance(t, ast.Name) and t.id in choices]
+        elif isinstance(node, (ast.Tuple, ast.List)) and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str)
+                for e in node.elts):
+            spelled = tuple(e.value for e in node.elts)
+            if spelled in values:
+                found.append(repr(spelled))
+    return found
+
+
+def test_each_choice_tuple_has_one_definition():
+    # click declares these before any dataset is read, so their one
+    # definition is in a module that imports nothing, and core, selector
+    # and sim check their arguments against the same objects
+    from delpoint import _choices, core, selector, sim
+    choices = {name: getattr(_choices, name)
+               for name in ("_SNR_CONVENTIONS", "_TIE_BREAKS", "PROTOCOLS")}
+    assert choice_copies("A = ('paper', 'consistent')\nB = ['paper']\n"
+                         "f(['norm-first', 'paper'])\n", choices) == [
+        "('paper', 'consistent')", "('norm-first', 'paper')"]
+    assert core._SNR_CONVENTIONS is choices["_SNR_CONVENTIONS"]
+    assert selector._TIE_BREAKS is choices["_TIE_BREAKS"]
+    assert sim.PROTOCOLS is choices["PROTOCOLS"]
+    root = Path(__file__).resolve().parents[1] / "src" / "delpoint"
+    source = (root / "_choices.py").read_text(encoding="utf-8")
+    assert not [node for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Import, ast.ImportFrom))]
+    found = {p.name: sorted(names) for p in sorted(root.glob("*.py"))
+             if (names := choice_copies(p.read_text(encoding="utf-8"),
+                                        choices))}
+    assert found == {"_choices.py": sorted(
+        [*choices, *map(repr, choices.values())])}

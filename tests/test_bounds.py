@@ -235,24 +235,25 @@ class TestPrivacyFloor:
 
     def test_near_target_matches_high_precision(self):
         # the log of Phi(.) + 1 - alpha rounds 1 + D to float64: at
-        # alpha = 0.01 that was 3.5e-6 off (relative) at eps_v = -1e-9
+        # alpha = 0.01 that was 3.5e-6 off (relative) at eps_v = -1e-9, and
+        # outside the series' region at alpha = 1e-12 1.0e-4 off at
+        # eps_v = -0.14, 1.4e-6 at -0.5 and 1.8e-7 at -1
         mp = pytest.importorskip("mpmath")
+        eps_values = np.concatenate([NEAR_EPS, [-0.14, -0.5, -1.0]])
         for alpha in NEAR_ALPHAS:
             exact = [max(float(mp.log1p(g)), 0.0)
-                     for g in target_gap_mp(alpha, NEAR_EPS)]
-            got = [privacy_floor(float(e), alpha) for e in NEAR_EPS]
-            for e, g, x in zip(NEAR_EPS, got, exact):
+                     for g in target_gap_mp(alpha, eps_values)]
+            got = [privacy_floor(float(e), alpha) for e in eps_values]
+            for e, g, x in zip(eps_values, got, exact):
                 assert abs(g - x) <= 1e-13 * x, (alpha, e)
 
     def test_series_and_difference_agree_at_the_edge(self):
-        # the far side takes the log of Phi(.) + 1 - alpha, which is rounded
-        # to float64 and so off by up to an ulp of 1 however small the floor
         for alpha in NEAR_ALPHAS:
             z = phi_inv(alpha)
             near, far = (privacy_floor(e, alpha) for e in edge_pair(
                 z, lambda e: abs(e) * (abs(z) + abs(e)) <= 1.0, -1.0))
             assert far > 0.0
-            assert abs(near - far) <= 1e-13 * far + 2.0 * math.ulp(1.0)
+            assert abs(near - far) <= 1e-13 * far
 
     def test_alpha_domain(self):
         with pytest.raises(DomainError):
