@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # each public name but __version__, under the module that defines it
 _MODULES = {
     "_kernels": ("active_backend",),
-    "bounds": ("privacy_floor",),
+    "bounds": ("privacy_floor", "risk"),
     "core": ("Dataset", "HyperParams", "load_csv", "save_csv"),
     "datagen": ("GenConfig", "generate"),
     "errors": (
@@ -35,7 +35,6 @@ _MODULES = {
         "ZeroFeatureNorm",
     ),
     "gauss": ("make_rng", "phi", "phi_inv"),
-    "lossgrad": ("risk",),
     "selector": ("CandidateScore", "SelectionResult",
                  "find_perfect_deleted_point"),
     "sim": ("ExperimentResult", "StepConfig", "run_protocol", "summarize"),
@@ -44,42 +43,7 @@ _MODULES = {
 _ORIGIN = {name: module for module, names in _MODULES.items()
            for name in names}
 
-__all__ = [
-    "__version__",
-    "active_backend",
-    "CandidateScore",
-    "Dataset",
-    "DegenerateNoise",
-    "DelpointError",
-    "DimensionMismatch",
-    "DomainError",
-    "EmptyDataset",
-    "EmptyInput",
-    "ExperimentResult",
-    "FloorViolated",
-    "GenConfig",
-    "HyperParams",
-    "InvalidValue",
-    "NumericOverflow",
-    "SelectionResult",
-    "StepConfig",
-    "TooManyDeletions",
-    "WouldEmptyDataset",
-    "ZeroFeatureNorm",
-    "advantage_target",
-    "find_perfect_deleted_point",
-    "generate",
-    "load_csv",
-    "make_rng",
-    "membership_advantage",
-    "phi",
-    "phi_inv",
-    "privacy_floor",
-    "risk",
-    "run_protocol",
-    "save_csv",
-    "summarize",
-]
+__all__ = ["__version__", *_ORIGIN]
 
 
 def __getattr__(name):

@@ -36,12 +36,13 @@ so a tiny |eps_v| keeps its precision too.
 
 ``bounds_arrays`` evaluates all of this for every point in one O(n d)
 pass, on the scan's arithmetic: ||x_v|| is snr.feature_norms, the
-``feature_norm`` column that selection ranks by, and the residuals are
-y - X @ w.  Its safety checks run on the whole array before any row is
-computed, so one zero feature vector (per-point variant) rejects the whole
-call with ZeroFeatureNorm naming that point's position as its id.  An
-empirical risk or interval endpoint that overflows float64 raises
-NumericOverflow.
+``feature_norm`` column that selection ranks by, and the residuals
+y - X @ w are computed once, for both the empirical risk L0 = L(w; D0)
+(``risk``) and the actual changes.  Its safety checks run on the whole
+array before any row is computed, so one zero feature vector (per-point
+variant) rejects the whole call with ZeroFeatureNorm naming that point's
+position as its id.  An empirical risk or interval endpoint that
+overflows float64 raises NumericOverflow.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams
+from .core import Dataset, HyperParams, _check_alpha, as_weights
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -61,41 +62,32 @@ from .errors import (
     WouldEmptyDataset,
     ZeroFeatureNorm,
 )
-from .gauss import phi, phi_inv
-from .lossgrad import as_weights, risk
-from .snr import _check_alpha, _target_gap, advantage_target, feature_norms
+from .gauss import phi_inv
+from .snr import _gap, advantage_target, feature_norms
 
 
-def interval_endpoints(l0: float, t, sigma: float, gamma: float,
-                       n: int, scale_norm, g_norm: float):
-    """Endpoints and constant of the interval for explicit arguments.
+def _losses(w: np.ndarray, ds: Dataset):
+    """The squared residuals (y - X @ w)^2 of every point and their mean,
+    the empirical risk L0; NumericOverflow if L0 is not finite."""
+    # overflow is detected from the result, as in core._stats_from_arrays
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = ds.y - ds.X @ w
+        lv = r * r
+        l0 = float(np.mean(lv))
+    if not np.isfinite(l0):
+        raise NumericOverflow("empirical risk overflows float64")
+    return lv, l0
 
-    ``t`` and ``scale_norm`` may be arrays (elementwise over points) or
-    scalars.  ``scale_norm`` is ||x_v||_2 for the per-point variant or B
-    for the norm-floor variant.  Exposed separately so monotonicity in the
-    individual arguments can be checked without rebuilding datasets.
-    """
-    if n < 2:
-        raise WouldEmptyDataset("risk-change bounds need n >= 2")
-    scale_norm = np.asarray(scale_norm, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(scale_norm <= 0.0):
-        raise ZeroFeatureNorm("bounds divide by a positive feature norm")
-    if np.any(t < 0.0):
-        raise DomainError(f"eps_v + target must be >= 0, got {float(t.min())}")
-    c = sigma / scale_norm * math.sqrt(gamma / (2.0 * (n - 1)))
-    base = l0 / (n - 1) - g_norm / ((n - 1) * scale_norm)
-    return base - t * c, base + t * c, c
+
+def risk(w, ds: Dataset) -> float:
+    """Mean individual loss over the dataset; NumericOverflow if not finite."""
+    return _losses(as_weights(w, ds.dim), ds)[1]
 
 
 def _privacy_floor_column(eps_v: np.ndarray, alpha: float) -> np.ndarray:
     _check_alpha(alpha)
     z = phi_inv(alpha)
-    near, gap = _target_gap(eps_v, z)
-    d = np.empty_like(eps_v)
-    d[near] = gap
-    d[~near] = phi(z - eps_v[~near]) - alpha
-    return np.maximum(np.log1p(d), 0.0)
+    return np.maximum(np.log1p(_gap(eps_v, z - eps_v, z, alpha)), 0.0)
 
 
 def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
@@ -137,17 +129,18 @@ def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
                 f"(point id {k})")
         scale = b
 
-    l0 = risk(w, ds)
+    lv, l0 = _losses(w, ds)
     t = eps_v + advantage_target(hp.alpha)
+    if np.any(t < 0.0):
+        raise DomainError(f"eps_v + target must be >= 0, got {float(t.min())}")
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
         g_norm = float(np.linalg.norm(ds.s_yx - ds.s_xx @ w))
-        lower, upper, c = interval_endpoints(
-            l0, t, hp.sigma, hp.gamma, ds.n, scale, g_norm)
+        c = hp.sigma / scale * math.sqrt(hp.gamma / (2.0 * (ds.n - 1)))
+        base = l0 / (ds.n - 1) - g_norm / ((ds.n - 1) * scale)
+        lower, upper = base - t * c, base + t * c
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise NumericOverflow("risk-change interval overflows float64")
-    resid = ds.y - ds.X @ w
-    lv = resid * resid
     da = (l0 - lv) / (ds.n - 1)
     db = (l0 - np.sqrt(lv)) / (ds.n - 1)
     return {

@@ -134,6 +134,13 @@ def _load_inputs(dataset: Path, w0_text: str | None, hyper: dict):
     return ds, HyperParams(**hyper), _parse_w0(w0_text, ds.dim)
 
 
+def _hyper_config(dataset: Path, hp, w0) -> dict:
+    """The manifest config keys that select and bounds share, in order."""
+    return {"dataset": str(dataset), "gamma": hp.gamma, "sigma": hp.sigma,
+            "alpha": hp.alpha, "delta": hp.delta, "w0": w0.tolist(),
+            "snr_convention": hp.snr_convention}
+
+
 def _hyper_options(fn):
     """--w0 plus one option per HyperParams field; see _load_inputs."""
     fn = click.option("--gamma", type=float, default=0.01, show_default=True,
@@ -239,11 +246,7 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
         _stream(_selection_chunks(result), out_dir, "selection.json")
         if out_dir is not None:
             artifacts.append("selection.json")
-            config = {"dataset": str(dataset), "gamma": hp.gamma,
-                      "sigma": hp.sigma, "alpha": hp.alpha,
-                      "delta": hp.delta, "w0": w0.tolist(),
-                      "snr_convention": hp.snr_convention,
-                      "tie_break": tie_break}
+            config = _hyper_config(dataset, hp, w0) | {"tie_break": tie_break}
             _write_manifest(out_dir, "select", config, hp.seed, artifacts,
                             start)
         return result
@@ -254,14 +257,12 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
 
 def _selection_chunks(result):
     """selection.json in the pieces of _json_chunks; a row of scores is
-    keyed as CandidateScore's fields."""
+    keyed as CandidateScore's fields, the keys of ``result.scores``."""
     from .core import _json_chunks
-    from .selector import CandidateScore
     best = None if result.best is None else dataclasses.asdict(result.best)
     head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
             "target": result.target, "best": best}
-    keys = [f.name for f in dataclasses.fields(CandidateScore)]
-    return _json_chunks(head, "scores", {k: result.scores[k] for k in keys})
+    return _json_chunks(head, "scores", result.scores)
 
 
 def _bounds_chunks(ds, w0, hp, b_floor):
@@ -303,11 +304,7 @@ def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
         ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
         _stream(_bounds_chunks(ds, w0, hp, b_floor), out_dir, "bounds.json")
         if out_dir is not None:
-            config = {"dataset": str(dataset), "gamma": hp.gamma,
-                      "sigma": hp.sigma, "alpha": hp.alpha,
-                      "delta": hp.delta, "w0": w0.tolist(),
-                      "snr_convention": hp.snr_convention,
-                      "b_floor": b_floor}
+            config = _hyper_config(dataset, hp, w0) | {"b_floor": b_floor}
             _write_manifest(out_dir, "bounds", config, hp.seed,
                             ["bounds.json"], start)
     _guard(body)

@@ -1,4 +1,5 @@
-"""Domain types: immutable datasets and run parameters, and CSV/JSON i/o.
+"""Domain types: immutable datasets, weights and run parameters, and
+CSV/JSON i/o.
 
 A Dataset is an immutable snapshot of float64 arrays: the features X, the
 labels y and the averaged moments
@@ -92,6 +93,23 @@ class Dataset:
         return self.X.shape[1]
 
 
+def as_weights(w, dim: int) -> np.ndarray:
+    """Validate and convert a weight vector against a feature dimension."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1:
+        raise DimensionMismatch(f"weights must be a vector, got shape {w.shape}")
+    if w.shape[0] != dim:
+        raise DimensionMismatch(f"weights have dim {w.shape[0]}, data has {dim}")
+    if not np.all(np.isfinite(w)):
+        raise InvalidValue("weights must be finite")
+    return w
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 0.5):
+        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
+
+
 @dataclass(frozen=True)
 class HyperParams:
     """Run parameters shared by scoring, selection, bounds, and simulation.
@@ -114,8 +132,7 @@ class HyperParams:
             raise DomainError(f"gamma must be >= 0 and finite, got {self.gamma}")
         if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
             raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
-        if not (0.0 < self.alpha < 0.5):
-            raise DomainError(f"alpha must lie in (0, 0.5), got {self.alpha}")
+        _check_alpha(self.alpha)
         if not (self.delta >= 0.0 and np.isfinite(self.delta)):
             raise DomainError(f"delta must be >= 0 and finite, got {self.delta}")
         if self.snr_convention not in _SNR_CONVENTIONS:

@@ -51,10 +51,9 @@ from typing import Optional
 import numpy as np
 
 from ._choices import PROTOCOLS
-from .core import Dataset, HyperParams
+from .core import Dataset, HyperParams, as_weights
 from .errors import DomainError, EmptyInput, NumericOverflow, TooManyDeletions
 from .gauss import make_rng
-from .lossgrad import as_weights
 from .selector import _check_tie_break, _pick
 from .snr import _scores, advantage_target, feature_norms, snr_denominator
 

@@ -49,11 +49,10 @@ import math
 import numpy as np
 
 from ._kernels import _row_norms, scan_norms
-from .core import Dataset, HyperParams
+from .core import Dataset, HyperParams, _check_alpha, as_weights
 from .errors import (DegenerateNoise, DomainError, NumericOverflow,
                      WouldEmptyDataset)
 from .gauss import _INV_SQRT_2PI, phi, phi_inv
-from .lossgrad import as_weights
 
 
 def advantage_target(alpha: float) -> float:
@@ -61,11 +60,6 @@ def advantage_target(alpha: float) -> float:
     advantage is zero."""
     _check_alpha(alpha)
     return -2.0 * phi_inv(alpha)
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
 
 
 def snr_denominator(n: int, hp: HyperParams) -> float:
@@ -103,15 +97,26 @@ def membership_advantage(d, alpha: float):
         raise DomainError(
             f"separation must be finite and >= 0, got {float(bad[0])}")
     z = phi_inv(alpha)
-    near, gap = _target_gap(arr - advantage_target(alpha), z)
-    adv = np.empty_like(arr)
-    adv[near] = gap
-    adv[~near] = phi(-z - arr[~near]) - alpha
-    adv = np.abs(adv)
+    adv = np.abs(_gap(arr - advantage_target(alpha), -z - arr, z, alpha))
     return adv if arr.ndim else float(adv)
 
 
 _GAP_TERMS = 30
+
+
+def _gap(eps, far, z: float, alpha: float):
+    """Phi(z - eps) - alpha for the membership errors eps, z = Phi_inv(alpha).
+
+    Near the target it is the series of _target_gap; elsewhere it is
+    phi(far) - alpha, with phi evaluated at those entries only.  ``far``
+    holds each entry's argument of Phi, z - eps, as the caller rounds it,
+    so each caller's column keeps its own bits.
+    """
+    near, gap = _target_gap(eps, z)
+    out = np.empty_like(eps)
+    out[near] = gap
+    out[~near] = phi(far[~near]) - alpha
+    return out
 
 
 def _target_gap(eps, z: float):

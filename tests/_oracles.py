@@ -31,7 +31,7 @@ from scipy.stats import norm
 
 from delpoint import (Dataset, DegenerateNoise, DelpointError, DomainError,
                       NumericOverflow, WouldEmptyDataset, make_rng)
-from delpoint.lossgrad import as_weights
+from delpoint.core import as_weights
 from delpoint.snr import scan_arrays
 
 

@@ -22,17 +22,18 @@ from delpoint import Dataset
 # and the joined selection.json that the streamed pieces replace, and the
 # artifact layouts that moved into cli with the CSV tokens that core's one
 # row encoder made needless, and the hand-copied erfc that math.erfc
-# replaces; by the module that defined it.
+# replaces, and the interval of explicit arguments that bounds_arrays
+# folds in; by the module that defined it.  The lossgrad module is gone
+# too: its risk is bounds', and its as_weights core's, not a public name.
 REMOVED = {
+    "delpoint": ["as_weights", "lossgrad"],
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
                       "_json_rows", "_csv_tokens", "_dumps_indent2"],
-    "delpoint.lossgrad": ["point_loss", "point_grad", "deleted_grad",
-                          "risk_grad"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error",
                      "write_scores_csv"],
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
                         "risk_change_bounds_floor", "_row_dots",
-                        "_feature_norms"],
+                        "_feature_norms", "interval_endpoints"],
     "delpoint.sim": ["sgd_step", "empirical_advantage", "experiment_to_doc"],
     "delpoint.gauss": ["sample_gaussian", "_erfc_array"],
     "delpoint.selector": ["rank_candidates", "_abs_tokens",
@@ -44,7 +45,14 @@ REMOVED = {
 
 
 def test_all_names_resolve_once():
+    # one name table: __all__ is __version__ and the names of _MODULES,
+    # each defined in the module it is listed under
+    assert delpoint.__all__ == ["__version__", *(
+        name for names in delpoint._MODULES.values() for name in names)]
     assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 34
+    for module, names in delpoint._MODULES.items():
+        for name in names:
+            assert getattr(delpoint, name).__module__ == f"delpoint.{module}"
     assert set(delpoint.__all__) <= set(dir(delpoint))
     for name in delpoint.__all__:
         assert hasattr(delpoint, name), name
@@ -59,6 +67,8 @@ def test_per_point_api_is_gone():
             assert not hasattr(delpoint, name), name
             assert not hasattr(module, name), f"{module_name}.{name}"
             assert name not in delpoint.__all__
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("delpoint.lossgrad")
     # a point is named by its position: no ids, and no stats wrapper
     ds = Dataset.from_arrays([[1.0], [2.0]], [1.0, 2.0])
     for attr in ("from_points", "point", "points", "position_of", "ids",

@@ -18,7 +18,7 @@ from delpoint import (
     privacy_floor,
     risk,
 )
-from delpoint.bounds import bounds_arrays, interval_endpoints
+from delpoint.bounds import bounds_arrays
 from delpoint.gauss import phi_inv
 from delpoint.snr import scan_arrays
 
@@ -74,10 +74,10 @@ class TestRiskChangeBounds:
             assert rb["upper"] - rb["lower"] == pytest.approx(
                 width, rel=1e-10, abs=1e-12)
 
-    def test_lower_bound_drops_with_feature_norm(self):
-        # same arguments, shrinking ||x_v||
-        vals = [interval_endpoints(2.0, 5.0, 2.0, 0.01, 10, s, 1.3)[0]
-                for s in (4.0, 2.0, 1.0, 0.5, 0.25)]
+    def test_lower_bound_drops_with_feature_norm(self, t3, hp_default):
+        # same dataset and eps_v, a shrinking norm floor in place of ||x_v||
+        vals = [row(t3, 0, [0.5], hp_default, 0.0, b=b)["lower"]
+                for b in (1.0, 0.5, 0.25, 0.125, 0.0625)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_matches_reference_calculator(self, rng):
@@ -131,7 +131,7 @@ class TestRiskChangeBounds:
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_scan_arithmetic(self, rng, d):
         # the interval divides by the feature_norm that selection ranks by,
-        # and the residuals are the scan's y - X @ w, bit for bit
+        # and the residuals are BLAS's y - X @ w, bit for bit
         n = 1000
         ds = Dataset.from_arrays(rng.normal(size=(n, d)), rng.normal(size=n))
         w = rng.normal(size=d)
@@ -262,10 +262,10 @@ class TestPrivacyFloor:
             privacy_floor(0.0, 0.0)
 
 
-def test_width_shrinks_toward_perfect_point():
-    # at fixed remaining arguments, width grows with eps >= 0
+def test_width_shrinks_toward_perfect_point(t3, hp_default):
+    # on one dataset and point, width grows with eps >= 0
     widths = []
     for eps in (0.0, 0.5, 1.0, 2.0):
-        lo, hi, _ = interval_endpoints(2.0, eps + 4.0, 2.0, 0.01, 10, 1.5, 1.0)
-        widths.append(hi - lo)
+        rb = row(t3, 0, [0.5], hp_default, eps)
+        widths.append(rb["upper"] - rb["lower"])
     assert all(a < b for a, b in zip(widths, widths[1:]))
