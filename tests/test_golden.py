@@ -1,6 +1,6 @@
 """The golden artifact set: the bytes of a fixed set of CLI runs.
 
-``runs()`` builds 43 files in process through CliRunner, in a temporary
+``runs()`` builds 45 files in process through CliRunner, in a temporary
 directory that is the working directory, so every path the manifests
 record is relative and the same on every build.  A manifest is compared
 without its ``wall_time_s`` line.
@@ -62,6 +62,9 @@ def runs() -> list:
          "perfect-delete", *SIM, "--delta", "0.05", "--out", "a/delta"],
         ["select", "--dataset", "b/dataset.csv", "--tie-break", "paper",
          "--w0", "0.3,-1,2", "--out", "b/paper"],
+        # at w = 0 every residual is y exactly; here it is a sum over columns
+        ["bounds", "--dataset", "b/dataset.csv", "--w0", "0.3,-1,2",
+         "--out", "b/weighted"],
         ["report", *(f"{s}/{p}/summary.json" for s in "ab" for p in PROTOCOLS),
          "a/delta/summary.json", "--out", "report"],
     ]
@@ -134,7 +137,7 @@ def test_golden_artifact_set(tmp_path, monkeypatch):
     table = json.loads(TABLE.read_text(encoding="utf-8"))
     (tmp_path / "1").mkdir()
     files = build(tmp_path / "1", monkeypatch)
-    assert len(files) == 43
+    assert len(files) == 45
     if table["environment"] == environment():
         assert table_differences(files, table["files"]) == []
         return
