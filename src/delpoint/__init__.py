@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # each public name but __version__, under the module that defines it
 _MODULES = {
     "_kernels": ("active_backend",),
-    "bounds": ("privacy_floor", "risk"),
+    "bounds": ("privacy_floor",),
     "core": ("Dataset", "HyperParams", "load_csv", "save_csv"),
     "datagen": ("GenConfig", "generate"),
     "errors": (

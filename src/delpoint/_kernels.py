@@ -33,7 +33,9 @@ def scan_norms(X, y, w, g, work=None):
     of shape (n,) or (K, n).  A Fortran-ordered X is read without a copy.
     ``work``, three float64 arrays of the result's shape, holds the
     temporaries, and its first is returned; a caller that scans many
-    times passes the same three and allocates nothing per scan.
+    times passes the same three and allocates nothing per scan.  After
+    the call the second holds the residuals y - p, with p summed in the
+    stated column order.
     """
     cols = np.ascontiguousarray(X.T)
     # (d, 1) or (K, d, 1): entry j broadcasts against a column

@@ -34,15 +34,16 @@ as max(log1p(D), 0) with D = Phi(Phi_inv(alpha) - eps_v) - alpha, so 1 + D
 is never rounded; near the target D is the series of ``snr._target_gap``,
 so a tiny |eps_v| keeps its precision too.
 
-``bounds_arrays`` evaluates all of this for every point in one O(n d)
-pass, on the scan's arithmetic: ||x_v|| is snr.feature_norms, the
-``feature_norm`` column that selection ranks by, and the residuals
-y - X @ w are computed once, for both the empirical risk L0 = L(w; D0)
-(``risk``) and the actual changes.  Its safety checks run on the whole
-array before any row is computed, so one zero feature vector (per-point
-variant) rejects the whole call with ZeroFeatureNorm naming that point's
-position as its id.  An empirical risk or interval endpoint that
-overflows float64 raises NumericOverflow.
+``bounds_arrays`` evaluates all of this for every point in one O(n) pass
+over the columns of ``snr.scan_arrays``: the residuals y_v - <x_v, w>
+and ||x_v|| in the scan kernel's column order, and g = s_yx - s_xx w, so
+the interval divides by the ``feature_norm`` column that selection ranks
+by, and the empirical risk L0 = L(w; D0) is the mean of the squared
+residuals that the actual changes use.  Its safety checks run on the
+whole array before any row is computed, so one zero feature vector
+(per-point variant) rejects the whole call with ZeroFeatureNorm naming
+that point's position as its id.  An empirical risk or interval endpoint
+that overflows float64 raises NumericOverflow.
 """
 
 from __future__ import annotations
@@ -52,36 +53,17 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, HyperParams, _check_alpha, as_weights
+from .core import HyperParams, _check_alpha
 from .errors import (
     DimensionMismatch,
     DomainError,
     FloorViolated,
     InvalidValue,
     NumericOverflow,
-    WouldEmptyDataset,
     ZeroFeatureNorm,
 )
 from .gauss import phi_inv
-from .snr import _gap, advantage_target, feature_norms
-
-
-def _losses(w: np.ndarray, ds: Dataset):
-    """The squared residuals (y - X @ w)^2 of every point and their mean,
-    the empirical risk L0; NumericOverflow if L0 is not finite."""
-    # overflow is detected from the result, as in core._stats_from_arrays
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = ds.y - ds.X @ w
-        lv = r * r
-        l0 = float(np.mean(lv))
-    if not np.isfinite(l0):
-        raise NumericOverflow("empirical risk overflows float64")
-    return lv, l0
-
-
-def risk(w, ds: Dataset) -> float:
-    """Mean individual loss over the dataset; NumericOverflow if not finite."""
-    return _losses(as_weights(w, ds.dim), ds)[1]
+from .snr import _gap
 
 
 def _privacy_floor_column(eps_v: np.ndarray, alpha: float) -> np.ndarray:
@@ -90,27 +72,27 @@ def _privacy_floor_column(eps_v: np.ndarray, alpha: float) -> np.ndarray:
     return np.maximum(np.log1p(_gap(eps_v, z - eps_v, z, alpha)), 0.0)
 
 
-def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
+def bounds_arrays(scan: dict, hp: HyperParams,
                   b: Optional[float] = None) -> dict:
     """Risk-change interval, actual changes and privacy floor per point.
 
-    ``eps_v`` holds the n finite membership errors in dataset order, the
-    ``eps_v`` column of ``snr.scan_arrays``.  ``b`` selects the norm-floor
-    variant with floor B, which must satisfy 0 < B <= min_i ||x_i||_2.
+    ``scan`` is the dict of ``snr.scan_arrays`` for the same ``hp``; its
+    eps_v, feature_norm, residual, g and target are read, and its eps_v
+    must hold one finite membership error per point.  ``b`` selects the
+    norm-floor variant with floor B, which must satisfy
+    0 < B <= min_i ||x_i||_2.
 
     Keys, each an array over the points in dataset order: lower, upper,
     constant, actual_delta, abs_residual_delta, contained_a, contained_b,
     change_nonnegative, privacy_floor.
     """
-    w = as_weights(w, ds.dim)
-    if ds.n < 2:
-        raise WouldEmptyDataset("risk-change bounds need n >= 2")
-    eps_v = np.asarray(eps_v, dtype=np.float64).reshape(-1)
-    if eps_v.size != ds.n:
-        raise DimensionMismatch(f"{eps_v.size} eps_v values for {ds.n} points")
+    norms, r = scan["feature_norm"], scan["residual"]
+    n = norms.size
+    eps_v = np.asarray(scan["eps_v"], dtype=np.float64).reshape(-1)
+    if eps_v.size != n:
+        raise DimensionMismatch(f"{eps_v.size} eps_v values for {n} points")
     if not np.isfinite(eps_v).all():
         raise InvalidValue("eps_v values must be finite")
-    norms = feature_norms(ds.X)
     if b is None:
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
@@ -129,20 +111,23 @@ def bounds_arrays(ds: Dataset, w, hp: HyperParams, eps_v,
                 f"(point id {k})")
         scale = b
 
-    lv, l0 = _losses(w, ds)
-    t = eps_v + advantage_target(hp.alpha)
-    if np.any(t < 0.0):
-        raise DomainError(f"eps_v + target must be >= 0, got {float(t.min())}")
+    t = eps_v + scan["target"]
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
-        g_norm = float(np.linalg.norm(ds.s_yx - ds.s_xx @ w))
-        c = hp.sigma / scale * math.sqrt(hp.gamma / (2.0 * (ds.n - 1)))
-        base = l0 / (ds.n - 1) - g_norm / ((ds.n - 1) * scale)
+        lv = r * r
+        l0 = float(np.mean(lv))
+        g_norm = float(np.linalg.norm(scan["g"]))
+        c = hp.sigma / scale * math.sqrt(hp.gamma / (2.0 * (n - 1)))
+        base = l0 / (n - 1) - g_norm / ((n - 1) * scale)
         lower, upper = base - t * c, base + t * c
+    if not np.isfinite(l0):
+        raise NumericOverflow("empirical risk overflows float64")
+    if np.any(t < 0.0):
+        raise DomainError(f"eps_v + target must be >= 0, got {float(t.min())}")
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise NumericOverflow("risk-change interval overflows float64")
-    da = (l0 - lv) / (ds.n - 1)
-    db = (l0 - np.sqrt(lv)) / (ds.n - 1)
+    da = (l0 - lv) / (n - 1)
+    db = (l0 - np.sqrt(lv)) / (n - 1)
     return {
         "lower": lower,
         "upper": upper,

@@ -272,7 +272,7 @@ def _bounds_chunks(ds, w0, hp, b_floor):
     from .core import _json_chunks
     from .snr import scan_arrays
     arrays = scan_arrays(ds, w0, hp)
-    cols = bounds_arrays(ds, w0, hp, arrays["eps_v"], b=b_floor)
+    cols = bounds_arrays(arrays, hp, b=b_floor)
     head = {"format_version": BOUNDS_FORMAT_VERSION,
             "target": arrays["target"]}
     return _json_chunks(head, "rows", {

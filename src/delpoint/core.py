@@ -191,10 +191,9 @@ def _tokens(col) -> list[str]:
     ``repr``, but not always its layout: it writes 1e-05 as 0.00001 and
     1e+16 as 1e16, and NaN and +-inf as null.  Those elements (nonzero
     |x| < 1e-4, |x| >= 1e16, non-finite) are encoded again by
-    ``json.dumps`` in one call and put in their places; a column where
-    they are more than half goes to ``json.dumps`` whole, which is then
-    the cheaper.  orjson is imported at the first call, so
-    ``import delpoint.cli`` does not load it.
+    ``json.dumps`` in one call and put in their places.  orjson is
+    imported at the first call, so ``import delpoint.cli`` does not load
+    it.
     """
     import orjson
 
@@ -206,8 +205,6 @@ def _tokens(col) -> list[str]:
         a = np.abs(col)
         # NaN fails both comparisons, so it is odd too
         odd = np.flatnonzero(~((a >= 1e-4) & (a < 1e16)) & (a != 0.0))
-        if 2 * len(odd) > len(a):
-            return json.dumps(col.tolist())[1:-1].split(", ")
     tokens = orjson.dumps(col, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1] \
         .decode().split(",")
     if len(odd):

@@ -178,8 +178,8 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
         [make_rng(hp.seed, it).standard_normal((steps, ds.dim)) for it in its])
     for t in range(steps):
         if cfg.protocol == "perfect_delete":
-            d_v = _scores(X, ds.y, s_yx, s_xx, w, denom[count - low, None],
-                          hp, dead, work)
+            d_v, _ = _scores(X, ds.y, s_yx, s_xx, w,
+                             denom[count - low, None], hp, dead, work)
             eps, dist = _distances(d_v, target, dead, work[1])
             deleted[:, t] = _pick(dist, eps, fnorm, hp.delta, cfg.tie_break)
         if cfg.protocol != "no_delete":

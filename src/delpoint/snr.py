@@ -149,15 +149,20 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
     """One-pass scores for every point, as a dict of aligned arrays.
 
     Keys: index (each position, 0..n-1), d_v, eps_v, distance,
-    feature_norm, target (a float).  One s_xx @ w precompute serves all n
-    points, and no Phi is evaluated.  feature_norm is feature_norms(ds.X),
-    the ||x_v|| that bounds.bounds_arrays divides by.  Raises
-    NumericOverflow when a score or feature norm is not finite.
+    feature_norm, residual, g (the (d,) vector s_yx - s_xx w), target (a
+    float).  One s_xx @ w precompute serves all n points, and no Phi is
+    evaluated.  feature_norm is feature_norms(ds.X), the ||x_v|| that
+    selection ranks by; residual is y_v - <x_v, w> in the kernel's column
+    order.  bounds.bounds_arrays reads feature_norm, residual and g from
+    here.  Raises NumericOverflow when a score or feature norm is not
+    finite.
     """
     w = as_weights(w, ds.dim)
     fnorm = feature_norms(ds.X)
-    d_v = _scores(ds.X, ds.y, ds.s_yx, ds.s_xx, w, snr_denominator(ds.n, hp),
-                  hp)
+    # separate arrays, so that a caller keeping the residual keeps no more
+    work = [np.empty(ds.n) for _ in range(3)]
+    d_v, g = _scores(ds.X, ds.y, ds.s_yx, ds.s_xx, w,
+                     snr_denominator(ds.n, hp), hp, work=work)
     target = advantage_target(hp.alpha)
     eps = d_v - target
     return {
@@ -166,6 +171,8 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
         "eps_v": eps,
         "distance": np.abs(eps),
         "feature_norm": fnorm,
+        "residual": work[1],
+        "g": g,
         "target": target,
     }
 
@@ -197,7 +204,7 @@ def feature_norms(X) -> np.ndarray:
 
 
 def _scores(X, y, s_yx, s_xx, w, denom, hp, dead=None, work=None):
-    """d_v of every row of X.
+    """d_v of every row of X, and g = s_yx - s_xx w, the kernel's g.
 
     ``w`` is (d,), or (K, d) with s_yx (K, d), s_xx (K, d, d) and denom
     (K, 1) batched alike; then d_v is (K, n).  Raises NumericOverflow when a
@@ -226,5 +233,5 @@ def _scores(X, y, s_yx, s_xx, w, denom, hp, dead=None, work=None):
                     f"{hp.gamma!r}, sigma = {hp.sigma!r} "
                     f"({hp.snr_convention} convention)")
             raise NumericOverflow(_OVERFLOW)
-    return d_v
+    return d_v, g
 

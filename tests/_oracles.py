@@ -196,17 +196,26 @@ def csv_writer_text(header, rows):
     return buf.getvalue()
 
 
-def scan_norms_loop(X, y, w, g):
-    """scan_norms one point and one scalar at a time, in its stated order:
-    p = x_0 w_0; p += x_j w_j; resid = y - p; acc = c_0^2; acc += c_j^2,
-    with c_j = resid x_j - g_j, then sqrt(acc)."""
-    w, g = np.asarray(w).tolist(), np.asarray(g).tolist()
+def residual_loop(X, y, w):
+    """The residuals of scan_norms one point and one scalar at a time, in
+    its stated order: p = x_0 w_0; p += x_j w_j; resid = y - p."""
+    w = np.asarray(w).tolist()
     out = []
     for x, yi in zip(np.asarray(X).tolist(), np.asarray(y).tolist()):
         p = x[0] * w[0]
         for j in range(1, len(x)):
             p += x[j] * w[j]
-        resid = yi - p
+        out.append(yi - p)
+    return out
+
+
+def scan_norms_loop(X, y, w, g):
+    """scan_norms one point and one scalar at a time, in its stated order:
+    the residual of residual_loop, acc = c_0^2; acc += c_j^2, with
+    c_j = resid x_j - g_j, then sqrt(acc)."""
+    g = np.asarray(g).tolist()
+    out = []
+    for x, resid in zip(np.asarray(X).tolist(), residual_loop(X, y, w)):
         acc = 0.0
         for j in range(len(x)):
             c = resid * x[j] - g[j]

@@ -193,8 +193,8 @@ def test_criterion_09_bound_goldens_and_containment_report():
                          alpha=float(rng.uniform(0.01, 0.4)))
         i = int(rng.integers(n))
         eps = float(rng.uniform(0.0, 3.0))
-        rb = {key: col[i] for key, col in
-              bounds_arrays(ds, w, hp, np.full(n, eps)).items()}
+        scan = {**scan_arrays(ds, w, hp), "eps_v": np.full(n, eps)}
+        rb = {key: col[i] for key, col in bounds_arrays(scan, hp).items()}
         lo, hi, c = bounds_calc(ds.X.tolist(), ds.y.tolist(), i, w.tolist(),
                                 hp.gamma, hp.sigma, hp.alpha, eps)
         assert abs(rb["lower"] - lo) <= 1e-10 * max(1.0, abs(lo))

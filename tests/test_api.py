@@ -24,16 +24,19 @@ from delpoint import Dataset
 # row encoder made needless, and the hand-copied erfc that math.erfc
 # replaces, and the interval of explicit arguments that bounds_arrays
 # folds in; by the module that defined it.  The lossgrad module is gone
-# too: its risk is bounds', and its as_weights core's, not a public name.
+# too: its as_weights is core's, not a public name; and its risk, with the
+# second residual behind it, is the mean of the scan's squared residuals
+# that bounds_arrays takes.
 REMOVED = {
-    "delpoint": ["as_weights", "lossgrad"],
+    "delpoint": ["as_weights", "lossgrad", "risk"],
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
                       "_json_rows", "_csv_tokens", "_dumps_indent2"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error",
                      "write_scores_csv"],
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
                         "risk_change_bounds_floor", "_row_dots",
-                        "_feature_norms", "interval_endpoints"],
+                        "_feature_norms", "interval_endpoints", "risk",
+                        "_losses"],
     "delpoint.sim": ["sgd_step", "empirical_advantage", "experiment_to_doc"],
     "delpoint.gauss": ["sample_gaussian", "_erfc_array"],
     "delpoint.selector": ["rank_candidates", "_abs_tokens",
@@ -49,7 +52,7 @@ def test_all_names_resolve_once():
     # each defined in the module it is listed under
     assert delpoint.__all__ == ["__version__", *(
         name for names in delpoint._MODULES.values() for name in names)]
-    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 34
+    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 33
     for module, names in delpoint._MODULES.items():
         for name in names:
             assert getattr(delpoint, name).__module__ == f"delpoint.{module}"

@@ -16,7 +16,6 @@ from delpoint import (
     ZeroFeatureNorm,
     advantage_target,
     privacy_floor,
-    risk,
 )
 from delpoint.bounds import bounds_arrays
 from delpoint.gauss import phi_inv
@@ -42,9 +41,14 @@ def t3_eps(t3, hp):
     return scan_arrays(t3, [0.5], hp)["eps_v"][0]
 
 
+def scan_with(ds, w, hp, eps_v):
+    """The scan of ds at w, with its eps_v column replaced by ``eps_v``."""
+    return {**scan_arrays(ds, w, hp), "eps_v": eps_v}
+
+
 def row(ds, index, w, hp, eps_v, b=None):
     """Row ``index`` of bounds_arrays when every point has error eps_v."""
-    cols = bounds_arrays(ds, w, hp, np.full(ds.n, eps_v), b=b)
+    cols = bounds_arrays(scan_with(ds, w, hp, np.full(ds.n, eps_v)), hp, b=b)
     return {key: col.tolist()[index] for key, col in cols.items()}
 
 
@@ -111,39 +115,49 @@ class TestRiskChangeBounds:
         # the whole-dataset call rejects before any row, naming the point
         # by its position
         with pytest.raises(ZeroFeatureNorm, match="point id 1 "):
-            bounds_arrays(ds, [0.5], hp_default, np.zeros(3))
+            bounds_arrays(scan_arrays(ds, [0.5], hp_default), hp_default)
 
     def test_eps_v_must_cover_every_point(self, t3, hp_default):
         for eps_v in ([0.5], np.zeros(2), np.zeros(4)):
             with pytest.raises(DimensionMismatch):
-                bounds_arrays(t3, [0.5], hp_default, eps_v)
+                bounds_arrays(scan_with(t3, [0.5], hp_default, eps_v),
+                              hp_default)
         # one-row calls are gone: a point's bounds are row i of the scan's
         with pytest.raises(TypeError):
-            bounds_arrays(t3, [0.5], hp_default, [0.0], positions=[0])
+            bounds_arrays(scan_arrays(t3, [0.5], hp_default), hp_default,
+                          positions=[0])
 
     def test_non_finite_eps_v_rejected(self, t3, hp_default):
         for bad in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InvalidValue, match="eps_v"):
-                bounds_arrays(t3, [0.5], hp_default, [bad, 0.0, 0.0])
+                bounds_arrays(scan_with(t3, [0.5], hp_default,
+                                        [bad, 0.0, 0.0]), hp_default)
             with pytest.raises(InvalidValue, match="eps_v"):
-                bounds_arrays(t3, [0.5], hp_default, [0.0, 0.0, bad], b=1.0)
+                bounds_arrays(scan_with(t3, [0.5], hp_default,
+                                        [0.0, 0.0, bad]), hp_default, b=1.0)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_scan_arithmetic(self, rng, d):
         # the interval divides by the feature_norm that selection ranks by,
-        # and the residuals are BLAS's y - X @ w, bit for bit
+        # and the residuals are the scan kernel's, bit for bit:
+        # p = x_0 w_0; p += x_j w_j; r = y - p.  Magnitudes spread over
+        # 1e-3 .. 1e3, so a sum in another order rounds differently.
         n = 1000
-        ds = Dataset.from_arrays(rng.normal(size=(n, d)), rng.normal(size=n))
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, d))
+        ds = Dataset.from_arrays(X, rng.normal(size=n))
         w = rng.normal(size=d)
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
         scan = scan_arrays(ds, w, hp)
-        cols = bounds_arrays(ds, w, hp, scan["eps_v"])
+        cols = bounds_arrays(scan, hp)
         np.testing.assert_array_equal(
             cols["constant"], hp.sigma / scan["feature_norm"]
             * math.sqrt(hp.gamma / (2.0 * (n - 1))))
-        r = ds.y - ds.X @ w
+        p = ds.X[:, 0] * w[0]
+        for j in range(1, d):
+            p += ds.X[:, j] * w[j]
+        r = ds.y - p
         np.testing.assert_array_equal(cols["actual_delta"],
-                                      (risk(w, ds) - r * r) / (n - 1))
+                                      (np.mean(r * r) - r * r) / (n - 1))
 
     def test_singleton_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0]], [1.0])
@@ -183,7 +197,8 @@ class TestFloorVariant:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflow, match="interval"):
-                bounds_arrays(t3, [0.5], hp_default, np.zeros(3), b=1e-320)
+                bounds_arrays(scan_arrays(t3, [0.5], hp_default), hp_default,
+                              b=1e-320)
 
     def test_matches_reference_calculator(self, rng):
         hp = HyperParams(gamma=0.02, sigma=2.5, alpha=0.05)

@@ -256,7 +256,7 @@ class TestBounds:
                                        "--alpha", "0.05",
                                        "--w0", "2.9,0.1,0.1", *extra])
             assert res.exit_code == 0, res.output
-            cols = bounds_arrays(ds, w, hp, a["eps_v"], b=b)
+            cols = bounds_arrays(a, hp, b=b)
             assert set(cols["contained_a"].tolist()) == {True, False}
             columns = [a["index"], cols["lower"], cols["upper"],
                        cols["actual_delta"], cols["contained_a"],
@@ -351,7 +351,7 @@ class TestChunkBoundaries:
                                        "--alpha", "0.05",
                                        "--w0", "2.9,0.1,0.1", *extra])
             assert res.exit_code == 0, res.output
-            cols = bounds_arrays(ds, w, hp, a["eps_v"], b=floor)
+            cols = bounds_arrays(a, hp, b=floor)
             columns = [a["index"], cols["lower"], cols["upper"],
                        cols["actual_delta"], cols["contained_a"],
                        cols["contained_b"], cols["privacy_floor"]]
@@ -535,6 +535,37 @@ def test_gen_non_finite_parameter_exits_two(runner, tmp_path, option):
     assert res.exit_code == 2, res.output
     assert res.stderr == (f"error: {option[2:].replace('-', '_')} must be "
                           f"finite, got inf\n")
+
+
+def _no_iteration(*args):
+    raise AssertionError("an iteration ran")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["select", "--dataset", "gen/dataset.csv", "--w0", "1,x"],
+     "--w0 must be a comma-separated float list, got '1,x'"),
+    (["bounds", "--dataset", "gen/dataset.csv", "--w0", "nan"],
+     "weights must be finite"),
+    (["simulate", "--dataset", "gen/dataset.csv", "--protocol", "no-delete",
+      "--bins", "0", "--out", "sim"], "bins must be >= 1, got 0"),
+    (["select", "--dataset", "empty.csv"], "empty.csv: empty file"),
+    (["gen", "--extra-features", "-1", "--out", "neg"],
+     "extra_features must be >= 0, got -1"),
+], ids=["w0-not-float", "w0-nan", "zero-bins", "empty-file",
+        "negative-extra-features"])
+def test_invalid_input_exits_two(runner, tmp_path, monkeypatch, args,
+                                 message):
+    monkeypatch.chdir(tmp_path)
+    gen_dataset(runner, tmp_path)
+    (tmp_path / "empty.csv").write_bytes(b"")
+    # every simulated iteration runs in a block of _run_block
+    monkeypatch.setattr("delpoint.sim._run_block", _no_iteration)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.stderr == f"error: {message}\n"
+    # an uncaught exception would be a traceback, not SystemExit
+    assert isinstance(res.exception, SystemExit)
+    assert sorted(os.listdir(tmp_path)) == ["empty.csv", "gen"]
 
 
 TINY_ROWS = {1e-200: "x0,y\n1e-200,1.0\n2.0,3.0\n3.0,4.0\n",

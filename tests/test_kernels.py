@@ -5,7 +5,7 @@ from delpoint import Dataset, HyperParams, NumericOverflow, active_backend
 from delpoint._kernels import scan_norms
 from delpoint.snr import feature_norms, scan_arrays, snr_denominator
 
-from _oracles import row_norms_loop, scan_norms_loop
+from _oracles import residual_loop, row_norms_loop, scan_norms_loop
 
 
 def random_inputs(rng, n, d):
@@ -45,18 +45,22 @@ class TestScanKernels:
     @pytest.mark.parametrize("d", [1, 3, 8])
     def test_stated_column_order(self, rng, d, batch):
         # magnitudes spread over 1e-3 .. 1e3, so a sum in another order
-        # rounds differently; C and Fortran layouts read the same columns
+        # rounds differently; C and Fortran layouts read the same columns,
+        # and the second work array is left holding the residuals
         X, y, _, _ = random_inputs(rng, 200, d)
         X *= 10.0 ** rng.uniform(-3, 3, size=(200, d))
         shape = (d,) if batch is None else (batch, d)
         W, G = rng.normal(size=shape), 1e3 * rng.normal(size=shape)
-        numer = scan_norms(X, y, W, G)
+        work = [np.empty(shape[:-1] + (200,)) for _ in range(3)]
+        numer = scan_norms(X, y, W, G, work)
+        assert numer is work[0]
         np.testing.assert_array_equal(
             scan_norms(np.asfortranarray(X), y, W, G), numer)
-        rows = [numer] if batch is None else numer
+        rows = [(numer, work[1])] if batch is None else zip(numer, work[1])
         pairs = [(W, G)] if batch is None else zip(W, G)
-        for got, (w, g) in zip(rows, pairs):
+        for (got, resid), (w, g) in zip(rows, pairs):
             assert got.tolist() == scan_norms_loop(X, y, w, g)
+            assert resid.tolist() == residual_loop(X, y, w)
         assert feature_norms(X).tolist() == row_norms_loop(X)
 
     def test_active_dispatch(self, rng):
@@ -70,6 +74,7 @@ class TestScanKernels:
         np.testing.assert_array_equal(a["d_v"],
                                       numer / snr_denominator(ds.n, hp))
         np.testing.assert_array_equal(a["feature_norm"], feature_norms(X))
+        assert a["residual"].tolist() == residual_loop(X, y, w)
 
     def test_feature_norms_of_tiny_rows(self):
         # squaring these rows underflows; rescaling by the largest |x_ij|

@@ -1,3 +1,13 @@
+"""The empirical risk and its gradient.
+
+The risk L0 = L(w; D0) is the mean of the squared scan residuals that
+bounds.bounds_arrays subtracts from; it is read back here from its
+actual_delta column.  A one-row dataset's risk is its point's loss, the
+oracle risk_loop.  The gradient is the oracle risk_grad from the
+sufficient statistics, and the leave-one-out gradient is risk_grad on the
+moments that the oracle delete_point downdates.
+"""
+
 import warnings
 
 import numpy as np
@@ -6,35 +16,53 @@ import pytest
 from delpoint import (
     Dataset,
     DimensionMismatch,
+    HyperParams,
     NumericOverflow,
     WouldEmptyDataset,
-    risk,
 )
+from delpoint.bounds import bounds_arrays
+from delpoint.snr import scan_arrays
 
 from conftest import random_dataset
 from _oracles import (IndexOutOfRange, delete_point, mean_grad_loop,
                       point_grad_loop, risk_grad, risk_loop)
 
+HP = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
+
 
 def one(x, y):
-    """One-row dataset: risk and risk_grad on it are the point's loss and
-    gradient."""
+    """One-row dataset: risk_grad on it is the point's gradient."""
     return Dataset.from_arrays([np.asarray(x, dtype=float)], [y])
+
+
+def loss(w, x, y):
+    """The loss of one point (x, y), risk_loop on one row."""
+    return risk_loop(w, [x], [y])
+
+
+def risk(w, ds):
+    """L0 of a dataset of n >= 2 points: bounds_arrays' actual_delta is
+    (L0 - r_v^2) / (n - 1), with r_v the scan's residual."""
+    scan = scan_arrays(ds, w, HP)
+    r = scan["residual"]
+    delta = bounds_arrays(scan, HP)["actual_delta"]
+    return float(np.mean(delta * (ds.n - 1) + r * r))
 
 
 class TestPointLoss:
     def test_direct_arithmetic(self):
-        assert risk([0.5], one([2], 3)) == pytest.approx(4.0)
+        assert loss([0.5], [2], 3) == pytest.approx(4.0)
 
     def test_exact_fit(self):
-        assert risk([1.0], one([1], 1)) == 0.0
+        assert loss([1.0], [1], 1) == 0.0
 
     def test_two_dim(self):
-        assert risk([1.0, 1.0], one([2, 3], 10)) == pytest.approx(25.0)
+        assert loss([1.0, 1.0], [2, 3], 10) == pytest.approx(25.0)
 
     def test_dimension_mismatch(self):
+        ds = Dataset.from_arrays([[1.0], [2.0]], [1.0, 2.0])
         with pytest.raises(DimensionMismatch):
-            risk([1.0, 2.0], one([1], 1))
+            scan_arrays(ds, [1.0, 2.0], HP)
 
 
 class TestPointGrad:
@@ -49,12 +77,12 @@ class TestPointGrad:
         for _ in range(10):
             d = int(rng.integers(1, 5))
             w = rng.normal(size=d)
-            v = one(rng.normal(size=d), float(rng.normal()))
-            g = risk_grad(w, v)
+            x, y = rng.normal(size=d), float(rng.normal())
+            g = risk_grad(w, one(x, y))
             for j in range(d):
                 e = np.zeros(d)
                 e[j] = h
-                fd = (risk(w + e, v) - risk(w - e, v)) / (2 * h)
+                fd = (loss(w + e, x, y) - loss(w - e, x, y)) / (2 * h)
                 assert g[j] == pytest.approx(fd, abs=1e-6)
 
 
@@ -68,8 +96,13 @@ class TestRisk:
         assert risk([1.5], ds) == pytest.approx(0.0, abs=1e-28)
 
     def test_single_point_equals_point_loss(self):
-        ds = Dataset.from_arrays([[2.0]], [3.0])
-        assert risk([0.5], ds) == risk_loop([0.5], [[2.0]], [3.0])
+        # the mean of the points' losses; one row has no bounds to read
+        ds = Dataset.from_arrays([[2.0], [1.0]], [3.0, 4.0])
+        assert risk([0.5], ds) == pytest.approx(
+            (loss([0.5], [2.0], 3.0) + loss([0.5], [1.0], 4.0)) / 2,
+            rel=1e-15)
+        with pytest.raises(WouldEmptyDataset):
+            risk([0.5], one([2.0], 3.0))
 
     def test_nonnegative_and_zero_iff_fit(self, rng):
         for _ in range(10):
@@ -86,8 +119,9 @@ class TestRisk:
                                  [1e155, 1e155, 3e155])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            scan = scan_arrays(ds, [0.0], HP)
             with pytest.raises(NumericOverflow, match="empirical risk"):
-                risk([0.0], ds)
+                bounds_arrays(scan, HP)
 
 
 class TestRiskGrad:

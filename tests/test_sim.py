@@ -363,7 +363,7 @@ class TestBatchedEngine:
         dead = np.array([2, 5])  # flat positions of point 2 in both rows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d_v = snr._scores(X, y, s_yx, s_xx, w, denom, hp, dead)
+            d_v, _ = snr._scores(X, y, s_yx, s_xx, w, denom, hp, dead)
             assert np.isfinite(d_v[:, :2]).all()
             assert not np.isfinite(d_v[:, 2]).any()
             for some in ([], [2]):
