@@ -1,8 +1,10 @@
 """Command-line front door: gen / select / bounds / simulate / report.
 
 Every command takes an explicit ``--seed`` and, whenever it writes
-artifacts (``--out``), drops a manifest.json with the fully resolved
-configuration, so any artifact can be reproduced from its manifest alone.
+artifacts (``--out``), drops a manifest.json that records its options as
+click parsed them, defaults included, and nothing that varies between
+runs: rerunning the command with those options, at the same BLAS thread
+count, writes the same bytes, the manifest's included.
 Exit codes: 0 success, 2 usage or malformed input, 3 no point within
 tolerance (select only), 4 internal numeric failure.  Only this module
 writes files, and it decides the layout of each; core encodes the rows.
@@ -22,7 +24,6 @@ import importlib
 import json
 import os
 import sys
-import time
 from pathlib import Path
 
 import click
@@ -31,7 +32,7 @@ from . import __version__
 from ._choices import _SNR_CONVENTIONS, _TIE_BREAKS, PROTOCOLS
 from .errors import DelpointError, DimensionMismatch, InvalidValue
 
-MANIFEST_FORMAT_VERSION = 1
+MANIFEST_FORMAT_VERSION = 2
 SELECTION_JSON_FORMAT_VERSION = 1
 BOUNDS_FORMAT_VERSION = 2
 SUMMARY_FORMAT_VERSION = 1
@@ -48,15 +49,18 @@ EXIT_NUMERIC = 4
 _DATASET_STACK = ("core", "snr", "selector", "bounds", "sim")
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    artifacts: list[str], start: float) -> None:
-    """manifest.json: everything needed to reproduce one CLI run."""
-    doc = {"format_version": MANIFEST_FORMAT_VERSION, "command": command,
-           "config": config, "seed": seed, "artifacts": artifacts,
-           "tool_version": __version__,
-           "wall_time_s": time.perf_counter() - start}
-    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n",
-                                           encoding="utf-8")
+def _write_manifest(out_dir: Path, artifacts: list[str]) -> None:
+    """manifest.json of the running command: its ``config`` maps each
+    parameter, in the order the command declares them (not the order of
+    argv), to its value as click parsed it, defaults included.  A path is
+    written as its text and a tuple of paths as a list."""
+    ctx = click.get_current_context()
+    doc = {"format_version": MANIFEST_FORMAT_VERSION,
+           "command": ctx.info_name,
+           "config": {p.name: ctx.params[p.name] for p in ctx.command.params},
+           "artifacts": artifacts, "tool_version": __version__}
+    (out_dir / "manifest.json").write_text(
+        json.dumps(doc, indent=2, default=os.fspath) + "\n", encoding="utf-8")
 
 
 def _stream(chunks, out_dir: Path | None, name: str) -> None:
@@ -122,45 +126,43 @@ def _parse_w0(value: str | None, dim: int):
     return w0
 
 
-def _load_inputs(dataset: Path, w0_text: str | None, hyper: dict):
+def _load_inputs(dataset: Path, w0: str | None, hyper: dict):
     """Dataset, HyperParams and start weights of a dataset command.
 
-    ``hyper`` holds the HyperParams fields that _hyper_options parsed.  The
+    ``hyper`` holds the HyperParams fields that _dataset_options parsed.  The
     CSV is read through this module's ``load_csv`` attribute, which
     perfbench/probe.py replaces to serve datasets it has already loaded.
     """
     ds = load_csv(dataset)
     from .core import HyperParams
-    return ds, HyperParams(**hyper), _parse_w0(w0_text, ds.dim)
+    return ds, HyperParams(**hyper), _parse_w0(w0, ds.dim)
 
 
-def _hyper_config(dataset: Path, hp, w0) -> dict:
-    """The manifest config keys that select and bounds share, in order."""
-    return {"dataset": str(dataset), "gamma": hp.gamma, "sigma": hp.sigma,
-            "alpha": hp.alpha, "delta": hp.delta, "w0": w0.tolist(),
-            "snr_convention": hp.snr_convention}
-
-
-def _hyper_options(fn):
-    """--w0 plus one option per HyperParams field; see _load_inputs."""
-    fn = click.option("--gamma", type=float, default=0.01, show_default=True,
-                      help="Learning rate.")(fn)
-    fn = click.option("--sigma", type=float, default=2.0, show_default=True,
-                      help="Gradient noise standard deviation.")(fn)
-    fn = click.option("--alpha", type=float, default=0.01, show_default=True,
-                      help="Type I error of the membership test.")(fn)
-    fn = click.option("--delta", type=float, default=100.0, show_default=True,
-                      help="Largest acceptable |d_v - target|.")(fn)
-    fn = click.option("--w0", "w0_text", type=str, default=None,
-                      help="Initial weights as a comma-separated list "
-                           "(default: zeros).")(fn)
-    fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
-                      show_default=True, help="Master RNG seed.")(fn)
+def _dataset_options(fn):
+    """--dataset, --w0 and one option per HyperParams field; see
+    _load_inputs.  click lists the options of a command in the reverse of
+    the order they are applied, so these read from the bottom up."""
     fn = click.option("--snr-convention",
                       type=click.Choice(_SNR_CONVENTIONS),
                       default="paper", show_default=True,
                       help="Denominator convention for d_v.")(fn)
-    return fn
+    fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
+                      show_default=True,
+                      help="RNG seed: simulate draws from it; select and "
+                           "bounds only record it.")(fn)
+    fn = click.option("--w0", type=str, default=None,
+                      help="Initial weights as a comma-separated list "
+                           "(default: zeros).")(fn)
+    fn = click.option("--delta", type=float, default=100.0, show_default=True,
+                      help="Largest acceptable |d_v - target|.")(fn)
+    fn = click.option("--alpha", type=float, default=0.01, show_default=True,
+                      help="Type I error of the membership test.")(fn)
+    fn = click.option("--sigma", type=float, default=2.0, show_default=True,
+                      help="Gradient noise standard deviation.")(fn)
+    fn = click.option("--gamma", type=float, default=0.01, show_default=True,
+                      help="Learning rate.")(fn)
+    return click.option("--dataset", type=click.Path(
+        exists=True, dir_okay=False, path_type=Path), required=True)(fn)
 
 
 _tie_break_option = click.option(
@@ -199,45 +201,40 @@ def main():
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=40,
               show_default=True)
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), required=True)
+              path_type=Path), required=True,
+              help="Directory for dataset.csv and the manifest.")
 def gen(n, x_low, x_high, slope, noise_std, noise_scale, extra_features,
         seed, out_dir):
     """Generate a synthetic dataset CSV plus a manifest."""
     def body():
         from .core import save_csv
         from .datagen import GenConfig, generate
-        start = time.perf_counter()
-        cfg = GenConfig(n=n, x_low=x_low, x_high=x_high, slope=slope,
-                        noise_std=noise_std, noise_scale=noise_scale,
-                        seed=seed, extra_features=extra_features)
-        ds = generate(cfg)
+        ds = generate(GenConfig(n=n, x_low=x_low, x_high=x_high, slope=slope,
+                                noise_std=noise_std, noise_scale=noise_scale,
+                                seed=seed, extra_features=extra_features))
         out_dir.mkdir(parents=True, exist_ok=True)
         csv_path = out_dir / "dataset.csv"
         save_csv(ds, csv_path)
-        _write_manifest(out_dir, "gen", dataclasses.asdict(cfg), seed,
-                        [csv_path.name], start)
+        _write_manifest(out_dir, [csv_path.name])
         click.echo(str(csv_path))
     _guard(body)
 
 
 @main.command()
-@click.option("--dataset", type=click.Path(exists=True, dir_okay=False,
-              path_type=Path), required=True)
-@_hyper_options
+@_dataset_options
 @_tie_break_option
 @click.option("--scores-csv", type=click.Path(dir_okay=False, path_type=Path),
               default=None, help="Also write the per-point scan CSV here.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
               path_type=Path), default=None,
               help="Directory for selection.json and the manifest.")
-def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
+def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
     """Find the best single point to delete; exit 3 if none clears delta."""
     def body():
-        start = time.perf_counter()
-        ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
+        ds, hp, w = _load_inputs(dataset, w0, hyper)
         from .core import _write_csv
         from .selector import find_perfect_deleted_point
-        result = find_perfect_deleted_point(ds, w0, hp, tie_break=tie_break)
+        result = find_perfect_deleted_point(ds, w, hp, tie_break=tie_break)
         artifacts = []
         if scores_csv is not None:
             _write_csv(scores_csv, _SCORES_CSV_HEADER,
@@ -246,9 +243,7 @@ def select(dataset, w0_text, tie_break, scores_csv, out_dir, **hyper):
         _stream(_selection_chunks(result), out_dir, "selection.json")
         if out_dir is not None:
             artifacts.append("selection.json")
-            config = _hyper_config(dataset, hp, w0) | {"tie_break": tie_break}
-            _write_manifest(out_dir, "select", config, hp.seed, artifacts,
-                            start)
+            _write_manifest(out_dir, artifacts)
         return result
     result = _guard(body)
     if result.best is None:
@@ -284,14 +279,13 @@ def _bounds_chunks(ds, w0, hp, b_floor):
 
 
 @main.command()
-@click.option("--dataset", type=click.Path(exists=True, dir_okay=False,
-              path_type=Path), required=True)
-@_hyper_options
+@_dataset_options
 @click.option("--b-floor", type=float, default=None,
               help="Use the norm-floor bound variant with this B.")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), default=None)
-def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
+              path_type=Path), default=None,
+              help="Directory for bounds.json and the manifest.")
+def bounds(dataset, w0, b_floor, out_dir, **hyper):
     """Per-point risk-change interval and privacy floor, as JSON.
 
     The per-point interval divides by ||x_v||, so a dataset with a zero
@@ -300,39 +294,35 @@ def bounds(dataset, w0_text, b_floor, out_dir, **hyper):
     the smallest feature norm.
     """
     def body():
-        start = time.perf_counter()
-        ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
-        _stream(_bounds_chunks(ds, w0, hp, b_floor), out_dir, "bounds.json")
+        ds, hp, w = _load_inputs(dataset, w0, hyper)
+        _stream(_bounds_chunks(ds, w, hp, b_floor), out_dir, "bounds.json")
         if out_dir is not None:
-            config = _hyper_config(dataset, hp, w0) | {"b_floor": b_floor}
-            _write_manifest(out_dir, "bounds", config, hp.seed,
-                            ["bounds.json"], start)
+            _write_manifest(out_dir, ["bounds.json"])
     _guard(body)
 
 
 @main.command()
-@click.option("--dataset", type=click.Path(exists=True, dir_okay=False,
-              path_type=Path), required=True)
+@_dataset_options
 @click.option("--protocol", type=click.Choice(
               [p.replace("_", "-") for p in PROTOCOLS]), required=True)
 @click.option("--steps", type=int, default=1, show_default=True)
 @click.option("--iterations", type=int, default=100, show_default=True)
 @click.option("--bins", type=int, default=30, show_default=True)
-@_hyper_options
 @_tie_break_option
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), required=True)
-def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
+              path_type=Path), required=True,
+              help="Directory for weights.csv, summary.json and the "
+                   "manifest.")
+def simulate(dataset, w0, protocol, steps, iterations, bins, tie_break,
              out_dir, **hyper):
     """Run a multi-step deletion protocol; write weights.csv + summary.json."""
     def body():
-        start = time.perf_counter()
-        ds, hp, w0 = _load_inputs(dataset, w0_text, hyper)
+        ds, hp, w = _load_inputs(dataset, w0, hyper)
         import numpy as np
         from .core import _write_csv
         from .sim import StepConfig, run_protocol
         cfg = StepConfig(protocol=protocol.replace("-", "_"), steps=steps,
-                         iterations=iterations, hp=hp, w0=w0, bins=bins,
+                         iterations=iterations, hp=hp, w0=w, bins=bins,
                          tie_break=tie_break)
         result = run_protocol(cfg, ds)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -346,7 +336,7 @@ def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
             "dataset": str(dataset), "protocol": cfg.protocol,
             "steps": steps, "iterations": iterations, "bins": bins,
             "gamma": hp.gamma, "sigma": hp.sigma, "alpha": hp.alpha,
-            "delta": hp.delta, "w0": w0.tolist(), "seed": hp.seed,
+            "delta": hp.delta, "w0": w.tolist(), "seed": hp.seed,
             "snr_convention": hp.snr_convention, "tie_break": tie_break,
         }
         summary_doc = {
@@ -361,8 +351,7 @@ def simulate(dataset, protocol, steps, iterations, bins, w0_text, tie_break,
         summary_path.write_text(json.dumps(summary_doc, indent=2) + "\n",
                                 encoding="utf-8")
 
-        _write_manifest(out_dir, "simulate", config_doc, hp.seed,
-                        [weights_path.name, summary_path.name], start)
+        _write_manifest(out_dir, [weights_path.name, summary_path.name])
         click.echo(str(summary_path))
     _guard(body)
 
@@ -405,11 +394,11 @@ def _summary_row(path: Path) -> tuple:
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
               show_default=True, help="Recorded in the manifest (no RNG use).")
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), default=None)
+              path_type=Path), default=None,
+              help="Directory for report.md and the manifest.")
 def report(summaries, seed, out_dir):
     """Render a protocol-by-steps table from simulate summary files."""
     def body():
-        start = time.perf_counter()
         rows = [_summary_row(path) for path in summaries]
         rows.sort(key=lambda r: (r[0], r[1]))
         lines = ["| steps | protocol | mean | variance |",
@@ -422,9 +411,7 @@ def report(summaries, seed, out_dir):
         if out_dir is not None:
             out_dir.mkdir(parents=True, exist_ok=True)
             (out_dir / "report.md").write_text(text, encoding="utf-8")
-            _write_manifest(out_dir, "report",
-                            {"summaries": [str(p) for p in summaries]},
-                            seed, ["report.md"], start)
+            _write_manifest(out_dir, ["report.md"])
         click.echo(text, nl=False)
     _guard(body)
 

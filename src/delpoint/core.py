@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,7 @@ class HyperParams:
     -2 * phi_inv(alpha) = 2 * phi_inv(1 - alpha) is positive.  gamma = 0 or
     sigma = 0 are legal to construct (the plain SGD step tolerates them)
     but any operation whose formula divides by them raises DegenerateNoise.
+    seed is an integer in [0, 2**64), the range of the CLI's --seed.
     """
 
     gamma: float
@@ -139,7 +141,14 @@ class HyperParams:
             raise DomainError(
                 f"snr_convention must be one of {_SNR_CONVENTIONS}, "
                 f"got {self.snr_convention!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            seed = -1
+        if not 0 <= seed < 2**64:
+            raise DomainError(
+                f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+        object.__setattr__(self, "seed", seed)
 
 
 def save_csv(ds: Dataset, path) -> None:

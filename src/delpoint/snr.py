@@ -127,7 +127,9 @@ def _target_gap(eps, z: float):
     -pdf(z) sum_{k>=1} He_{k-1}(z) eps^k / k!, without cancellation.  In
     that region the terms after the 30th add less than 1e-18 of the sum.
     """
-    a = np.abs(eps)
+    # |eps| capped at 2 leaves the mask as it is (it is false above 1) and
+    # keeps the product finite for any eps
+    a = np.minimum(np.abs(eps), 2.0)
     near = a * (abs(z) + a) <= 1.0
     e = eps[near]
     # coef[k - 1] = He_{k-1}(z) / k!, from g_n = He_n(z) / n!, where

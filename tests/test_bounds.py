@@ -227,12 +227,15 @@ class TestPrivacyFloor:
     def test_frozen_negative_one(self):
         assert privacy_floor(-1.0, 0.05) == pytest.approx(
             PF_NEG1_A005, abs=1e-12)
+        # the limit log(2 - alpha), without an overflow warning
+        assert privacy_floor(-1e200, 0.01) == pytest.approx(
+            math.log(1.99), rel=1e-15)
 
     def test_positive_error_clamps_to_zero(self):
         assert privacy_floor(1.0, 0.05) == 0.0
 
     def test_zero_for_all_nonnegative_errors(self):
-        for eps in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0):
+        for eps in (0.0, 0.1, 0.5, 1.0, 3.0, 10.0, 1e200):
             assert privacy_floor(eps, 0.05) == 0.0
             assert privacy_floor(eps, 0.2) == 0.0
 

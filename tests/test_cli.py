@@ -67,11 +67,10 @@ class TestGen:
     def test_manifest_fields(self, runner, tmp_path):
         gen_dataset(runner, tmp_path, "--seed", "3")
         doc = json.loads((tmp_path / "gen" / "manifest.json").read_text())
+        assert list(doc) == MANIFEST_KEYS
         assert doc["command"] == "gen"
-        assert doc["seed"] == 3
-        assert doc["config"]["n"] == 200
+        assert (doc["config"]["seed"], doc["config"]["n"]) == (3, 200)
         assert "dataset.csv" in doc["artifacts"]
-        assert "tool_version" in doc and "wall_time_s" in doc
 
 
 class TestSelect:
@@ -451,6 +450,20 @@ def test_underflowing_noise_exits_two_without_warning(runner, tmp_path,
     assert [str(w.message) for w in caught] == []
 
 
+@pytest.mark.parametrize("command, code", [("select", 3), ("bounds", 0)])
+def test_subnormal_gamma_runs_without_warning(runner, tmp_path, command,
+                                              code):
+    # gamma = 1e-320 makes every |eps_v| near 1e157: no point is within
+    # delta, and the advantage and privacy floor take their limits
+    path = gen_dataset(runner, tmp_path, "--seed", "40")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, [command, "--dataset", str(path),
+                                   "--gamma", "1e-320"])
+    assert (res.exit_code, res.stderr) == (code, ""), res.output
+    assert [str(w.message) for w in caught] == []
+
+
 @pytest.mark.parametrize("command", list(OVERFLOW_ARGS))
 @pytest.mark.parametrize("alpha", ["1e-17", repr(2.0 ** -54)])
 def test_tiny_alpha_names_alpha(runner, tmp_path, command, alpha):
@@ -664,31 +677,28 @@ HYPER_ARGS = ["--gamma", "0.02", "--sigma", "1.5", "--alpha", "0.05",
               "--delta", "50", "--w0", "0.5", "--seed", "9",
               "--snr-convention", "consistent"]
 HYPER_CONFIG = [("gamma", 0.02), ("sigma", 1.5), ("alpha", 0.05),
-                ("delta", 50.0), ("w0", [0.5])]
-MANIFEST_KEYS = ["format_version", "command", "config", "seed", "artifacts",
-                 "tool_version", "wall_time_s"]
+                ("delta", 50.0)]
+MANIFEST_KEYS = ["format_version", "command", "config", "artifacts",
+                 "tool_version"]
 
 
 def test_manifest_config_keys_and_order(runner, tmp_path):
+    # the manifest records the options as click parsed them, in the
+    # command's order; summary.json keeps its own config layout
     path = gen_dataset(runner, tmp_path)
-    dataset = [("dataset", str(path))]
-    sim = [("protocol", "perfect_delete"), ("steps", 2), ("iterations", 3),
-           ("bins", 4)]
+    shared = ([("dataset", str(path))] + HYPER_CONFIG
+              + [("w0", "0.5"), ("seed", 9), ("snr_convention", "consistent")])
     cases = {
         "select": (["--tie-break", "paper"],
-                   dataset + HYPER_CONFIG + [("snr_convention", "consistent"),
-                                             ("tie_break", "paper")],
+                   [("tie_break", "paper"), ("scores_csv", None)],
                    ["selection.json"]),
-        "bounds": (["--b-floor", "0.005"],
-                   dataset + HYPER_CONFIG + [("snr_convention", "consistent"),
-                                             ("b_floor", 0.005)],
+        "bounds": (["--b-floor", "0.005"], [("b_floor", 0.005)],
                    ["bounds.json"]),
         "simulate": (["--protocol", "perfect-delete", "--steps", "2",
                       "--iterations", "3", "--bins", "4",
                       "--tie-break", "paper"],
-                     dataset + sim + HYPER_CONFIG
-                     + [("seed", 9), ("snr_convention", "consistent"),
-                        ("tie_break", "paper")],
+                     [("protocol", "perfect-delete"), ("steps", 2),
+                      ("iterations", 3), ("bins", 4), ("tie_break", "paper")],
                      ["weights.csv", "summary.json"]),
     }
     for command, (extra, config, artifacts) in cases.items():
@@ -698,12 +708,48 @@ def test_manifest_config_keys_and_order(runner, tmp_path):
         assert res.exit_code in (0, 3), res.output
         doc = json.loads((out / "manifest.json").read_text())
         assert list(doc) == MANIFEST_KEYS
-        assert (doc["command"], doc["seed"]) == (command, 9)
-        assert list(doc["config"].items()) == config
+        assert doc["command"] == command
+        assert list(doc["config"].items()) == \
+            shared + config + [("out_dir", str(out))]
         assert doc["artifacts"] == artifacts
         if command == "simulate":
             summary = json.loads((out / "summary.json").read_text())
-            assert list(summary["config"].items()) == config
+            assert list(summary["config"].items()) == [
+                ("dataset", str(path)), ("protocol", "perfect_delete"),
+                ("steps", 2), ("iterations", 3), ("bins", 4), *HYPER_CONFIG,
+                ("w0", [0.5]), ("seed", 9), ("snr_convention", "consistent"),
+                ("tie_break", "paper")]
+
+
+@pytest.mark.parametrize("command", list(main.commands))
+def test_manifest_does_not_depend_on_argv_order(runner, tmp_path, command):
+    # the same options typed in two orders write the same manifest bytes,
+    # and its config lists every parameter of the command, in its order
+    path = gen_dataset(runner, tmp_path, "--n", "30", "--extra-features", "1")
+    summary = tmp_path / "sim" / "summary.json"
+    res = runner.invoke(main, ["simulate", "--dataset", str(path),
+                               "--protocol", "no-delete",
+                               "--out", str(summary.parent)])
+    assert res.exit_code == 0, res.output
+    data = ["--dataset", str(path)]
+    options = {
+        "gen": [["--n", "30"], ["--seed", "5"], ["--extra-features", "1"]],
+        "select": [data, ["--w0", "0.5,1"], ["--seed", "9"],
+                   ["--tie-break", "paper"],
+                   ["--scores-csv", str(tmp_path / "scores.csv")]],
+        "bounds": [data, ["--b-floor", "0.001"], ["--alpha", "0.05"]],
+        "simulate": [data, ["--protocol", "random-delete"], ["--steps", "2"],
+                     ["--iterations", "3"], ["--snr-convention", "consistent"]],
+        "report": [[str(summary), str(summary)], ["--seed", "4"]],
+    }[command] + [["--out", str(tmp_path / "out")]]
+    written = []
+    for order in (options, options[::-1]):
+        res = runner.invoke(main, [command, *sum(order, [])])
+        assert res.exit_code == 0, res.output
+        written.append((tmp_path / "out" / "manifest.json").read_bytes())
+    assert written[0] == written[1]
+    assert list(json.loads(written[0])["config"]) == \
+        [p.name for p in main.commands[command].params]
 
 
 @pytest.mark.parametrize("command", ["select", "bounds", "simulate"])
@@ -736,11 +782,9 @@ def test_reruns_write_identical_artifacts(runner, tmp_path, command):
             output = proc.stdout
         files = {f.relative_to(run).as_posix(): f.read_bytes()
                  for f in sorted(run.rglob("*")) if f.is_file()}
-        manifest = json.loads(files.pop("out/manifest.json"))
-        assert manifest.pop("wall_time_s") >= 0.0
-        runs.append((output, files, manifest))
+        runs.append((output, files))
         shutil.rmtree(run)
-    assert len(runs[0][1]) == (2 if command != "bounds" else 1)
+    assert len(runs[0][1]) == (3 if command != "bounds" else 2)
     assert runs[0] == runs[1]
 
 
@@ -769,7 +813,7 @@ def test_closed_stdout_still_writes_out(runner, tmp_path, command):
     docs = []
     for out in (tmp_path / "whole", tmp_path / "cut"):
         manifest = json.loads((out / "manifest.json").read_text())
-        manifest.pop("wall_time_s")
+        assert manifest["config"].pop("out_dir") == str(out)
         docs.append(((out / name).read_bytes(), manifest))
     assert docs[0] == docs[1]
 

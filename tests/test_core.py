@@ -190,6 +190,17 @@ class TestHyperParams:
         with pytest.raises(DomainError):
             HyperParams(gamma=0.1, sigma=1.0, alpha=0.05, snr_convention="x")
 
+    # the range of the CLI's --seed: an integer in [0, 2**64)
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, 2.0, "3", None])
+    def test_seed_outside_cli_range_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            HyperParams(gamma=0.1, sigma=1.0, alpha=0.05, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, np.uint64(2**64 - 1)])
+    def test_seed_in_cli_range_kept(self, seed):
+        hp = HyperParams(gamma=0.1, sigma=1.0, alpha=0.05, seed=seed)
+        assert type(hp.seed) is int and hp.seed == seed
+
 
 class TestJsonRows:
     """The pieces of _json_chunks join to json.dumps(indent=2) of the row

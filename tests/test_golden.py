@@ -2,8 +2,8 @@
 
 ``runs()`` builds 45 files in process through CliRunner, in a temporary
 directory that is the working directory, so every path the manifests
-record is relative and the same on every build.  A manifest is compared
-without its ``wall_time_s`` line.
+record is relative and the same on every build.  Manifests are compared
+byte for byte like every other file: they hold no timing.
 
 ``golden_sha256.json`` holds the sha256 of each file and, to locate a
 change, the digest of each block of ``BLOCK_LINES`` lines.  It also
@@ -89,11 +89,8 @@ def build(root: Path, monkeypatch) -> dict:
     files = {}
     for path in sorted(root.rglob("*")):
         if path.is_file():
-            lines = path.read_bytes().splitlines(keepends=True)
-            if path.name == "manifest.json":
-                lines = [line for line in lines
-                         if not line.startswith(b'  "wall_time_s": ')]
-            files[path.relative_to(root).as_posix()] = lines
+            files[path.relative_to(root).as_posix()] = \
+                path.read_bytes().splitlines(keepends=True)
     return files
 
 

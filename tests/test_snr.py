@@ -168,6 +168,9 @@ class TestAdvantage:
         for d in (0.0, 0.5 * t, 0.9 * t, 1.1 * t, 2 * t, 5 * t):
             if d != t:
                 assert membership_advantage(d, alpha) > 0.0
+        # far beyond the target the advantage is alpha; the error's square
+        # would overflow, and a RuntimeWarning fails the suite
+        assert membership_advantage(1e300, 0.01) == 0.01
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
