@@ -6,8 +6,9 @@ click parsed them, defaults included, and nothing that varies between
 runs: rerunning the command with those options, at the same BLAS thread
 count, writes the same bytes, the manifest's included.
 Exit codes: 0 success, 2 usage or malformed input, 3 no point within
-tolerance (select only), 4 internal numeric failure.  Only this module
-writes files, and it decides the layout of each; core encodes the rows.
+tolerance (select only), 4 internal numeric failure; _Command.invoke
+alone maps library errors to 2 and 4.  Only this module writes files,
+and it decides the layout of each; core encodes the rows.
 
 At the top this module imports only the standard library, click and the
 package's numpy-free modules, so ``--help``, ``--version`` and ``report``
@@ -171,20 +172,28 @@ _tie_break_option = click.option(
     help="Tie handling among near-minimal candidates.")
 
 
-def _guard(fn):
-    """Translate library errors into the documented exit codes."""
-    try:
-        return fn()
-    # before DelpointError: NumericOverflow is both
-    except ArithmeticError as exc:
-        click.echo(f"numeric error: {exc}", err=True)
-        sys.exit(EXIT_NUMERIC)
-    except (DelpointError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+class _Command(click.Command):
+    """A command whose library errors exit with the documented codes.  Click
+    parses the options and prints --help before ``invoke``, so usage errors
+    and a closed pipe under --help stay click's."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        # before DelpointError: NumericOverflow is both
+        except ArithmeticError as exc:
+            click.echo(f"numeric error: {exc}", err=True)
+            sys.exit(EXIT_NUMERIC)
+        except (DelpointError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_INPUT)
 
 
-@click.group()
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.version_option(version=__version__, prog_name="delpoint")
 def main():
     """Deleted-point analysis for one-step noisy SGD on linear regression."""
@@ -203,21 +212,16 @@ def main():
 @click.option("--out", "out_dir", type=click.Path(file_okay=False,
               path_type=Path), required=True,
               help="Directory for dataset.csv and the manifest.")
-def gen(n, x_low, x_high, slope, noise_std, noise_scale, extra_features,
-        seed, out_dir):
+def gen(out_dir, **params):
     """Generate a synthetic dataset CSV plus a manifest."""
-    def body():
-        from .core import save_csv
-        from .datagen import GenConfig, generate
-        ds = generate(GenConfig(n=n, x_low=x_low, x_high=x_high, slope=slope,
-                                noise_std=noise_std, noise_scale=noise_scale,
-                                seed=seed, extra_features=extra_features))
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / "dataset.csv"
-        save_csv(ds, csv_path)
-        _write_manifest(out_dir, [csv_path.name])
-        click.echo(str(csv_path))
-    _guard(body)
+    from .core import save_csv
+    from .datagen import GenConfig, generate
+    ds = generate(GenConfig(**params))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "dataset.csv"
+    save_csv(ds, csv_path)
+    _write_manifest(out_dir, [csv_path.name])
+    click.echo(str(csv_path))
 
 
 @main.command()
@@ -230,22 +234,16 @@ def gen(n, x_low, x_high, slope, noise_std, noise_scale, extra_features,
               help="Directory for selection.json and the manifest.")
 def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
     """Find the best single point to delete; exit 3 if none clears delta."""
-    def body():
-        ds, hp, w = _load_inputs(dataset, w0, hyper)
-        from .core import _write_csv
-        from .selector import find_perfect_deleted_point
-        result = find_perfect_deleted_point(ds, w, hp, tie_break=tie_break)
-        artifacts = []
-        if scores_csv is not None:
-            _write_csv(scores_csv, _SCORES_CSV_HEADER,
-                       [result.scores[key] for key in _SCORES_CSV_HEADER])
-            artifacts.append(str(scores_csv))
-        _stream(_selection_chunks(result), out_dir, "selection.json")
-        if out_dir is not None:
-            artifacts.append("selection.json")
-            _write_manifest(out_dir, artifacts)
-        return result
-    result = _guard(body)
+    ds, hp, w = _load_inputs(dataset, w0, hyper)
+    from .core import _write_csv
+    from .selector import find_perfect_deleted_point
+    result = find_perfect_deleted_point(ds, w, hp, tie_break=tie_break)
+    if scores_csv is not None:
+        _write_csv(scores_csv, _SCORES_CSV_HEADER,
+                   [result.scores[key] for key in _SCORES_CSV_HEADER])
+    _stream(_selection_chunks(result), out_dir, "selection.json")
+    if out_dir is not None:
+        _write_manifest(out_dir, ["selection.json"])
     if result.best is None:
         sys.exit(EXIT_NO_PERFECT_POINT)
 
@@ -293,12 +291,10 @@ def bounds(dataset, w0, b_floor, out_dir, **hyper):
     computed or written.  With --b-floor, B must be positive and at most
     the smallest feature norm.
     """
-    def body():
-        ds, hp, w = _load_inputs(dataset, w0, hyper)
-        _stream(_bounds_chunks(ds, w, hp, b_floor), out_dir, "bounds.json")
-        if out_dir is not None:
-            _write_manifest(out_dir, ["bounds.json"])
-    _guard(body)
+    ds, hp, w = _load_inputs(dataset, w0, hyper)
+    _stream(_bounds_chunks(ds, w, hp, b_floor), out_dir, "bounds.json")
+    if out_dir is not None:
+        _write_manifest(out_dir, ["bounds.json"])
 
 
 @main.command()
@@ -316,44 +312,42 @@ def bounds(dataset, w0, b_floor, out_dir, **hyper):
 def simulate(dataset, w0, protocol, steps, iterations, bins, tie_break,
              out_dir, **hyper):
     """Run a multi-step deletion protocol; write weights.csv + summary.json."""
-    def body():
-        ds, hp, w = _load_inputs(dataset, w0, hyper)
-        import numpy as np
-        from .core import _write_csv
-        from .sim import StepConfig, run_protocol
-        cfg = StepConfig(protocol=protocol.replace("-", "_"), steps=steps,
-                         iterations=iterations, hp=hp, w0=w, bins=bins,
-                         tie_break=tie_break)
-        result = run_protocol(cfg, ds)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    ds, hp, w = _load_inputs(dataset, w0, hyper)
+    import numpy as np
+    from .core import _write_csv
+    from .sim import StepConfig, run_protocol
+    cfg = StepConfig(protocol=protocol.replace("-", "_"), steps=steps,
+                     iterations=iterations, hp=hp, w0=w, bins=bins,
+                     tie_break=tie_break)
+    result = run_protocol(cfg, ds)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-        weights_path = out_dir / "weights.csv"
-        _write_csv(weights_path,
-                   ["iteration"] + [f"w{j}" for j in range(ds.dim)],
-                   [np.arange(iterations), *result.final_weights.T])
+    weights_path = out_dir / "weights.csv"
+    _write_csv(weights_path,
+               ["iteration"] + [f"w{j}" for j in range(ds.dim)],
+               [np.arange(iterations), *result.final_weights.T])
 
-        config_doc = {
-            "dataset": str(dataset), "protocol": cfg.protocol,
-            "steps": steps, "iterations": iterations, "bins": bins,
-            "gamma": hp.gamma, "sigma": hp.sigma, "alpha": hp.alpha,
-            "delta": hp.delta, "w0": w.tolist(), "seed": hp.seed,
-            "snr_convention": hp.snr_convention, "tie_break": tie_break,
-        }
-        summary_doc = {
-            "format_version": SUMMARY_FORMAT_VERSION, "config": config_doc,
-            "mean": result.mean.tolist(), "variance": result.variance.tolist(),
-            "histogram": [{"edges": h.edges.tolist(),
-                           "counts": h.counts.tolist()}
-                          for h in result.histograms],
-            "deletions_log": result.deletions_log,
-        }
-        summary_path = out_dir / "summary.json"
-        summary_path.write_text(json.dumps(summary_doc, indent=2) + "\n",
-                                encoding="utf-8")
+    config_doc = {
+        "dataset": str(dataset), "protocol": cfg.protocol,
+        "steps": steps, "iterations": iterations, "bins": bins,
+        "gamma": hp.gamma, "sigma": hp.sigma, "alpha": hp.alpha,
+        "delta": hp.delta, "w0": w.tolist(), "seed": hp.seed,
+        "snr_convention": hp.snr_convention, "tie_break": tie_break,
+    }
+    summary_doc = {
+        "format_version": SUMMARY_FORMAT_VERSION, "config": config_doc,
+        "mean": result.mean.tolist(), "variance": result.variance.tolist(),
+        "histogram": [{"edges": h.edges.tolist(),
+                       "counts": h.counts.tolist()}
+                      for h in result.histograms],
+        "deletions_log": result.deletions_log,
+    }
+    summary_path = out_dir / "summary.json"
+    summary_path.write_text(json.dumps(summary_doc, indent=2) + "\n",
+                            encoding="utf-8")
 
-        _write_manifest(out_dir, [weights_path.name, summary_path.name])
-        click.echo(str(summary_path))
-    _guard(body)
+    _write_manifest(out_dir, [weights_path.name, summary_path.name])
+    click.echo(str(summary_path))
 
 
 def _is_number(v) -> bool:
@@ -398,22 +392,20 @@ def _summary_row(path: Path) -> tuple:
               help="Directory for report.md and the manifest.")
 def report(summaries, seed, out_dir):
     """Render a protocol-by-steps table from simulate summary files."""
-    def body():
-        rows = [_summary_row(path) for path in summaries]
-        rows.sort(key=lambda r: (r[0], r[1]))
-        lines = ["| steps | protocol | mean | variance |",
-                 "|------:|----------|------|----------|"]
-        for steps, protocol, mean, variance in rows:
-            mean_s = ", ".join(repr(v) for v in mean)
-            var_s = ", ".join(repr(v) for v in variance)
-            lines.append(f"| {steps} | {protocol} | {mean_s} | {var_s} |")
-        text = "\n".join(lines) + "\n"
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / "report.md").write_text(text, encoding="utf-8")
-            _write_manifest(out_dir, ["report.md"])
-        click.echo(text, nl=False)
-    _guard(body)
+    rows = [_summary_row(path) for path in summaries]
+    rows.sort(key=lambda r: (r[0], r[1]))
+    lines = ["| steps | protocol | mean | variance |",
+             "|------:|----------|------|----------|"]
+    for steps, protocol, mean, variance in rows:
+        mean_s = ", ".join(repr(v) for v in mean)
+        var_s = ", ".join(repr(v) for v in variance)
+        lines.append(f"| {steps} | {protocol} | {mean_s} | {var_s} |")
+    text = "\n".join(lines) + "\n"
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.md").write_text(text, encoding="utf-8")
+        _write_manifest(out_dir, ["report.md"])
+    click.echo(text, nl=False)
 
 
 def run():

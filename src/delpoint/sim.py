@@ -36,11 +36,13 @@ deletion logs are bit-identical to the test suite's one-iteration,
 one-step replay (run_protocol_loop), whatever the block size.
 
 Errors: perfect_delete with sigma = 0 or gamma = 0 raises DegenerateNoise
-before any step, and moments, scores or weights that overflow float64
-raise NumericOverflow, with no RuntimeWarning.  The overflow is raised at
-the earliest failing step of any iteration in the block, where a loop over
-iterations would raise at the first failing step of the earliest
-iteration; the class, and so the CLI exit code, is the same.
+before any step.  Moments, downdated moments, scores, weights and the
+summary's mean, variance and max - min that overflow float64 raise
+NumericOverflow, found from the results, with no RuntimeWarning.  The
+overflow is raised at the earliest failing step of any iteration in the
+block, where a loop over iterations would raise at the first failing
+step of the earliest iteration; the class, and so the CLI exit code, is
+the same.
 """
 
 from __future__ import annotations
@@ -187,17 +189,15 @@ def _run_block(ds: Dataset, cfg: StepConfig, its: range):
             pos = deleted[act, t]
             c = count[act, None]
             xv, yv = ds.X[pos], ds.y[pos, None]
-            try:
-                # the downdates above, one row per iteration; elementwise
-                # ufuncs in this thread, so numpy's flags see overflow
-                with np.errstate(over="raise"):
-                    s_yx[act] = (c * s_yx[act] - yv * xv) / (c - 1)
-                    s_xx[act] = ((c[..., None] * s_xx[act]
-                                  - xv[:, :, None] * xv[:, None, :])
-                                 / (c[..., None] - 1))
-            except FloatingPointError:
+            # the downdates above, one row per iteration
+            with np.errstate(over="ignore", invalid="ignore"):
+                s_yx[act] = (c * s_yx[act] - yv * xv) / (c - 1)
+                s_xx[act] = ((c[..., None] * s_xx[act]
+                              - xv[:, :, None] * xv[:, None, :])
+                             / (c[..., None] - 1))
+            if not (np.isfinite(s_yx).all() and np.isfinite(s_xx).all()):
                 raise NumericOverflow(
-                    "updated sufficient statistics overflow float64") from None
+                    "updated sufficient statistics overflow float64")
             dead = np.append(dead, act * n + pos)
             count[act] -= 1
         with np.errstate(over="ignore", invalid="ignore"):
@@ -239,7 +239,8 @@ def _random_schedule(n: int, steps: int, rng: np.random.Generator) -> list:
 
 def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,
                                           list[Histogram]]:
-    """Per-coordinate mean, unbiased variance, and equal-width histograms."""
+    """Per-coordinate mean, unbiased variance, and equal-width histograms;
+    NumericOverflow if a mean, variance or max - min is not finite."""
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -248,8 +249,13 @@ def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,
     if bins < 1:
         raise DomainError(f"bins must be >= 1, got {bins}")
     m = arr.shape[0]
-    mean = arr.mean(axis=0)
-    variance = arr.var(axis=0, ddof=1) if m > 1 else np.zeros(arr.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = arr.mean(axis=0)
+        variance = arr.var(axis=0, ddof=1) if m > 1 else np.zeros(arr.shape[1])
+        span = np.ptp(arr, axis=0)
+    if not np.isfinite([mean, variance, span]).all():
+        raise NumericOverflow(
+            "summary statistics of the final weights overflow float64")
     histograms = []
     for j in range(arr.shape[1]):
         counts, edges = np.histogram(arr[:, j], bins=bins)

@@ -289,6 +289,43 @@ def test_only_cli_decides_artifact_layouts():
     assert found == {}
 
 
+def error_path_breaches(source: str) -> list[str]:
+    """The DelpointError, ArithmeticError and FloatingPointError that the
+    ``except`` clauses of ``source`` name, and its errstate or seterr
+    calls that set a "raise": cli alone maps library errors to exit
+    codes, and the library finds overflow from its results."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = getattr(node.type, "elts", [node.type])
+            found += [f"except {name}" for t in types
+                      if (name := getattr(t, "id", getattr(t, "attr", None)))
+                      in ("DelpointError", "ArithmeticError",
+                          "FloatingPointError")]
+        elif (isinstance(node, ast.Call)
+              and getattr(node.func, "attr", None) in ("errstate", "seterr")
+              and "raise" in [getattr(a, "value", None) for a in
+                              [*node.args, *(k.value for k in node.keywords)]]):
+            found.append(f"{node.func.attr} raise")
+    return sorted(found)
+
+
+def test_only_cli_catches_library_errors():
+    assert error_path_breaches(
+        "try:\n    f()\nexcept (errors.DelpointError, OSError):\n    pass\n"
+        "except FloatingPointError:\n    pass\n"
+        "with np.errstate(over='raise'):\n    pass\n"
+        "with np.errstate(over='ignore'):\n    pass\n") == [
+        "errstate raise", "except DelpointError", "except FloatingPointError"]
+    root = Path(__file__).resolve().parents[1] / "src" / "delpoint"
+    files = sorted(root.glob("*.py"))
+    assert len(files) > 10
+    found = {p.name: names for p in files
+             if (names := error_path_breaches(p.read_text(encoding="utf-8")))}
+    assert found == {"cli.py": ["except ArithmeticError",
+                                "except DelpointError"]}
+
+
 def choice_copies(source: str, choices: dict) -> list[str]:
     """The names of ``choices`` that ``source`` assigns, and the reprs of
     the string tuples and lists it spells out that equal one of their

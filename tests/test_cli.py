@@ -413,6 +413,23 @@ def test_overflow_exits_four_without_warning(runner, tmp_path, command):
         assert [str(w.message) for w in caught] == []
 
 
+def test_summary_overflow_exits_four_without_warning(runner, tmp_path):
+    # every final weight is finite, but their variance overflows
+    path = gen_dataset(runner, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = runner.invoke(main, [
+            "simulate", "--dataset", str(path), "--protocol", "no-delete",
+            "--gamma", "1e-10", "--sigma", "1e300", "--steps", "2",
+            "--iterations", "20", "--out", str(tmp_path / "out")])
+    assert res.exit_code == 4, res.output
+    assert res.stderr == ("numeric error: summary statistics of the final "
+                          "weights overflow float64\n")
+    assert isinstance(res.exception, SystemExit)
+    assert [str(w.message) for w in caught] == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_perfect_delete_score_overflow_exits_four(runner, tmp_path):
     # finite moments and feature norms; the first scan's squared norms
     # overflow at every live point
@@ -564,8 +581,13 @@ def _no_iteration(*args):
     (["select", "--dataset", "empty.csv"], "empty.csv: empty file"),
     (["gen", "--extra-features", "-1", "--out", "neg"],
      "extra_features must be >= 0, got -1"),
+    (["report", "gen/manifest.json"],
+     "gen/manifest.json: not a simulate summary.json: 'steps'"),
+    # an OSError: --out below a regular file
+    (["bounds", "--dataset", "gen/dataset.csv", "--out", "gen/dataset.csv/b"],
+     "[Errno 20] Not a directory: 'gen/dataset.csv/b'"),
 ], ids=["w0-not-float", "w0-nan", "zero-bins", "empty-file",
-        "negative-extra-features"])
+        "negative-extra-features", "report-not-summary", "out-below-file"])
 def test_invalid_input_exits_two(runner, tmp_path, monkeypatch, args,
                                  message):
     monkeypatch.chdir(tmp_path)
@@ -579,6 +601,16 @@ def test_invalid_input_exits_two(runner, tmp_path, monkeypatch, args,
     # an uncaught exception would be a traceback, not SystemExit
     assert isinstance(res.exception, SystemExit)
     assert sorted(os.listdir(tmp_path)) == ["empty.csv", "gen"]
+
+
+def test_usage_errors_and_help_stay_clicks(runner):
+    # the exit codes are mapped after click has parsed the options
+    res = runner.invoke(main, ["select", "--help"])
+    assert res.exit_code == 0
+    assert res.output.startswith("Usage: main select [OPTIONS]")
+    res = runner.invoke(main, ["select", "--bogus"])
+    assert res.exit_code == 2
+    assert "\nError: No such option '--bogus'" in res.stderr
 
 
 TINY_ROWS = {1e-200: "x0,y\n1e-200,1.0\n2.0,3.0\n3.0,4.0\n",
@@ -684,13 +716,15 @@ MANIFEST_KEYS = ["format_version", "command", "config", "artifacts",
 
 def test_manifest_config_keys_and_order(runner, tmp_path):
     # the manifest records the options as click parsed them, in the
-    # command's order; summary.json keeps its own config layout
+    # command's order, and lists the files it wrote under --out, by their
+    # names there; summary.json keeps its own config layout
     path = gen_dataset(runner, tmp_path)
     shared = ([("dataset", str(path))] + HYPER_CONFIG
               + [("w0", "0.5"), ("seed", 9), ("snr_convention", "consistent")])
+    scores = tmp_path / "scores.csv"
     cases = {
-        "select": (["--tie-break", "paper"],
-                   [("tie_break", "paper"), ("scores_csv", None)],
+        "select": (["--tie-break", "paper", "--scores-csv", str(scores)],
+                   [("tie_break", "paper"), ("scores_csv", str(scores))],
                    ["selection.json"]),
         "bounds": (["--b-floor", "0.005"], [("b_floor", 0.005)],
                    ["bounds.json"]),
@@ -712,6 +746,8 @@ def test_manifest_config_keys_and_order(runner, tmp_path):
         assert list(doc["config"].items()) == \
             shared + config + [("out_dir", str(out))]
         assert doc["artifacts"] == artifacts
+        assert sorted(artifacts + ["manifest.json"]) == sorted(
+            os.listdir(out))
         if command == "simulate":
             summary = json.loads((out / "summary.json").read_text())
             assert list(summary["config"].items()) == [

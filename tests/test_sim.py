@@ -412,6 +412,20 @@ class TestSummarize:
         with pytest.raises(EmptyInput):
             summarize(np.empty((0, 1)), bins=5)
 
+    @pytest.mark.parametrize("weights", [
+        [[1.7e308], [1.7e308]],
+        [[1.7e308], [-1.7e308], [0.0]],
+        # simulate's final weights at sigma = 1e300
+        [[1e200], [-1e200]],
+    ], ids=["mean", "variance-and-span", "variance"])
+    def test_overflow_rejected(self, weights):
+        # finite weights whose statistics overflow: no histogram is drawn
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericOverflow, match="summary statistics"):
+                summarize(np.array(weights), bins=5)
+        assert [str(w.message) for w in caught] == []
+
 
 class TestEmpiricalAdvantage:
     def test_validations(self, t3):
