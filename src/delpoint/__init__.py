@@ -35,8 +35,7 @@ _MODULES = {
         "ZeroFeatureNorm",
     ),
     "gauss": ("make_rng", "phi", "phi_inv"),
-    "selector": ("CandidateScore", "SelectionResult",
-                 "find_perfect_deleted_point"),
+    "selector": ("SelectionResult", "find_perfect_deleted_point"),
     "sim": ("ExperimentResult", "StepConfig", "run_protocol", "summarize"),
     "snr": ("advantage_target", "membership_advantage"),
 }

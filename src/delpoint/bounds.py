@@ -66,12 +66,6 @@ from .gauss import phi_inv
 from .snr import _gap
 
 
-def _privacy_floor_column(eps_v: np.ndarray, alpha: float) -> np.ndarray:
-    _check_alpha(alpha)
-    z = phi_inv(alpha)
-    return np.maximum(np.log1p(_gap(eps_v, z - eps_v, z, alpha)), 0.0)
-
-
 def bounds_arrays(scan: dict, hp: HyperParams,
                   b: Optional[float] = None) -> dict:
     """Risk-change interval, actual changes and privacy floor per point.
@@ -137,11 +131,15 @@ def bounds_arrays(scan: dict, hp: HyperParams,
         "contained_a": (lower <= da) & (da <= upper),
         "contained_b": (lower <= db) & (db <= upper),
         "change_nonnegative": da >= 0.0,
-        "privacy_floor": _privacy_floor_column(eps_v, hp.alpha),
+        "privacy_floor": privacy_floor(eps_v, hp.alpha),
     }
 
 
-def privacy_floor(eps_v: float, alpha: float) -> float:
-    """Budget floor max(ln[Phi(Phi_inv(alpha) - eps_v) + 1 - alpha], 0)."""
-    column = _privacy_floor_column(np.array([eps_v], dtype=np.float64), alpha)
-    return float(column[0])
+def privacy_floor(eps_v, alpha: float):
+    """Budget floor max(ln[Phi(Phi_inv(alpha) - eps_v) + 1 - alpha], 0),
+    elementwise: an array of eps_v gives an array, a float a float."""
+    _check_alpha(alpha)
+    eps = np.asarray(eps_v, dtype=np.float64)
+    z = phi_inv(alpha)
+    floor = np.maximum(np.log1p(_gap(eps, z - eps, z, alpha)), 0.0)
+    return floor if eps.ndim else float(floor)

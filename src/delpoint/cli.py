@@ -19,7 +19,6 @@ in ``load_csv``, and the command bodies take their names from them there.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import gc
 import importlib
 import json
@@ -64,16 +63,31 @@ def _write_manifest(out_dir: Path, artifacts: list[str]) -> None:
         json.dumps(doc, indent=2, default=os.fspath) + "\n", encoding="utf-8")
 
 
+def _emit(piece: str) -> bool:
+    """Write ``piece`` to sys.stdout, not through click.echo's ANSI regex;
+    False once the reader has gone (| head).  fd 1 then points at
+    os.devnull, so later writes and the flush at exit are quiet (see the
+    SIGPIPE note in the ``signal`` docs)."""
+    try:
+        sys.stdout.write(piece)
+        sys.stdout.flush()
+        return True
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return False
+
+
 def _stream(chunks, out_dir: Path | None, name: str) -> None:
-    """Write the pieces of a document, the iterator ``chunks``, to stdout,
+    """Write the pieces of a document, the iterable ``chunks``, to stdout,
     and to out_dir / name when --out is given.
 
     Only one block of rows is held at a time.  If writing the file fails
     part way, stdout may already hold the first part of the document.
-    The pieces go to sys.stdout itself: click.echo would run its
-    ANSI-stripping regex over every block when stdout is not a terminal,
-    and JSON text holds no raw escape byte to strip.
+    Once the reader of stdout has gone, the rest goes to the file alone.
     """
+    chunks = iter(chunks)
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
     with (open(out_dir / name, "w", encoding="utf-8")
@@ -81,16 +95,7 @@ def _stream(chunks, out_dir: Path | None, name: str) -> None:
         for chunk in chunks:
             if fh is not None:
                 fh.write(chunk)
-            try:
-                sys.stdout.write(chunk)
-                sys.stdout.flush()
-            except BrokenPipeError:
-                # the reader has gone (| head): the rest goes to the file
-                # alone, and fd 1 to os.devnull, so the flush at exit is
-                # quiet (see the SIGPIPE note in the ``signal`` docs)
-                devnull = os.open(os.devnull, os.O_WRONLY)
-                os.dup2(devnull, sys.stdout.fileno())
-                os.close(devnull)
+            if not _emit(chunk):
                 if fh is not None:
                     fh.writelines(chunks)
                 return
@@ -221,7 +226,7 @@ def gen(out_dir, **params):
     csv_path = out_dir / "dataset.csv"
     save_csv(ds, csv_path)
     _write_manifest(out_dir, [csv_path.name])
-    click.echo(str(csv_path))
+    _emit(f"{csv_path}\n")
 
 
 @main.command()
@@ -249,10 +254,12 @@ def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
 
 
 def _selection_chunks(result):
-    """selection.json in the pieces of _json_chunks; a row of scores is
-    keyed as CandidateScore's fields, the keys of ``result.scores``."""
+    """selection.json in the pieces of _json_chunks; ``best`` is the
+    selected row of ``result.scores``, keyed as the rows of scores."""
     from .core import _json_chunks
-    best = None if result.best is None else dataclasses.asdict(result.best)
+    best = result.best
+    if best is not None:
+        best = {key: col[best].item() for key, col in result.scores.items()}
     head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
             "target": result.target, "best": best}
     return _json_chunks(head, "scores", result.scores)
@@ -337,9 +344,8 @@ def simulate(dataset, w0, protocol, steps, iterations, bins, tie_break,
     summary_doc = {
         "format_version": SUMMARY_FORMAT_VERSION, "config": config_doc,
         "mean": result.mean.tolist(), "variance": result.variance.tolist(),
-        "histogram": [{"edges": h.edges.tolist(),
-                       "counts": h.counts.tolist()}
-                      for h in result.histograms],
+        "histogram": [{"edges": edges.tolist(), "counts": counts.tolist()}
+                      for counts, edges in result.histograms],
         "deletions_log": result.deletions_log,
     }
     summary_path = out_dir / "summary.json"
@@ -347,7 +353,7 @@ def simulate(dataset, w0, protocol, steps, iterations, bins, tie_break,
                             encoding="utf-8")
 
     _write_manifest(out_dir, [weights_path.name, summary_path.name])
-    click.echo(str(summary_path))
+    _emit(f"{summary_path}\n")
 
 
 def _is_number(v) -> bool:
@@ -400,12 +406,9 @@ def report(summaries, seed, out_dir):
         mean_s = ", ".join(repr(v) for v in mean)
         var_s = ", ".join(repr(v) for v in variance)
         lines.append(f"| {steps} | {protocol} | {mean_s} | {var_s} |")
-    text = "\n".join(lines) + "\n"
+    _stream(["\n".join(lines) + "\n"], out_dir, "report.md")
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "report.md").write_text(text, encoding="utf-8")
         _write_manifest(out_dir, ["report.md"])
-    click.echo(text, nl=False)
 
 
 def run():

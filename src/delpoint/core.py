@@ -39,8 +39,7 @@ def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> tuple:
     # BLAS may run in threads whose flags numpy never sees.
     with np.errstate(over="ignore", invalid="ignore"):
         s_yx = X.T @ y / n
-        s_xx = X.T @ X / n
-        s_xx = (s_xx + s_xx.T) / 2.0  # kill BLAS rounding asymmetry
+        s_xx = X.T @ X / n  # numpy uses syrk: exactly symmetric
     if not (np.isfinite(s_yx).all() and np.isfinite(s_xx).all()):
         raise NumericOverflow(
             "sufficient statistics overflow: the feature and label "

@@ -42,7 +42,8 @@ class TooManyDeletions(DelpointError):
 
 
 class NumericOverflow(DelpointError, ArithmeticError):
-    """A computed quantity, such as a sufficient statistic, is not finite."""
+    """A computed quantity, such as a sufficient statistic, is not finite,
+    or final weights lie too close together for float64 histogram edges."""
 
 
 class EmptyInput(DelpointError):

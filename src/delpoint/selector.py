@@ -21,7 +21,7 @@ Scores stay in the scan's columns, which the CLI writes to selection.json.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,33 +33,20 @@ from .snr import membership_advantage, scan_arrays
 
 TIE_WINDOW = 1e-9
 
-
-@dataclass(frozen=True)
-class CandidateScore:
-    """Scan result for one point, keyed by its position in the dataset."""
-
-    index: int
-    d_v: float
-    eps_v: float
-    distance: float
-    advantage: float
-    feature_norm: float
-
-
-# the keys of SelectionResult.scores: the CandidateScore fields they fill
-_COLUMNS = tuple(f.name for f in fields(CandidateScore))
+# the keys of SelectionResult.scores, in the order selection.json writes them
+_COLUMNS = ("index", "d_v", "eps_v", "distance", "advantage", "feature_norm")
 
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Full scan plus the chosen candidate (None when none clears delta).
+    """Full scan plus the chosen position (None when none clears delta).
 
     ``scores`` maps each of index, d_v, eps_v, distance, advantage and
     feature_norm to an array over the points in dataset order.
     """
 
     target: float
-    best: Optional[CandidateScore]
+    best: Optional[int]
     scores: dict
 
 
@@ -109,9 +96,5 @@ def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
                     tie_break))
     adv = membership_advantage(a["d_v"], hp.alpha)
     scores = {key: adv if key == "advantage" else a[key] for key in _COLUMNS}
-    best = None
-    if pos >= 0:
-        index, *values = (scores[key][pos] for key in _COLUMNS)
-        best = CandidateScore(int(index), *map(float, values))
-    return SelectionResult(target=a["target"], best=best, scores=scores)
-
+    return SelectionResult(target=a["target"], best=pos if pos >= 0 else None,
+                           scores=scores)

@@ -38,9 +38,11 @@ one-step replay (run_protocol_loop), whatever the block size.
 Errors: perfect_delete with sigma = 0 or gamma = 0 raises DegenerateNoise
 before any step.  Moments, downdated moments, scores, weights and the
 summary's mean, variance and max - min that overflow float64 raise
-NumericOverflow, found from the results, with no RuntimeWarning.  The
-overflow is raised at the earliest failing step of any iteration in the
-block, where a loop over iterations would raise at the first failing
+NumericOverflow, found from the results, with no RuntimeWarning.  So does
+a coordinate whose final weights lie too close together for ``bins``
+increasing histogram edges (a large constant, or a span of a few ulps).
+The overflow is raised at the earliest failing step of any iteration in
+the block, where a loop over iterations would raise at the first failing
 step of the earliest iteration; the class, and so the CLI exit code, is
 the same.
 """
@@ -88,19 +90,13 @@ class StepConfig:
 
 
 @dataclass(frozen=True)
-class Histogram:
-    edges: np.ndarray
-    counts: np.ndarray
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     """Per-iteration final weights with summary statistics."""
 
     final_weights: np.ndarray            # (iterations, d)
     mean: np.ndarray                     # per coordinate
     variance: np.ndarray                 # per coordinate, unbiased
-    histograms: list[Histogram]          # per coordinate
+    histograms: list[tuple]              # (counts, edges) per coordinate
     deletions_log: list[list[Optional[int]]]   # position; None = skipped
 
 
@@ -237,10 +233,10 @@ def _random_schedule(n: int, steps: int, rng: np.random.Generator) -> list:
             for r in rng.integers(np.arange(n, n - steps, -1)).tolist()]
 
 
-def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,
-                                          list[Histogram]]:
-    """Per-coordinate mean, unbiased variance, and equal-width histograms;
-    NumericOverflow if a mean, variance or max - min is not finite."""
+def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray, list]:
+    """Per-coordinate mean, unbiased variance, and np.histogram's (counts,
+    edges) pair; NumericOverflow if a mean, variance or max - min is not
+    finite, or if a coordinate has too few floats for ``bins`` bins."""
     arr = np.asarray(weights, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr[:, None]
@@ -256,9 +252,14 @@ def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray,
     if not np.isfinite([mean, variance, span]).all():
         raise NumericOverflow(
             "summary statistics of the final weights overflow float64")
-    histograms = []
-    for j in range(arr.shape[1]):
-        counts, edges = np.histogram(arr[:, j], bins=bins)
-        histograms.append(Histogram(edges=edges, counts=counts))
-    return mean, variance, histograms
-
+    for j, col in enumerate(arr.T):
+        # np.histogram's edges, which it rejects with a bare ValueError
+        lo, hi = col.min(), col.max()
+        if lo == hi:
+            lo, hi = lo - 0.5, hi + 0.5
+        edges = np.linspace(lo, hi, bins + 1)
+        if np.any(edges[:-1] >= edges[1:]):
+            raise NumericOverflow(
+                f"coordinate {j} of the final weights spans too few floats "
+                f"for {bins} histogram bins")
+    return mean, variance, [np.histogram(col, bins=bins) for col in arr.T]

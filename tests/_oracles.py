@@ -21,7 +21,6 @@ draws its samples from make_rng.
 """
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -168,11 +167,11 @@ def json_doc_indent2(head, key, names, columns):
 
 def selection_doc_indent2(result):
     """selection.json of a SelectionResult the way json.dumps writes it."""
-    head = {"format_version": 1, "target": result.target,
-            "best": None if result.best is None
-            else dataclasses.asdict(result.best)}
     names = ["index", "d_v", "eps_v", "distance", "advantage", "feature_norm"]
     columns = [result.scores[key] for key in names]
+    head = {"format_version": 1, "target": result.target,
+            "best": None if result.best is None
+            else dict(zip(names, (col[result.best].item() for col in columns)))}
     return json_doc_indent2(head, "scores", names, columns)
 
 
@@ -181,9 +180,9 @@ def summary_doc(config, result):
     return {"format_version": 1, "config": config,
             "mean": [float(v) for v in result.mean],
             "variance": [float(v) for v in result.variance],
-            "histogram": [{"edges": [float(v) for v in h.edges],
-                           "counts": [int(v) for v in h.counts]}
-                          for h in result.histograms],
+            "histogram": [{"edges": [float(v) for v in edges],
+                           "counts": [int(v) for v in counts]}
+                          for counts, edges in result.histograms],
             "deletions_log": result.deletions_log}
 
 

@@ -26,9 +26,12 @@ from delpoint import Dataset
 # folds in; by the module that defined it.  The lossgrad module is gone
 # too: its as_weights is core's, not a public name; and its risk, with the
 # second residual behind it, is the mean of the scan's squared residuals
-# that bounds_arrays takes.
+# that bounds_arrays takes.  The records around numpy results are gone
+# too: a selection's best is a position, a histogram is np.histogram's
+# (counts, edges) pair, and privacy_floor is the column bounds_arrays
+# writes.
 REMOVED = {
-    "delpoint": ["as_weights", "lossgrad", "risk"],
+    "delpoint": ["as_weights", "lossgrad", "risk", "CandidateScore"],
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
                       "_json_rows", "_csv_tokens", "_dumps_indent2"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error",
@@ -36,12 +39,13 @@ REMOVED = {
     "delpoint.bounds": ["RiskBounds", "risk_change_bounds",
                         "risk_change_bounds_floor", "_row_dots",
                         "_feature_norms", "interval_endpoints", "risk",
-                        "_losses"],
-    "delpoint.sim": ["sgd_step", "empirical_advantage", "experiment_to_doc"],
+                        "_losses", "_privacy_floor_column"],
+    "delpoint.sim": ["sgd_step", "empirical_advantage", "experiment_to_doc",
+                     "Histogram"],
     "delpoint.gauss": ["sample_gaussian", "_erfc_array"],
     "delpoint.selector": ["rank_candidates", "_abs_tokens",
                           "selection_to_json", "_selection_chunks",
-                          "SELECTION_JSON_FORMAT_VERSION"],
+                          "SELECTION_JSON_FORMAT_VERSION", "CandidateScore"],
     "delpoint.cli": ["_bounds_json"],
     "delpoint.errors": ["IndexOutOfRange"],
 }
@@ -52,7 +56,7 @@ def test_all_names_resolve_once():
     # each defined in the module it is listed under
     assert delpoint.__all__ == ["__version__", *(
         name for names in delpoint._MODULES.values() for name in names)]
-    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 33
+    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 32
     for module, names in delpoint._MODULES.items():
         for name in names:
             assert getattr(delpoint, name).__module__ == f"delpoint.{module}"

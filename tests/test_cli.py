@@ -414,20 +414,29 @@ def test_overflow_exits_four_without_warning(runner, tmp_path, command):
 
 
 def test_summary_overflow_exits_four_without_warning(runner, tmp_path):
-    # every final weight is finite, but their variance overflows
     path = gen_dataset(runner, tmp_path)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = runner.invoke(main, [
-            "simulate", "--dataset", str(path), "--protocol", "no-delete",
-            "--gamma", "1e-10", "--sigma", "1e300", "--steps", "2",
-            "--iterations", "20", "--out", str(tmp_path / "out")])
-    assert res.exit_code == 4, res.output
-    assert res.stderr == ("numeric error: summary statistics of the final "
-                          "weights overflow float64\n")
-    assert isinstance(res.exception, SystemExit)
-    assert [str(w.message) for w in caught] == []
-    assert not (tmp_path / "out").exists()
+    cases = [
+        # every final weight is finite, but their variance overflows
+        (["--gamma", "1e-10", "--sigma", "1e300", "--steps", "2",
+          "--iterations", "20"],
+         "summary statistics of the final weights overflow float64"),
+        # every final weight is 1e17: too few floats for 30 bins
+        (["--sigma", "0", "--gamma", "0", "--w0", "1e17", "--steps", "1",
+          "--iterations", "3"],
+         "coordinate 0 of the final weights spans too few floats for 30 "
+         "histogram bins"),
+    ]
+    for args, message in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = runner.invoke(main, [
+                "simulate", "--dataset", str(path), "--protocol", "no-delete",
+                *args, "--out", str(tmp_path / "out")])
+        assert res.exit_code == 4, res.output
+        assert res.stderr == f"numeric error: {message}\n"
+        assert isinstance(res.exception, SystemExit)
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "out").exists()
 
 
 def test_perfect_delete_score_overflow_exits_four(runner, tmp_path):
@@ -506,7 +515,7 @@ def test_tiny_alpha_names_alpha(runner, tmp_path, command, alpha):
     if command == "simulate-perfect-delete":
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=float(alpha))
         best = find_perfect_deleted_point(load_csv(path), [0.0], hp).best
-        assert [log[0] for log in summary["deletions_log"]] == [best.index] * 2
+        assert [log[0] for log in summary["deletions_log"]] == [best] * 2
 
 
 @pytest.mark.parametrize("command",
@@ -852,6 +861,53 @@ def test_closed_stdout_still_writes_out(runner, tmp_path, command):
         assert manifest["config"].pop("out_dir") == str(out)
         docs.append(((out / name).read_bytes(), manifest))
     assert docs[0] == docs[1]
+
+
+@pytest.mark.parametrize("command", ["gen", "simulate", "report"])
+def test_stdout_closed_before_the_first_write(runner, tmp_path, command):
+    # `| head -c0`: the reader has gone before the command writes a byte;
+    # it still exits 0, quietly, and writes what a run read to the end
+    # writes.  Each run has its own working directory and the same
+    # relative --out, so even the manifests match byte for byte.
+    path = gen_dataset(runner, tmp_path).resolve()
+    summary = tmp_path / "sim" / "summary.json"
+    if command == "report":
+        res = runner.invoke(main, ["simulate", "--dataset", str(path),
+                                   "--protocol", "no-delete",
+                                   "--iterations", "5",
+                                   "--out", str(summary.parent)])
+        assert res.exit_code == 0, res.output
+    args = {"gen": ["--n", "50"],
+            "simulate": ["--dataset", str(path), "--protocol",
+                         "random-delete", "--steps", "2", "--iterations", "5"],
+            "report": [str(summary)]}[command]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "delpoint.cli", command, *args,
+           "--out", "out"]
+    files = []
+    for name in ("whole", "cut"):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        if name == "whole":
+            proc = subprocess.run(cmd, env=env, cwd=cwd, timeout=120,
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE)
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = subprocess.run(cmd, env=env, cwd=cwd, timeout=120,
+                                      stdout=write_end,
+                                      stderr=subprocess.PIPE)
+            finally:
+                os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+        files.append({f.relative_to(cwd).as_posix(): f.read_bytes()
+                      for f in sorted(cwd.rglob("*")) if f.is_file()})
+    assert "out/manifest.json" in files[0]
+    assert files[0] == files[1]
 
 
 @pytest.mark.parametrize("command, name", [("select", "selection.json"),

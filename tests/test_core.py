@@ -97,6 +97,21 @@ class TestComputeStats:
         with pytest.raises(NumericOverflow):
             stats_of([[1.0], [1e200]], [1e200, 1.0])
 
+    @pytest.mark.parametrize("n, d", [(1, 1), (2, 3), (17, 5), (300, 8),
+                                      (4097, 33), (20000, 64)])
+    def test_second_moment_exactly_symmetric(self, rng, n, d):
+        # numpy forms X.T @ X with syrk, which fills one triangle and
+        # copies it, so s_xx needs no symmetrization
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 1e3, size=d)
+        s_xx = Dataset.from_arrays(X, rng.normal(size=n)).s_xx
+        assert np.array_equal(s_xx, s_xx.T)
+
+    def test_largest_finite_moment_accepted(self):
+        # x^2 = 1.69e308 is finite; averaging it with its transpose, as
+        # (s_xx + s_xx.T) / 2, would overflow
+        ds = Dataset.from_arrays([[1.3e154]], [0.0])
+        assert ds.s_xx[0, 0] == 1.3e154 * 1.3e154
+
     def test_all_arrays_read_only(self, tmp_path, t3):
         path = tmp_path / "t3.csv"
         save_csv(t3, path)

@@ -61,8 +61,10 @@ class TestPointLoss:
 
     def test_dimension_mismatch(self):
         ds = Dataset.from_arrays([[1.0], [2.0]], [1.0, 2.0])
-        with pytest.raises(DimensionMismatch):
-            scan_arrays(ds, [1.0, 2.0], HP)
+        # a weight vector of the wrong length, and a 2-D one
+        for w in ([1.0, 2.0], [[1.0]]):
+            with pytest.raises(DimensionMismatch):
+                scan_arrays(ds, w, HP)
 
 
 class TestPointGrad:

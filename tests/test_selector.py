@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import tracemalloc
 
@@ -58,8 +57,8 @@ class TestSelection:
         ds = tuned_dataset(rng, hp_default, [target], w)
         result = find_perfect_deleted_point(ds, w, hp_default)
         assert result.best is not None
-        assert result.best.index == 0
-        assert result.best.distance <= 1e-9
+        assert result.best == 0
+        assert result.scores["distance"][result.best] <= 1e-9
         assert result.target == pytest.approx(target, abs=1e-12)
 
     def test_zero_delta_rejects_generic_data(self, rng):
@@ -77,10 +76,7 @@ class TestSelection:
             got = find_perfect_deleted_point(ds, w, hp, tie_break="paper")
             expect = select_strict_loop(ds.X.tolist(), ds.y.tolist(), w,
                                         hp.gamma, hp.sigma, hp.alpha, hp.delta)
-            if expect is None:
-                assert got.best is None
-            else:
-                assert got.best is not None and got.best.index == expect
+            assert got.best == expect
 
     def test_strict_mode_keeps_last_on_ties(self, hp_default):
         # mirrored points produce bitwise-identical d_v
@@ -89,7 +85,7 @@ class TestSelection:
         a = scan_arrays(ds, w, hp_default)
         assert a["d_v"][0] == a["d_v"][1]
         got = find_perfect_deleted_point(ds, w, hp_default, tie_break="paper")
-        sel = got.best.index
+        sel = got.best
         tie_min = min(a["distance"][0], a["distance"][1])
         if a["distance"][2] >= tie_min:
             assert sel == 1  # the later twin wins under <= replacement
@@ -105,7 +101,7 @@ class TestSelection:
             tie = np.flatnonzero(a["distance"] <= m + 1e-9)
             key = sorted((a["feature_norm"][i], a["eps_v"][i] < 0, i)
                          for i in tie)
-            assert got.best.index == key[0][2]
+            assert got.best == key[0][2]
 
     def test_norm_preference_inside_tie_window(self, rng):
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05, delta=100.0)
@@ -123,7 +119,7 @@ class TestSelection:
         a = scan_arrays(ds, w, hp)
         assert abs(a["distance"][0] - a["distance"][1]) <= 1e-9
         got = find_perfect_deleted_point(ds, w, hp)
-        assert got.best.index == 1  # smaller feature norm wins
+        assert got.best == 1  # smaller feature norm wins
 
     def test_nonnegative_eps_preferred_at_equal_norm(self, hp_default):
         hp = hp_default
@@ -139,14 +135,14 @@ class TestSelection:
         assert a["feature_norm"][0] == a["feature_norm"][1]
         assert a["distance"][2:].min() > a["distance"][0] + 1e-9
         got = find_perfect_deleted_point(ds, w, hp)
-        assert got.best.index == 1
+        assert got.best == 1
 
     def test_lowest_id_breaks_full_ties(self, hp_default):
         ds = Dataset.from_arrays([[2.0], [2.0], [5.0]], [3.0, 3.0, 1.0])
         got = find_perfect_deleted_point(ds, [0.1], hp_default)
         dist = dict(zip(got.scores["index"], got.scores["distance"]))
         if dist[0] <= dist[2]:
-            assert got.best.index == 0
+            assert got.best == 0
 
     def test_delta_boundary_closed(self, rng, hp_default):
         ds = random_dataset(rng, n=10, d=1)
@@ -292,11 +288,7 @@ class TestRanking:
                                                     tie_break=tie_break)
                 pos = select_loop(scan_arrays(ds, w, hp_default),
                                   hp_default.delta, tie_break)
-                assert result.best is not None
-                row = [result.scores[key][pos] for key in
-                       ("index", "d_v", "eps_v", "distance", "advantage",
-                        "feature_norm")]
-                assert dataclasses.astuple(result.best) == tuple(row)
+                assert type(result.best) is int and result.best == pos
 
     def test_tie_block_precedes_smaller_norm(self, hp_default):
         # points 0 and 1 tie within the window, 1 at the larger distance
@@ -324,7 +316,7 @@ class TestRanking:
             order.append(pos)
             dist[pos] = np.inf
         assert order == [1, 0, 2]
-        assert find_perfect_deleted_point(ds, w, hp).best.index == 1
+        assert find_perfect_deleted_point(ds, w, hp).best == 1
 
     @staticmethod
     def batch_rows(rng):

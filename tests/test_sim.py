@@ -119,8 +119,8 @@ class TestRunProtocol:
         assert len(deleted) == 1
         from delpoint import find_perfect_deleted_point
         sel = find_perfect_deleted_point(ds, w0, hp)
-        assert deleted == {sel.best.index}
-        reduced = delete_point(ds, sel.best.index)
+        assert deleted == {sel.best}
+        reduced = delete_point(ds, sel.best)
         m_no = w0 - hp.gamma * risk_grad(w0, ds)
         m_pf = w0 - hp.gamma * risk_grad(w0, reduced)
         mc_tol = 4 * hp.gamma * hp.sigma / np.sqrt(100)
@@ -197,6 +197,9 @@ class TestRunProtocol:
         with pytest.raises(DomainError):
             StepConfig(protocol="no_delete", steps=1, iterations=0, hp=hp,
                        w0=np.zeros(1))
+        # summarize checks bins itself, for a caller without a StepConfig
+        with pytest.raises(DomainError, match="bins must be >= 1, got 0"):
+            summarize(np.zeros((2, 1)), bins=0)
 
     @pytest.mark.parametrize("protocol, s_yx, s_xx", [
         # the moments of test_core's overflowing update: n s_yx = 3e308
@@ -393,36 +396,43 @@ class TestSummarize:
     def test_constant_sequence(self):
         _, variance, histograms = summarize(np.full((7, 1), 2.5), bins=5)
         assert variance[0] == 0.0
-        assert histograms[0].counts.sum() == 7
-        assert (histograms[0].counts > 0).sum() == 1
+        counts, _ = histograms[0]
+        assert counts.sum() == 7
+        assert (counts > 0).sum() == 1
 
     def test_hand_values(self):
-        mean, variance, _ = summarize(np.array([[1.0], [2.0], [3.0]]), bins=2)
-        assert mean[0] == pytest.approx(2.0)
-        assert variance[0] == pytest.approx(1.0)
+        # a 1-D sequence is one coordinate
+        for weights in ([[1.0], [2.0], [3.0]], [1.0, 2.0, 3.0]):
+            mean, variance, histograms = summarize(np.array(weights), bins=2)
+            assert mean[0] == pytest.approx(2.0)
+            assert variance[0] == pytest.approx(1.0)
+            assert len(histograms) == 1
 
     def test_counts_partition_sample(self, rng):
         draws = rng.normal(size=(250, 2))
         _, _, histograms = summarize(draws, bins=30)
-        for hist in histograms:
-            assert hist.counts.sum() == 250
-            assert len(hist.edges) == 31
+        for counts, edges in histograms:
+            assert counts.sum() == 250
+            assert len(edges) == 31
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             summarize(np.empty((0, 1)), bins=5)
 
-    @pytest.mark.parametrize("weights", [
-        [[1.7e308], [1.7e308]],
-        [[1.7e308], [-1.7e308], [0.0]],
+    @pytest.mark.parametrize("weights, match", [
+        ([[1.7e308], [1.7e308]], "summary statistics"),
+        ([[1.7e308], [-1.7e308], [0.0]], "summary statistics"),
         # simulate's final weights at sigma = 1e300
-        [[1e200], [-1e200]],
-    ], ids=["mean", "variance-and-span", "variance"])
-    def test_overflow_rejected(self, weights):
-        # finite weights whose statistics overflow: no histogram is drawn
+        ([[1e200], [-1e200]], "summary statistics"),
+        # a constant so large that +-0.5 leaves too few floats for 5 bins
+        (np.full((3, 1), 1e17), "coordinate 0 .* for 5 histogram bins"),
+    ], ids=["mean", "variance-and-span", "variance", "too-many-bins"])
+    def test_overflow_rejected(self, weights, match):
+        # finite weights whose statistics overflow, or that numpy cannot
+        # bin: no histogram is drawn
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(NumericOverflow, match="summary statistics"):
+            with pytest.raises(NumericOverflow, match=match):
                 summarize(np.array(weights), bins=5)
         assert [str(w.message) for w in caught] == []
 
