@@ -35,7 +35,7 @@ _MODULES = {
         "ZeroFeatureNorm",
     ),
     "gauss": ("make_rng", "phi", "phi_inv"),
-    "selector": ("SelectionResult", "find_perfect_deleted_point"),
+    "selector": ("find_perfect_deleted_point",),
     "sim": ("ExperimentResult", "StepConfig", "run_protocol", "summarize"),
     "snr": ("advantage_target", "membership_advantage"),
 }

@@ -137,9 +137,13 @@ def bounds_arrays(scan: dict, hp: HyperParams,
 
 def privacy_floor(eps_v, alpha: float):
     """Budget floor max(ln[Phi(Phi_inv(alpha) - eps_v) + 1 - alpha], 0),
-    elementwise: an array of eps_v gives an array, a float a float."""
+    elementwise: an array of eps_v gives an array, a float a float.
+    Raises DomainError if any eps_v is not finite."""
     _check_alpha(alpha)
     eps = np.asarray(eps_v, dtype=np.float64)
+    bad = eps[~np.isfinite(eps)]
+    if bad.size:
+        raise DomainError(f"eps_v must be finite, got {float(bad[0])}")
     z = phi_inv(alpha)
     floor = np.maximum(np.log1p(_gap(eps, z - eps, z, alpha)), 0.0)
     return floor if eps.ndim else float(floor)

@@ -38,6 +38,8 @@ BOUNDS_FORMAT_VERSION = 2
 SUMMARY_FORMAT_VERSION = 1
 
 _SCORES_CSV_HEADER = ("index", "d_v", "eps_v", "advantage", "feature_norm")
+_SELECTION_COLUMNS = ("index", "d_v", "eps_v", "distance", "advantage",
+                      "feature_norm")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -194,17 +196,13 @@ class _Command(click.Command):
             sys.exit(EXIT_INPUT)
 
 
-class _Group(click.Group):
-    command_class = _Command
-
-
-@click.group(cls=_Group)
+@click.group()
 @click.version_option(version=__version__, prog_name="delpoint")
 def main():
     """Deleted-point analysis for one-step noisy SGD on linear regression."""
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--n", type=int, default=200, show_default=True)
 @click.option("--x-low", type=float, default=0.0, show_default=True)
 @click.option("--x-high", type=float, default=10.0, show_default=True)
@@ -229,7 +227,7 @@ def gen(out_dir, **params):
     _emit(f"{csv_path}\n")
 
 
-@main.command()
+@main.command(cls=_Command)
 @_dataset_options
 @_tie_break_option
 @click.option("--scores-csv", type=click.Path(dir_okay=False, path_type=Path),
@@ -245,24 +243,26 @@ def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
     result = find_perfect_deleted_point(ds, w, hp, tie_break=tie_break)
     if scores_csv is not None:
         _write_csv(scores_csv, _SCORES_CSV_HEADER,
-                   [result.scores[key] for key in _SCORES_CSV_HEADER])
+                   [result[key] for key in _SCORES_CSV_HEADER])
     _stream(_selection_chunks(result), out_dir, "selection.json")
     if out_dir is not None:
         _write_manifest(out_dir, ["selection.json"])
-    if result.best is None:
+    if result["best"] is None:
         sys.exit(EXIT_NO_PERFECT_POINT)
 
 
 def _selection_chunks(result):
-    """selection.json in the pieces of _json_chunks; ``best`` is the
-    selected row of ``result.scores``, keyed as the rows of scores."""
+    """selection.json of find_perfect_deleted_point's ``result`` in the
+    pieces of _json_chunks: its _SELECTION_COLUMNS, one row per point, and
+    ``best``, the selected row keyed as the others."""
     from .core import _json_chunks
-    best = result.best
+    scores = {key: result[key] for key in _SELECTION_COLUMNS}
+    best = result["best"]
     if best is not None:
-        best = {key: col[best].item() for key, col in result.scores.items()}
+        best = {key: col[best].item() for key, col in scores.items()}
     head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
-            "target": result.target, "best": best}
-    return _json_chunks(head, "scores", result.scores)
+            "target": result["target"], "best": best}
+    return _json_chunks(head, "scores", scores)
 
 
 def _bounds_chunks(ds, w0, hp, b_floor):
@@ -283,7 +283,7 @@ def _bounds_chunks(ds, w0, hp, b_floor):
         "privacy_floor": cols["privacy_floor"]})
 
 
-@main.command()
+@main.command(cls=_Command)
 @_dataset_options
 @click.option("--b-floor", type=float, default=None,
               help="Use the norm-floor bound variant with this B.")
@@ -304,7 +304,7 @@ def bounds(dataset, w0, b_floor, out_dir, **hyper):
         _write_manifest(out_dir, ["bounds.json"])
 
 
-@main.command()
+@main.command(cls=_Command)
 @_dataset_options
 @click.option("--protocol", type=click.Choice(
               [p.replace("_", "-") for p in PROTOCOLS]), required=True)
@@ -388,7 +388,7 @@ def _summary_row(path: Path) -> tuple:
     raise InvalidValue(f"{path}: not a simulate summary.json: {problem}")
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.argument("summaries", nargs=-1, required=True,
                 type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,

@@ -16,13 +16,12 @@ Tie-breaking (``tie_break``):
   incumbent, so the LAST point attaining the minimum wins and a distance
   exactly equal to delta is accepted.
 
-Scores stay in the scan's columns, which the CLI writes to selection.json.
+Scores stay in the scan's columns: a selection is the dict of
+``snr.scan_arrays`` with the advantage column and ``best`` added, and the
+CLI picks the columns it writes to selection.json.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -32,22 +31,6 @@ from .errors import DomainError
 from .snr import membership_advantage, scan_arrays
 
 TIE_WINDOW = 1e-9
-
-# the keys of SelectionResult.scores, in the order selection.json writes them
-_COLUMNS = ("index", "d_v", "eps_v", "distance", "advantage", "feature_norm")
-
-
-@dataclass(frozen=True)
-class SelectionResult:
-    """Full scan plus the chosen position (None when none clears delta).
-
-    ``scores`` maps each of index, d_v, eps_v, distance, advantage and
-    feature_norm to an array over the points in dataset order.
-    """
-
-    target: float
-    best: Optional[int]
-    scores: dict
 
 
 def _check_tie_break(tie_break: str) -> None:
@@ -85,16 +68,18 @@ def _pick(dist, eps, fnorm, delta: float, tie_break: str) -> np.ndarray:
 
 
 def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
-                               tie_break: str = "norm-first") -> SelectionResult:
+                               tie_break: str = "norm-first") -> dict:
     """Score every point and return the argmin-of-distance selection.
 
-    O(n d + d^2) time, O(n) extra space; deterministic for fixed inputs.
+    The dict of ``scan_arrays`` with two more keys: advantage, the
+    membership advantage of each point, and best, the selected position
+    (an int), or None when no point clears delta.  O(n d + d^2) time, O(n)
+    extra space; deterministic for fixed inputs.
     """
     _check_tie_break(tie_break)
     a = scan_arrays(ds, w, hp)
     pos = int(_pick(a["distance"], a["eps_v"], a["feature_norm"], hp.delta,
                     tie_break))
-    adv = membership_advantage(a["d_v"], hp.alpha)
-    scores = {key: adv if key == "advantage" else a[key] for key in _COLUMNS}
-    return SelectionResult(target=a["target"], best=pos if pos >= 0 else None,
-                           scores=scores)
+    a["advantage"] = membership_advantage(a["d_v"], hp.alpha)
+    a["best"] = pos if pos >= 0 else None
+    return a

@@ -166,12 +166,14 @@ def json_doc_indent2(head, key, names, columns):
 
 
 def selection_doc_indent2(result):
-    """selection.json of a SelectionResult the way json.dumps writes it."""
+    """selection.json of a find_perfect_deleted_point result the way
+    json.dumps writes it."""
     names = ["index", "d_v", "eps_v", "distance", "advantage", "feature_norm"]
-    columns = [result.scores[key] for key in names]
-    head = {"format_version": 1, "target": result.target,
-            "best": None if result.best is None
-            else dict(zip(names, (col[result.best].item() for col in columns)))}
+    columns = [result[key] for key in names]
+    best = result["best"]
+    head = {"format_version": 1, "target": result["target"],
+            "best": None if best is None
+            else dict(zip(names, (col[best].item() for col in columns)))}
     return json_doc_indent2(head, "scores", names, columns)
 
 

@@ -67,7 +67,7 @@ def test_criterion_02_selection_matches_exhaustive_scan():
         got = find_perfect_deleted_point(ds, w, hp, tie_break="paper")
         expect = select_strict_loop(ds.X.tolist(), ds.y.tolist(), w.tolist(),
                                     hp.gamma, hp.sigma, hp.alpha, hp.delta)
-        got_idx = got.best
+        got_idx = got["best"]
         assert got_idx == expect
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

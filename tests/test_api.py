@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 
 import delpoint
@@ -29,9 +30,12 @@ from delpoint import Dataset
 # that bounds_arrays takes.  The records around numpy results are gone
 # too: a selection's best is a position, a histogram is np.histogram's
 # (counts, edges) pair, and privacy_floor is the column bounds_arrays
-# writes.
+# writes.  And the last wrappers that hide nothing: a selection is the
+# scan's dict, whose written columns cli picks, and main is click's own
+# group, each command declared with cls=_Command.
 REMOVED = {
-    "delpoint": ["as_weights", "lossgrad", "risk", "CandidateScore"],
+    "delpoint": ["as_weights", "lossgrad", "risk", "CandidateScore",
+                 "SelectionResult"],
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
                       "_json_rows", "_csv_tokens", "_dumps_indent2"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error",
@@ -45,8 +49,9 @@ REMOVED = {
     "delpoint.gauss": ["sample_gaussian", "_erfc_array"],
     "delpoint.selector": ["rank_candidates", "_abs_tokens",
                           "selection_to_json", "_selection_chunks",
-                          "SELECTION_JSON_FORMAT_VERSION", "CandidateScore"],
-    "delpoint.cli": ["_bounds_json"],
+                          "SELECTION_JSON_FORMAT_VERSION", "CandidateScore",
+                          "SelectionResult", "_COLUMNS"],
+    "delpoint.cli": ["_bounds_json", "_Group"],
     "delpoint.errors": ["IndexOutOfRange"],
 }
 
@@ -56,7 +61,7 @@ def test_all_names_resolve_once():
     # each defined in the module it is listed under
     assert delpoint.__all__ == ["__version__", *(
         name for names in delpoint._MODULES.values() for name in names)]
-    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 32
+    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 31
     for module, names in delpoint._MODULES.items():
         for name in names:
             assert getattr(delpoint, name).__module__ == f"delpoint.{module}"
@@ -291,6 +296,15 @@ def test_only_cli_decides_artifact_layouts():
     found = {p.name: names for p in files if p.name != "cli.py"
              and (names := layout_breaches(p.read_text(encoding="utf-8")))}
     assert found == {}
+    # nor does another module spell a written column list
+    from delpoint import cli
+    columns = {name: getattr(cli, name)
+               for name in ("_SELECTION_COLUMNS", "_SCORES_CSV_HEADER")}
+    found = {p.name: sorted(names) for p in files
+             if (names := choice_copies(p.read_text(encoding="utf-8"),
+                                        columns))}
+    assert found == {"cli.py": sorted(
+        [*columns, *map(repr, columns.values())])}
 
 
 def error_path_breaches(source: str) -> list[str]:
@@ -328,6 +342,17 @@ def test_only_cli_catches_library_errors():
              if (names := error_path_breaches(p.read_text(encoding="utf-8")))}
     assert found == {"cli.py": ["except ArithmeticError",
                                 "except DelpointError"]}
+
+
+def test_every_command_maps_library_errors():
+    # main is click's own group, so no command_class covers a command
+    # declared without cls=_Command
+    from delpoint import cli
+    assert type(cli.main) is click.Group
+    assert sorted(cli.main.commands) == [
+        "bounds", "gen", "report", "select", "simulate"]
+    for name, command in cli.main.commands.items():
+        assert type(command) is cli._Command, name
 
 
 def choice_copies(source: str, choices: dict) -> list[str]:

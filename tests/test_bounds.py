@@ -279,6 +279,14 @@ class TestPrivacyFloor:
         with pytest.raises(DomainError):
             privacy_floor(0.0, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_non_finite_error_rejected(self, eps):
+        # named as eps_v, as membership_advantage names a separation, not
+        # as the phi call it would reach; one bad entry rejects an array
+        for arg in (eps, np.array([0.0, -1.0, eps])):
+            with pytest.raises(DomainError, match="eps_v must be finite"):
+                privacy_floor(arg, 0.05)
+
 
 def test_width_shrinks_toward_perfect_point(t3, hp_default):
     # on one dataset and point, width grows with eps >= 0

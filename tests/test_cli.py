@@ -14,7 +14,6 @@ from scipy.stats import chi2, norm
 
 from delpoint import (
     HyperParams,
-    SelectionResult,
     StepConfig,
     advantage_target,
     find_perfect_deleted_point,
@@ -316,7 +315,7 @@ class TestChunkBoundaries:
                   "eps_v": eps, "distance": distance,
                   "advantage": np.full(N_CHUNKED, 0.25),
                   "feature_norm": np.linspace(0.5, 1.0, N_CHUNKED)}
-        return SelectionResult(target=4.0, best=None, scores=scores)
+        return scores | {"target": 4.0, "best": None}
 
     def test_selection_to_json(self, chunk_rows):
         result = self.selection_result()
@@ -325,8 +324,9 @@ class TestChunkBoundaries:
 
     def test_write_scores_csv(self, chunk_rows, tmp_path):
         # the scan's checks keep every score finite: -inf becomes -1e+300
-        scores = {key: np.nan_to_num(col, neginf=-1e+300)
-                  for key, col in self.selection_result().scores.items()}
+        result = self.selection_result()
+        scores = {key: np.nan_to_num(result[key], neginf=-1e+300)
+                  for key in _SCORES_CSV_HEADER}
         header = ["index", "d_v", "eps_v", "advantage", "feature_norm"]
         path = tmp_path / "scores.csv"
         core._write_csv(path, _SCORES_CSV_HEADER,
@@ -514,7 +514,7 @@ def test_tiny_alpha_names_alpha(runner, tmp_path, command, alpha):
     assert summary["config"]["alpha"] == float(alpha)
     if command == "simulate-perfect-delete":
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=float(alpha))
-        best = find_perfect_deleted_point(load_csv(path), [0.0], hp).best
+        best = find_perfect_deleted_point(load_csv(path), [0.0], hp)["best"]
         assert [log[0] for log in summary["deletions_log"]] == [best] * 2
 
 

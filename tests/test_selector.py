@@ -10,14 +10,13 @@ from delpoint import (
     DomainError,
     GenConfig,
     HyperParams,
-    SelectionResult,
     WouldEmptyDataset,
     advantage_target,
     find_perfect_deleted_point,
     generate,
 )
 from delpoint import selector
-from delpoint.cli import _selection_chunks
+from delpoint.cli import _SELECTION_COLUMNS, _selection_chunks
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset, tuned_dataset
@@ -56,17 +55,20 @@ class TestSelection:
         target = advantage_target(hp_default.alpha)
         ds = tuned_dataset(rng, hp_default, [target], w)
         result = find_perfect_deleted_point(ds, w, hp_default)
-        assert result.best is not None
-        assert result.best == 0
-        assert result.scores["distance"][result.best] <= 1e-9
-        assert result.target == pytest.approx(target, abs=1e-12)
+        assert result["best"] is not None
+        assert result["best"] == 0
+        assert result["distance"][result["best"]] <= 1e-9
+        assert result["target"] == pytest.approx(target, abs=1e-12)
 
     def test_zero_delta_rejects_generic_data(self, rng):
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, delta=0.0)
         ds = random_dataset(rng, n=20, d=2)
         result = find_perfect_deleted_point(ds, np.zeros(2), hp)
-        assert result.best is None
-        assert [len(col) for col in result.scores.values()] == [20] * 6
+        assert result["best"] is None
+        # the scan's dict, with the advantage column and best added
+        assert set(result) == {*scan_arrays(ds, np.zeros(2), hp),
+                               "advantage", "best"}
+        assert [len(result[key]) for key in _SELECTION_COLUMNS] == [20] * 6
 
     def test_strict_mode_matches_loop_oracle(self, rng):
         hp = HyperParams(gamma=0.02, sigma=1.5, alpha=0.05, delta=100.0)
@@ -76,7 +78,7 @@ class TestSelection:
             got = find_perfect_deleted_point(ds, w, hp, tie_break="paper")
             expect = select_strict_loop(ds.X.tolist(), ds.y.tolist(), w,
                                         hp.gamma, hp.sigma, hp.alpha, hp.delta)
-            assert got.best == expect
+            assert got["best"] == expect
 
     def test_strict_mode_keeps_last_on_ties(self, hp_default):
         # mirrored points produce bitwise-identical d_v
@@ -85,7 +87,7 @@ class TestSelection:
         a = scan_arrays(ds, w, hp_default)
         assert a["d_v"][0] == a["d_v"][1]
         got = find_perfect_deleted_point(ds, w, hp_default, tie_break="paper")
-        sel = got.best
+        sel = got["best"]
         tie_min = min(a["distance"][0], a["distance"][1])
         if a["distance"][2] >= tie_min:
             assert sel == 1  # the later twin wins under <= replacement
@@ -101,7 +103,7 @@ class TestSelection:
             tie = np.flatnonzero(a["distance"] <= m + 1e-9)
             key = sorted((a["feature_norm"][i], a["eps_v"][i] < 0, i)
                          for i in tie)
-            assert got.best == key[0][2]
+            assert got["best"] == key[0][2]
 
     def test_norm_preference_inside_tie_window(self, rng):
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05, delta=100.0)
@@ -119,7 +121,7 @@ class TestSelection:
         a = scan_arrays(ds, w, hp)
         assert abs(a["distance"][0] - a["distance"][1]) <= 1e-9
         got = find_perfect_deleted_point(ds, w, hp)
-        assert got.best == 1  # smaller feature norm wins
+        assert got["best"] == 1  # smaller feature norm wins
 
     def test_nonnegative_eps_preferred_at_equal_norm(self, hp_default):
         hp = hp_default
@@ -135,14 +137,14 @@ class TestSelection:
         assert a["feature_norm"][0] == a["feature_norm"][1]
         assert a["distance"][2:].min() > a["distance"][0] + 1e-9
         got = find_perfect_deleted_point(ds, w, hp)
-        assert got.best == 1
+        assert got["best"] == 1
 
     def test_lowest_id_breaks_full_ties(self, hp_default):
         ds = Dataset.from_arrays([[2.0], [2.0], [5.0]], [3.0, 3.0, 1.0])
         got = find_perfect_deleted_point(ds, [0.1], hp_default)
-        dist = dict(zip(got.scores["index"], got.scores["distance"]))
+        dist = dict(zip(got["index"], got["distance"]))
         if dist[0] <= dist[2]:
-            assert got.best == 0
+            assert got["best"] == 0
 
     def test_delta_boundary_closed(self, rng, hp_default):
         ds = random_dataset(rng, n=10, d=1)
@@ -152,7 +154,7 @@ class TestSelection:
                             alpha=hp_default.alpha, delta=m)
         got = find_perfect_deleted_point(ds, np.array([0.2]), hp_at,
                                          tie_break="paper")
-        assert got.best is not None  # distance exactly delta is accepted
+        assert got["best"] is not None  # distance exactly delta is accepted
 
     def test_determinism_byte_for_byte(self, rng, hp_default):
         ds = random_dataset(rng, n=25, d=3)
@@ -193,8 +195,8 @@ class TestSelectionJson:
         ds = random_dataset(rng, n=40, d=3)
         result, _ = self.check(ds, np.array([0.3, -0.2, 0.1]), hp_default,
                                tie_break)
-        eps = result.scores["eps_v"]
-        assert result.best is not None
+        eps = result["eps_v"]
+        assert result["best"] is not None
         assert (eps < 0).any() and (eps > 0).any()
 
     def test_streamed_peak_memory(self, hp_default):
@@ -220,7 +222,7 @@ class TestSelectionJson:
         ds = random_dataset(rng, n=12, d=2)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, delta=0.0)
         result, text = self.check(ds, np.zeros(2), hp)
-        assert result.best is None
+        assert result["best"] is None
         assert '"best": null' in text
 
     def test_two_points(self, hp_default):
@@ -242,7 +244,7 @@ class TestSelectionJson:
         ds = tuned_dataset(rng, hp_default,
                            [target - 2.5e-7, target - 1e-5, target + 3e-6], w)
         result, _ = self.check(ds, w, hp_default)
-        eps = [repr(v) for v in result.scores["eps_v"].tolist()]
+        eps = [repr(v) for v in result["eps_v"].tolist()]
         assert any(t.startswith("-") and "e-" in t for t in eps)
         assert any(not t.startswith("-") and "e-" in t for t in eps)
 
@@ -254,7 +256,7 @@ class TestSelectionJson:
                   "distance": np.asarray(distance),
                   "advantage": np.full(n, 0.25),
                   "feature_norm": np.linspace(0.5, 1.0, n)}
-        return SelectionResult(target=4.0, best=None, scores=scores)
+        return scores | {"target": 4.0, "best": None}
 
     def test_distance_tokens_from_eps(self):
         eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
@@ -288,7 +290,7 @@ class TestRanking:
                                                     tie_break=tie_break)
                 pos = select_loop(scan_arrays(ds, w, hp_default),
                                   hp_default.delta, tie_break)
-                assert type(result.best) is int and result.best == pos
+                assert type(result["best"]) is int and result["best"] == pos
 
     def test_tie_block_precedes_smaller_norm(self, hp_default):
         # points 0 and 1 tie within the window, 1 at the larger distance
@@ -316,7 +318,7 @@ class TestRanking:
             order.append(pos)
             dist[pos] = np.inf
         assert order == [1, 0, 2]
-        assert find_perfect_deleted_point(ds, w, hp).best == 1
+        assert find_perfect_deleted_point(ds, w, hp)["best"] == 1
 
     @staticmethod
     def batch_rows(rng):

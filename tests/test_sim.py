@@ -119,8 +119,8 @@ class TestRunProtocol:
         assert len(deleted) == 1
         from delpoint import find_perfect_deleted_point
         sel = find_perfect_deleted_point(ds, w0, hp)
-        assert deleted == {sel.best}
-        reduced = delete_point(ds, sel.best)
+        assert deleted == {sel["best"]}
+        reduced = delete_point(ds, sel["best"])
         m_no = w0 - hp.gamma * risk_grad(w0, ds)
         m_pf = w0 - hp.gamma * risk_grad(w0, reduced)
         mc_tol = 4 * hp.gamma * hp.sigma / np.sqrt(100)

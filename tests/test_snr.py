@@ -15,7 +15,7 @@ from delpoint import (
     find_perfect_deleted_point,
 )
 from delpoint._kernels import scan_norms
-from delpoint.cli import _SCORES_CSV_HEADER
+from delpoint.cli import _SCORES_CSV_HEADER, _SELECTION_COLUMNS
 from delpoint.core import _write_csv
 from delpoint.gauss import phi_inv
 from delpoint.snr import scan_arrays, snr_denominator
@@ -286,8 +286,8 @@ class TestScan:
         ds = random_dataset(rng, n=15, d=3)
         w = rng.normal(size=3)
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
-        scores = find_perfect_deleted_point(ds, w, hp).scores
-        assert [len(col) for col in scores.values()] == [ds.n] * 6
+        scores = find_perfect_deleted_point(ds, w, hp)
+        assert [len(scores[key]) for key in _SELECTION_COLUMNS] == [ds.n] * 6
         rows = zip(scores["index"], scores["d_v"], scores["eps_v"],
                    scores["distance"], scores["advantage"],
                    scores["feature_norm"])
@@ -305,7 +305,7 @@ class TestScan:
                 np.linalg.norm(ds.X[pos]), rel=1e-12)
 
     def test_scores_csv(self, tmp_path, t3, hp_default):
-        scores = find_perfect_deleted_point(t3, [0.5], hp_default).scores
+        scores = find_perfect_deleted_point(t3, [0.5], hp_default)
         path = tmp_path / "scores.csv"
         _write_csv(path, _SCORES_CSV_HEADER,
                    [scores[key] for key in _SCORES_CSV_HEADER])
