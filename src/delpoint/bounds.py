@@ -1,28 +1,30 @@
 """Risk-change interval for deleting one point, and the privacy-budget floor.
 
-For a point with membership error eps_v (so t = eps_v + target is its d_v)
-the deletion-induced risk change is bracketed by
+For a point v with residual r_v = y_v - <x_v, w>, let g = s_yx - s_xx w,
+G = ||g||_2 and N_v = ||r_v x_v - g||_2, the numerator of the scan's d_v.
+The triangle inequality gives G - N_v <= |r_v| ||x_v||_2 <= G + N_v, so
 
-    base - t * C   <=   change   <=   base + t * C
+    base - half   <=   (L0 - |r_v|) / (n-1)   <=   base + half
 
-    base = L(w; D0) / (n-1) - ||s_yx - s_xx w||_2 / ((n-1) ||x_v||_2)
-    C    = sigma / ||x_v||_2 * sqrt(gamma / (2 (n-1)))
+    base = L0 / (n-1) - G / ((n-1) ||x_v||_2)
+    half = N_v / ((n-1) ||x_v||_2)
 
-The norm-floor variant replaces ||x_v||_2 by a dataset-wide lower bound B
-(constant D instead of C).  The interval width 2 t C shrinks with t, which
-is why near-target candidates with small feature norms are preferred.
+with L0 = L(w; D0) the empirical risk.  The interval is in numerator
+units, so it is the same under both SNR conventions; under ``paper`` the
+half-width is the printed t C, with t = d_v and
+C = sigma / ||x_v||_2 * sqrt(gamma / (2 (n-1))).  The norm-floor variant
+replaces ||x_v||_2 by a dataset-wide lower bound B.
 
-Caveat, reported rather than silently resolved: the derivation of this
-interval treats the bounded per-point quantity as the absolute residual
-|y_v - <x_v, w>| in one step while the loss is its square.  Both readings
-of the actual change are therefore emitted:
-
-    interpretation A (squared loss):     (L0 - (y_v - <x_v,w>)^2) / (n-1)
-    interpretation B (absolute residual): (L0 - |y_v - <x_v,w>|) / (n-1)
-
-together with a containment flag for each.  The derivation also assumes
-the change is nonnegative, which fails exactly for points whose loss
-exceeds the mean; ``change_nonnegative`` flags that per point.
+Each point's actual change is read two ways, each with a containment
+flag: A, the squared loss (L0 - r_v^2) / (n-1), and B, the absolute
+residual above.  ``contained_b`` is a theorem for the per-point variant
+at d >= 2, where r_v x_v is parallel to g only by accident, so both
+sides are strict; the tests find it true on every random row.  The rest
+is not: ``contained_a`` bounds the squared loss with an interval derived
+for the absolute residual; under the floor variant, B <= ||x_v|| keeps
+the lower end below the change but moves the upper end down wherever
+G > N_v; and at d = 1 one side of the inequality is an equality, so
+there the flag reads the rounding of the two sides.
 
 The privacy-budget floor after deleting a point with membership error
 eps_v is
@@ -35,58 +37,42 @@ is never rounded; near the target D is the series of ``snr._target_gap``,
 so a tiny |eps_v| keeps its precision too.
 
 ``bounds_arrays`` evaluates all of this for every point in one O(n) pass
-over the columns of ``snr.scan_arrays``: the residuals y_v - <x_v, w>
-and ||x_v|| in the scan kernel's column order, and g = s_yx - s_xx w, so
-the interval divides by the ``feature_norm`` column that selection ranks
-by, and the empirical risk L0 = L(w; D0) is the mean of the squared
-residuals that the actual changes use.  Its safety checks run on the
-whole array before any row is computed, so one zero feature vector
-(per-point variant) rejects the whole call with ZeroFeatureNorm naming
-that point's position as its id.  An empirical risk or interval endpoint
-that overflows float64 raises NumericOverflow.
+over the columns of ``snr.scan_arrays``: its numerators, the residuals
+in the scan kernel's column order, ||x_v|| and g, so the interval
+divides by the ``feature_norm`` column that selection ranks by, and L0 is
+the mean of the squared residuals that the actual changes use.  Its
+safety checks run on the whole array before any row is computed, so one
+zero feature vector (per-point variant) rejects the whole call with
+ZeroFeatureNorm naming that point's position as its id.  An empirical
+risk or interval endpoint that overflows float64 raises NumericOverflow.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
-from .core import HyperParams, _check_alpha
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    FloorViolated,
-    InvalidValue,
-    NumericOverflow,
-    ZeroFeatureNorm,
-)
+from .core import _check_alpha
+from .errors import (DomainError, FloorViolated, NumericOverflow,
+                     ZeroFeatureNorm)
 from .gauss import phi_inv
 from .snr import _gap
 
 
-def bounds_arrays(scan: dict, hp: HyperParams,
-                  b: Optional[float] = None) -> dict:
+def bounds_arrays(scan: dict, alpha: float, b: Optional[float] = None) -> dict:
     """Risk-change interval, actual changes and privacy floor per point.
 
-    ``scan`` is the dict of ``snr.scan_arrays`` for the same ``hp``; its
-    eps_v, feature_norm, residual, g and target are read, and its eps_v
-    must hold one finite membership error per point.  ``b`` selects the
-    norm-floor variant with floor B, which must satisfy
-    0 < B <= min_i ||x_i||_2.
+    ``scan`` is the dict of ``snr.scan_arrays``; its numerator,
+    feature_norm, residual, g and eps_v are read, and ``alpha`` is the
+    Type I error of its eps_v.  ``b`` selects the norm-floor variant with
+    floor B, which must satisfy 0 < B <= min_i ||x_i||_2.
 
     Keys, each an array over the points in dataset order: lower, upper,
-    constant, actual_delta, abs_residual_delta, contained_a, contained_b,
-    change_nonnegative, privacy_floor.
+    actual_delta, contained_a, contained_b, privacy_floor.
     """
     norms, r = scan["feature_norm"], scan["residual"]
     n = norms.size
-    eps_v = np.asarray(scan["eps_v"], dtype=np.float64).reshape(-1)
-    if eps_v.size != n:
-        raise DimensionMismatch(f"{eps_v.size} eps_v values for {n} points")
-    if not np.isfinite(eps_v).all():
-        raise InvalidValue("eps_v values must be finite")
     if b is None:
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
@@ -105,19 +91,16 @@ def bounds_arrays(scan: dict, hp: HyperParams,
                 f"(point id {k})")
         scale = b
 
-    t = eps_v + scan["target"]
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
         lv = r * r
         l0 = float(np.mean(lv))
-        g_norm = float(np.linalg.norm(scan["g"]))
-        c = hp.sigma / scale * math.sqrt(hp.gamma / (2.0 * (n - 1)))
-        base = l0 / (n - 1) - g_norm / ((n - 1) * scale)
-        lower, upper = base - t * c, base + t * c
+        den = (n - 1) * scale
+        base = l0 / (n - 1) - float(np.linalg.norm(scan["g"])) / den
+        half = scan["numerator"] / den
+        lower, upper = base - half, base + half
     if not np.isfinite(l0):
         raise NumericOverflow("empirical risk overflows float64")
-    if np.any(t < 0.0):
-        raise DomainError(f"eps_v + target must be >= 0, got {float(t.min())}")
     if not (np.isfinite(lower).all() and np.isfinite(upper).all()):
         raise NumericOverflow("risk-change interval overflows float64")
     da = (l0 - lv) / (n - 1)
@@ -125,13 +108,10 @@ def bounds_arrays(scan: dict, hp: HyperParams,
     return {
         "lower": lower,
         "upper": upper,
-        "constant": np.broadcast_to(c, eps_v.shape),
         "actual_delta": da,
-        "abs_residual_delta": db,
         "contained_a": (lower <= da) & (da <= upper),
         "contained_b": (lower <= db) & (db <= upper),
-        "change_nonnegative": da >= 0.0,
-        "privacy_floor": privacy_floor(eps_v, hp.alpha),
+        "privacy_floor": privacy_floor(scan["eps_v"], alpha),
     }
 
 

@@ -17,8 +17,8 @@ Tie-breaking (``tie_break``):
   exactly equal to delta is accepted.
 
 Scores stay in the scan's columns: a selection is the dict of
-``snr.scan_arrays`` with the advantage column and ``best`` added, and the
-CLI picks the columns it writes to selection.json.
+``snr.scan_arrays`` with the advantage column and ``best`` added and the
+numerator (which only the bounds read) dropped, and the CLI picks the columns it writes to selection.json.
 """
 
 from __future__ import annotations
@@ -71,13 +71,15 @@ def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
                                tie_break: str = "norm-first") -> dict:
     """Score every point and return the argmin-of-distance selection.
 
-    The dict of ``scan_arrays`` with two more keys: advantage, the
-    membership advantage of each point, and best, the selected position
-    (an int), or None when no point clears delta.  O(n d + d^2) time, O(n)
+    The dict of ``scan_arrays`` without numerator, so that its buffer is
+    freed, and with two more keys: advantage, the membership advantage of
+    each point, and best, the selected position (an int), or None when no
+    point clears delta.  O(n d + d^2) time, O(n)
     extra space; deterministic for fixed inputs.
     """
     _check_tie_break(tie_break)
     a = scan_arrays(ds, w, hp)
+    del a["numerator"]
     pos = int(_pick(a["distance"], a["eps_v"], a["feature_norm"], hp.delta,
                     tie_break))
     a["advantage"] = membership_advantage(a["d_v"], hp.alpha)

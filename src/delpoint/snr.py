@@ -151,20 +151,22 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
     """One-pass scores for every point, as a dict of aligned arrays.
 
     Keys: index (each position, 0..n-1), d_v, eps_v, distance,
-    feature_norm, residual, g (the (d,) vector s_yx - s_xx w), target (a
-    float).  One s_xx @ w precompute serves all n points, and no Phi is
-    evaluated.  feature_norm is feature_norms(ds.X), the ||x_v|| that
-    selection ranks by; residual is y_v - <x_v, w> in the kernel's column
-    order.  bounds.bounds_arrays reads feature_norm, residual and g from
-    here.  Raises NumericOverflow when a score or feature norm is not
-    finite.
+    feature_norm, numerator, residual, g (the (d,) vector s_yx - s_xx w),
+    target (a float).  One s_xx @ w precompute serves all n points, and no
+    Phi is evaluated.  feature_norm is feature_norms(ds.X), the ||x_v||
+    that selection ranks by; numerator is ||r_v x_v - g||, d_v before its
+    division by the denominator; residual is r_v = y_v - <x_v, w> in the
+    kernel's column order.  bounds.bounds_arrays reads feature_norm,
+    numerator, residual and g from here.  Raises NumericOverflow when a
+    score or feature norm is not finite.
     """
     w = as_weights(w, ds.dim)
     fnorm = feature_norms(ds.X)
-    # separate arrays, so that a caller keeping the residual keeps no more
+    # separate arrays, so that a caller keeping one column keeps no more;
+    # d_v goes to the kernel's third, free once it returns
     work = [np.empty(ds.n) for _ in range(3)]
     d_v, g = _scores(ds.X, ds.y, ds.s_yx, ds.s_xx, w,
-                     snr_denominator(ds.n, hp), hp, work=work)
+                     snr_denominator(ds.n, hp), hp, work=work, out=work[2])
     target = advantage_target(hp.alpha)
     eps = d_v - target
     return {
@@ -173,6 +175,7 @@ def scan_arrays(ds: Dataset, w, hp: HyperParams):
         "eps_v": eps,
         "distance": np.abs(eps),
         "feature_norm": fnorm,
+        "numerator": work[0],
         "residual": work[1],
         "g": g,
         "target": target,
@@ -205,7 +208,7 @@ def feature_norms(X) -> np.ndarray:
     return norms
 
 
-def _scores(X, y, s_yx, s_xx, w, denom, hp, dead=None, work=None):
+def _scores(X, y, s_yx, s_xx, w, denom, hp, dead=None, work=None, out=None):
     """d_v of every row of X, and g = s_yx - s_xx w, the kernel's g.
 
     ``w`` is (d,), or (K, d) with s_yx (K, d), s_xx (K, d, d) and denom
@@ -213,13 +216,14 @@ def _scores(X, y, s_yx, s_xx, w, denom, hp, dead=None, work=None):
     d_v is not finite, except at the flat positions ``dead`` of d_v, the
     points already deleted; when a denominator is below 1, the message
     names it and the noise scale of ``hp``, the parameters it came from.
-    ``work`` is scan_norms's.
+    ``work`` is scan_norms's.  d_v is written to ``out``, or by default
+    over the numerators that scan_norms returns.
     """
     # overflow is detected from the results, as in core._stats_from_arrays
     with np.errstate(over="ignore", invalid="ignore"):
         g = s_yx - np.matmul(s_xx, w[..., None])[..., 0]
-        d_v = scan_norms(X, y, w, g, work)
-        d_v /= denom
+        num = scan_norms(X, y, w, g, work)
+        d_v = np.divide(num, denom, out=num if out is None else out)
         # d_v >= 0 or NaN, so one max is finite exactly when every d_v is
         top = d_v.max()
     if not np.isfinite(top):

@@ -140,7 +140,7 @@ def bounds_calc(xs, ys, index, w, gamma, sigma, alpha, eps_v, b=None):
     c = sigma / scale * math.sqrt(gamma / (2.0 * (n - 1)))
     t = eps_v + target
     base = l0 / (n - 1) - g_norm / ((n - 1) * scale)
-    return base - t * c, base + t * c, c
+    return base - t * c, base + t * c
 
 
 def privacy_floor_calc(eps_v, alpha):

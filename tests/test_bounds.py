@@ -6,11 +6,9 @@ import pytest
 
 from delpoint import (
     Dataset,
-    DimensionMismatch,
     DomainError,
     FloorViolated,
     HyperParams,
-    InvalidValue,
     NumericOverflow,
     WouldEmptyDataset,
     ZeroFeatureNorm,
@@ -19,7 +17,7 @@ from delpoint import (
 )
 from delpoint.bounds import bounds_arrays
 from delpoint.gauss import phi_inv
-from delpoint.snr import scan_arrays
+from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import NEAR_ALPHAS, NEAR_EPS, edge_pair, random_dataset
 from _oracles import bounds_calc, privacy_floor_calc, target_gap_mp
@@ -41,14 +39,9 @@ def t3_eps(t3, hp):
     return scan_arrays(t3, [0.5], hp)["eps_v"][0]
 
 
-def scan_with(ds, w, hp, eps_v):
-    """The scan of ds at w, with its eps_v column replaced by ``eps_v``."""
-    return {**scan_arrays(ds, w, hp), "eps_v": eps_v}
-
-
-def row(ds, index, w, hp, eps_v, b=None):
-    """Row ``index`` of bounds_arrays when every point has error eps_v."""
-    cols = bounds_arrays(scan_with(ds, w, hp, np.full(ds.n, eps_v)), hp, b=b)
+def row(ds, index, w, hp, b=None):
+    """Row ``index`` of bounds_arrays on the scan of ds at w under hp."""
+    cols = bounds_arrays(scan_arrays(ds, w, hp), hp.alpha, b=b)
     return {key: col.tolist()[index] for key, col in cols.items()}
 
 
@@ -56,31 +49,37 @@ class TestRiskChangeBounds:
     def test_t3_golden(self, t3, hp_default):
         eps = t3_eps(t3, hp_default)
         assert eps == pytest.approx(T3_EPS, rel=1e-12)
-        rb = row(t3, 0, [0.5], hp_default, eps)
+        rb = row(t3, 0, [0.5], hp_default)
         assert rb["lower"] == pytest.approx(T3_LOWER, abs=1e-12)
         assert rb["upper"] == pytest.approx(T3_UPPER, abs=1e-12)
-        assert rb["constant"] == pytest.approx(T3_C, rel=1e-12)
+        # the half-width is the printed t C, t = eps_v + target
+        t = eps + advantage_target(hp_default.alpha)
+        assert (rb["upper"] - rb["lower"]) / 2.0 == pytest.approx(
+            t * T3_C, rel=1e-12)
         assert rb["actual_delta"] == pytest.approx(T3_ACTUAL, rel=1e-12)
-        assert rb["abs_residual_delta"] == pytest.approx(T3_ABS_RESIDUAL,
-                                                         rel=1e-12)
+        # d = 1: the upper end is the absolute-residual change itself, so
+        # contained_b there reads rounding (TestContainment)
+        assert rb["upper"] == pytest.approx(T3_ABS_RESIDUAL, rel=1e-12)
         assert rb["contained_a"] is True
-        assert rb["change_nonnegative"] is True
 
     def test_width_identity(self, rng):
+        # under paper, the width is the printed 2 t C with the scan's eps_v
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
         target = advantage_target(hp.alpha)
         for _ in range(20):
             ds = random_dataset(rng, n=10, d=2)
             w = rng.normal(size=2)
-            eps = float(rng.uniform(-target, 5.0))
-            rb = row(ds, 3, w, hp, eps)
-            width = 2.0 * (eps + target) * rb["constant"]
+            eps = scan_arrays(ds, w, hp)["eps_v"][3]
+            rb = row(ds, 3, w, hp)
+            c = (hp.sigma / float(np.linalg.norm(ds.X[3]))
+                 * math.sqrt(hp.gamma / (2.0 * (ds.n - 1))))
+            width = 2.0 * (eps + target) * c
             assert rb["upper"] - rb["lower"] == pytest.approx(
                 width, rel=1e-10, abs=1e-12)
 
     def test_lower_bound_drops_with_feature_norm(self, t3, hp_default):
-        # same dataset and eps_v, a shrinking norm floor in place of ||x_v||
-        vals = [row(t3, 0, [0.5], hp_default, 0.0, b=b)["lower"]
+        # same dataset and scan, a shrinking norm floor in place of ||x_v||
+        vals = [row(t3, 0, [0.5], hp_default, b=b)["lower"]
                 for b in (1.0, 0.5, 0.25, 0.125, 0.0625)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -92,113 +91,140 @@ class TestRiskChangeBounds:
                              sigma=float(rng.uniform(0.5, 4.0)),
                              alpha=float(rng.uniform(0.01, 0.4)))
             i = int(rng.integers(ds.n))
-            eps = float(rng.uniform(0.0, 3.0))
-            rb = row(ds, i, w, hp, eps)
-            lo, hi, c = bounds_calc(ds.X.tolist(), ds.y.tolist(), i, w.tolist(),
-                                    hp.gamma, hp.sigma, hp.alpha, eps)
+            eps = scan_arrays(ds, w, hp)["eps_v"][i]
+            rb = row(ds, i, w, hp)
+            lo, hi = bounds_calc(ds.X.tolist(), ds.y.tolist(), i,
+                                    w.tolist(), hp.gamma, hp.sigma, hp.alpha,
+                                    eps)
             assert rb["lower"] == pytest.approx(lo, abs=1e-10)
             assert rb["upper"] == pytest.approx(hi, abs=1e-10)
-            assert rb["constant"] == pytest.approx(c, rel=1e-10)
 
     def test_nonneg_assumption_flagged(self, t3, hp_default):
         # point 2 of T3 has above-average loss at w=0.5, so the
-        # risk change from deleting it is negative
-        eps = scan_arrays(t3, [0.5], hp_default)["eps_v"][2]
-        rb = row(t3, 2, [0.5], hp_default, eps)
+        # risk change from deleting it is negative, and outside the
+        # interval, which is derived for the absolute residual
+        rb = row(t3, 2, [0.5], hp_default)
         assert rb["actual_delta"] < 0.0
-        assert rb["change_nonnegative"] is False
+        assert rb["contained_a"] is False
 
     def test_zero_feature_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0], [0.0], [2.0]], [1.0, 2.0, 3.0])
         with pytest.raises(ZeroFeatureNorm):
-            row(ds, 1, [0.5], hp_default, 0.0)
+            row(ds, 1, [0.5], hp_default)
         # the whole-dataset call rejects before any row, naming the point
         # by its position
         with pytest.raises(ZeroFeatureNorm, match="point id 1 "):
-            bounds_arrays(scan_arrays(ds, [0.5], hp_default), hp_default)
-
-    def test_eps_v_must_cover_every_point(self, t3, hp_default):
-        for eps_v in ([0.5], np.zeros(2), np.zeros(4)):
-            with pytest.raises(DimensionMismatch):
-                bounds_arrays(scan_with(t3, [0.5], hp_default, eps_v),
-                              hp_default)
-        # one-row calls are gone: a point's bounds are row i of the scan's
-        with pytest.raises(TypeError):
-            bounds_arrays(scan_arrays(t3, [0.5], hp_default), hp_default,
-                          positions=[0])
-
-    def test_non_finite_eps_v_rejected(self, t3, hp_default):
-        for bad in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(InvalidValue, match="eps_v"):
-                bounds_arrays(scan_with(t3, [0.5], hp_default,
-                                        [bad, 0.0, 0.0]), hp_default)
-            with pytest.raises(InvalidValue, match="eps_v"):
-                bounds_arrays(scan_with(t3, [0.5], hp_default,
-                                        [0.0, 0.0, bad]), hp_default, b=1.0)
+            bounds_arrays(scan_arrays(ds, [0.5], hp_default),
+                          hp_default.alpha)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_scan_arithmetic(self, rng, d):
-        # the interval divides by the feature_norm that selection ranks by,
-        # and the residuals are the scan kernel's, bit for bit:
-        # p = x_0 w_0; p += x_j w_j; r = y - p.  Magnitudes spread over
-        # 1e-3 .. 1e3, so a sum in another order rounds differently.
+        # the interval divides the scan's numerators, whose quotient by
+        # the denominator is d_v bit for bit, by the feature_norm that
+        # selection ranks by; the residuals are the scan kernel's, bit for
+        # bit: p = x_0 w_0; p += x_j w_j; r = y - p.  Magnitudes spread
+        # over 1e-3 .. 1e3, so a sum in another order rounds differently.
         n = 1000
         X = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-3, 3, size=(n, d))
         ds = Dataset.from_arrays(X, rng.normal(size=n))
         w = rng.normal(size=d)
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
         scan = scan_arrays(ds, w, hp)
-        cols = bounds_arrays(scan, hp)
+        cols = bounds_arrays(scan, hp.alpha)
         np.testing.assert_array_equal(
-            cols["constant"], hp.sigma / scan["feature_norm"]
-            * math.sqrt(hp.gamma / (2.0 * (n - 1))))
+            scan["numerator"] / snr_denominator(n, hp), scan["d_v"])
         p = ds.X[:, 0] * w[0]
         for j in range(1, d):
             p += ds.X[:, j] * w[j]
         r = ds.y - p
         np.testing.assert_array_equal(cols["actual_delta"],
                                       (np.mean(r * r) - r * r) / (n - 1))
+        den = (n - 1) * scan["feature_norm"]
+        base = np.mean(r * r) / (n - 1) - np.linalg.norm(scan["g"]) / den
+        np.testing.assert_array_equal(cols["lower"],
+                                      base - scan["numerator"] / den)
 
     def test_singleton_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0]], [1.0])
         with pytest.raises(WouldEmptyDataset):
-            row(ds, 0, [0.5], hp_default, 0.0)
+            row(ds, 0, [0.5], hp_default)
 
-    def test_negative_implied_d_v_rejected(self, t3, hp_default):
-        target = advantage_target(hp_default.alpha)
-        with pytest.raises(DomainError):
-            row(t3, 0, [0.5], hp_default, -target - 1.0)
+
+class TestContainment:
+    """The per-point interval holds the absolute-residual change: the
+    triangle inequality G - N_v <= |r_v| ||x_v|| <= G + N_v, with
+    N_v = ||r_v x_v - g|| the scan's numerator and G = ||g||, divided by
+    (n-1) ||x_v||.  Nothing in it depends on the SNR convention."""
+
+    # At d = 1 one side is an equality, so a flag there reads rounding.
+    # From the floats r_v, x_v, g and L0 that both sides share, an end is
+    # L0 / (n-1) - G / den -+ N_v / den, with den = (n-1) ||x_v||,
+    # N_v = sqrt((r_v x_v - g)^2), G = sqrt(g^2) and ||x_v|| =
+    # sqrt(x_v^2): 4 + 2 + 2 + 1 rounded operations, and 5 for the three
+    # quotients and two differences.  The change (L0 - |r_v|) / (n-1)
+    # adds 2.  Each of these 16 is off by at most u times a term no larger
+    # than M = (L0 + |r_v| + (G + N_v) / ||x_v||) / (n-1), so a miss is
+    # at most 16 u M to first order; 18 u M leaves room for the
+    # second-order terms.
+    ALLOWANCE = 18 * np.finfo(np.float64).eps / 2
+
+    @pytest.mark.parametrize("convention", ["paper", "consistent"])
+    def test_absolute_residual_change_is_contained(self, convention):
+        rng = np.random.default_rng(4242)
+        worst = 0.0
+        for _ in range(400):
+            n, d = int(rng.integers(3, 301)), int(rng.integers(1, 7))
+            ds = Dataset.from_arrays(rng.normal(size=(n, d)),
+                                     rng.normal(size=n) * 3.0)
+            w = rng.normal(size=d)
+            hp = HyperParams(gamma=float(rng.uniform(0.001, 0.5)),
+                             sigma=float(rng.uniform(0.5, 4.0)),
+                             alpha=float(rng.uniform(0.01, 0.4)),
+                             snr_convention=convention)
+            scan = scan_arrays(ds, w, hp)
+            cols = bounds_arrays(scan, hp.alpha)
+            r = scan["residual"]
+            l0 = float(np.mean(r * r))
+            change = (l0 - np.abs(r)) / (n - 1)
+            lo, hi = cols["lower"], cols["upper"]
+            np.testing.assert_array_equal(
+                cols["contained_b"], (lo <= change) & (change <= hi))
+            if d >= 2:
+                assert cols["contained_b"].all(), (n, d)
+                continue
+            g, x = float(np.linalg.norm(scan["g"])), scan["feature_norm"]
+            mag = (l0 + np.abs(r) + (g + scan["numerator"]) / x) / (n - 1)
+            miss = np.maximum(lo - change, change - hi) / mag
+            worst = max(worst, float(miss.max()))
+        assert worst <= self.ALLOWANCE
 
 
 class TestFloorVariant:
     def test_reduces_to_per_point_at_own_norm(self, t3, hp_default):
-        eps = t3_eps(t3, hp_default)
-        per_point = row(t3, 0, [0.5], hp_default, eps)
-        floored = row(t3, 0, [0.5], hp_default, eps,
+        per_point = row(t3, 0, [0.5], hp_default)
+        floored = row(t3, 0, [0.5], hp_default,
                       b=1.0)  # ||x_0|| = 1 = min norm
-        for key in ("lower", "upper", "constant"):
+        for key in ("lower", "upper"):
             assert floored[key] == pytest.approx(per_point[key], rel=1e-12)
 
     def test_smaller_floor_widens(self, t3, hp_default):
-        eps = t3_eps(t3, hp_default)
-        wide = row(t3, 0, [0.5], hp_default, eps, b=0.5)
-        tight = row(t3, 0, [0.5], hp_default, eps, b=1.0)
+        wide = row(t3, 0, [0.5], hp_default, b=0.5)
+        tight = row(t3, 0, [0.5], hp_default, b=1.0)
         assert (wide["upper"] - wide["lower"]
                 > tight["upper"] - tight["lower"])
-        assert wide["constant"] > tight["constant"]
 
     def test_floor_validation(self, t3, hp_default):
         for b in (1.5, 0.0, -1.0, float("nan")):
             with pytest.raises(FloorViolated):
-                row(t3, 0, [0.5], hp_default, 0.0, b=b)
+                row(t3, 0, [0.5], hp_default, b=b)
 
     def test_subnormal_floor_overflows(self, t3, hp_default):
-        # 0 < B <= min ||x||, but sigma / B overflows float64
+        # 0 < B <= min ||x||, but G / ((n-1) B) overflows float64
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericOverflow, match="interval"):
-                bounds_arrays(scan_arrays(t3, [0.5], hp_default), hp_default,
-                              b=1e-320)
+                bounds_arrays(scan_arrays(t3, [0.5], hp_default),
+                              hp_default.alpha, b=1e-320)
 
     def test_matches_reference_calculator(self, rng):
         hp = HyperParams(gamma=0.02, sigma=2.5, alpha=0.05)
@@ -209,13 +235,13 @@ class TestFloorVariant:
             if b <= 0:
                 continue
             w = rng.normal(size=2)
-            eps = float(rng.uniform(0.0, 2.0))
-            rb = row(ds, 1, w, hp, eps, b=b)
-            lo, hi, c = bounds_calc(ds.X.tolist(), ds.y.tolist(), 1, w.tolist(),
-                                    hp.gamma, hp.sigma, hp.alpha, eps, b=b)
+            eps = scan_arrays(ds, w, hp)["eps_v"][1]
+            rb = row(ds, 1, w, hp, b=b)
+            lo, hi = bounds_calc(ds.X.tolist(), ds.y.tolist(), 1,
+                                    w.tolist(), hp.gamma, hp.sigma, hp.alpha,
+                                    eps, b=b)
             assert rb["lower"] == pytest.approx(lo, abs=1e-10)
             assert rb["upper"] == pytest.approx(hi, abs=1e-10)
-            assert rb["constant"] == pytest.approx(c, rel=1e-10)
 
 
 class TestPrivacyFloor:
@@ -288,10 +314,14 @@ class TestPrivacyFloor:
                 privacy_floor(arg, 0.05)
 
 
-def test_width_shrinks_toward_perfect_point(t3, hp_default):
-    # on one dataset and point, width grows with eps >= 0
-    widths = []
-    for eps in (0.0, 0.5, 1.0, 2.0):
-        rb = row(t3, 0, [0.5], hp_default, eps)
-        widths.append(rb["upper"] - rb["lower"])
-    assert all(a < b for a, b in zip(widths, widths[1:]))
+def test_width_shrinks_toward_perfect_point(rng, hp_default):
+    # at one feature norm the width 2 N_v / ((n-1) ||x_v||) grows with
+    # d_v, so on one dataset it grows with the scan's own eps_v
+    angle = rng.uniform(0.0, 2.0 * np.pi, 20)
+    ds = Dataset.from_arrays(np.column_stack([np.cos(angle), np.sin(angle)]),
+                             rng.normal(size=20))
+    scan = scan_arrays(ds, [0.5, -0.3], hp_default)
+    cols = bounds_arrays(scan, hp_default.alpha)
+    order = np.argsort(scan["eps_v"])
+    widths = (cols["upper"] - cols["lower"])[order]
+    assert np.all(np.diff(widths) > 0.0)

@@ -190,6 +190,27 @@ class TestBounds:
             assert row["privacy_floor"] == pytest.approx(
                 privacy_floor(float(eps[pos]), 0.01), abs=1e-12)
 
+    def test_interval_is_the_same_under_both_conventions(self, runner,
+                                                         tmp_path):
+        # the interval is in the scan's numerator units; only eps_v, and
+        # so the privacy floor, depends on the SNR convention
+        path = gen_dataset(runner, tmp_path, "--extra-features", "2")
+        for extra in ([], ["--b-floor", "0.001"]):
+            rows = {}
+            for convention in ("paper", "consistent"):
+                res = runner.invoke(main, ["bounds", "--dataset", str(path),
+                                           "--snr-convention", convention,
+                                           *extra])
+                assert res.exit_code == 0, res.output
+                rows[convention] = json.loads(res.output)["rows"]
+            paper, consistent = rows["paper"], rows["consistent"]
+            for key in ("lower", "upper", "actual_delta", "contained_A",
+                        "contained_B"):
+                assert ([row[key] for row in paper]
+                        == [row[key] for row in consistent]), key
+            assert ([row["privacy_floor"] for row in paper]
+                    != [row["privacy_floor"] for row in consistent])
+
     def test_zero_eps_row_has_zero_floor(self, runner, tmp_path):
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01)
         ds = tuned_dataset(np.random.default_rng(3), hp,
@@ -227,7 +248,7 @@ class TestBounds:
             rows = json.loads(res.output)["rows"]
             assert [r["index"] for r in rows] == list(range(n))
             for i, row in enumerate(rows):
-                lo, hi, _ = bounds_calc(xs, ys, i, w, gamma, sigma, alpha,
+                lo, hi = bounds_calc(xs, ys, i, w, gamma, sigma, alpha,
                                         eps[i], b=b)
                 assert row["lower"] == pytest.approx(lo, abs=1e-9)
                 assert row["upper"] == pytest.approx(hi, abs=1e-9)
@@ -254,7 +275,7 @@ class TestBounds:
                                        "--alpha", "0.05",
                                        "--w0", "2.9,0.1,0.1", *extra])
             assert res.exit_code == 0, res.output
-            cols = bounds_arrays(a, hp, b=b)
+            cols = bounds_arrays(a, hp.alpha, b=b)
             assert set(cols["contained_a"].tolist()) == {True, False}
             columns = [a["index"], cols["lower"], cols["upper"],
                        cols["actual_delta"], cols["contained_a"],
@@ -350,7 +371,7 @@ class TestChunkBoundaries:
                                        "--alpha", "0.05",
                                        "--w0", "2.9,0.1,0.1", *extra])
             assert res.exit_code == 0, res.output
-            cols = bounds_arrays(a, hp, b=floor)
+            cols = bounds_arrays(a, hp.alpha, b=floor)
             columns = [a["index"], cols["lower"], cols["upper"],
                        cols["actual_delta"], cols["contained_a"],
                        cols["contained_b"], cols["privacy_floor"]]

@@ -19,7 +19,8 @@ from delpoint import (
     save_csv,
 )
 from delpoint import core
-from delpoint.core import _json_chunks, _parse_blocks, _tokens, _write_csv
+from delpoint.core import (_json_chunks, _parse_blocks, _parse_rows, _tokens,
+                           _write_csv)
 from delpoint.errors import DomainError
 
 from _oracles import (IndexOutOfRange, csv_writer_text, delete_point,
@@ -604,6 +605,57 @@ class TestBlockReader:
     ], ids=["crlf", "no-final-newline", "one-row", "one-row-no-newline"])
     def test_line_ends(self, tmp_path, text):
         self.check(tmp_path, text)
+
+    @staticmethod
+    def check_both_readers(tmp_path, text, d):
+        """check, with the file left to _parse_rows, whose arrays are
+        _parse_blocks' on the same rows without their empty lines."""
+        TestBlockReader.check(tmp_path, text, fast=False)
+        plain = tmp_path / "plain.csv"
+        plain.write_bytes(b"".join(
+            line for line in text.encode().splitlines(keepends=True)
+            if line.strip(b"\r\n")))
+        with open(plain, "rb") as fh:
+            assert (_parse_blocks(fh, d).tobytes()
+                    == _parse_rows(tmp_path / "data.csv", d).tobytes())
+
+    @pytest.mark.parametrize("text", [
+        "x0,y\n\n1.5,2\n3,4.75\n",
+        "x0,y\n1.5,2\n\n3,4.75\n",
+        "x0,y\n1.5,2\n3,4.75\n\n",
+        "x0,y\n\n\n1.5,2\n\n\n\n3,4.75\n\n\n",
+        "x0,y\r\n\r\n1.5,2\r\n\r\n\r\n3,4.75\r\n\r\n",
+        "x0,y\n1.5,2\n\n3,4.75",
+    ], ids=["leading", "middle", "trailing", "repeated", "crlf",
+            "no-final-newline"])
+    def test_empty_lines_go_to_the_loop(self, tmp_path, text):
+        # csv skips empty lines; the block reader leaves them to it
+        self.check_both_readers(tmp_path, text, 1)
+
+    @pytest.mark.parametrize("size", [1, 2, 9])
+    def test_empty_line_at_a_block_cut(self, tmp_path, monkeypatch, size):
+        # 9 bytes end the first read at the newline of "1.5,2.25", so the
+        # next block opens with the empty line; 1 and 2 give blocks of
+        # empty lines alone
+        monkeypatch.setattr(core, "_READ_BLOCK", size)
+        for text in ("x0,y\n1.5,2.25\n\n3,4.75\n5,6\n",
+                     "x0,y\r\n1.5,2.25\r\n\r\n3,4.75\r\n5,6\r\n"):
+            self.check_both_readers(tmp_path, text, 1)
+
+    def test_blank_lines_that_are_not_empty(self, tmp_path):
+        # a line of blanks is a row of one field, which csv reports
+        path = tmp_path / "blank.csv"
+        path.write_text("x0,y\n \n1,2\n")
+        with open(path, "rb") as fh:
+            assert _parse_blocks(fh, 1) is None
+        with pytest.raises(DimensionMismatch) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}:2: expected 2 fields, got 1"
+        # a header with only empty lines after it has no data rows
+        for text in ("x0,y\n\n\n", "x0,y\r\n\r\n"):
+            path.write_text(text, newline="")
+            with pytest.raises(EmptyDataset, match="no data rows"):
+                load_csv(path)
 
     def test_lone_cr_line_ends_go_to_the_loop(self, tmp_path):
         # csv ends lines at a lone CR; the block reader leaves them to it

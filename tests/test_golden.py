@@ -1,6 +1,6 @@
 """The golden artifact set: the bytes of a fixed set of CLI runs.
 
-``runs()`` builds 45 files in process through CliRunner, in a temporary
+``runs()`` builds 49 files in process through CliRunner, in a temporary
 directory that is the working directory, so every path the manifests
 record is relative and the same on every build.  Manifests are compared
 byte for byte like every other file: they hold no timing.
@@ -53,7 +53,9 @@ def runs() -> list:
         out += [["select", *data, "--scores-csv", f"{s}/scores.csv",
                  "--out", f"{s}/select"],
                 ["bounds", *data, "--out", f"{s}/bounds"],
-                ["bounds", *data, "--b-floor", "0.001", "--out", f"{s}/floor"]]
+                ["bounds", *data, "--b-floor", "0.001", "--out", f"{s}/floor"],
+                ["bounds", *data, "--snr-convention", "consistent",
+                 "--out", f"{s}/consistent"]]
         out += [["simulate", *data, "--protocol", p, *SIM, "--out", f"{s}/{p}"]
                 for p in PROTOCOLS]
     return out + [
@@ -134,7 +136,7 @@ def test_golden_artifact_set(tmp_path, monkeypatch):
     table = json.loads(TABLE.read_text(encoding="utf-8"))
     (tmp_path / "1").mkdir()
     files = build(tmp_path / "1", monkeypatch)
-    assert len(files) == 45
+    assert len(files) == 49
     if table["environment"] == environment():
         assert table_differences(files, table["files"]) == []
         return

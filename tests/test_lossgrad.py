@@ -45,7 +45,7 @@ def risk(w, ds):
     (L0 - r_v^2) / (n - 1), with r_v the scan's residual."""
     scan = scan_arrays(ds, w, HP)
     r = scan["residual"]
-    delta = bounds_arrays(scan, HP)["actual_delta"]
+    delta = bounds_arrays(scan, HP.alpha)["actual_delta"]
     return float(np.mean(delta * (ds.n - 1) + r * r))
 
 
@@ -123,7 +123,7 @@ class TestRisk:
             warnings.simplefilter("error")
             scan = scan_arrays(ds, [0.0], HP)
             with pytest.raises(NumericOverflow, match="empirical risk"):
-                bounds_arrays(scan, HP)
+                bounds_arrays(scan, HP.alpha)
 
 
 class TestRiskGrad:

@@ -65,9 +65,10 @@ class TestSelection:
         ds = random_dataset(rng, n=20, d=2)
         result = find_perfect_deleted_point(ds, np.zeros(2), hp)
         assert result["best"] is None
-        # the scan's dict, with the advantage column and best added
+        # the scan's dict without its numerator, with the advantage column
+        # and best added
         assert set(result) == {*scan_arrays(ds, np.zeros(2), hp),
-                               "advantage", "best"}
+                               "advantage", "best"} - {"numerator"}
         assert [len(result[key]) for key in _SELECTION_COLUMNS] == [20] * 6
 
     def test_strict_mode_matches_loop_oracle(self, rng):
