@@ -20,20 +20,7 @@ _MODULES = {
     "bounds": ("privacy_floor",),
     "core": ("Dataset", "HyperParams", "load_csv", "save_csv"),
     "datagen": ("GenConfig", "generate"),
-    "errors": (
-        "DegenerateNoise",
-        "DelpointError",
-        "DimensionMismatch",
-        "DomainError",
-        "EmptyDataset",
-        "EmptyInput",
-        "FloorViolated",
-        "InvalidValue",
-        "NumericOverflow",
-        "TooManyDeletions",
-        "WouldEmptyDataset",
-        "ZeroFeatureNorm",
-    ),
+    "errors": ("DelpointError", "NumericOverflow"),
     "gauss": ("make_rng", "phi", "phi_inv"),
     "selector": ("find_perfect_deleted_point",),
     "sim": ("ExperimentResult", "StepConfig", "run_protocol", "summarize"),

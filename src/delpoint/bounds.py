@@ -42,8 +42,8 @@ in the scan kernel's column order, ||x_v|| and g, so the interval
 divides by the ``feature_norm`` column that selection ranks by, and L0 is
 the mean of the squared residuals that the actual changes use.  Its
 safety checks run on the whole array before any row is computed, so one
-zero feature vector (per-point variant) rejects the whole call with
-ZeroFeatureNorm naming that point's position as its id.  An empirical
+zero feature vector (per-point variant) rejects the whole call with a
+DelpointError naming that point's position as its id.  An empirical
 risk or interval endpoint that overflows float64 raises NumericOverflow.
 """
 
@@ -54,8 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .core import _check_alpha
-from .errors import (DomainError, FloorViolated, NumericOverflow,
-                     ZeroFeatureNorm)
+from .errors import DelpointError, NumericOverflow
 from .gauss import phi_inv
 from .snr import _gap
 
@@ -76,17 +75,17 @@ def bounds_arrays(scan: dict, alpha: float, b: Optional[float] = None) -> dict:
     if b is None:
         zero = np.flatnonzero(norms == 0.0)
         if zero.size:
-            raise ZeroFeatureNorm(
+            raise DelpointError(
                 f"point id {int(zero[0])} has a zero feature "
                 f"vector; per-point bounds divide by ||x_v||")
         scale = norms
     else:
         b = float(b)
         if not b > 0.0:
-            raise FloorViolated(f"B must be positive, got {b}")
+            raise DelpointError(f"B must be positive, got {b}")
         k = int(np.argmin(norms))
         if norms[k] < b:
-            raise FloorViolated(
+            raise DelpointError(
                 f"B = {b} exceeds the smallest feature norm {float(norms[k])} "
                 f"(point id {k})")
         scale = b
@@ -118,12 +117,12 @@ def bounds_arrays(scan: dict, alpha: float, b: Optional[float] = None) -> dict:
 def privacy_floor(eps_v, alpha: float):
     """Budget floor max(ln[Phi(Phi_inv(alpha) - eps_v) + 1 - alpha], 0),
     elementwise: an array of eps_v gives an array, a float a float.
-    Raises DomainError if any eps_v is not finite."""
+    Raises DelpointError if any eps_v is not finite."""
     _check_alpha(alpha)
     eps = np.asarray(eps_v, dtype=np.float64)
     bad = eps[~np.isfinite(eps)]
     if bad.size:
-        raise DomainError(f"eps_v must be finite, got {float(bad[0])}")
+        raise DelpointError(f"eps_v must be finite, got {float(bad[0])}")
     z = phi_inv(alpha)
     floor = np.maximum(np.log1p(_gap(eps, z - eps, z, alpha)), 0.0)
     return floor if eps.ndim else float(floor)

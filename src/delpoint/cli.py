@@ -22,6 +22,7 @@ import contextlib
 import gc
 import importlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -30,7 +31,7 @@ import click
 
 from . import __version__
 from ._choices import _SNR_CONVENTIONS, _TIE_BREAKS, PROTOCOLS
-from .errors import DelpointError, DimensionMismatch, InvalidValue
+from .errors import DelpointError
 
 MANIFEST_FORMAT_VERSION = 2
 SELECTION_JSON_FORMAT_VERSION = 1
@@ -126,10 +127,10 @@ def _parse_w0(value: str | None, dim: int):
     try:
         w0 = np.array([float(v) for v in value.split(",")])
     except ValueError:
-        raise DimensionMismatch(f"--w0 must be a comma-separated float list, "
-                                f"got {value!r}") from None
+        raise DelpointError(f"--w0 must be a comma-separated float list, "
+                            f"got {value!r}") from None
     if w0.shape[0] != dim:
-        raise DimensionMismatch(
+        raise DelpointError(
             f"--w0 has {w0.shape[0]} entries, dataset dimension is {dim}")
     return w0
 
@@ -357,21 +358,25 @@ def simulate(dataset, w0, protocol, steps, iterations, bins, tie_break,
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # json reads NaN, Infinity and an out-of-range 1e999 as floats
+    if isinstance(v, float):
+        return math.isfinite(v)
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _summary_row(path: Path) -> tuple:
     """(steps, protocol, mean, variance) of a simulate summary.json.
 
     steps is an int >= 1, protocol one of PROTOCOLS, and mean and variance
-    are non-empty lists of numbers of one length; bools are not numbers.
+    are non-empty lists of finite numbers of one length; bools are not
+    numbers.
     """
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
         cfg = doc["config"]
         row = (cfg["steps"], cfg["protocol"], doc["mean"], doc["variance"])
     except (ValueError, KeyError, TypeError) as exc:
-        raise InvalidValue(
+        raise DelpointError(
             f"{path}: not a simulate summary.json: {exc}") from None
     steps, protocol, mean, variance = row
     if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
@@ -385,7 +390,7 @@ def _summary_row(path: Path) -> tuple:
         problem = f"mean has {len(mean)} entries, variance {len(variance)}"
     else:
         return row
-    raise InvalidValue(f"{path}: not a simulate summary.json: {problem}")
+    raise DelpointError(f"{path}: not a simulate summary.json: {problem}")
 
 
 @main.command(cls=_Command)

@@ -24,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._choices import _SNR_CONVENTIONS
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    EmptyDataset,
-    InvalidValue,
-    NumericOverflow,
-)
+from .errors import DelpointError, NumericOverflow
 
 
 def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> tuple:
@@ -67,18 +61,18 @@ class Dataset:
             X = np.array(X, dtype=np.float64, order="C")
             y = np.array(y, dtype=np.float64, order="C")
         except ValueError as exc:  # ragged rows, or an entry not a number
-            raise DimensionMismatch(
+            raise DelpointError(
                 f"X and y must be rectangular arrays of numbers: {exc}"
             ) from None
         if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise DimensionMismatch(
+            raise DelpointError(
                 f"need X (n, d) and y (n,), got {X.shape} and {y.shape}")
         if X.shape[0] < 1:
-            raise EmptyDataset("a dataset needs at least one point")
+            raise DelpointError("a dataset needs at least one point")
         if X.shape[1] < 1:
-            raise DimensionMismatch("feature dimension must be >= 1")
+            raise DelpointError("feature dimension must be >= 1")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise InvalidValue("dataset entries must be finite")
+            raise DelpointError("dataset entries must be finite")
         arrays = (X, y, *_stats_from_arrays(X, y))
         for a in arrays:
             a.setflags(write=False)
@@ -97,17 +91,17 @@ def as_weights(w, dim: int) -> np.ndarray:
     """Validate and convert a weight vector against a feature dimension."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
-        raise DimensionMismatch(f"weights must be a vector, got shape {w.shape}")
+        raise DelpointError(f"weights must be a vector, got shape {w.shape}")
     if w.shape[0] != dim:
-        raise DimensionMismatch(f"weights have dim {w.shape[0]}, data has {dim}")
+        raise DelpointError(f"weights have dim {w.shape[0]}, data has {dim}")
     if not np.all(np.isfinite(w)):
-        raise InvalidValue("weights must be finite")
+        raise DelpointError("weights must be finite")
     return w
 
 
 def _check_alpha(alpha: float) -> None:
     if not (0.0 < alpha < 0.5):
-        raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
+        raise DelpointError(f"alpha must lie in (0, 0.5), got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -117,7 +111,7 @@ class HyperParams:
     alpha must lie strictly inside (0, 0.5) so the advantage-nulling target
     -2 * phi_inv(alpha) = 2 * phi_inv(1 - alpha) is positive.  gamma = 0 or
     sigma = 0 are legal to construct (the plain SGD step tolerates them)
-    but any operation whose formula divides by them raises DegenerateNoise.
+    but any operation whose formula divides by them raises DelpointError.
     seed is an integer in [0, 2**64), the range of the CLI's --seed.
     """
 
@@ -130,14 +124,17 @@ class HyperParams:
 
     def __post_init__(self):
         if not (self.gamma >= 0.0 and np.isfinite(self.gamma)):
-            raise DomainError(f"gamma must be >= 0 and finite, got {self.gamma}")
+            raise DelpointError(
+                f"gamma must be >= 0 and finite, got {self.gamma}")
         if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
-            raise DomainError(f"sigma must be >= 0 and finite, got {self.sigma}")
+            raise DelpointError(
+                f"sigma must be >= 0 and finite, got {self.sigma}")
         _check_alpha(self.alpha)
         if not (self.delta >= 0.0 and np.isfinite(self.delta)):
-            raise DomainError(f"delta must be >= 0 and finite, got {self.delta}")
+            raise DelpointError(
+                f"delta must be >= 0 and finite, got {self.delta}")
         if self.snr_convention not in _SNR_CONVENTIONS:
-            raise DomainError(
+            raise DelpointError(
                 f"snr_convention must be one of {_SNR_CONVENTIONS}, "
                 f"got {self.snr_convention!r}")
         try:
@@ -145,7 +142,7 @@ class HyperParams:
         except TypeError:
             seed = -1
         if not 0 <= seed < 2**64:
-            raise DomainError(
+            raise DelpointError(
                 f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         object.__setattr__(self, "seed", seed)
 
@@ -288,9 +285,9 @@ def load_csv(path) -> Dataset:
         if arr is None:
             arr = _parse_rows(path, d)
     except UnicodeDecodeError as exc:
-        raise InvalidValue(f"{path}: not UTF-8 text (byte "
-                           f"0x{exc.object[exc.start]:02x}: {exc.reason})"
-                           ) from None
+        raise DelpointError(f"{path}: not UTF-8 text (byte "
+                            f"0x{exc.object[exc.start]:02x}: {exc.reason})"
+                            ) from None
     return Dataset.from_arrays(arr[:, :d], arr[:, d])
 
 
@@ -372,12 +369,12 @@ def _line_blocks(fh):
 def _check_header(path, header) -> int:
     """Feature dimension d of the header row x0,...,x{d-1},y."""
     if header is None:
-        raise EmptyDataset(f"{path}: empty file")
+        raise DelpointError(f"{path}: empty file")
     if len(header) < 2 or header[-1] != "y":
-        raise InvalidValue(f"{path}: header must be x0,...,x{{d-1}},y")
+        raise DelpointError(f"{path}: header must be x0,...,x{{d-1}},y")
     for j, name in enumerate(header[:-1]):
         if name != f"x{j}":
-            raise InvalidValue(f"{path}: unexpected column {name!r} at {j}")
+            raise DelpointError(f"{path}: unexpected column {name!r} at {j}")
     return len(header) - 1
 
 
@@ -391,12 +388,12 @@ def _parse_rows(path, d: int) -> np.ndarray:
             if not row:
                 continue
             if len(row) != d + 1:
-                raise DimensionMismatch(
+                raise DelpointError(
                     f"{path}:{lineno}: expected {d + 1} fields, got {len(row)}")
             try:
                 data.append([float(v) for v in row])
             except ValueError as exc:
-                raise InvalidValue(f"{path}:{lineno}: {exc}") from None
+                raise DelpointError(f"{path}:{lineno}: {exc}") from None
     if not data:
-        raise EmptyDataset(f"{path}: no data rows")
+        raise DelpointError(f"{path}: no data rows")
     return np.asarray(data, dtype=np.float64)

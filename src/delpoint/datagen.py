@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .errors import DomainError, NumericOverflow
+from .errors import DelpointError, NumericOverflow
 from .gauss import make_rng
 
 
@@ -30,25 +30,27 @@ class GenConfig:
 
     def __post_init__(self):
         if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+            raise DelpointError(f"n must be >= 1, got {self.n}")
         for name in ("x_low", "x_high", "slope", "noise_std", "noise_scale"):
             if not np.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got "
-                                  f"{getattr(self, name)}")
+                raise DelpointError(f"{name} must be finite, got "
+                                    f"{getattr(self, name)}")
         if not self.x_low < self.x_high:
-            raise DomainError(
+            raise DelpointError(
                 f"need x_low < x_high, got [{self.x_low}, {self.x_high}]")
         # as Python floats, an overflowing difference is inf with no warning
         if not np.isfinite(float(self.x_high) - float(self.x_low)):
-            raise DomainError(
+            raise DelpointError(
                 f"x_high - x_low must be finite, got [{self.x_low}, "
                 f"{self.x_high}]")
         if self.noise_std < 0.0:
-            raise DomainError(f"noise_std must be >= 0, got {self.noise_std}")
+            raise DelpointError(
+                f"noise_std must be >= 0, got {self.noise_std}")
         if self.noise_scale < 0.0:
-            raise DomainError(f"noise_scale must be >= 0, got {self.noise_scale}")
+            raise DelpointError(
+                f"noise_scale must be >= 0, got {self.noise_scale}")
         if self.extra_features < 0:
-            raise DomainError(
+            raise DelpointError(
                 f"extra_features must be >= 0, got {self.extra_features}")
 
 

@@ -22,7 +22,7 @@ import statistics
 
 import numpy as np
 
-from .errors import DomainError, InvalidValue
+from .errors import DelpointError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -33,11 +33,11 @@ def phi(z):
     """Standard normal CDF.
 
     Accepts a float or ndarray; returns the matching type.  Raises
-    InvalidValue on NaN/inf input.
+    DelpointError on NaN/inf input.
     """
     arr = np.asarray(z, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
-        raise InvalidValue("phi requires finite input")
+        raise DelpointError("phi requires finite input")
     t = -arr / _SQRT2
     erfc = np.fromiter(map(math.erfc, t.ravel().tolist()), np.float64, t.size)
     res = 0.5 * erfc.reshape(t.shape)
@@ -50,7 +50,7 @@ def phi_inv(p: float) -> float:
     """Inverse standard normal CDF on (0, 1)."""
     p = float(p)
     if not (0.0 < p < 1.0):
-        raise DomainError(f"phi_inv requires 0 < p < 1, got {p}")
+        raise DelpointError(f"phi_inv requires 0 < p < 1, got {p}")
     lower = min(p, 1.0 - p)
     x = _STANDARD.inv_cdf(lower)
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)

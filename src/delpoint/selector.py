@@ -27,7 +27,7 @@ import numpy as np
 
 from ._choices import _TIE_BREAKS
 from .core import Dataset, HyperParams
-from .errors import DomainError
+from .errors import DelpointError
 from .snr import membership_advantage, scan_arrays
 
 TIE_WINDOW = 1e-9
@@ -35,7 +35,8 @@ TIE_WINDOW = 1e-9
 
 def _check_tie_break(tie_break: str) -> None:
     if tie_break not in _TIE_BREAKS:
-        raise DomainError(f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
+        raise DelpointError(
+            f"tie_break must be one of {_TIE_BREAKS}, got {tie_break!r}")
 
 
 def _pick(dist, eps, fnorm, delta: float, tie_break: str) -> np.ndarray:

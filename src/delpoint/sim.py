@@ -35,7 +35,7 @@ surviving point.  The final weights and
 deletion logs are bit-identical to the test suite's one-iteration,
 one-step replay (run_protocol_loop), whatever the block size.
 
-Errors: perfect_delete with sigma = 0 or gamma = 0 raises DegenerateNoise
+Errors: perfect_delete with sigma = 0 or gamma = 0 raises DelpointError
 before any step.  Moments, downdated moments, scores, weights and the
 summary's mean, variance and max - min that overflow float64 raise
 NumericOverflow, found from the results, with no RuntimeWarning.  So does
@@ -56,7 +56,7 @@ import numpy as np
 
 from ._choices import PROTOCOLS
 from .core import Dataset, HyperParams, as_weights
-from .errors import DomainError, EmptyInput, NumericOverflow, TooManyDeletions
+from .errors import DelpointError, NumericOverflow
 from .gauss import make_rng
 from .selector import _check_tie_break, _pick
 from .snr import _scores, advantage_target, feature_norms, snr_denominator
@@ -76,14 +76,15 @@ class StepConfig:
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
-            raise DomainError(f"protocol must be one of {PROTOCOLS}, "
-                              f"got {self.protocol!r}")
+            raise DelpointError(f"protocol must be one of {PROTOCOLS}, "
+                                f"got {self.protocol!r}")
         if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps}")
+            raise DelpointError(f"steps must be >= 1, got {self.steps}")
         if self.iterations < 1:
-            raise DomainError(f"iterations must be >= 1, got {self.iterations}")
+            raise DelpointError(
+                f"iterations must be >= 1, got {self.iterations}")
         if self.bins < 1:
-            raise DomainError(f"bins must be >= 1, got {self.bins}")
+            raise DelpointError(f"bins must be >= 1, got {self.bins}")
         _check_tie_break(self.tie_break)
         w0 = np.asarray(self.w0, dtype=np.float64)
         object.__setattr__(self, "w0", w0)
@@ -118,7 +119,7 @@ def run_protocol(cfg: StepConfig, ds: Dataset) -> ExperimentResult:
     """
     as_weights(cfg.w0, ds.dim)
     if cfg.protocol != "no_delete" and cfg.steps > ds.n - 1:
-        raise TooManyDeletions(
+        raise DelpointError(
             f"{cfg.steps} deletion steps would exhaust {ds.n} points")
     size = max(1, _BLOCK_ELEMS // ((ds.n + cfg.steps) * ds.dim))
     blocks = [_run_block(ds, cfg, range(lo, min(lo + size, cfg.iterations)))
@@ -241,9 +242,9 @@ def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray, list]:
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.size == 0:
-        raise EmptyInput("cannot summarize an empty weight collection")
+        raise DelpointError("cannot summarize an empty weight collection")
     if bins < 1:
-        raise DomainError(f"bins must be >= 1, got {bins}")
+        raise DelpointError(f"bins must be >= 1, got {bins}")
     m = arr.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = arr.mean(axis=0)

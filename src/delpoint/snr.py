@@ -50,8 +50,7 @@ import numpy as np
 
 from ._kernels import _row_norms, scan_norms
 from .core import Dataset, HyperParams, _check_alpha, as_weights
-from .errors import (DegenerateNoise, DomainError, NumericOverflow,
-                     WouldEmptyDataset)
+from .errors import DelpointError, NumericOverflow
 from .gauss import _INV_SQRT_2PI, phi, phi_inv
 
 
@@ -65,19 +64,19 @@ def advantage_target(alpha: float) -> float:
 def snr_denominator(n: int, hp: HyperParams) -> float:
     """Noise normalization for a dataset of n points under hp's convention.
 
-    Raises DegenerateNoise when it is 0: sigma or gamma is 0, or their
+    Raises DelpointError when it is 0: sigma or gamma is 0, or their
     product underflows.
     """
     if n < 2:
-        raise WouldEmptyDataset("signal-to-noise ratio needs n >= 2")
+        raise DelpointError("signal-to-noise ratio needs n >= 2")
     if hp.sigma == 0.0 or hp.gamma == 0.0:
-        raise DegenerateNoise("d_v is undefined for sigma = 0 or gamma = 0")
+        raise DelpointError("d_v is undefined for sigma = 0 or gamma = 0")
     if hp.snr_convention == "consistent":
         denom = (n - 1) * hp.sigma / 2.0
     else:
         denom = math.sqrt(hp.gamma * (n - 1) / 2.0) * hp.sigma
     if denom == 0.0:
-        raise DegenerateNoise(
+        raise DelpointError(
             f"d_v is undefined: the noise scale of gamma = {hp.gamma!r}, "
             f"sigma = {hp.sigma!r} underflows to 0 ({hp.snr_convention} "
             f"convention, n = {n})")
@@ -88,13 +87,14 @@ def membership_advantage(d, alpha: float):
     """|Phi(-Phi_inv(alpha) - d) - alpha| for separations d >= 0.
 
     Elementwise: an array of separations gives an array, a float gives a
-    float.  Raises DomainError if any separation is negative or not finite.
+    float.  Raises DelpointError if any separation is negative or not
+    finite.
     """
     _check_alpha(alpha)
     arr = np.asarray(d, dtype=np.float64)
     bad = arr[~(np.isfinite(arr) & (arr >= 0.0))]
     if bad.size:
-        raise DomainError(
+        raise DelpointError(
             f"separation must be finite and >= 0, got {float(bad[0])}")
     z = phi_inv(alpha)
     adv = np.abs(_gap(arr - advantage_target(alpha), -z - arr, z, alpha))

@@ -28,8 +28,7 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from delpoint import (Dataset, DegenerateNoise, DelpointError, DomainError,
-                      NumericOverflow, WouldEmptyDataset, make_rng)
+from delpoint import Dataset, DelpointError, NumericOverflow, make_rng
 from delpoint.core import as_weights
 from delpoint.snr import scan_arrays
 
@@ -259,7 +258,7 @@ def delete_point(ds, index):
         s_xx' = (n s_xx - x_v x_v^T) / (n - 1)
     """
     if ds.n == 1:
-        raise WouldEmptyDataset("cannot delete the only remaining point")
+        raise DelpointError("cannot delete the only remaining point")
     if not 0 <= index < ds.n:
         raise IndexOutOfRange(f"index {index} outside [0, {ds.n})")
     n = ds.n
@@ -293,7 +292,7 @@ def sample_gaussian(rng, mean, std):
     """
     mean = np.asarray(mean, dtype=np.float64)
     if std < 0.0:
-        raise DomainError(f"std must be >= 0, got {std}")
+        raise DelpointError(f"std must be >= 0, got {std}")
     if std == 0.0:
         return mean.copy()
     return mean + std * rng.standard_normal(mean.shape)
@@ -362,14 +361,15 @@ def empirical_advantage(ds, index, w, hp, trials, rng=None):
     with grad l(w; v) = -2 (y_v - <w, x_v>) x_v.
     """
     if trials < 1000:
-        raise DomainError(f"trials must be >= 1000, got {trials}")
+        raise DelpointError(f"trials must be >= 1000, got {trials}")
     sigma_g = hp.gamma * hp.sigma
     if sigma_g == 0.0:
-        raise DegenerateNoise("empirical advantage needs gamma > 0 and sigma > 0")
+        raise DelpointError(
+            "empirical advantage needs gamma > 0 and sigma > 0")
     w = as_weights(w, ds.dim)
     n = ds.n
     if n < 2:
-        raise WouldEmptyDataset("deleting a point needs at least two points")
+        raise DelpointError("deleting a point needs at least two points")
     if not 0 <= index < n:
         raise IndexOutOfRange(f"index {index} outside [0, {n})")
     if rng is None:

@@ -8,34 +8,18 @@ from pathlib import Path
 
 import click
 import pytest
+from click.testing import CliRunner
 
 import delpoint
 from delpoint import Dataset
 
-# The per-point API that scan_arrays, bounds_arrays and risk on a
-# one-row dataset replace, and the one-iteration stepping and ranking API
-# that run_protocol's batched engine and find_perfect_deleted_point
-# replace, the moments wrapper whose arrays a Dataset now holds, and the
-# whole-document row writers that the streamed _json_chunks replaces,
-# and the distance-from-eps token reuse that core._tokens made needless,
-# and the code no command runs: the Monte Carlo advantage estimator with
-# the gradient and the index error that only it used, now test oracles,
-# and the joined selection.json that the streamed pieces replace, and the
-# artifact layouts that moved into cli with the CSV tokens that core's one
-# row encoder made needless, and the hand-copied erfc that math.erfc
-# replaces, and the interval of explicit arguments that bounds_arrays
-# folds in; by the module that defined it.  The lossgrad module is gone
-# too: its as_weights is core's, not a public name; and its risk, with the
-# second residual behind it, is the mean of the scan's squared residuals
-# that bounds_arrays takes.  The records around numpy results are gone
-# too: a selection's best is a position, a histogram is np.histogram's
-# (counts, edges) pair, and privacy_floor is the column bounds_arrays
-# writes.  And the last wrappers that hide nothing: a selection is the
-# scan's dict, whose written columns cli picks, and main is click's own
-# group, each command declared with cls=_Command.
+# Names that must stay gone, by the module that defined them.
+_ERRORS = ["EmptyDataset", "WouldEmptyDataset", "DimensionMismatch",
+           "InvalidValue", "DomainError", "DegenerateNoise", "ZeroFeatureNorm",
+           "FloorViolated", "TooManyDeletions", "EmptyInput"]
 REMOVED = {
     "delpoint": ["as_weights", "lossgrad", "risk", "CandidateScore",
-                 "SelectionResult"],
+                 "SelectionResult", *_ERRORS],
     "delpoint.core": ["DataPoint", "delete_point", "SufficientStats",
                       "_json_rows", "_csv_tokens", "_dumps_indent2"],
     "delpoint.snr": ["SnrValue", "snr_closed_form", "membership_error",
@@ -52,7 +36,7 @@ REMOVED = {
                           "SELECTION_JSON_FORMAT_VERSION", "CandidateScore",
                           "SelectionResult", "_COLUMNS"],
     "delpoint.cli": ["_bounds_json", "_Group"],
-    "delpoint.errors": ["IndexOutOfRange"],
+    "delpoint.errors": ["IndexOutOfRange", *_ERRORS],
 }
 
 
@@ -61,7 +45,7 @@ def test_all_names_resolve_once():
     # each defined in the module it is listed under
     assert delpoint.__all__ == ["__version__", *(
         name for names in delpoint._MODULES.values() for name in names)]
-    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 31
+    assert len(delpoint.__all__) == len(set(delpoint.__all__)) == 21
     for module, names in delpoint._MODULES.items():
         for name in names:
             assert getattr(delpoint, name).__module__ == f"delpoint.{module}"
@@ -342,6 +326,67 @@ def test_only_cli_catches_library_errors():
              if (names := error_path_breaches(p.read_text(encoding="utf-8")))}
     assert found == {"cli.py": ["except ArithmeticError",
                                 "except DelpointError"]}
+
+
+def raised_classes(source: str) -> list[str]:
+    """``function: Class`` for each ``raise`` of ``source`` that names a
+    class, or a call of one, by its innermost enclosing function; a bare
+    re-raise names none."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = getattr(child.exc, "func", child.exc)
+                found.append(f"{scope}: {ast.unparse(exc)}")
+            visit(child, getattr(child, "name", scope))
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_one_error_class_per_exit_code():
+    # DelpointError exits 2 and NumericOverflow exits 4: the library raises
+    # nothing else, but for the AttributeError that ends a name lookup
+    assert raised_classes("def f():\n    raise errors.X('a') from None\n"
+                          "raise Y\ntry:\n    pass\nexcept E:\n"
+                          "    raise\n") == ["<module>: Y", "f: errors.X"]
+    from delpoint.errors import DelpointError, NumericOverflow
+    assert DelpointError.__bases__ == (Exception,)
+    assert NumericOverflow.__bases__ == (DelpointError, ArithmeticError)
+    root = Path(__file__).resolve().parents[1] / "src" / "delpoint"
+    tree = ast.parse((root / "errors.py").read_text(encoding="utf-8"))
+    assert [node.name for node in tree.body
+            if not isinstance(node, ast.Expr)] == [
+        "DelpointError", "NumericOverflow"]
+    files = sorted(root.glob("*.py"))
+    assert len(files) > 10
+    found = {p.name: names for p in files
+             if (names := [
+                 r for r in raised_classes(p.read_text(encoding="utf-8"))
+                 if r.split(": ")[1] not in ("DelpointError",
+                                             "NumericOverflow")])}
+    assert found == {"__init__.py": ["__getattr__: AttributeError"]}
+
+
+@pytest.mark.parametrize("field", ["mean", "variance"])
+@pytest.mark.parametrize("spelling", ["NaN", "Infinity", "1e999"])
+def test_report_rejects_non_finite_summaries(tmp_path, spelling, field):
+    # json reads all three as floats, 1e999 as inf; a report of them is
+    # not a table of the simulate summaries it names
+    lists = {"mean": "[0.5, 1.0]", "variance": "[0.25, 0.0]",
+             field: f"[0.5, {spelling}]"}
+    path = tmp_path / "summary.json"
+    path.write_text('{"config": {"steps": 1, "protocol": "no_delete"}, '
+                    + ", ".join(f'"{k}": {v}' for k, v in lists.items())
+                    + "}")
+    from delpoint.cli import main
+    res = CliRunner().invoke(main, ["report", str(path)])
+    assert res.exit_code == 2, res.output
+    assert res.stdout == ""
+    assert res.stderr == (
+        f"error: {path}: not a simulate summary.json: "
+        "mean and variance must be non-empty lists of numbers\n")
 
 
 def test_every_command_maps_library_errors():

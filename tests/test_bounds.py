@@ -6,12 +6,9 @@ import pytest
 
 from delpoint import (
     Dataset,
-    DomainError,
-    FloorViolated,
+    DelpointError,
     HyperParams,
     NumericOverflow,
-    WouldEmptyDataset,
-    ZeroFeatureNorm,
     advantage_target,
     privacy_floor,
 )
@@ -109,11 +106,13 @@ class TestRiskChangeBounds:
 
     def test_zero_feature_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0], [0.0], [2.0]], [1.0, 2.0, 3.0])
-        with pytest.raises(ZeroFeatureNorm):
+        with pytest.raises(DelpointError,
+                           match="point id 1 has a zero feature vector"):
             row(ds, 1, [0.5], hp_default)
         # the whole-dataset call rejects before any row, naming the point
         # by its position
-        with pytest.raises(ZeroFeatureNorm, match="point id 1 "):
+        with pytest.raises(DelpointError,
+                           match="point id 1 has a zero feature vector"):
             bounds_arrays(scan_arrays(ds, [0.5], hp_default),
                           hp_default.alpha)
 
@@ -146,7 +145,8 @@ class TestRiskChangeBounds:
 
     def test_singleton_rejected(self, hp_default):
         ds = Dataset.from_arrays([[1.0]], [1.0])
-        with pytest.raises(WouldEmptyDataset):
+        with pytest.raises(DelpointError,
+                           match="signal-to-noise ratio needs n >= 2"):
             row(ds, 0, [0.5], hp_default)
 
 
@@ -214,8 +214,11 @@ class TestFloorVariant:
                 > tight["upper"] - tight["lower"])
 
     def test_floor_validation(self, t3, hp_default):
-        for b in (1.5, 0.0, -1.0, float("nan")):
-            with pytest.raises(FloorViolated):
+        for b, problem in ((1.5, "B = 1.5 exceeds the smallest feature norm"),
+                           (0.0, "B must be positive"),
+                           (-1.0, "B must be positive"),
+                           (float("nan"), "B must be positive")):
+            with pytest.raises(DelpointError, match=problem):
                 row(t3, 0, [0.5], hp_default, b=b)
 
     def test_subnormal_floor_overflows(self, t3, hp_default):
@@ -300,9 +303,11 @@ class TestPrivacyFloor:
             assert abs(near - far) <= 1e-13 * far
 
     def test_alpha_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError,
+                           match=r"alpha must lie in \(0, 0\.5\)"):
             privacy_floor(0.0, 0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError,
+                           match=r"alpha must lie in \(0, 0\.5\)"):
             privacy_floor(0.0, 0.0)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
@@ -310,7 +315,7 @@ class TestPrivacyFloor:
         # named as eps_v, as membership_advantage names a separation, not
         # as the phi call it would reach; one bad entry rejects an array
         for arg in (eps, np.array([0.0, -1.0, eps])):
-            with pytest.raises(DomainError, match="eps_v must be finite"):
+            with pytest.raises(DelpointError, match="eps_v must be finite"):
                 privacy_floor(arg, 0.05)
 
 

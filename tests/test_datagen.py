@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from delpoint import DomainError, GenConfig, NumericOverflow, generate
+from delpoint import DelpointError, GenConfig, NumericOverflow, generate
 
 
 class TestGenerate:
@@ -55,20 +55,21 @@ class TestGenerate:
         assert wide.X[:, 1:].min() >= 0.0 and wide.X[:, 1:].max() <= 10.0
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="^n must be >= 1, got 0"):
             GenConfig(n=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="need x_low < x_high"):
             GenConfig(x_low=5.0, x_high=5.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="noise_std must be >= 0"):
             GenConfig(noise_std=-1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="noise_scale must be >= 0"):
             GenConfig(noise_scale=-0.5)
         for name in ("x_low", "x_high", "slope", "noise_std", "noise_scale"):
             for value in (float("inf"), float("-inf"), float("nan")):
-                with pytest.raises(DomainError, match=name):
+                with pytest.raises(DelpointError,
+                                   match=f"{name} must be finite"):
                     GenConfig(**{name: value})
         # finite bounds whose difference overflows float64
-        with pytest.raises(DomainError, match=r"x_high - x_low must be "
+        with pytest.raises(DelpointError, match=r"x_high - x_low must be "
                            r"finite, got \[-1e\+308, 1e\+308\]"):
             GenConfig(x_low=-1e308, x_high=1e308)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from delpoint import DomainError, InvalidValue, make_rng, phi, phi_inv
+from delpoint import DelpointError, make_rng, phi, phi_inv
 
 from _oracles import sample_gaussian
 
@@ -40,9 +40,9 @@ class TestPhi:
         assert np.all(np.diff(wide) >= 0)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(InvalidValue):
+        with pytest.raises(DelpointError, match="phi requires finite input"):
             phi(float("nan"))
-        with pytest.raises(InvalidValue):
+        with pytest.raises(DelpointError, match="phi requires finite input"):
             phi(float("inf"))
 
     def test_array_matches_scalar(self):
@@ -68,7 +68,8 @@ class TestPhiInv:
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.3, 1.5, float("nan")):
-            with pytest.raises(DomainError):
+            with pytest.raises(DelpointError,
+                               match="phi_inv requires 0 < p < 1"):
                 phi_inv(bad)
 
 
@@ -88,7 +89,7 @@ class TestSampling:
         assert 0.97 <= draws.var() <= 1.03
 
     def test_negative_std_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="^std must be >= 0"):
             sample_gaussian(make_rng(0), [0.0], -1.0)
 
     def test_seed_determinism(self):

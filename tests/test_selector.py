@@ -6,11 +6,9 @@ import pytest
 
 from delpoint import (
     Dataset,
-    DegenerateNoise,
-    DomainError,
+    DelpointError,
     GenConfig,
     HyperParams,
-    WouldEmptyDataset,
     advantage_target,
     find_perfect_deleted_point,
     generate,
@@ -166,14 +164,15 @@ class TestSelection:
 
     def test_error_propagation(self, rng):
         ds = random_dataset(rng, n=5, d=1)
-        with pytest.raises(DegenerateNoise):
+        with pytest.raises(DelpointError, match="sigma = 0 or gamma = 0"):
             find_perfect_deleted_point(
                 ds, [0.0], HyperParams(gamma=0.0, sigma=2.0, alpha=0.01))
         single = Dataset.from_arrays([[1.0]], [1.0])
-        with pytest.raises(WouldEmptyDataset):
+        with pytest.raises(DelpointError,
+                           match="signal-to-noise ratio needs n >= 2"):
             find_perfect_deleted_point(
                 single, [0.0], HyperParams(gamma=0.01, sigma=2.0, alpha=0.01))
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="tie_break must be one of"):
             find_perfect_deleted_point(ds, [0.0],
                                        HyperParams(gamma=0.01, sigma=2.0,
                                                    alpha=0.01),

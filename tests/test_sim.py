@@ -8,15 +8,11 @@ from scipy.stats import chi2
 
 from delpoint import (
     Dataset,
-    DegenerateNoise,
-    DomainError,
-    EmptyInput,
+    DelpointError,
     GenConfig,
     HyperParams,
     NumericOverflow,
     StepConfig,
-    TooManyDeletions,
-    WouldEmptyDataset,
     advantage_target,
     generate,
     make_rng,
@@ -179,7 +175,8 @@ class TestRunProtocol:
     def test_too_many_deletions_rejected(self, rng):
         ds = random_dataset(rng, n=5, d=1)
         hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
-        with pytest.raises(TooManyDeletions):
+        with pytest.raises(DelpointError,
+                           match="5 deletion steps would exhaust 5 points"):
             run_protocol(StepConfig(protocol="random_delete", steps=5,
                                     iterations=2, hp=hp, w0=np.zeros(1)), ds)
         # no_delete has no such limit
@@ -188,17 +185,18 @@ class TestRunProtocol:
 
     def test_config_validation(self, t3):
         hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="protocol must be one of"):
             StepConfig(protocol="nope", steps=1, iterations=1, hp=hp,
                        w0=np.zeros(1))
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="steps must be >= 1, got 0"):
             StepConfig(protocol="no_delete", steps=0, iterations=1, hp=hp,
                        w0=np.zeros(1))
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError,
+                           match="iterations must be >= 1, got 0"):
             StepConfig(protocol="no_delete", steps=1, iterations=0, hp=hp,
                        w0=np.zeros(1))
         # summarize checks bins itself, for a caller without a StepConfig
-        with pytest.raises(DomainError, match="bins must be >= 1, got 0"):
+        with pytest.raises(DelpointError, match="bins must be >= 1, got 0"):
             summarize(np.zeros((2, 1)), bins=0)
 
     @pytest.mark.parametrize("protocol, s_yx, s_xx", [
@@ -243,7 +241,7 @@ class TestRunProtocol:
     def test_tie_break_checked_at_construction(self, protocol):
         # checked even where the protocol never breaks a tie
         hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
-        with pytest.raises(DomainError, match="tie_break"):
+        with pytest.raises(DelpointError, match="tie_break"):
             StepConfig(protocol=protocol, steps=1, iterations=1, hp=hp,
                        w0=np.zeros(1), tie_break="bogus")
 
@@ -321,9 +319,9 @@ class TestBatchedEngine:
     def test_perfect_delete_needs_noise(self, hp_args):
         ds = random_dataset(np.random.default_rng(1), n=20, d=1)
         cfg = loop_config("perfect_delete", 1, **hp_args)
-        with pytest.raises(DegenerateNoise):
+        with pytest.raises(DelpointError, match="sigma = 0 or gamma = 0"):
             run_protocol(cfg, ds)
-        with pytest.raises(DegenerateNoise):
+        with pytest.raises(DelpointError, match="sigma = 0 or gamma = 0"):
             run_protocol_loop(cfg, ds)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -416,7 +414,8 @@ class TestSummarize:
             assert len(edges) == 31
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DelpointError,
+                           match="cannot summarize an empty weight"):
             summarize(np.empty((0, 1)), bins=5)
 
     @pytest.mark.parametrize("weights, match", [
@@ -440,9 +439,10 @@ class TestSummarize:
 class TestEmpiricalAdvantage:
     def test_validations(self, t3):
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05)
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError, match="trials must be >= 1000"):
             empirical_advantage(t3, 0, np.zeros(1), hp, trials=10)
-        with pytest.raises(DegenerateNoise):
+        with pytest.raises(DelpointError,
+                           match="empirical advantage needs gamma > 0"):
             empirical_advantage(t3, 0, np.zeros(1),
                                 HyperParams(gamma=0.0, sigma=2.0, alpha=0.05),
                                 trials=2000)
@@ -454,7 +454,8 @@ class TestEmpiricalAdvantage:
         for index in (-1, t3.n):
             with pytest.raises(IndexOutOfRange):
                 empirical_advantage(t3, index, np.zeros(1), hp, trials=1000)
-        with pytest.raises(WouldEmptyDataset):
+        with pytest.raises(DelpointError,
+                           match="deleting a point needs at least two points"):
             empirical_advantage(Dataset.from_arrays([[1.0]], [2.0]), 0,
                                 np.zeros(1), hp, trials=1000)
 

@@ -6,10 +6,8 @@ import pytest
 
 from delpoint import (
     Dataset,
-    DegenerateNoise,
-    DomainError,
+    DelpointError,
     HyperParams,
-    WouldEmptyDataset,
     advantage_target,
     membership_advantage,
     find_perfect_deleted_point,
@@ -113,10 +111,10 @@ class TestSnrForms:
             assert scaled == pytest.approx(base / c, rel=1e-12)
 
     def test_degenerate_noise_rejected(self, t3):
-        with pytest.raises(DegenerateNoise):
+        with pytest.raises(DelpointError, match="sigma = 0 or gamma = 0"):
             scan_arrays(t3, [0.5],
                         HyperParams(gamma=0.0, sigma=2.0, alpha=0.01))
-        with pytest.raises(DegenerateNoise):
+        with pytest.raises(DelpointError, match="sigma = 0 or gamma = 0"):
             scan_arrays(t3, [0.5],
                         HyperParams(gamma=0.01, sigma=0.0, alpha=0.01))
 
@@ -127,17 +125,18 @@ class TestSnrForms:
         hp = HyperParams(gamma=gamma, sigma=sigma, alpha=0.01,
                          snr_convention=convention)
         ds = Dataset.from_arrays([[1.0], [2.0]], [2.0, 3.0])
-        with pytest.raises(DegenerateNoise, match="underflows to 0"):
+        with pytest.raises(DelpointError, match="underflows to 0"):
             snr_denominator(ds.n, hp)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(DegenerateNoise):
+            with pytest.raises(DelpointError, match="underflows to 0"):
                 scan_arrays(ds, [0.5], hp)
         assert [str(w.message) for w in caught] == []
 
     def test_singleton_rejected(self):
         ds = Dataset.from_arrays([[1.0]], [1.0])
-        with pytest.raises(WouldEmptyDataset):
+        with pytest.raises(DelpointError,
+                           match="signal-to-noise ratio needs n >= 2"):
             scan_arrays(ds, [0.5],
                         HyperParams(gamma=0.01, sigma=2.0, alpha=0.01))
 
@@ -173,9 +172,11 @@ class TestAdvantage:
         assert membership_advantage(1e300, 0.01) == 0.01
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError,
+                           match=r"alpha must lie in \(0, 0\.5\)"):
             membership_advantage(1.0, 0.6)
-        with pytest.raises(DomainError):
+        with pytest.raises(DelpointError,
+                           match="separation must be finite and >= 0"):
             membership_advantage(-0.5, 0.05)
 
     def test_alpha_where_one_minus_alpha_rounds_to_one(self):
@@ -244,9 +245,11 @@ class TestAdvantage:
 
     def test_elementwise_domain_errors(self):
         for bad in (-0.5, -1e-300, np.nan, np.inf):
-            with pytest.raises(DomainError):
+            with pytest.raises(DelpointError,
+                               match="separation must be finite and >= 0"):
                 membership_advantage(np.array([1.0, bad, 2.0]), 0.05)
-            with pytest.raises(DomainError):
+            with pytest.raises(DelpointError,
+                               match="separation must be finite and >= 0"):
                 membership_advantage(bad, 0.05)
 
 
