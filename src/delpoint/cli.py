@@ -34,13 +34,12 @@ from ._choices import _SNR_CONVENTIONS, _TIE_BREAKS, PROTOCOLS
 from .errors import DelpointError
 
 MANIFEST_FORMAT_VERSION = 2
-SELECTION_JSON_FORMAT_VERSION = 1
+SELECTION_JSON_FORMAT_VERSION = 2
 BOUNDS_FORMAT_VERSION = 2
 SUMMARY_FORMAT_VERSION = 1
 
 _SCORES_CSV_HEADER = ("index", "d_v", "eps_v", "advantage", "feature_norm")
-_SELECTION_COLUMNS = ("index", "d_v", "eps_v", "distance", "advantage",
-                      "feature_norm")
+_SELECTION_COLUMNS = ("index", "d_v", "eps_v", "feature_norm")
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -241,8 +240,10 @@ def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
     ds, hp, w = _load_inputs(dataset, w0, hyper)
     from .core import _write_csv
     from .selector import find_perfect_deleted_point
+    from .snr import membership_advantage
     result = find_perfect_deleted_point(ds, w, hp, tie_break=tie_break)
     if scores_csv is not None:
+        result["advantage"] = membership_advantage(result["d_v"], hp.alpha)
         _write_csv(scores_csv, _SCORES_CSV_HEADER,
                    [result[key] for key in _SCORES_CSV_HEADER])
     _stream(_selection_chunks(result), out_dir, "selection.json")
@@ -255,7 +256,8 @@ def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
 def _selection_chunks(result):
     """selection.json of find_perfect_deleted_point's ``result`` in the
     pieces of _json_chunks: its _SELECTION_COLUMNS, one row per point, and
-    ``best``, the selected row keyed as the others."""
+    ``best``, the selected row keyed as the others.  A row's distance is
+    abs(eps_v), and its advantage is written to --scores-csv alone."""
     from .core import _json_chunks
     scores = {key: result[key] for key in _SELECTION_COLUMNS}
     best = result["best"]

@@ -17,8 +17,9 @@ Tie-breaking (``tie_break``):
   exactly equal to delta is accepted.
 
 Scores stay in the scan's columns: a selection is the dict of
-``snr.scan_arrays`` with the advantage column and ``best`` added and the
-numerator (which only the bounds read) dropped, and the CLI picks the columns it writes to selection.json.
+``snr.scan_arrays`` with ``best`` added and the numerator (which only the
+bounds read) dropped.  Selecting evaluates no Phi; the CLI computes the
+membership advantage only for ``--scores-csv``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from ._choices import _TIE_BREAKS
 from .core import Dataset, HyperParams
 from .errors import DelpointError
-from .snr import membership_advantage, scan_arrays
+from .snr import scan_arrays
 
 TIE_WINDOW = 1e-9
 
@@ -73,16 +74,14 @@ def find_perfect_deleted_point(ds: Dataset, w, hp: HyperParams,
     """Score every point and return the argmin-of-distance selection.
 
     The dict of ``scan_arrays`` without numerator, so that its buffer is
-    freed, and with two more keys: advantage, the membership advantage of
-    each point, and best, the selected position (an int), or None when no
-    point clears delta.  O(n d + d^2) time, O(n)
-    extra space; deterministic for fixed inputs.
+    freed, and with one more key: best, the selected position (an int), or
+    None when no point clears delta.  No Phi is evaluated.  O(n d + d^2)
+    time, O(n) extra space; deterministic for fixed inputs.
     """
     _check_tie_break(tie_break)
     a = scan_arrays(ds, w, hp)
     del a["numerator"]
     pos = int(_pick(a["distance"], a["eps_v"], a["feature_norm"], hp.delta,
                     tie_break))
-    a["advantage"] = membership_advantage(a["d_v"], hp.alpha)
     a["best"] = pos if pos >= 0 else None
     return a

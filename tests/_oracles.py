@@ -164,16 +164,29 @@ def json_doc_indent2(head, key, names, columns):
     return json.dumps(head | {key: rows}, indent=2) + "\n"
 
 
-def selection_doc_indent2(result):
-    """selection.json of a find_perfect_deleted_point result the way
-    json.dumps writes it."""
-    names = ["index", "d_v", "eps_v", "distance", "advantage", "feature_norm"]
+def _selection_doc(result, version, names):
     columns = [result[key] for key in names]
     best = result["best"]
-    head = {"format_version": 1, "target": result["target"],
+    head = {"format_version": version, "target": result["target"],
             "best": None if best is None
             else dict(zip(names, (col[best].item() for col in columns)))}
     return json_doc_indent2(head, "scores", names, columns)
+
+
+def selection_doc_indent2(result):
+    """selection.json (format 2) of a find_perfect_deleted_point result the
+    way json.dumps writes it."""
+    return _selection_doc(result, 2, ["index", "d_v", "eps_v",
+                                      "feature_norm"])
+
+
+def selection_doc_v1(result, advantage):
+    """selection.json as format 1 wrote it, the way json.dumps writes it:
+    the rows of format 2 with the result's distance column after eps_v
+    and ``advantage``, an array, after that."""
+    return _selection_doc(result | {"advantage": np.asarray(advantage)}, 1,
+                          ["index", "d_v", "eps_v", "distance", "advantage",
+                           "feature_norm"])
 
 
 def summary_doc(config, result):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -18,19 +19,21 @@ from delpoint import (
     advantage_target,
     find_perfect_deleted_point,
     load_csv,
+    membership_advantage,
     privacy_floor,
     run_protocol,
     save_csv,
 )
-from delpoint import core
+from delpoint import core, gauss, snr
 from delpoint.bounds import bounds_arrays
-from delpoint.cli import _SCORES_CSV_HEADER, _selection_chunks, main
+from delpoint.cli import (_SCORES_CSV_HEADER, _SELECTION_COLUMNS,
+                          _selection_chunks, main)
 from delpoint.snr import scan_arrays
 
-from conftest import tuned_dataset
+from conftest import random_dataset, tuned_dataset
 from _oracles import (bounds_calc, csv_writer_text, json_doc_indent2,
                       privacy_floor_calc, risk_loop, selection_doc_indent2,
-                      snr_by_deletion, summary_doc)
+                      selection_doc_v1, snr_by_deletion, summary_doc)
 
 
 @pytest.fixture
@@ -84,7 +87,7 @@ class TestSelect:
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert doc["best"]["index"] == 0
-        assert doc["best"]["distance"] <= 1e-9
+        assert abs(doc["best"]["eps_v"]) <= 1e-9
 
     def test_exit_three_when_absent(self, runner, tmp_path):
         path = gen_dataset(runner, tmp_path)
@@ -132,11 +135,15 @@ class TestSelect:
             assert header == ["index", "d_v", "eps_v", "advantage",
                               "feature_norm"]
             assert len(lines) == 1 + len(doc["scores"]) == 301
+            # the columns both files write; the advantage is the CSV's
+            shared = [key for key in header if key in _SELECTION_COLUMNS]
+            assert shared == list(_SELECTION_COLUMNS)
             for line, entry in zip(lines[1:], doc["scores"]):
-                index, *values = line.split(",")
-                assert int(index) == entry["index"]
-                for key, text in zip(header[1:], values):
-                    assert float(text) == entry[key]
+                assert list(entry) == shared
+                row = dict(zip(header, line.split(",")))
+                assert int(row["index"]) == entry["index"]
+                for key in shared[1:]:
+                    assert float(row[key]) == entry[key]
             assert doc["best"] == doc["scores"][doc["best"]["index"]]
 
     def test_stdout_equals_written_file(self, runner, tmp_path,
@@ -161,6 +168,124 @@ class TestSelect:
         res = runner.invoke(main, ["select", "--dataset", str(path),
                                    "--w0", "1,2,3"])
         assert res.exit_code == 2
+
+
+def _bits(value):
+    """A JSON value with a float as its IEEE bytes, so -0.0, NaN and the
+    int 0 are told apart from 0.0."""
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def assert_v2_is_v1(v1_text, v2_text, scores_csv):
+    """Format 2 holds the values of format 1 less its two derived columns:
+    a row's distance is abs(eps_v), bit for bit, and its advantage is the
+    --scores-csv column of that name."""
+    v1, v2 = json.loads(v1_text), json.loads(v2_text)
+    assert (v1["format_version"], v2["format_version"]) == (1, 2)
+    assert _bits(v1["target"]) == _bits(v2["target"])
+    lines = scores_csv.read_text().splitlines()
+    header = lines[0].split(",")
+    advantage = [float(line.split(",")[header.index("advantage")])
+                 for line in lines[1:]]
+    assert len(v1["scores"]) == len(v2["scores"]) == len(advantage)
+    rows = list(zip(v1["scores"], v2["scores"], advantage))
+    assert (v1["best"] is None) == (v2["best"] is None)
+    if v1["best"] is not None:
+        rows.append((v1["best"], v2["best"], advantage[v2["best"]["index"]]))
+    for old, new, adv in rows:
+        distance = old.pop("distance")
+        assert _bits(old.pop("advantage")) == _bits(adv)
+        assert list(old) == list(new) == list(_SELECTION_COLUMNS)
+        assert {k: _bits(v) for k, v in old.items()} == {
+            k: _bits(v) for k, v in new.items()}
+        assert _bits(abs(new["eps_v"])) == _bits(distance)
+
+
+class TestSelectionFormats:
+    """selection.json format 2 against format 1, and the Phi it skips."""
+
+    def test_select_evaluates_no_phi(self, runner, tmp_path, monkeypatch):
+        path = gen_dataset(runner, tmp_path)
+        scores_csv = tmp_path / "scores.csv"
+        args = ["select", "--dataset", str(path), "--out"]
+
+        def no_phi(*_):
+            raise AssertionError("phi evaluated")
+
+        with monkeypatch.context() as patch:
+            for module in (gauss, snr):
+                patch.setattr(module, "phi", no_phi)
+            res = runner.invoke(main, [*args, str(tmp_path / "a")])
+            assert res.exit_code == 0, res.output
+            doc = json.loads((tmp_path / "a" / "selection.json").read_text())
+            assert doc["format_version"] == 2
+            assert list(doc["best"]) == list(_SELECTION_COLUMNS)
+            # the patch is on the path that --scores-csv takes
+            res = runner.invoke(main, [*args, str(tmp_path / "b"),
+                                       "--scores-csv", str(scores_csv)])
+            assert isinstance(res.exception, AssertionError)
+        res = runner.invoke(main, [*args, str(tmp_path / "c"),
+                                   "--scores-csv", str(scores_csv)])
+        assert res.exit_code == 0, res.output
+        assert ((tmp_path / "c" / "selection.json").read_bytes()
+                == (tmp_path / "a" / "selection.json").read_bytes())
+        header, *lines = scores_csv.read_text().splitlines()
+        assert header == "index,d_v,eps_v,advantage,feature_norm"
+        # the d_v and advantage columns
+        d_v, adv = np.array([[float(v) for v in line.split(",")[1:4:2]]
+                             for line in lines]).T
+        assert d_v.tolist() == [row["d_v"] for row in doc["scores"]]
+        assert adv.tolist() == membership_advantage(d_v, 0.01).tolist()
+
+    @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
+    def test_random_datasets_equal_v1(self, runner, tmp_path, tie_break):
+        rng = np.random.default_rng(35)
+        hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05)
+        for trial in range(8):
+            ds = random_dataset(rng)
+            X, y = ds.X, ds.y
+            if trial % 2:
+                # a duplicated point: a tie that the tie-break decides
+                X, y = np.vstack([X, X[:1]]), np.append(y, y[0])
+            path = tmp_path / f"{trial}.csv"
+            save_csv(core.Dataset.from_arrays(X, y), path)
+            w = rng.normal(size=X.shape[1])
+            out, scores_csv = tmp_path / f"out{trial}", tmp_path / "s.csv"
+            res = runner.invoke(main, [
+                "select", "--dataset", str(path), "--alpha", "0.05",
+                "--w0", ",".join(map(repr, w.tolist())),
+                "--tie-break", tie_break, "--scores-csv", str(scores_csv),
+                "--out", str(out)])
+            assert res.exit_code in (0, 3), res.output
+            result = find_perfect_deleted_point(load_csv(path), w, hp,
+                                                tie_break=tie_break)
+            assert (res.exit_code == 3) == (result["best"] is None)
+            v1 = selection_doc_v1(result, membership_advantage(
+                result["d_v"], hp.alpha))
+            assert_v2_is_v1(v1, (out / "selection.json").read_text(),
+                            scores_csv)
+
+    def test_hand_built_columns_equal_v1(self, tmp_path):
+        # signed zeros, NaN, subnormals, infinities and exponent forms
+        eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
+                        5e-324, np.nan, -np.inf, 3.5, 1e+16])
+        n = eps.size
+        result = {"index": np.arange(n), "d_v": eps + 4.0, "eps_v": eps,
+                  "distance": np.abs(eps),
+                  "advantage": np.array([5e-324, 1e-05, 0.0, 0.25, 1e-300,
+                                         0.01, 0.5, np.nan, 2.5e-07, 0.1,
+                                         0.0]),
+                  "feature_norm": np.linspace(0.5, 1.0, n),
+                  "target": 4.0}
+        scores_csv = tmp_path / "scores.csv"
+        core._write_csv(scores_csv, _SCORES_CSV_HEADER,
+                        [result[key] for key in _SCORES_CSV_HEADER])
+        for best in (None, 2, 5, 7):
+            result["best"] = best
+            v2 = "".join(_selection_chunks(result))
+            assert v2 == selection_doc_indent2(result)
+            assert_v2_is_v1(selection_doc_v1(result, result["advantage"]),
+                            v2, scores_csv)
 
 
 class TestBounds:
@@ -326,14 +451,13 @@ class TestChunkBoundaries:
 
     @staticmethod
     def selection_result():
-        # exponent-form, signed-zero and non-finite values; distance is
-        # |eps_v| except at position 7
+        # exponent-form, signed-zero and non-finite values; the distance
+        # and advantage columns are the scan's and --scores-csv's, which
+        # selection.json does not write
         eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
                         -np.inf, 3.5, 0.1])
-        distance = np.abs(eps)
-        distance[7] = 3.0
         scores = {"index": np.arange(N_CHUNKED), "d_v": eps + 4.0,
-                  "eps_v": eps, "distance": distance,
+                  "eps_v": eps, "distance": np.abs(eps),
                   "advantage": np.full(N_CHUNKED, 0.25),
                   "feature_norm": np.linspace(0.5, 1.0, N_CHUNKED)}
         return scores | {"target": 4.0, "best": None}

@@ -15,10 +15,12 @@ from delpoint import (
 )
 from delpoint import selector
 from delpoint.cli import _SELECTION_COLUMNS, _selection_chunks
+from delpoint.core import _json_chunks
 from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import assign_labels_1d, random_dataset, tuned_dataset
-from _oracles import select_loop, select_strict_loop, selection_doc_indent2
+from _oracles import (json_doc_indent2, select_loop, select_strict_loop,
+                      selection_doc_indent2)
 
 
 def selection_json(result):
@@ -63,11 +65,10 @@ class TestSelection:
         ds = random_dataset(rng, n=20, d=2)
         result = find_perfect_deleted_point(ds, np.zeros(2), hp)
         assert result["best"] is None
-        # the scan's dict without its numerator, with the advantage column
-        # and best added
+        # the scan's dict without its numerator, with best added
         assert set(result) == {*scan_arrays(ds, np.zeros(2), hp),
-                               "advantage", "best"} - {"numerator"}
-        assert [len(result[key]) for key in _SELECTION_COLUMNS] == [20] * 6
+                               "best"} - {"numerator"}
+        assert [len(result[key]) for key in _SELECTION_COLUMNS] == [20] * 4
 
     def test_strict_mode_matches_loop_oracle(self, rng):
         hp = HyperParams(gamma=0.02, sigma=1.5, alpha=0.05, delta=100.0)
@@ -249,20 +250,24 @@ class TestSelectionJson:
         assert any(not t.startswith("-") and "e-" in t for t in eps)
 
     @staticmethod
-    def hand_built(eps, distance):
+    def check_hand_built(eps, distance):
+        """The six columns of format 1, with its odd tokens, through the
+        encoder itself: selection.json no longer writes distance."""
         eps = np.asarray(eps)
         n = eps.size
-        scores = {"index": np.arange(n), "d_v": eps + 4.0, "eps_v": eps,
-                  "distance": np.asarray(distance),
-                  "advantage": np.full(n, 0.25),
-                  "feature_norm": np.linspace(0.5, 1.0, n)}
-        return scores | {"target": 4.0, "best": None}
+        names = ["index", "d_v", "eps_v", "distance", "advantage",
+                 "feature_norm"]
+        columns = [np.arange(n), eps + 4.0, eps, np.asarray(distance),
+                   np.full(n, 0.25), np.linspace(0.5, 1.0, n)]
+        head = {"format_version": 1, "target": 4.0, "best": None}
+        text = "".join(_json_chunks(head, "scores", dict(zip(names,
+                                                             columns))))
+        assert text == json_doc_indent2(head, "scores", names, columns)
 
     def test_distance_tokens_from_eps(self):
         eps = np.array([-2.5e-07, 1e-05, -0.0, 0.0, -1e+16, -5e-324,
                         -np.inf, 3.5])
-        result = self.hand_built(eps, np.abs(eps))
-        assert selection_json(result) == selection_doc_indent2(result)
+        self.check_hand_built(eps, np.abs(eps))
 
     @pytest.mark.parametrize("eps, distance", [
         ([-2.5e-07, 1e-05, 0.0], [2.5e-07, 1e-05, 1.0]),
@@ -272,8 +277,7 @@ class TestSelectionJson:
         ([0.0, -0.0, 0.0], np.zeros(3, dtype=np.int64)),
     ], ids=["other", "signed", "negative-zero", "nan", "int"])
     def test_distance_encoded_itself(self, eps, distance):
-        result = self.hand_built(eps, distance)
-        assert selection_json(result) == selection_doc_indent2(result)
+        self.check_hand_built(eps, distance)
 
 
 class TestRanking:

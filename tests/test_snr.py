@@ -290,10 +290,11 @@ class TestScan:
         w = rng.normal(size=3)
         hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05)
         scores = find_perfect_deleted_point(ds, w, hp)
-        assert [len(scores[key]) for key in _SELECTION_COLUMNS] == [ds.n] * 6
+        assert [len(scores[key]) for key in _SELECTION_COLUMNS] == [ds.n] * 4
+        # the column --scores-csv writes
+        advantage = membership_advantage(scores["d_v"], hp.alpha)
         rows = zip(scores["index"], scores["d_v"], scores["eps_v"],
-                   scores["distance"], scores["advantage"],
-                   scores["feature_norm"])
+                   scores["distance"], advantage, scores["feature_norm"])
         for pos, (index, d, eps_v, distance, adv, fnorm) in enumerate(rows):
             single = snr_definition_form(ds.X, ds.y, pos, w,
                                          hp.gamma, hp.sigma)
@@ -309,6 +310,8 @@ class TestScan:
 
     def test_scores_csv(self, tmp_path, t3, hp_default):
         scores = find_perfect_deleted_point(t3, [0.5], hp_default)
+        scores["advantage"] = membership_advantage(scores["d_v"],
+                                                   hp_default.alpha)
         path = tmp_path / "scores.csv"
         _write_csv(path, _SCORES_CSV_HEADER,
                    [scores[key] for key in _SCORES_CSV_HEADER])
