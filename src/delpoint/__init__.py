@@ -19,7 +19,7 @@ _MODULES = {
     "_kernels": ("active_backend",),
     "bounds": ("privacy_floor",),
     "core": ("Dataset", "HyperParams", "load_csv", "save_csv"),
-    "datagen": ("GenConfig", "generate"),
+    "datagen": ("generate",),
     "errors": ("DelpointError", "NumericOverflow"),
     "gauss": ("make_rng", "phi", "phi_inv"),
     "selector": ("find_perfect_deleted_point",),

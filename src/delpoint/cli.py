@@ -7,8 +7,8 @@ runs: rerunning the command with those options, at the same BLAS thread
 count, writes the same bytes, the manifest's included.
 Exit codes: 0 success, 2 usage or malformed input, 3 no point within
 tolerance (select only), 4 internal numeric failure; _Command.invoke
-alone maps library errors to 2 and 4.  Only this module writes files,
-and it decides the layout of each; core encodes the rows.
+alone maps library errors to 2 and 4.  This module decides every
+artifact's path and layout; core encodes the rows and writes the CSVs.
 
 At the top this module imports only the standard library, click and the
 package's numpy-free modules, so ``--help``, ``--version`` and ``report``
@@ -204,11 +204,6 @@ def main():
 
 @main.command(cls=_Command)
 @click.option("--n", type=int, default=200, show_default=True)
-@click.option("--x-low", type=float, default=0.0, show_default=True)
-@click.option("--x-high", type=float, default=10.0, show_default=True)
-@click.option("--slope", type=float, default=3.1415926535, show_default=True)
-@click.option("--noise-std", type=float, default=2.0, show_default=True)
-@click.option("--noise-scale", type=float, default=10.0, show_default=True)
 @click.option("--extra-features", type=int, default=0, show_default=True)
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=40,
               show_default=True)
@@ -218,8 +213,8 @@ def main():
 def gen(out_dir, **params):
     """Generate a synthetic dataset CSV plus a manifest."""
     from .core import save_csv
-    from .datagen import GenConfig, generate
-    ds = generate(GenConfig(**params))
+    from .datagen import generate
+    ds = generate(**params)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "dataset.csv"
     save_csv(ds, csv_path)

@@ -22,15 +22,19 @@ Two denominator conventions are supported:
                   ratio test on simulated updates, and the one the test
                   suite's Monte Carlo advantage estimator converges to.
 
-The membership advantage of a separation d at Type I error alpha is
+At separation d the level-alpha test has Type II error
+beta = Phi(-Phi_inv(alpha) - d), and the paper's membership advantage is
 
-    |Adv| = |Phi(-Phi_inv(alpha) - d) - alpha|
+    |Adv| = |beta - alpha| = |Phi(-Phi_inv(alpha) - d) - alpha|
 
-which vanishes exactly at d = -2 Phi_inv(alpha), equal to
-2 Phi_inv(1 - alpha); the membership error eps_v = d_v + 2 Phi_inv(alpha),
-the ``eps_v`` column of ``scan_arrays``, measures the signed distance to
-that null point.  Both are computed from the lower tail, where alpha keeps
-its full precision however small it is.
+which vanishes exactly at d = -2 Phi_inv(alpha) = 2 Phi_inv(1 - alpha),
+where beta = alpha and the test has power 1 - alpha.  TPR - FPR =
+1 - beta - alpha (Yeom et al., CSF 2018) is 1 - 2 alpha there and grows
+with d, so by it the least detectable deletion is the point of smallest
+d_v, not the pick.  The membership error eps_v = d_v + 2 Phi_inv(alpha),
+the ``eps_v`` column of ``scan_arrays``, is the signed distance to that
+null point.  Both are computed from the lower tail, where alpha keeps its
+full precision however small it is.
 
 Near the target the advantage is a small difference of numbers close to
 alpha.  Where |eps_v| (|z| + |eps_v|) <= 1, with z = Phi_inv(alpha), it is
@@ -84,7 +88,9 @@ def snr_denominator(n: int, hp: HyperParams) -> float:
 
 
 def membership_advantage(d, alpha: float):
-    """|Phi(-Phi_inv(alpha) - d) - alpha| for separations d >= 0.
+    """|beta - alpha| = |Phi(-Phi_inv(alpha) - d) - alpha| for separations
+    d >= 0, with beta the Type II error of the level-alpha test at d: zero
+    at the target, where the test has power 1 - alpha (module docstring).
 
     Elementwise: an array of separations gives an array, a float gives a
     float.  Raises DelpointError if any separation is negative or not

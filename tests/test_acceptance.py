@@ -11,7 +11,6 @@ from scipy.stats import chi2
 
 from delpoint import (
     Dataset,
-    GenConfig,
     HyperParams,
     StepConfig,
     advantage_target,
@@ -96,7 +95,7 @@ def test_criterion_04_privacy_floor_identities():
 
 
 def _one_step_no_delete():
-    ds = generate(GenConfig())
+    ds = generate()
     hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, seed=0)
     cfg = StepConfig(protocol="no_delete", steps=1, iterations=100,
                      hp=hp, w0=np.zeros(1))
@@ -130,7 +129,7 @@ def test_criterion_06_one_step_mean_law():
 
 
 def test_criterion_07_multi_step_variance_ordering():
-    ds = generate(GenConfig())
+    ds = generate()
     w0 = np.zeros(1)
     start = time.perf_counter()
     wins = 0

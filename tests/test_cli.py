@@ -56,11 +56,6 @@ class TestGen:
         assert len(lines) == 201
         assert (tmp_path / "gen" / "manifest.json").exists()
 
-    def test_zero_noise_scale_exact_line(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path, "--noise-scale", "0")
-        ds = load_csv(path)
-        np.testing.assert_allclose(ds.y, 3.1415926535 * ds.X[:, 0], rtol=1e-12)
-
     def test_same_seed_identical_bytes(self, runner, tmp_path):
         a = gen_dataset(runner, tmp_path / "a", "--seed", "7")
         b = gen_dataset(runner, tmp_path / "b", "--seed", "7")
@@ -688,37 +683,16 @@ def test_tiny_noise_overflow_names_the_noise_scale(runner, tmp_path,
     assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.parametrize("option", ["--x-high", "--slope"])
-def test_gen_label_overflow_exits_four_without_warning(runner, tmp_path,
-                                                       option):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        res = runner.invoke(main, ["gen", "--n", "10", option, "1e308",
-                                   "--out", str(tmp_path / "gen")])
-    assert res.exit_code == 4, res.output
-    assert res.stderr.splitlines() == [
-        "numeric error: generated labels overflow float64"]
-    assert isinstance(res.exception, SystemExit)
-    assert [str(w.message) for w in caught] == []
-
-
-def test_gen_range_overflow_exits_two(runner, tmp_path):
-    # both bounds are finite, but x_high - x_low overflows float64
-    res = runner.invoke(main, ["gen", "--x-low=-1e308", "--x-high=1e308",
+@pytest.mark.parametrize("option", ["--x-low", "--x-high", "--slope",
+                                    "--noise-std", "--noise-scale"])
+def test_gen_recipe_options_are_usage_errors(runner, tmp_path, option):
+    # gen draws the reference recipe: its constants are not options
+    res = runner.invoke(main, ["gen", option, "1",
                                "--out", str(tmp_path / "gen")])
     assert res.exit_code == 2, res.output
-    assert res.stderr == ("error: x_high - x_low must be finite, got "
-                          "[-1e+308, 1e+308]\n")
+    assert res.stderr.splitlines()[-1].startswith("Error: No such option")
+    assert option in res.stderr
     assert not (tmp_path / "gen").exists()
-
-
-@pytest.mark.parametrize("option", ["--x-high", "--noise-std"])
-def test_gen_non_finite_parameter_exits_two(runner, tmp_path, option):
-    res = runner.invoke(main, ["gen", option, "inf",
-                               "--out", str(tmp_path / "gen")])
-    assert res.exit_code == 2, res.output
-    assert res.stderr == (f"error: {option[2:].replace('-', '_')} must be "
-                          f"finite, got inf\n")
 
 
 def _no_iteration(*args):

@@ -7,7 +7,6 @@ import pytest
 from delpoint import (
     Dataset,
     DelpointError,
-    GenConfig,
     HyperParams,
     advantage_target,
     find_perfect_deleted_point,
@@ -204,7 +203,7 @@ class TestSelectionJson:
         # selection.json of 1e5 points, streamed to the null device: only
         # a block of rows is alive at a time, where the joined document
         # holds every token string and the text at once
-        ds = generate(GenConfig(n=100_000, extra_features=2, seed=5))
+        ds = generate(n=100_000, extra_features=2, seed=5)
         result = find_perfect_deleted_point(ds, np.zeros(3), hp_default)
         size = 0
         tracemalloc.start()

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy.stats import chi2
 from delpoint import (
     Dataset,
     DelpointError,
-    GenConfig,
     HyperParams,
     NumericOverflow,
     StepConfig,
@@ -30,7 +30,7 @@ from _oracles import (IndexOutOfRange, delete_point, empirical_advantage,
 
 
 def reference_dataset():
-    return generate(GenConfig())  # 200 points, defaults
+    return generate()  # 200 points, defaults
 
 
 class TestSgdStep:
@@ -146,6 +146,71 @@ class TestRunProtocol:
                                      iterations=8, hp=hp, w0=np.zeros(1)), ds)
         np.testing.assert_array_equal(pf.final_weights, no.final_weights)
         assert all(log == [None, None, None] for log in pf.deletions_log)
+
+    @pytest.mark.parametrize("convention", ["paper", "consistent"])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_one_step_paired_difference_is_exact(self, convention, d):
+        # With g = s_yx - s_xx w0 and r_v = y_v - <x_v, w0>, deleting v
+        # from n points changes the mean gradient 2 (s_xx w0 - s_yx) by
+        # 2 (r_v x_v - g) / (n - 1).  The runs share their noise, so a
+        # deletion run's one-step weights minus no_delete's are
+        # -2 gamma (r_v x_v - g) / (n - 1), free of noise.  The reference
+        # is that formula in exact rationals on the simulator's float
+        # inputs (ds.s_xx, ds.s_yx, w0, x_v, y_v, gamma).
+        #
+        # Allowance.  Coordinate i of one run's step is
+        #     w0_i - gamma (2 (sum_j S_ij w0_j - b_i) + sigma z_i)
+        # with (S, b) = (s_xx, s_yx) for no_delete and, after a deletion,
+        #     S_ij = (n s_xx_ij - x_i x_j) / (n - 1),
+        #     b_i = (n s_yx_i - y_v x_i) / (n - 1).
+        # Each of its terms passes through at most d + 7 roundings: the
+        # downdate's product, subtraction and division (3), the d-term
+        # dot product (d), "- b_i", "+ sigma z_i", "gamma *" and
+        # "w0_i -" (4); 2 * and the integer n are exact.  So each run's
+        # w_i is within gamma_{d+7} of the same expression with every
+        # term replaced by its absolute value (A_no, A_del below), where
+        # gamma_k = k u / (1 - k u) and u = 2^-53.  The difference of the
+        # two runs adds one rounding of a value below A_no + A_del, so
+        # its error is below gamma_{d+8} (A_no + A_del).
+        rng = np.random.default_rng(100 + d)
+        ds = random_dataset(rng, n=int(rng.integers(2, 40)), d=d)
+        w0 = rng.normal(0.0, 2.0, d)
+        # delta covers every distance, so perfect_delete never skips
+        hp = HyperParams(gamma=0.05, sigma=1.5, alpha=0.05, delta=1e300,
+                         snr_convention=convention, seed=d)
+        runs = {protocol: run_protocol(
+            StepConfig(protocol=protocol, steps=1, iterations=6, hp=hp,
+                       w0=w0), ds) for protocol in PROTOCOLS}
+        n, S, b, gamma = ds.n, ds.s_xx, ds.s_yx, hp.gamma
+        k = d + 8
+        u = 2.0 ** -53
+        gamma_k = k * u / (1 - k * u)
+        q = [Fraction(float(v)) for v in w0]
+        g = [Fraction(float(b[i])) - sum(Fraction(float(S[i, j])) * q[j]
+                                         for j in range(d))
+             for i in range(d)]
+        for protocol in ("perfect_delete", "random_delete"):
+            res = runs[protocol]
+            for it, ([v], w_del) in enumerate(zip(res.deletions_log,
+                                                  res.final_weights)):
+                x, y = ds.X[v], ds.y[v]
+                noise = np.abs(
+                    hp.sigma * make_rng(hp.seed, it).standard_normal(d))
+                a_no = np.abs(w0) + gamma * (
+                    2 * (np.abs(S) @ np.abs(w0) + np.abs(b)) + noise)
+                a_del = np.abs(w0) + gamma * (
+                    2 * ((n * np.abs(S) + np.abs(np.outer(x, x)))
+                         @ np.abs(w0) + n * np.abs(b) + np.abs(y * x))
+                    / (n - 1) + noise)
+                allowance = gamma_k * (a_no + a_del)
+                diff = w_del - runs["no_delete"].final_weights[it]
+                r = Fraction(float(y)) - sum(Fraction(float(x[j])) * q[j]
+                                             for j in range(d))
+                for i in range(d):
+                    exact = (-2 * Fraction(gamma)
+                             * (r * Fraction(float(x[i])) - g[i]) / (n - 1))
+                    assert abs(Fraction(float(diff[i])) - exact) \
+                        <= Fraction(float(allowance[i])), (protocol, it, i)
 
     def test_random_delete_logs_distinct_original_ids(self, rng):
         ds = random_dataset(rng, n=12, d=1)
@@ -378,7 +443,7 @@ class TestBatchedEngine:
         # schedule, through the downdates of delete_point (the engine's,
         # bit for bit, by the tests above); the moments drift from those
         # of the surviving rows by under 1e-12 relative
-        ds = generate(GenConfig(n=1000, extra_features=2))
+        ds = generate(n=1000, extra_features=2)
         left, cur = list(range(ds.n)), ds
         for v in sim._random_schedule(ds.n, 900, make_rng(seed, 0, 1)):
             pos = left.index(v)
