@@ -9,6 +9,9 @@ Exit codes: 0 success, 2 usage or malformed input, 3 no point within
 tolerance (select only), 4 internal numeric failure; _Command.invoke
 alone maps library errors to 2 and 4.  This module decides every
 artifact's path and layout; core encodes the rows and writes the CSVs.
+``bounds`` and ``report`` print their document and write it to --out as
+they go; ``select`` prints only the head of selection.json, after every
+file it writes, and encodes score rows only for those files.
 
 At the top this module imports only the standard library, click and the
 package's numpy-free modules, so ``--help``, ``--version`` and ``report``
@@ -83,7 +86,9 @@ def _emit(piece: str) -> bool:
 
 def _stream(chunks, out_dir: Path | None, name: str) -> None:
     """Write the pieces of a document, the iterable ``chunks``, to stdout,
-    and to out_dir / name when --out is given.
+    and to out_dir / name when --out is given: the output of ``bounds``
+    and ``report``, whose document is their answer (``select`` prints
+    only its head).
 
     Only one block of rows is held at a time.  If writing the file fails
     part way, stdout may already hold the first part of the document.
@@ -231,7 +236,13 @@ def gen(out_dir, **params):
               path_type=Path), default=None,
               help="Directory for selection.json and the manifest.")
 def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
-    """Find the best single point to delete; exit 3 if none clears delta."""
+    """Find the best single point to delete; exit 3 if none clears delta.
+
+    Prints selection.json's head, the document without its scores.  The
+    scores are encoded only into the files: --scores-csv, selection.json
+    and the manifest are written in that order, before the head, so a
+    head on stdout means that every file is whole.
+    """
     ds, hp, w = _load_inputs(dataset, w0, hyper)
     from .core import _write_csv
     from .selector import find_perfect_deleted_point
@@ -241,26 +252,35 @@ def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
         result["advantage"] = membership_advantage(result["d_v"], hp.alpha)
         _write_csv(scores_csv, _SCORES_CSV_HEADER,
                    [result[key] for key in _SCORES_CSV_HEADER])
-    _stream(_selection_chunks(result), out_dir, "selection.json")
     if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(out_dir / "selection.json", "w", encoding="utf-8") as fh:
+            fh.writelines(_selection_chunks(result))
         _write_manifest(out_dir, ["selection.json"])
+    _emit(json.dumps(_selection_head(result), indent=2) + "\n")
     if result["best"] is None:
         sys.exit(EXIT_NO_PERFECT_POINT)
 
 
-def _selection_chunks(result):
-    """selection.json of find_perfect_deleted_point's ``result`` in the
-    pieces of _json_chunks: its _SELECTION_COLUMNS, one row per point, and
-    ``best``, the selected row keyed as the others.  A row's distance is
-    abs(eps_v), and its advantage is written to --scores-csv alone."""
-    from .core import _json_chunks
-    scores = {key: result[key] for key in _SELECTION_COLUMNS}
+def _selection_head(result) -> dict:
+    """selection.json of find_perfect_deleted_point's ``result`` without
+    its scores: format_version, target and ``best``, the selected row
+    keyed by _SELECTION_COLUMNS, or None."""
     best = result["best"]
     if best is not None:
-        best = {key: col[best].item() for key, col in scores.items()}
-    head = {"format_version": SELECTION_JSON_FORMAT_VERSION,
+        best = {key: result[key][best].item() for key in _SELECTION_COLUMNS}
+    return {"format_version": SELECTION_JSON_FORMAT_VERSION,
             "target": result["target"], "best": best}
-    return _json_chunks(head, "scores", scores)
+
+
+def _selection_chunks(result):
+    """selection.json of ``result`` in the pieces of _json_chunks: its
+    head, then its _SELECTION_COLUMNS, one row per point.  A row's
+    distance is abs(eps_v), and its advantage is written to --scores-csv
+    alone."""
+    from .core import _json_chunks
+    return _json_chunks(_selection_head(result), "scores",
+                        {key: result[key] for key in _SELECTION_COLUMNS})
 
 
 def _bounds_chunks(ds, w0, hp, b_floor):

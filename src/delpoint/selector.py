@@ -18,8 +18,9 @@ Tie-breaking (``tie_break``):
 
 Scores stay in the scan's columns: a selection is the dict of
 ``snr.scan_arrays`` with ``best`` added and the numerator (which only the
-bounds read) dropped.  Selecting evaluates no Phi; the CLI computes the
-membership advantage only for ``--scores-csv``.
+bounds read) dropped.  Selecting evaluates no Phi and encodes no row:
+the CLI encodes the score rows only for ``--out`` and ``--scores-csv``,
+and computes the membership advantage only for ``--scores-csv``.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from delpoint import (
     advantage_target,
     find_perfect_deleted_point,
     load_csv,
+    make_rng,
     membership_advantage,
     privacy_floor,
     run_protocol,
@@ -28,7 +30,7 @@ from delpoint import core, gauss, snr
 from delpoint.bounds import bounds_arrays
 from delpoint.cli import (_SCORES_CSV_HEADER, _SELECTION_COLUMNS,
                           _selection_chunks, main)
-from delpoint.snr import scan_arrays
+from delpoint.snr import scan_arrays, snr_denominator
 
 from conftest import random_dataset, tuned_dataset
 from _oracles import (bounds_calc, csv_writer_text, json_doc_indent2,
@@ -46,6 +48,14 @@ def gen_dataset(runner, tmp_path, *extra):
     res = runner.invoke(main, ["gen", "--out", str(out), *extra])
     assert res.exit_code == 0, res.output
     return out / "dataset.csv"
+
+
+def selection_head(text):
+    """What select prints: the selection.json ``text`` without its scores,
+    as json.dumps writes it with indent=2."""
+    doc = json.loads(text)
+    del doc["scores"]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 class TestGen:
@@ -94,13 +104,17 @@ class TestSelect:
 
     def test_output_matches_library_bytes(self, runner, tmp_path):
         path = gen_dataset(runner, tmp_path)
-        res = runner.invoke(main, ["select", "--dataset", str(path)])
+        out = tmp_path / "out"
+        res = runner.invoke(main, ["select", "--dataset", str(path),
+                                   "--out", str(out)])
         assert res.exit_code == 0
         ds = load_csv(path)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, delta=100.0)
         result = find_perfect_deleted_point(ds, np.zeros(1), hp)
-        assert res.output == "".join(_selection_chunks(result))
-        assert res.output == selection_doc_indent2(result)
+        text = (out / "selection.json").read_text()
+        assert text == "".join(_selection_chunks(result))
+        assert text == selection_doc_indent2(result)
+        assert res.output == selection_head(selection_doc_indent2(result))
 
     def test_scores_csv_written(self, runner, tmp_path):
         path = gen_dataset(runner, tmp_path)
@@ -141,16 +155,19 @@ class TestSelect:
                     assert float(row[key]) == entry[key]
             assert doc["best"] == doc["scores"][doc["best"]["index"]]
 
-    def test_stdout_equals_written_file(self, runner, tmp_path,
-                                        monkeypatch):
-        # blocks of 7 rows: the 200 rows stream in 29 pieces
+    def test_stdout_is_the_written_files_head(self, runner, tmp_path,
+                                              monkeypatch):
+        # blocks of 7 rows: the file's 200 rows are written in 29 pieces,
+        # and stdout carries the document without them
         monkeypatch.setattr(core, "_CHUNK_ROWS", 7)
         path = gen_dataset(runner, tmp_path)
         out = tmp_path / "out"
         res = runner.invoke(main, ["select", "--dataset", str(path),
                                    "--out", str(out)])
         assert res.exit_code == 0, res.output
-        assert res.stdout_bytes == (out / "selection.json").read_bytes()
+        text = (out / "selection.json").read_text()
+        assert len(json.loads(text)["scores"]) == 200
+        assert res.stdout_bytes == selection_head(text).encode()
 
     def test_malformed_input_exits_two(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -231,6 +248,30 @@ class TestSelectionFormats:
                              for line in lines]).T
         assert d_v.tolist() == [row["d_v"] for row in doc["scores"]]
         assert adv.tolist() == membership_advantage(d_v, 0.01).tolist()
+
+    @pytest.mark.parametrize("extra, code", [([], 0), (["--delta", "0"], 3)],
+                             ids=["best", "none"])
+    def test_select_without_files_encodes_no_row(self, runner, tmp_path,
+                                                 monkeypatch, extra, code):
+        path = gen_dataset(runner, tmp_path)
+        args = ["select", "--dataset", str(path), *extra]
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "a")])
+        assert res.exit_code == code, res.output
+        head = selection_head((tmp_path / "a" / "selection.json").read_text())
+
+        def no_rows(*_):
+            raise AssertionError("rows encoded")
+
+        monkeypatch.setattr(core, "_row_blocks", no_rows)
+        res = runner.invoke(main, args)
+        assert res.exit_code == code, res.output
+        assert res.stdout_bytes == head.encode()
+        assert (json.loads(head)["best"] is None) == (code == 3)
+        # the patch is on the path that --out takes, and the head follows
+        # the files, so a run that fails to write them prints nothing
+        res = runner.invoke(main, [*args, "--out", str(tmp_path / "b")])
+        assert isinstance(res.exception, AssertionError)
+        assert res.stdout_bytes == b""
 
     @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
     def test_random_datasets_equal_v1(self, runner, tmp_path, tie_break):
@@ -751,9 +792,12 @@ def test_select_reports_tiny_feature_norm(runner, tmp_path, norm):
     # the squares of the first row underflow to 0 without rescaling
     path = tmp_path / "tiny.csv"
     path.write_text(TINY_ROWS[norm])
-    res = runner.invoke(main, ["select", "--dataset", str(path)])
+    out = tmp_path / "out"
+    res = runner.invoke(main, ["select", "--dataset", str(path),
+                               "--out", str(out)])
     assert res.exit_code == 0, res.output
-    assert json.loads(res.output)["scores"][0]["feature_norm"] == norm
+    doc = json.loads((out / "selection.json").read_text())
+    assert doc["scores"][0]["feature_norm"] == norm
 
 
 @pytest.mark.parametrize("norm", list(TINY_ROWS))
@@ -954,10 +998,11 @@ def test_reruns_write_identical_artifacts(runner, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["select", "bounds"])
 def test_closed_stdout_still_writes_out(runner, tmp_path, command):
-    # `| head -c 100`: the reader goes after 100 bytes of a document far
-    # larger than a pipe buffer, and --out still gets the whole document
-    # and the manifest, with the exit code of a run it reads to the end;
-    # without --out the command exits with that code too
+    # `| head -c 100`: the reader goes after 100 bytes, of bounds'
+    # document, far larger than a pipe buffer, or of select's head, about
+    # 200 bytes, printed after its files.  --out still gets the whole
+    # document and the manifest, with the exit code of a run it reads to
+    # the end; without --out the command exits with that code too
     path = gen_dataset(runner, tmp_path, "--n", "2000")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
@@ -982,7 +1027,7 @@ def test_closed_stdout_still_writes_out(runner, tmp_path, command):
     assert docs[0] == docs[1]
 
 
-@pytest.mark.parametrize("command", ["gen", "simulate", "report"])
+@pytest.mark.parametrize("command", ["gen", "select", "simulate", "report"])
 def test_stdout_closed_before_the_first_write(runner, tmp_path, command):
     # `| head -c0`: the reader has gone before the command writes a byte;
     # it still exits 0, quietly, and writes what a run read to the end
@@ -997,6 +1042,7 @@ def test_stdout_closed_before_the_first_write(runner, tmp_path, command):
                                    "--out", str(summary.parent)])
         assert res.exit_code == 0, res.output
     args = {"gen": ["--n", "50"],
+            "select": ["--dataset", str(path), "--scores-csv", "scores.csv"],
             "simulate": ["--dataset", str(path), "--protocol",
                          "random-delete", "--steps", "2", "--iterations", "5"],
             "report": [str(summary)]}[command]
@@ -1086,6 +1132,93 @@ class TestSimulate:
         assert weights["p"] == weights["n"]
         doc = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert all(e is None for log in doc["deletions_log"] for e in log)
+
+    def test_one_step_paired_difference_matches_select(self, runner,
+                                                       tmp_path):
+        # The CLI form of test_sim.py's
+        # test_one_step_paired_difference_is_exact.  Under one seed a
+        # deletion run's one-step weights minus no_delete's are
+        # -2 gamma (r_v x_v - g) / (n - 1), free of noise, whose norm is
+        # 2 gamma N_v / (n - 1), with N_v = d_v denom(n) the numerator of
+        # select's scan at the same w0; perfect_delete deletes select's
+        # best.
+        #
+        # Allowance, with gamma_k = k u / (1 - k u) and u = 2^-53; both
+        # CSVs write floats as their repr, which reads back exactly.
+        # * Weights: that test bounds each coordinate's error by
+        #   e_i = gamma_{d+8} (A_no_i + A_del_i), so the norm of the
+        #   difference is within ||e|| of 2 gamma N / (n - 1), where N is
+        #   ||r_v x_v - g|| in exact arithmetic on the float inputs.
+        # * The scan's d_v: the kernel's c_j = r_v x_vj - g_j takes
+        #   <x_v, w0> (d roundings), "y_v -" (1), "* x_vj" and "- g_j"
+        #   (2), with g_j = s_yx_j - (s_xx w0)_j rounded d + 1 times, so
+        #   |c_j - exact| <= gamma_{d+3} B_j, where
+        #   B_j = (|y_v| + |x_v|.|w0|) |x_vj| + |s_yx_j| + (|s_xx| |w0|)_j.
+        #   The squares, their sum and the root (gamma_{d+1}) and the
+        #   division by denom(n) (u) put d_v denom, taken exactly with the
+        #   scan's own float denom, within gamma_{d+2} ||c|| of ||c||, and
+        #   ||c|| <= 2 d_v denom.  So |d_v denom - N| <=
+        #   gamma_{d+3} (2 d_v denom + ||B||).
+        # The sum of the two, scaled, is the allowance a; it is evaluated
+        # in floats, which moves it by a few u of itself.  The comparison
+        # is exact: (T - a)_+^2 <= ||w_del - w_no||^2 <= (T + a)^2 in
+        # Fractions, with T = 2 gamma d_v denom / (n - 1).
+        path = gen_dataset(runner, tmp_path, "--extra-features", "2")
+        w0 = np.array([2.9, 0.1, -0.4])
+        common = ["--dataset", str(path), "--w0", "2.9,0.1,-0.4",
+                  "--seed", "5"]
+        scores_csv = tmp_path / "scores.csv"
+        res = runner.invoke(main, ["select", *common,
+                                   "--scores-csv", str(scores_csv)])
+        assert res.exit_code == 0, res.output
+        best = json.loads(res.output)["best"]["index"]
+        d_v = [float(line.split(",")[1])
+               for line in scores_csv.read_text().splitlines()[1:]]
+        iterations = 20
+        weights, logs = {}, {}
+        for proto in ("perfect-delete", "random-delete", "no-delete"):
+            out = tmp_path / proto
+            res = runner.invoke(main, ["simulate", *common, "--protocol",
+                                       proto, "--steps", "1", "--iterations",
+                                       str(iterations), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            weights[proto] = [
+                [Fraction(float(v)) for v in line.split(",")[1:]]
+                for line in (out / "weights.csv").read_text().splitlines()[1:]]
+            logs[proto] = json.loads(
+                (out / "summary.json").read_text())["deletions_log"]
+        assert logs["perfect-delete"] == [[best]] * iterations
+
+        ds = load_csv(path)
+        hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, seed=5)
+        n, d, S, b, gamma = ds.n, ds.dim, ds.s_xx, ds.s_yx, hp.gamma
+        denom = snr_denominator(n, hp)
+        u = 2.0 ** -53
+        gamma_scan = (d + 3) * u / (1 - (d + 3) * u)
+        gamma_step = (d + 8) * u / (1 - (d + 8) * u)
+        for proto in ("perfect-delete", "random-delete"):
+            for it, [v] in enumerate(logs[proto]):
+                x, y = ds.X[v], ds.y[v]
+                noise = np.abs(
+                    hp.sigma * make_rng(hp.seed, it).standard_normal(d))
+                a_no = np.abs(w0) + gamma * (
+                    2 * (np.abs(S) @ np.abs(w0) + np.abs(b)) + noise)
+                a_del = np.abs(w0) + gamma * (
+                    2 * ((n * np.abs(S) + np.abs(np.outer(x, x)))
+                         @ np.abs(w0) + n * np.abs(b) + np.abs(y * x))
+                    / (n - 1) + noise)
+                B = ((abs(y) + np.abs(x) @ np.abs(w0)) * np.abs(x)
+                     + np.abs(b) + np.abs(S) @ np.abs(w0))
+                a = Fraction(float(
+                    np.linalg.norm(gamma_step * (a_no + a_del))
+                    + 2 * gamma / (n - 1) * gamma_scan
+                    * (2 * d_v[v] * denom + np.linalg.norm(B))))
+                T = (2 * Fraction(gamma) * Fraction(d_v[v]) * Fraction(denom)
+                     / (n - 1))
+                diff2 = sum((p - q) ** 2 for p, q in zip(
+                    weights[proto][it], weights["no-delete"][it]))
+                assert max(T - a, 0) ** 2 <= diff2 <= (T + a) ** 2, \
+                    (proto, it)
 
     @pytest.mark.parametrize("proto, extra", [
         ("perfect-delete", ["--delta", "0.2"]),
