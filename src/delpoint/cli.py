@@ -2,18 +2,18 @@
 
 Every command takes an explicit ``--seed`` and, whenever it writes
 artifacts (``--out``), drops a manifest.json that records its options as
-click parsed them, defaults included, and nothing that varies between
+they were parsed, defaults included, and nothing that varies between
 runs: rerunning the command with those options, at the same BLAS thread
 count, writes the same bytes, the manifest's included.
 Exit codes: 0 success, 2 usage or malformed input, 3 no point within
-tolerance (select only), 4 internal numeric failure; _Command.invoke
-alone maps library errors to 2 and 4.  This module decides every
+tolerance (select only), 4 internal numeric failure; ``main`` alone
+maps library errors to 2 and 4.  This module decides every
 artifact's path and layout; core encodes the rows and writes the CSVs.
 ``bounds`` and ``report`` print their document and write it to --out as
 they go; ``select`` prints only the head of selection.json, after every
 file it writes, and encodes score rows only for those files.
 
-At the top this module imports only the standard library, click and the
+At the top this module imports only the standard library and the
 package's numpy-free modules, so ``--help``, ``--version`` and ``report``
 start without numpy.  The numeric modules load with the first dataset,
 in ``load_csv``, and the command bodies take their names from them there.
@@ -21,6 +21,7 @@ in ``load_csv``, and the command bodies take their names from them there.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
 import importlib
@@ -30,11 +31,14 @@ import os
 import sys
 from pathlib import Path
 
-import click
-
 from . import __version__
 from ._choices import _SNR_CONVENTIONS, _TIE_BREAKS, PROTOCOLS
 from .errors import DelpointError
+
+# argparse looks up its messages through gettext, which imports locale at
+# the first lookup: import it with argparse, as part of start-up rather
+# than of the first command parsed
+importlib.import_module("locale")
 
 MANIFEST_FORMAT_VERSION = 2
 SELECTION_JSON_FORMAT_VERSION = 2
@@ -53,26 +57,29 @@ EXIT_NUMERIC = 4
 # import; load_csv imports them (see there)
 _DATASET_STACK = ("core", "snr", "selector", "bounds", "sim")
 
+# each command's name -> (function, options), filled by _command
+_COMMANDS: dict = {}
+
+# the command that main runs and its parsed options, for the manifest
+_running: dict = {}
+
 
 def _write_manifest(out_dir: Path, artifacts: list[str]) -> None:
     """manifest.json of the running command: its ``config`` maps each
-    parameter, in the order the command declares them (not the order of
-    argv), to its value as click parsed it, defaults included.  A path is
-    written as its text and a tuple of paths as a list."""
-    ctx = click.get_current_context()
-    doc = {"format_version": MANIFEST_FORMAT_VERSION,
-           "command": ctx.info_name,
-           "config": {p.name: ctx.params[p.name] for p in ctx.command.params},
+    option, in the order the command declares them (not the order of
+    argv), to its value as main parsed it, defaults included.  A path is
+    written as its text and a list of paths as a list."""
+    doc = {"format_version": MANIFEST_FORMAT_VERSION, **_running,
            "artifacts": artifacts, "tool_version": __version__}
     (out_dir / "manifest.json").write_text(
         json.dumps(doc, indent=2, default=os.fspath) + "\n", encoding="utf-8")
 
 
 def _emit(piece: str) -> bool:
-    """Write ``piece`` to sys.stdout, not through click.echo's ANSI regex;
-    False once the reader has gone (| head).  fd 1 then points at
-    os.devnull, so later writes and the flush at exit are quiet (see the
-    SIGPIPE note in the ``signal`` docs)."""
+    """Write ``piece`` to sys.stdout and flush it; False once the reader
+    has gone (| head).  fd 1 then points at os.devnull, so later writes
+    and the flush at exit are quiet (see the SIGPIPE note in the
+    ``signal`` docs)."""
     try:
         sys.stdout.write(piece)
         sys.stdout.flush()
@@ -142,7 +149,7 @@ def _parse_w0(value: str | None, dim: int):
 def _load_inputs(dataset: Path, w0: str | None, hyper: dict):
     """Dataset, HyperParams and start weights of a dataset command.
 
-    ``hyper`` holds the HyperParams fields that _dataset_options parsed.  The
+    ``hyper`` holds the HyperParams fields of _DATASET_OPTIONS.  The
     CSV is read through this module's ``load_csv`` attribute, which
     perfbench/probe.py replaces to serve datasets it has already loaded.
     """
@@ -151,70 +158,66 @@ def _load_inputs(dataset: Path, w0: str | None, hyper: dict):
     return ds, HyperParams(**hyper), _parse_w0(w0, ds.dim)
 
 
-def _dataset_options(fn):
-    """--dataset, --w0 and one option per HyperParams field; see
-    _load_inputs.  click lists the options of a command in the reverse of
-    the order they are applied, so these read from the bottom up."""
-    fn = click.option("--snr-convention",
-                      type=click.Choice(_SNR_CONVENTIONS),
-                      default="paper", show_default=True,
-                      help="Denominator convention for d_v.")(fn)
-    fn = click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
-                      show_default=True,
-                      help="RNG seed: simulate draws from it; select and "
-                           "bounds only record it.")(fn)
-    fn = click.option("--w0", type=str, default=None,
-                      help="Initial weights as a comma-separated list "
-                           "(default: zeros).")(fn)
-    fn = click.option("--delta", type=float, default=100.0, show_default=True,
-                      help="Largest acceptable |d_v - target|.")(fn)
-    fn = click.option("--alpha", type=float, default=0.01, show_default=True,
-                      help="Type I error of the membership test.")(fn)
-    fn = click.option("--sigma", type=float, default=2.0, show_default=True,
-                      help="Gradient noise standard deviation.")(fn)
-    fn = click.option("--gamma", type=float, default=0.01, show_default=True,
-                      help="Learning rate.")(fn)
-    return click.option("--dataset", type=click.Path(
-        exists=True, dir_okay=False, path_type=Path), required=True)(fn)
+def _path(refuse, problem: str):
+    """An argparse type: the text as a Path, refused where ``refuse``."""
+    def convert(text: str) -> Path:
+        if refuse(Path(text)):
+            raise argparse.ArgumentTypeError(f"{text!r} {problem}")
+        return Path(text)
+    return convert
 
 
-_tie_break_option = click.option(
-    "--tie-break", type=click.Choice(_TIE_BREAKS),
-    default="norm-first", show_default=True,
-    help="Tie handling among near-minimal candidates.")
+def _seed(text: str) -> int:
+    """An argparse type: an int in 0..2**64 - 1, in decimal digits."""
+    if text.isdecimal() and int(text) < 2**64:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"{text!r} is not in 0..{2**64 - 1}")
 
 
-class _Command(click.Command):
-    """A command whose library errors exit with the documented codes.  Click
-    parses the options and prints --help before ``invoke``, so usage errors
-    and a closed pipe under --help stay click's."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        # before DelpointError: NumericOverflow is both
-        except ArithmeticError as exc:
-            click.echo(f"numeric error: {exc}", err=True)
-            sys.exit(EXIT_NUMERIC)
-        except (DelpointError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_INPUT)
+_INPUT = _path(lambda p: not p.exists() or p.is_dir(),
+               "does not exist or is a directory")
 
 
-@click.group()
-@click.version_option(version=__version__, prog_name="delpoint")
-def main():
-    """Deleted-point analysis for one-step noisy SGD on linear regression."""
+def _out(names: str, required=False) -> dict:
+    return {"--out": dict(
+        dest="out_dir", type=_path(Path.is_file, "is a file"),
+        required=required, help=f"Directory for {names} and the manifest.")}
 
 
-@main.command(cls=_Command)
-@click.option("--n", type=int, default=200, show_default=True)
-@click.option("--extra-features", type=int, default=0, show_default=True)
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=40,
-              show_default=True)
-@click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), required=True,
-              help="Directory for dataset.csv and the manifest.")
+# --dataset, --w0 and one option per HyperParams field; see _load_inputs
+_DATASET_OPTIONS = {
+    "--dataset": dict(type=_INPUT, required=True),
+    "--gamma": dict(type=float, default=0.01, help="Learning rate."),
+    "--sigma": dict(type=float, default=2.0,
+                    help="Gradient noise standard deviation."),
+    "--alpha": dict(type=float, default=0.01,
+                    help="Type I error of the membership test."),
+    "--delta": dict(type=float, default=100.0,
+                    help="Largest acceptable |d_v - target|."),
+    "--w0": dict(help="Initial weights as a comma-separated list "
+                 "(default: zeros)."),
+    "--seed": dict(type=_seed, default=0, help="RNG seed: simulate draws "
+                   "from it; select and bounds only record it."),
+    "--snr-convention": dict(choices=_SNR_CONVENTIONS, default="paper",
+                             help="Denominator convention for d_v.")}
+_TIE_BREAK = {"--tie-break": dict(
+    choices=_TIE_BREAKS, default="norm-first",
+    help="Tie handling among near-minimal candidates.")}
+
+
+def _command(options: dict):
+    """Register the decorated function as the command of its name, with
+    ``options``, flag -> add_argument keywords, in its manifest's order."""
+    def register(fn):
+        _COMMANDS[fn.__name__] = fn, options
+        return fn
+    return register
+
+
+@_command({"--n": dict(type=int, default=200),
+           "--extra-features": dict(type=int, default=0),
+           "--seed": dict(type=_seed, default=40),
+           **_out("dataset.csv", required=True)})
 def gen(out_dir, **params):
     """Generate a synthetic dataset CSV plus a manifest."""
     from .core import save_csv
@@ -227,14 +230,9 @@ def gen(out_dir, **params):
     _emit(f"{csv_path}\n")
 
 
-@main.command(cls=_Command)
-@_dataset_options
-@_tie_break_option
-@click.option("--scores-csv", type=click.Path(dir_okay=False, path_type=Path),
-              default=None, help="Also write the per-point scan CSV here.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), default=None,
-              help="Directory for selection.json and the manifest.")
+@_command(_DATASET_OPTIONS | _TIE_BREAK | {"--scores-csv": dict(
+    type=_path(Path.is_dir, "is a directory"),
+    help="Also write the per-point scan CSV here.")} | _out("selection.json"))
 def select(dataset, w0, tie_break, scores_csv, out_dir, **hyper):
     """Find the best single point to delete; exit 3 if none clears delta.
 
@@ -301,13 +299,9 @@ def _bounds_chunks(ds, w0, hp, b_floor):
         "privacy_floor": cols["privacy_floor"]})
 
 
-@main.command(cls=_Command)
-@_dataset_options
-@click.option("--b-floor", type=float, default=None,
-              help="Use the norm-floor bound variant with this B.")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), default=None,
-              help="Directory for bounds.json and the manifest.")
+@_command(_DATASET_OPTIONS | {"--b-floor": dict(
+    type=float, help="Use the norm-floor bound variant with this B.")}
+    | _out("bounds.json"))
 def bounds(dataset, w0, b_floor, out_dir, **hyper):
     """Per-point risk-change interval and privacy floor, as JSON.
 
@@ -322,18 +316,13 @@ def bounds(dataset, w0, b_floor, out_dir, **hyper):
         _write_manifest(out_dir, ["bounds.json"])
 
 
-@main.command(cls=_Command)
-@_dataset_options
-@click.option("--protocol", type=click.Choice(
-              [p.replace("_", "-") for p in PROTOCOLS]), required=True)
-@click.option("--steps", type=int, default=1, show_default=True)
-@click.option("--iterations", type=int, default=100, show_default=True)
-@click.option("--bins", type=int, default=30, show_default=True)
-@_tie_break_option
-@click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), required=True,
-              help="Directory for weights.csv, summary.json and the "
-                   "manifest.")
+@_command(_DATASET_OPTIONS | {
+    "--protocol": dict(required=True,
+                       choices=[p.replace("_", "-") for p in PROTOCOLS]),
+    "--steps": dict(type=int, default=1),
+    "--iterations": dict(type=int, default=100),
+    "--bins": dict(type=int, default=30)}
+    | _TIE_BREAK | _out("weights.csv, summary.json", required=True))
 def simulate(dataset, w0, protocol, steps, iterations, bins, tie_break,
              out_dir, **hyper):
     """Run a multi-step deletion protocol; write weights.csv + summary.json."""
@@ -410,14 +399,10 @@ def _summary_row(path: Path) -> tuple:
     raise DelpointError(f"{path}: not a simulate summary.json: {problem}")
 
 
-@main.command(cls=_Command)
-@click.argument("summaries", nargs=-1, required=True,
-                type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0,
-              show_default=True, help="Recorded in the manifest (no RNG use).")
-@click.option("--out", "out_dir", type=click.Path(file_okay=False,
-              path_type=Path), default=None,
-              help="Directory for report.md and the manifest.")
+@_command({"summaries": dict(nargs="+", type=_INPUT),
+           "--seed": dict(type=_seed, default=0,
+                          help="Recorded in the manifest (no RNG use)."),
+           **_out("report.md")})
 def report(summaries, seed, out_dir):
     """Render a protocol-by-steps table from simulate summary files."""
     rows = [_summary_row(path) for path in summaries]
@@ -433,17 +418,72 @@ def report(summaries, seed, out_dir):
         _write_manifest(out_dir, ["report.md"])
 
 
+def _parse(prog: str, description: str, options: dict, argv: list[str]):
+    """The ``options`` (flag -> add_argument keywords) in ``argv``, by
+    name, in their order.  argparse exits 0 after --help and 2 on a usage
+    error.  --help shows each default that is not None."""
+    parser = argparse.ArgumentParser(prog=prog, description=description,
+                                     add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help",
+                        help="Show this message and exit.")
+    for flag, kwargs in options.items():
+        if kwargs.get("default") is not None:
+            kwargs = kwargs | {"help": f"{kwargs.get('help', '')} "
+                                       "(default: %(default)s)"}
+        parser.add_argument(flag, **kwargs)
+    # an option takes the next word as its value, whatever it begins
+    # with: --delta -1e-3 is --delta=-1e-3, not two options
+    words = []
+    for word in argv:
+        if words and words[-1] in options and words[-1][0] == "-":
+            word = f"{words.pop()}={word}"
+        words.append(word)
+    return vars(parser.parse_args(words))
+
+
+def main(args=None, standalone_mode=True):
+    """Run the command that ``args`` (default sys.argv[1:]) names,
+    building only that command's parser.
+
+    A command that ends with 0 returns; any other code raises
+    SystemExit(code), a usage error's 2 included.  Once the options are
+    parsed, library errors map to exit codes here alone: ArithmeticError
+    (NumericOverflow is one) to 4, DelpointError and OSError to 2.
+    ``standalone_mode`` does nothing; it exists only for
+    perfbench/probe.py, which calls ``main(args, standalone_mode=False)``.
+    """
+    argv = sys.argv[1:] if args is None else list(args)
+    if not argv or argv[0] not in _COMMANDS:  # exits, 0 after --help
+        _parse("delpoint", "Deleted-point analysis for one-step noisy SGD "
+               "on linear regression; COMMAND --help lists its options.",
+               {"--version": dict(action="version",
+                                  version=f"delpoint, version {__version__}"),
+                "command": dict(choices=_COMMANDS, metavar="COMMAND",
+                                help=", ".join(_COMMANDS))}, argv[:1])
+    fn, options = _COMMANDS[argv[0]]
+    _running.update(command=argv[0], config=_parse(
+        f"delpoint {argv[0]}", fn.__doc__, options, argv[1:]))
+    try:
+        fn(**_running["config"])
+    except ArithmeticError as exc:  # NumericOverflow is a DelpointError too
+        print(f"numeric error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_NUMERIC)
+    except (DelpointError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(EXIT_INPUT)
+
+
 def run():
     """Process entry of the ``delpoint`` script and ``python -m
     delpoint.cli``: ``main``, then ``gc.freeze()`` however it ends.
 
-    Everything alive when the command ends (numpy, click, the package,
+    Everything alive when the command ends (numpy, the package,
     what the command loaded) moves to the collector's permanent
     generation, so the full collections at interpreter shutdown do not
     walk it, which was most of a command's exit time (see README).  The
     exit code, atexit handlers and the flush of stdout and stderr stay the
     interpreter's, and the commands' files are closed by then.  ``main``
-    itself never freezes, so callers in a long-lived process (CliRunner,
+    itself never freezes, so callers in a long-lived process (tests,
     perfbench's probe) keep their collector as it was.
     """
     try:

@@ -1,10 +1,69 @@
+import io
 import math
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from delpoint import Dataset, HyperParams, advantage_target
+from delpoint.cli import main
 from delpoint.snr import snr_denominator
+
+
+class _Copy(io.BytesIO):
+    """A byte stream that also writes everything it is given to
+    ``copy_to``."""
+
+    def __init__(self, copy_to):
+        super().__init__()
+        self.copy_to = copy_to
+
+    def write(self, b):
+        self.copy_to.write(b)
+        return super().write(b)
+
+
+def invoke(args):
+    """Run ``delpoint.cli.main(args)`` in this process, with stdout and
+    stderr captured, and return what it did.
+
+    ``exit_code`` is that of a process (0 when main returns, 1 for an
+    uncaught exception), and ``exception`` the SystemExit of a non-zero
+    code or the uncaught exception, else None.  ``stdout`` and
+    ``stderr`` are the decoded streams and ``stdout_bytes`` the raw one;
+    ``output`` is both streams in the order their writes were flushed,
+    as a terminal would show them.
+    """
+    mixed = io.BytesIO()
+    out, err = _Copy(mixed), _Copy(mixed)
+    saved = sys.stdout, sys.stderr
+    # the wrappers, held until the end, close their buffers when freed
+    wrappers = sys.stdout, sys.stderr = (
+        io.TextIOWrapper(out, encoding="utf-8"),
+        io.TextIOWrapper(err, encoding="utf-8", errors="backslashreplace"))
+    exit_code, exception = 0, None
+    try:
+        main(args)
+    except SystemExit as exc:
+        exit_code = 0 if exc.code is None else exc.code
+        if exit_code != 0:
+            exception = exc
+        if not isinstance(exit_code, int):
+            sys.stdout.write(f"{exit_code}\n")
+            exit_code = 1
+    except Exception as exc:
+        exit_code, exception = 1, exc
+    finally:
+        for stream in wrappers:
+            stream.flush()
+        sys.stdout, sys.stderr = saved
+    text = {name: stream.getvalue().decode("utf-8", "replace")
+            .replace("\r\n", "\n")
+            for name, stream in (("output", mixed), ("stdout", out),
+                                 ("stderr", err))}
+    return SimpleNamespace(exit_code=exit_code, exception=exception,
+                           stdout_bytes=out.getvalue(), **text)
 
 
 @pytest.fixture

@@ -6,12 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
-import click
 import pytest
-from click.testing import CliRunner
 
 import delpoint
 from delpoint import Dataset
+
+from conftest import invoke
 
 # Names that must stay gone, by the module that defined them.
 _ERRORS = ["EmptyDataset", "WouldEmptyDataset", "DimensionMismatch",
@@ -91,9 +91,10 @@ def run_python(code: str, check=True, **kwargs):
 LIGHT_MODULES = ["delpoint", "delpoint._choices", "delpoint.cli",
                  "delpoint.errors"]
 
-# the loaded package modules and any of numpy, orjson or a process pool
+# the loaded package modules and any of click, numpy, orjson or a
+# process pool
 LOADED = ("sorted(m for m in sys.modules if m.split('.')[0] in ('delpoint',"
-          " 'numpy', 'orjson', 'multiprocessing', 'concurrent'))")
+          " 'click', 'numpy', 'orjson', 'multiprocessing', 'concurrent'))")
 
 
 def test_cli_import_loads_no_process_pool():
@@ -129,6 +130,23 @@ def test_light_commands_load_no_numpy(tmp_path, args):
     # run as __main__, the CLI module is not delpoint.cli
     assert out.stderr.splitlines()[-1] == str(
         [m for m in LIGHT_MODULES if m != "delpoint.cli"])
+
+
+def test_select_loads_no_click(tmp_path):
+    # the commands parse with argparse: a dataset command, which loads
+    # numpy and orjson, loads no click module either
+    (tmp_path / "data.csv").write_text("x0,y\n1,2\n2,3\n3,5\n")
+    out = run_python(
+        "import atexit, runpy, sys\n"
+        f"atexit.register(lambda: print({LOADED}, file=sys.stderr))\n"
+        "sys.argv = ['delpoint', 'select', '--dataset', 'data.csv',"
+        " '--out', 'out']\n"
+        "runpy.run_module('delpoint.cli', run_name='__main__')\n",
+        check=False, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    loaded = eval(out.stderr.splitlines()[-1])
+    assert "numpy" in loaded and "orjson" in loaded
+    assert [m for m in loaded if m.split(".")[0] == "click"] == []
 
 
 def test_load_csv_loads_every_module_the_dataset_commands_use(tmp_path):
@@ -367,7 +385,10 @@ def test_one_error_class_per_exit_code():
                  r for r in raised_classes(p.read_text(encoding="utf-8"))
                  if r.split(": ")[1] not in ("DelpointError",
                                              "NumericOverflow")])}
-    assert found == {"__init__.py": ["__getattr__: AttributeError"]}
+    # and the option types of cli, whose usage errors argparse exits 2 on
+    assert found == {"__init__.py": ["__getattr__: AttributeError"],
+                     "cli.py": ["_seed: argparse.ArgumentTypeError",
+                                "convert: argparse.ArgumentTypeError"]}
 
 
 @pytest.mark.parametrize("field", ["mean", "variance"])
@@ -381,8 +402,7 @@ def test_report_rejects_non_finite_summaries(tmp_path, spelling, field):
     path.write_text('{"config": {"steps": 1, "protocol": "no_delete"}, '
                     + ", ".join(f'"{k}": {v}' for k, v in lists.items())
                     + "}")
-    from delpoint.cli import main
-    res = CliRunner().invoke(main, ["report", str(path)])
+    res = invoke(["report", str(path)])
     assert res.exit_code == 2, res.output
     assert res.stdout == ""
     assert res.stderr == (
@@ -390,15 +410,34 @@ def test_report_rejects_non_finite_summaries(tmp_path, spelling, field):
         "mean and variance must be non-empty lists of numbers\n")
 
 
-def test_every_command_maps_library_errors():
-    # main is click's own group, so no command_class covers a command
-    # declared without cls=_Command
+def test_every_command_maps_library_errors(tmp_path, monkeypatch):
+    # main maps the errors of all five commands in one place, after
+    # parsing: a body that raises exits with the code of its error and
+    # one line on stderr, and no traceback
     from delpoint import cli
-    assert type(cli.main) is click.Group
-    assert sorted(cli.main.commands) == [
-        "bounds", "gen", "report", "select", "simulate"]
-    for name, command in cli.main.commands.items():
-        assert type(command) is cli._Command, name
+    from delpoint.errors import DelpointError, NumericOverflow
+    assert list(cli._COMMANDS) == [
+        "gen", "select", "bounds", "simulate", "report"]
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("x0,y\n1,2\n2,3\n")
+    Path("summary.json").write_text("{}")
+    args = {"gen": ["--out", "out"], "select": ["--dataset", "data.csv"],
+            "bounds": ["--dataset", "data.csv"],
+            "simulate": ["--dataset", "data.csv", "--protocol", "no-delete",
+                         "--out", "out"], "report": ["summary.json"]}
+    errors = [(DelpointError("bad input"), 2, "error: bad input"),
+              (OSError("no room"), 2, "error: no room"),
+              (NumericOverflow("too big"), 4, "numeric error: too big"),
+              (FloatingPointError("nan"), 4, "numeric error: nan")]
+    for name, (fn, options) in list(cli._COMMANDS.items()):
+        for exc, code, line in errors:
+            def body(**config):
+                raise exc
+            monkeypatch.setitem(cli._COMMANDS, name, (body, options))
+            res = invoke([name, *args[name]])
+            assert (res.exit_code, res.stderr) == (code, line + "\n"), name
+            assert isinstance(res.exception, SystemExit)
+    assert sorted(os.listdir(tmp_path)) == ["data.csv", "summary.json"]
 
 
 def choice_copies(source: str, choices: dict) -> list[str]:
@@ -421,7 +460,7 @@ def choice_copies(source: str, choices: dict) -> list[str]:
 
 
 def test_each_choice_tuple_has_one_definition():
-    # click declares these before any dataset is read, so their one
+    # cli gives these to argparse before any dataset is read, so their one
     # definition is in a module that imports nothing, and core, selector
     # and sim check their arguments against the same objects
     from delpoint import _choices, core, selector, sim

@@ -11,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.stats import chi2, norm
 
 from delpoint import (
@@ -28,24 +27,19 @@ from delpoint import (
 )
 from delpoint import core, gauss, snr
 from delpoint.bounds import bounds_arrays
-from delpoint.cli import (_SCORES_CSV_HEADER, _SELECTION_COLUMNS,
-                          _selection_chunks, main)
+from delpoint.cli import (_COMMANDS, _SCORES_CSV_HEADER, _SELECTION_COLUMNS,
+                          _selection_chunks)
 from delpoint.snr import scan_arrays, snr_denominator
 
-from conftest import random_dataset, tuned_dataset
+from conftest import invoke, random_dataset, tuned_dataset
 from _oracles import (bounds_calc, csv_writer_text, json_doc_indent2,
                       privacy_floor_calc, risk_loop, selection_doc_indent2,
                       selection_doc_v1, snr_by_deletion, summary_doc)
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def gen_dataset(runner, tmp_path, *extra):
+def gen_dataset(tmp_path, *extra):
     out = tmp_path / "gen"
-    res = runner.invoke(main, ["gen", "--out", str(out), *extra])
+    res = invoke(["gen", "--out", str(out), *extra])
     assert res.exit_code == 0, res.output
     return out / "dataset.csv"
 
@@ -59,20 +53,20 @@ def selection_head(text):
 
 
 class TestGen:
-    def test_default_writes_200_rows(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
+    def test_default_writes_200_rows(self, tmp_path):
+        path = gen_dataset(tmp_path)
         lines = path.read_text().splitlines()
         assert lines[0] == "x0,y"
         assert len(lines) == 201
         assert (tmp_path / "gen" / "manifest.json").exists()
 
-    def test_same_seed_identical_bytes(self, runner, tmp_path):
-        a = gen_dataset(runner, tmp_path / "a", "--seed", "7")
-        b = gen_dataset(runner, tmp_path / "b", "--seed", "7")
+    def test_same_seed_identical_bytes(self, tmp_path):
+        a = gen_dataset(tmp_path / "a", "--seed", "7")
+        b = gen_dataset(tmp_path / "b", "--seed", "7")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_manifest_fields(self, runner, tmp_path):
-        gen_dataset(runner, tmp_path, "--seed", "3")
+    def test_manifest_fields(self, tmp_path):
+        gen_dataset(tmp_path, "--seed", "3")
         doc = json.loads((tmp_path / "gen" / "manifest.json").read_text())
         assert list(doc) == MANIFEST_KEYS
         assert doc["command"] == "gen"
@@ -81,32 +75,32 @@ class TestGen:
 
 
 class TestSelect:
-    def test_exit_zero_and_index_when_present(self, runner, tmp_path):
+    def test_exit_zero_and_index_when_present(self, tmp_path):
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01)
         ds = tuned_dataset(np.random.default_rng(3), hp,
                            [2 * 2.3263478740408408], np.array([0.4]))
         path = tmp_path / "tuned.csv"
         save_csv(ds, path)
-        res = runner.invoke(main, ["select", "--dataset", str(path),
-                                   "--w0", "0.4"])
+        res = invoke(["select", "--dataset", str(path),
+                      "--w0", "0.4"])
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert doc["best"]["index"] == 0
         assert abs(doc["best"]["eps_v"]) <= 1e-9
 
-    def test_exit_three_when_absent(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
-        res = runner.invoke(main, ["select", "--dataset", str(path),
-                                   "--delta", "0"])
+    def test_exit_three_when_absent(self, tmp_path):
+        path = gen_dataset(tmp_path)
+        res = invoke(["select", "--dataset", str(path),
+                      "--delta", "0"])
         assert res.exit_code == 3
         doc = json.loads(res.output)
         assert doc["best"] is None
 
-    def test_output_matches_library_bytes(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
+    def test_output_matches_library_bytes(self, tmp_path):
+        path = gen_dataset(tmp_path)
         out = tmp_path / "out"
-        res = runner.invoke(main, ["select", "--dataset", str(path),
-                                   "--out", str(out)])
+        res = invoke(["select", "--dataset", str(path),
+                      "--out", str(out)])
         assert res.exit_code == 0
         ds = load_csv(path)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01, delta=100.0)
@@ -116,27 +110,27 @@ class TestSelect:
         assert text == selection_doc_indent2(result)
         assert res.output == selection_head(selection_doc_indent2(result))
 
-    def test_scores_csv_written(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
+    def test_scores_csv_written(self, tmp_path):
+        path = gen_dataset(tmp_path)
         scores = tmp_path / "scores.csv"
-        res = runner.invoke(main, ["select", "--dataset", str(path),
-                                   "--scores-csv", str(scores)])
+        res = invoke(["select", "--dataset", str(path),
+                      "--scores-csv", str(scores)])
         assert res.exit_code == 0
         lines = scores.read_text().splitlines()
         assert lines[0] == "index,d_v,eps_v,advantage,feature_norm"
         assert len(lines) == 201
 
-    def test_scores_csv_agrees_with_selection_json(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path, "--n", "300",
+    def test_scores_csv_agrees_with_selection_json(self, tmp_path):
+        path = gen_dataset(tmp_path, "--n", "300",
                            "--extra-features", "2", "--seed", "11")
         scores_csv = tmp_path / "scores.csv"
         for tie_break in ("norm-first", "paper"):
             out = tmp_path / tie_break
-            res = runner.invoke(main, ["select", "--dataset", str(path),
-                                       "--w0", "2.9,0.1,-0.4",
-                                       "--tie-break", tie_break,
-                                       "--scores-csv", str(scores_csv),
-                                       "--out", str(out)])
+            res = invoke(["select", "--dataset", str(path),
+                          "--w0", "2.9,0.1,-0.4",
+                          "--tie-break", tie_break,
+                          "--scores-csv", str(scores_csv),
+                          "--out", str(out)])
             assert res.exit_code == 0, res.output
             doc = json.loads((out / "selection.json").read_text())
             lines = scores_csv.read_text().splitlines()
@@ -155,30 +149,30 @@ class TestSelect:
                     assert float(row[key]) == entry[key]
             assert doc["best"] == doc["scores"][doc["best"]["index"]]
 
-    def test_stdout_is_the_written_files_head(self, runner, tmp_path,
+    def test_stdout_is_the_written_files_head(self, tmp_path,
                                               monkeypatch):
         # blocks of 7 rows: the file's 200 rows are written in 29 pieces,
         # and stdout carries the document without them
         monkeypatch.setattr(core, "_CHUNK_ROWS", 7)
-        path = gen_dataset(runner, tmp_path)
+        path = gen_dataset(tmp_path)
         out = tmp_path / "out"
-        res = runner.invoke(main, ["select", "--dataset", str(path),
-                                   "--out", str(out)])
+        res = invoke(["select", "--dataset", str(path),
+                      "--out", str(out)])
         assert res.exit_code == 0, res.output
         text = (out / "selection.json").read_text()
         assert len(json.loads(text)["scores"]) == 200
         assert res.stdout_bytes == selection_head(text).encode()
 
-    def test_malformed_input_exits_two(self, runner, tmp_path):
+    def test_malformed_input_exits_two(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
-        res = runner.invoke(main, ["select", "--dataset", str(bad)])
+        res = invoke(["select", "--dataset", str(bad)])
         assert res.exit_code == 2
 
-    def test_w0_dimension_mismatch_exits_two(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
-        res = runner.invoke(main, ["select", "--dataset", str(path),
-                                   "--w0", "1,2,3"])
+    def test_w0_dimension_mismatch_exits_two(self, tmp_path):
+        path = gen_dataset(tmp_path)
+        res = invoke(["select", "--dataset", str(path),
+                      "--w0", "1,2,3"])
         assert res.exit_code == 2
 
 
@@ -216,8 +210,8 @@ def assert_v2_is_v1(v1_text, v2_text, scores_csv):
 class TestSelectionFormats:
     """selection.json format 2 against format 1, and the Phi it skips."""
 
-    def test_select_evaluates_no_phi(self, runner, tmp_path, monkeypatch):
-        path = gen_dataset(runner, tmp_path)
+    def test_select_evaluates_no_phi(self, tmp_path, monkeypatch):
+        path = gen_dataset(tmp_path)
         scores_csv = tmp_path / "scores.csv"
         args = ["select", "--dataset", str(path), "--out"]
 
@@ -227,17 +221,17 @@ class TestSelectionFormats:
         with monkeypatch.context() as patch:
             for module in (gauss, snr):
                 patch.setattr(module, "phi", no_phi)
-            res = runner.invoke(main, [*args, str(tmp_path / "a")])
+            res = invoke([*args, str(tmp_path / "a")])
             assert res.exit_code == 0, res.output
             doc = json.loads((tmp_path / "a" / "selection.json").read_text())
             assert doc["format_version"] == 2
             assert list(doc["best"]) == list(_SELECTION_COLUMNS)
             # the patch is on the path that --scores-csv takes
-            res = runner.invoke(main, [*args, str(tmp_path / "b"),
-                                       "--scores-csv", str(scores_csv)])
+            res = invoke([*args, str(tmp_path / "b"),
+                          "--scores-csv", str(scores_csv)])
             assert isinstance(res.exception, AssertionError)
-        res = runner.invoke(main, [*args, str(tmp_path / "c"),
-                                   "--scores-csv", str(scores_csv)])
+        res = invoke([*args, str(tmp_path / "c"),
+                      "--scores-csv", str(scores_csv)])
         assert res.exit_code == 0, res.output
         assert ((tmp_path / "c" / "selection.json").read_bytes()
                 == (tmp_path / "a" / "selection.json").read_bytes())
@@ -251,11 +245,11 @@ class TestSelectionFormats:
 
     @pytest.mark.parametrize("extra, code", [([], 0), (["--delta", "0"], 3)],
                              ids=["best", "none"])
-    def test_select_without_files_encodes_no_row(self, runner, tmp_path,
+    def test_select_without_files_encodes_no_row(self, tmp_path,
                                                  monkeypatch, extra, code):
-        path = gen_dataset(runner, tmp_path)
+        path = gen_dataset(tmp_path)
         args = ["select", "--dataset", str(path), *extra]
-        res = runner.invoke(main, [*args, "--out", str(tmp_path / "a")])
+        res = invoke([*args, "--out", str(tmp_path / "a")])
         assert res.exit_code == code, res.output
         head = selection_head((tmp_path / "a" / "selection.json").read_text())
 
@@ -263,18 +257,18 @@ class TestSelectionFormats:
             raise AssertionError("rows encoded")
 
         monkeypatch.setattr(core, "_row_blocks", no_rows)
-        res = runner.invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == code, res.output
         assert res.stdout_bytes == head.encode()
         assert (json.loads(head)["best"] is None) == (code == 3)
         # the patch is on the path that --out takes, and the head follows
         # the files, so a run that fails to write them prints nothing
-        res = runner.invoke(main, [*args, "--out", str(tmp_path / "b")])
+        res = invoke([*args, "--out", str(tmp_path / "b")])
         assert isinstance(res.exception, AssertionError)
         assert res.stdout_bytes == b""
 
     @pytest.mark.parametrize("tie_break", ["norm-first", "paper"])
-    def test_random_datasets_equal_v1(self, runner, tmp_path, tie_break):
+    def test_random_datasets_equal_v1(self, tmp_path, tie_break):
         rng = np.random.default_rng(35)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.05)
         for trial in range(8):
@@ -287,7 +281,7 @@ class TestSelectionFormats:
             save_csv(core.Dataset.from_arrays(X, y), path)
             w = rng.normal(size=X.shape[1])
             out, scores_csv = tmp_path / f"out{trial}", tmp_path / "s.csv"
-            res = runner.invoke(main, [
+            res = invoke([
                 "select", "--dataset", str(path), "--alpha", "0.05",
                 "--w0", ",".join(map(repr, w.tolist())),
                 "--tie-break", tie_break, "--scores-csv", str(scores_csv),
@@ -325,9 +319,9 @@ class TestSelectionFormats:
 
 
 class TestBounds:
-    def test_row_schema_and_floor(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
-        res = runner.invoke(main, ["bounds", "--dataset", str(path)])
+    def test_row_schema_and_floor(self, tmp_path):
+        path = gen_dataset(tmp_path)
+        res = invoke(["bounds", "--dataset", str(path)])
         assert res.exit_code == 0, res.output
         doc = json.loads(res.output)
         assert doc["format_version"] == 2
@@ -340,9 +334,9 @@ class TestBounds:
             assert isinstance(row["contained_B"], bool)
             assert row["privacy_floor"] >= 0.0
 
-    def test_floor_matches_library(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
-        res = runner.invoke(main, ["bounds", "--dataset", str(path)])
+    def test_floor_matches_library(self, tmp_path):
+        path = gen_dataset(tmp_path)
+        res = invoke(["bounds", "--dataset", str(path)])
         doc = json.loads(res.output)
         ds = load_csv(path)
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01)
@@ -351,17 +345,17 @@ class TestBounds:
             assert row["privacy_floor"] == pytest.approx(
                 privacy_floor(float(eps[pos]), 0.01), abs=1e-12)
 
-    def test_interval_is_the_same_under_both_conventions(self, runner,
+    def test_interval_is_the_same_under_both_conventions(self, 
                                                          tmp_path):
         # the interval is in the scan's numerator units; only eps_v, and
         # so the privacy floor, depends on the SNR convention
-        path = gen_dataset(runner, tmp_path, "--extra-features", "2")
+        path = gen_dataset(tmp_path, "--extra-features", "2")
         for extra in ([], ["--b-floor", "0.001"]):
             rows = {}
             for convention in ("paper", "consistent"):
-                res = runner.invoke(main, ["bounds", "--dataset", str(path),
-                                           "--snr-convention", convention,
-                                           *extra])
+                res = invoke(["bounds", "--dataset", str(path),
+                              "--snr-convention", convention,
+                              *extra])
                 assert res.exit_code == 0, res.output
                 rows[convention] = json.loads(res.output)["rows"]
             paper, consistent = rows["paper"], rows["consistent"]
@@ -372,19 +366,19 @@ class TestBounds:
             assert ([row["privacy_floor"] for row in paper]
                     != [row["privacy_floor"] for row in consistent])
 
-    def test_zero_eps_row_has_zero_floor(self, runner, tmp_path):
+    def test_zero_eps_row_has_zero_floor(self, tmp_path):
         hp = HyperParams(gamma=0.01, sigma=2.0, alpha=0.01)
         ds = tuned_dataset(np.random.default_rng(3), hp,
                            [2 * 2.3263478740408408], np.array([0.4]))
         path = tmp_path / "tuned.csv"
         save_csv(ds, path)
-        res = runner.invoke(main, ["bounds", "--dataset", str(path),
-                                   "--w0", "0.4"])
+        res = invoke(["bounds", "--dataset", str(path),
+                      "--w0", "0.4"])
         doc = json.loads(res.output)
         assert doc["rows"][0]["privacy_floor"] == 0.0
 
-    def test_rows_match_oracles_both_variants(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path, "--n", "300",
+    def test_rows_match_oracles_both_variants(self, tmp_path):
+        path = gen_dataset(tmp_path, "--n", "300",
                            "--extra-features", "2", "--seed", "11")
         ds = load_csv(path)
         xs, ys = ds.X.tolist(), ds.y.tolist()
@@ -402,9 +396,9 @@ class TestBounds:
         floors = [privacy_floor_calc(e, alpha) for e in eps]
         assert any(f > 0.0 for f in floors)
         for extra, b in (([], None), (["--b-floor", repr(b_floor)], b_floor)):
-            res = runner.invoke(main, ["bounds", "--dataset", str(path),
-                                       "--alpha", str(alpha),
-                                       "--w0", "2.9,0.1,0.1", *extra])
+            res = invoke(["bounds", "--dataset", str(path),
+                          "--alpha", str(alpha),
+                          "--w0", "2.9,0.1,0.1", *extra])
             assert res.exit_code == 0, res.output
             rows = json.loads(res.output)["rows"]
             assert [r["index"] for r in rows] == list(range(n))
@@ -422,8 +416,8 @@ class TestBounds:
                     if min(abs(value - lo), abs(value - hi)) > 1e-8:
                         assert row[key] == (lo <= value <= hi)
 
-    def test_payload_matches_indent2_oracle(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path, "--n", "300",
+    def test_payload_matches_indent2_oracle(self, tmp_path):
+        path = gen_dataset(tmp_path, "--n", "300",
                            "--extra-features", "2", "--seed", "11")
         ds = load_csv(path)
         w = np.array([2.9, 0.1, 0.1])
@@ -432,9 +426,9 @@ class TestBounds:
         names = ["index", "lower", "upper", "actual_delta", "contained_A",
                  "contained_B", "privacy_floor"]
         for extra, b in (([], None), (["--b-floor", "0.5"], 0.5)):
-            res = runner.invoke(main, ["bounds", "--dataset", str(path),
-                                       "--alpha", "0.05",
-                                       "--w0", "2.9,0.1,0.1", *extra])
+            res = invoke(["bounds", "--dataset", str(path),
+                          "--alpha", "0.05",
+                          "--w0", "2.9,0.1,0.1", *extra])
             assert res.exit_code == 0, res.output
             cols = bounds_arrays(a, hp.alpha, b=b)
             assert set(cols["contained_a"].tolist()) == {True, False}
@@ -445,28 +439,28 @@ class TestBounds:
                 {"format_version": 2, "target": a["target"]}, "rows", names,
                 columns)
 
-    def test_stdout_equals_written_file(self, runner, tmp_path,
+    def test_stdout_equals_written_file(self, tmp_path,
                                         monkeypatch):
         monkeypatch.setattr(core, "_CHUNK_ROWS", 7)
-        path = gen_dataset(runner, tmp_path)
+        path = gen_dataset(tmp_path)
         out = tmp_path / "out"
-        res = runner.invoke(main, ["bounds", "--dataset", str(path),
-                                   "--out", str(out)])
+        res = invoke(["bounds", "--dataset", str(path),
+                      "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert res.stdout_bytes == (out / "bounds.json").read_bytes()
 
-    def test_zero_feature_vector_exits_two_naming_point(self, runner,
+    def test_zero_feature_vector_exits_two_naming_point(self, 
                                                         tmp_path):
         path = tmp_path / "zero.csv"
         path.write_text("x0,x1,y\n1.0,2.0,3.0\n0.0,0.0,1.0\n2.0,1.0,4.0\n")
         out = tmp_path / "out"
-        res = runner.invoke(main, ["bounds", "--dataset", str(path),
-                                   "--out", str(out)])
+        res = invoke(["bounds", "--dataset", str(path),
+                      "--out", str(out)])
         assert res.exit_code == 2
         assert "point id 1 has a zero feature vector" in res.stderr
         assert not (out / "bounds.json").exists()
-        res = runner.invoke(main, ["bounds", "--dataset", str(path),
-                                   "--b-floor", "0.5"])
+        res = invoke(["bounds", "--dataset", str(path),
+                      "--b-floor", "0.5"])
         assert res.exit_code == 2
         assert "(point id 1)" in res.stderr
 
@@ -516,8 +510,8 @@ class TestChunkBoundaries:
                 for row in zip(*(scores[key].tolist() for key in header))]
         assert path.read_bytes() == csv_writer_text(header, rows).encode()
 
-    def test_bounds_output(self, chunk_rows, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path, "--n", str(N_CHUNKED),
+    def test_bounds_output(self, chunk_rows, tmp_path):
+        path = gen_dataset(tmp_path, "--n", str(N_CHUNKED),
                            "--extra-features", "2", "--seed", "11")
         ds = load_csv(path)
         w = np.array([2.9, 0.1, 0.1])
@@ -527,9 +521,9 @@ class TestChunkBoundaries:
         names = ["index", "lower", "upper", "actual_delta", "contained_A",
                  "contained_B", "privacy_floor"]
         for extra, floor in (([], None), (["--b-floor", repr(b)], b)):
-            res = runner.invoke(main, ["bounds", "--dataset", str(path),
-                                       "--alpha", "0.05",
-                                       "--w0", "2.9,0.1,0.1", *extra])
+            res = invoke(["bounds", "--dataset", str(path),
+                          "--alpha", "0.05",
+                          "--w0", "2.9,0.1,0.1", *extra])
             assert res.exit_code == 0, res.output
             cols = bounds_arrays(a, hp.alpha, b=floor)
             columns = [a["index"], cols["lower"], cols["upper"],
@@ -539,14 +533,14 @@ class TestChunkBoundaries:
                 {"format_version": 2, "target": a["target"]}, "rows", names,
                 columns)
 
-    def test_weights_csv(self, chunk_rows, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path, "--extra-features", "2")
+    def test_weights_csv(self, chunk_rows, tmp_path):
+        path = gen_dataset(tmp_path, "--extra-features", "2")
         out = tmp_path / "sim"
-        res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                                   "--protocol", "random-delete",
-                                   "--steps", "2", "--iterations",
-                                   str(N_CHUNKED), "--seed", "3",
-                                   "--out", str(out)])
+        res = invoke(["simulate", "--dataset", str(path),
+                      "--protocol", "random-delete",
+                      "--steps", "2", "--iterations",
+                      str(N_CHUNKED), "--seed", "3",
+                      "--out", str(out)])
         assert res.exit_code == 0, res.output
         cfg = StepConfig(protocol="random_delete", steps=2,
                          iterations=N_CHUNKED, w0=np.zeros(3),
@@ -572,7 +566,7 @@ OVERFLOW_ARGS = {
 
 
 @pytest.mark.parametrize("command", list(OVERFLOW_ARGS))
-def test_overflow_exits_four_without_warning(runner, tmp_path, command):
+def test_overflow_exits_four_without_warning(tmp_path, command):
     # the first moments overflow when loaded; the second are finite, but
     # the scan's squared norms overflow, and so does s_xx @ w in the
     # second SGD step
@@ -585,7 +579,7 @@ def test_overflow_exits_four_without_warning(runner, tmp_path, command):
         path.write_text("x0,y\n" + rows)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = runner.invoke(main, [*args, "--dataset", str(path)])
+            res = invoke([*args, "--dataset", str(path)])
         assert res.exit_code == 4, res.output
         assert "overflow" in res.stderr
         assert "numeric error" in res.stderr
@@ -594,8 +588,8 @@ def test_overflow_exits_four_without_warning(runner, tmp_path, command):
         assert [str(w.message) for w in caught] == []
 
 
-def test_summary_overflow_exits_four_without_warning(runner, tmp_path):
-    path = gen_dataset(runner, tmp_path)
+def test_summary_overflow_exits_four_without_warning(tmp_path):
+    path = gen_dataset(tmp_path)
     cases = [
         # every final weight is finite, but their variance overflows
         (["--gamma", "1e-10", "--sigma", "1e300", "--steps", "2",
@@ -610,7 +604,7 @@ def test_summary_overflow_exits_four_without_warning(runner, tmp_path):
     for args, message in cases:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            res = runner.invoke(main, [
+            res = invoke([
                 "simulate", "--dataset", str(path), "--protocol", "no-delete",
                 *args, "--out", str(tmp_path / "out")])
         assert res.exit_code == 4, res.output
@@ -620,16 +614,16 @@ def test_summary_overflow_exits_four_without_warning(runner, tmp_path):
         assert not (tmp_path / "out").exists()
 
 
-def test_perfect_delete_score_overflow_exits_four(runner, tmp_path):
+def test_perfect_delete_score_overflow_exits_four(tmp_path):
     # finite moments and feature norms; the first scan's squared norms
     # overflow at every live point
     path = tmp_path / "big.csv"
     path.write_text("x0,y\n1e100,1e100\n2e100,1e100\n1e100,3e100\n")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = runner.invoke(main, [*OVERFLOW_ARGS["simulate-perfect-delete"],
-                                   "--dataset", str(path),
-                                   "--out", str(tmp_path / "out")])
+        res = invoke([*OVERFLOW_ARGS["simulate-perfect-delete"],
+                      "--dataset", str(path),
+                      "--out", str(tmp_path / "out")])
     assert res.exit_code == 4, res.output
     assert res.stderr.startswith(
         "numeric error: candidate scores overflow")
@@ -639,18 +633,18 @@ def test_perfect_delete_score_overflow_exits_four(runner, tmp_path):
 
 @pytest.mark.parametrize("command", ["select", "bounds",
                                      "simulate-perfect-delete"])
-def test_underflowing_noise_exits_two_without_warning(runner, tmp_path,
+def test_underflowing_noise_exits_two_without_warning(tmp_path,
                                                       command):
     # sqrt(gamma (n - 1) / 2) sigma is 0 in float64: the noise scale, not
     # the data, makes d_v undefined, as sigma = 0 does
-    path = gen_dataset(runner, tmp_path, "--seed", "40")
+    path = gen_dataset(tmp_path, "--seed", "40")
     args = OVERFLOW_ARGS[command]
     if args[0] == "simulate":
         args = args + ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = runner.invoke(main, [*args, "--dataset", str(path),
-                                   "--gamma", "1e-300", "--sigma", "1e-300"])
+        res = invoke([*args, "--dataset", str(path),
+                      "--gamma", "1e-300", "--sigma", "1e-300"])
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith("error: d_v is undefined")
     assert isinstance(res.exception, SystemExit)
@@ -658,33 +652,33 @@ def test_underflowing_noise_exits_two_without_warning(runner, tmp_path,
 
 
 @pytest.mark.parametrize("command, code", [("select", 3), ("bounds", 0)])
-def test_subnormal_gamma_runs_without_warning(runner, tmp_path, command,
+def test_subnormal_gamma_runs_without_warning(tmp_path, command,
                                               code):
     # gamma = 1e-320 makes every |eps_v| near 1e157: no point is within
     # delta, and the advantage and privacy floor take their limits
-    path = gen_dataset(runner, tmp_path, "--seed", "40")
+    path = gen_dataset(tmp_path, "--seed", "40")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = runner.invoke(main, [command, "--dataset", str(path),
-                                   "--gamma", "1e-320"])
+        res = invoke([command, "--dataset", str(path),
+                      "--gamma", "1e-320"])
     assert (res.exit_code, res.stderr) == (code, ""), res.output
     assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("command", list(OVERFLOW_ARGS))
 @pytest.mark.parametrize("alpha", ["1e-17", repr(2.0 ** -54)])
-def test_tiny_alpha_names_alpha(runner, tmp_path, command, alpha):
+def test_tiny_alpha_names_alpha(tmp_path, command, alpha):
     # 1 - alpha rounds to 1 at alpha <= 2^-54, but the target
     # -2 Phi_inv(alpha) comes from the lower tail: every command exits 0,
     # select and bounds write the finite target of the alpha passed, and
     # perfect-delete's first deletion is the point select picks at it
-    path = gen_dataset(runner, tmp_path, "--seed", "40")
+    path = gen_dataset(tmp_path, "--seed", "40")
     args = OVERFLOW_ARGS[command]
     out = tmp_path / "out"
     if args[0] == "simulate":
         args = args + ["--out", str(out)]
-    res = runner.invoke(main, [*args, "--dataset", str(path),
-                               "--alpha", alpha])
+    res = invoke([*args, "--dataset", str(path),
+                  "--alpha", alpha])
     assert res.exit_code == 0, res.output
     target = advantage_target(float(alpha))
     assert math.isfinite(target)
@@ -701,20 +695,20 @@ def test_tiny_alpha_names_alpha(runner, tmp_path, command, alpha):
 
 @pytest.mark.parametrize("command",
                          ["select", "bounds", "simulate-perfect-delete"])
-def test_tiny_noise_overflow_names_the_noise_scale(runner, tmp_path,
+def test_tiny_noise_overflow_names_the_noise_scale(tmp_path,
                                                    command):
     # (n - 1) sigma / 2 = 199 * 5e-324 / 2 is subnormal but not 0, so every
     # finite score norm overflows when divided by it: exit 4, and the
     # message names the denominator and the noise scale, not the data
-    path = gen_dataset(runner, tmp_path, "--seed", "40")
+    path = gen_dataset(tmp_path, "--seed", "40")
     args = OVERFLOW_ARGS[command]
     if args[0] == "simulate":
         args = args + ["--out", str(tmp_path / "out")]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = runner.invoke(main, [*args, "--dataset", str(path),
-                                   "--snr-convention", "consistent",
-                                   "--gamma", "1", "--sigma", "5e-324"])
+        res = invoke([*args, "--dataset", str(path),
+                      "--snr-convention", "consistent",
+                      "--gamma", "1", "--sigma", "5e-324"])
     assert res.exit_code == 4, res.output
     assert res.stderr == (
         "numeric error: candidate scores overflow: d_v is divided by "
@@ -726,13 +720,13 @@ def test_tiny_noise_overflow_names_the_noise_scale(runner, tmp_path,
 
 @pytest.mark.parametrize("option", ["--x-low", "--x-high", "--slope",
                                     "--noise-std", "--noise-scale"])
-def test_gen_recipe_options_are_usage_errors(runner, tmp_path, option):
+def test_gen_recipe_options_are_usage_errors(tmp_path, option):
     # gen draws the reference recipe: its constants are not options
-    res = runner.invoke(main, ["gen", option, "1",
-                               "--out", str(tmp_path / "gen")])
+    res = invoke(["gen", option, "1",
+                  "--out", str(tmp_path / "gen")])
     assert res.exit_code == 2, res.output
-    assert res.stderr.splitlines()[-1].startswith("Error: No such option")
-    assert option in res.stderr
+    assert res.stderr.splitlines()[-1] == (
+        f"delpoint gen: error: unrecognized arguments: {option} 1")
     assert not (tmp_path / "gen").exists()
 
 
@@ -757,14 +751,14 @@ def _no_iteration(*args):
      "[Errno 20] Not a directory: 'gen/dataset.csv/b'"),
 ], ids=["w0-not-float", "w0-nan", "zero-bins", "empty-file",
         "negative-extra-features", "report-not-summary", "out-below-file"])
-def test_invalid_input_exits_two(runner, tmp_path, monkeypatch, args,
+def test_invalid_input_exits_two(tmp_path, monkeypatch, args,
                                  message):
     monkeypatch.chdir(tmp_path)
-    gen_dataset(runner, tmp_path)
+    gen_dataset(tmp_path)
     (tmp_path / "empty.csv").write_bytes(b"")
     # every simulated iteration runs in a block of _run_block
     monkeypatch.setattr("delpoint.sim._run_block", _no_iteration)
-    res = runner.invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 2, res.output
     assert res.stderr == f"error: {message}\n"
     # an uncaught exception would be a traceback, not SystemExit
@@ -772,14 +766,115 @@ def test_invalid_input_exits_two(runner, tmp_path, monkeypatch, args,
     assert sorted(os.listdir(tmp_path)) == ["empty.csv", "gen"]
 
 
-def test_usage_errors_and_help_stay_clicks(runner):
-    # the exit codes are mapped after click has parsed the options
-    res = runner.invoke(main, ["select", "--help"])
+USAGE_ERRORS = {
+    "unknown-option": (["select", "--dataset", "data.csv", "--bogus", "1"],
+                       "--bogus"),
+    "abbreviated-option": (["select", "--dataset", "data.csv",
+                            "--ou", "out"], "--ou"),
+    "missing-dataset": (["select", "--out", "out"], "--dataset"),
+    "bad-tie-break": (["simulate", "--dataset", "data.csv", "--protocol",
+                       "no-delete", "--tie-break", "first", "--out", "out"],
+                      "--tie-break"),
+    "dataset-not-found": (["bounds", "--dataset", "missing.csv",
+                           "--out", "out"], "--dataset"),
+    "out-is-a-file": (["select", "--dataset", "data.csv",
+                       "--out", "data.csv"], "--out"),
+    "scores-csv-is-a-directory": (["select", "--dataset", "data.csv",
+                                   "--scores-csv", "."], "--scores-csv"),
+    "negative-seed": (["gen", "--seed", "-1", "--out", "out"], "--seed"),
+    "seed-past-uint64": (["select", "--dataset", "data.csv", "--seed",
+                          "18446744073709551616", "--out", "out"], "--seed"),
+}
+
+
+@pytest.mark.parametrize("args, option", list(USAGE_ERRORS.values()),
+                         ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_two_naming_the_option(tmp_path, monkeypatch, args,
+                                                 option):
+    # argparse checks every option before the command runs: exit 2, one
+    # error line naming the option after the usage, no traceback, nothing
+    # on stdout and nothing written
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("x0,y\n1,2\n2,3\n3,5\n")
+    res = invoke(args)
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.stdout == ""
+    errors = [line for line in res.stderr.splitlines() if "error:" in line]
+    assert errors == [res.stderr.splitlines()[-1]]
+    assert errors[0].startswith(f"delpoint {args[0]}: error: ")
+    assert option in errors[0]
+    assert os.listdir(tmp_path) == ["data.csv"]
+
+
+def test_values_that_begin_with_a_dash_are_values(tmp_path):
+    # an option takes the next word whatever it begins with, so negative
+    # values reach the library's own checks
+    path = gen_dataset(tmp_path, "--extra-features", "1")
+    out = tmp_path / "out"
+    res = invoke(["select", "--dataset", str(path), "--w0", "-1,2",
+                  "--out", str(out)])
+    assert res.exit_code in (0, 3), res.output
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["w0"] == "-1,2"
+    for args, message in (
+            (["select", "--delta", "-1e-3"],
+             "delta must be >= 0 and finite, got -0.001"),
+            (["bounds", "--b-floor", "-0.5"], "B must be positive, got -0.5")):
+        res = invoke([*args, "--dataset", str(path)])
+        assert (res.exit_code, res.stderr) == (2, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_help_shows_each_option_and_default(command):
+    # --help prints the command's docstring and every option, each
+    # default that is not None as "(default: ...)"
+    res = invoke([command, "--help"])
+    assert (res.exit_code, res.stderr) == (0, "")
+    text = " ".join(res.stdout.split())
+    fn, options = _COMMANDS[command]
+    assert text.startswith(f"usage: delpoint {command} [--help]")
+    assert " ".join(fn.__doc__.split()) in text
+    for flag, kwargs in options.items():
+        assert flag in text
+        if kwargs.get("default") is not None:
+            assert f"(default: {kwargs['default']})" in text
+    # --w0's help says that its default, None, means zeros
+    assert text.count("(default: ") == ("--w0" in options) + sum(
+        kwargs.get("default") is not None for kwargs in options.values())
+    if command == "select":
+        assert ("--gamma GAMMA Learning rate. (default: 0.01)" in text
+                and "--seed SEED RNG seed" in text and "(default: 0)" in text)
+
+
+def test_version_help_and_no_command():
+    res = invoke(["--version"])
+    assert (res.exit_code, res.output) == (0, "delpoint, version 0.1.0\n")
+    res = invoke(["--help"])
     assert res.exit_code == 0
-    assert res.output.startswith("Usage: main select [OPTIONS]")
-    res = runner.invoke(main, ["select", "--bogus"])
-    assert res.exit_code == 2
-    assert "\nError: No such option '--bogus'" in res.stderr
+    assert "gen, select, bounds, simulate, report" in res.stdout
+    for args in ([], ["bogus"], ["--bogus"]):
+        res = invoke(args)
+        assert (res.exit_code, res.stdout) == (2, ""), args
+        assert res.stderr.splitlines()[-1].startswith("delpoint: error: ")
+
+
+@pytest.mark.parametrize("args", [["--help"], ["bounds", "--help"],
+                                  ["--version"]])
+def test_help_into_closed_stdout_is_quiet(args):
+    # `| head -c0` under --help or --version: exit 0, nothing on stderr
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "delpoint.cli", *args],
+                              env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 TINY_ROWS = {1e-200: "x0,y\n1e-200,1.0\n2.0,3.0\n3.0,4.0\n",
@@ -788,23 +883,23 @@ TINY_ROWS = {1e-200: "x0,y\n1e-200,1.0\n2.0,3.0\n3.0,4.0\n",
 
 
 @pytest.mark.parametrize("norm", list(TINY_ROWS))
-def test_select_reports_tiny_feature_norm(runner, tmp_path, norm):
+def test_select_reports_tiny_feature_norm(tmp_path, norm):
     # the squares of the first row underflow to 0 without rescaling
     path = tmp_path / "tiny.csv"
     path.write_text(TINY_ROWS[norm])
     out = tmp_path / "out"
-    res = runner.invoke(main, ["select", "--dataset", str(path),
-                               "--out", str(out)])
+    res = invoke(["select", "--dataset", str(path),
+                  "--out", str(out)])
     assert res.exit_code == 0, res.output
     doc = json.loads((out / "selection.json").read_text())
     assert doc["scores"][0]["feature_norm"] == norm
 
 
 @pytest.mark.parametrize("norm", list(TINY_ROWS))
-def test_bounds_accepts_tiny_feature_norm(runner, tmp_path, norm):
+def test_bounds_accepts_tiny_feature_norm(tmp_path, norm):
     path = tmp_path / "tiny.csv"
     path.write_text(TINY_ROWS[norm])
-    res = runner.invoke(main, ["bounds", "--dataset", str(path)])
+    res = invoke(["bounds", "--dataset", str(path)])
     assert res.exit_code == 0, res.output
     rows = json.loads(res.output)["rows"]
     assert len(rows) == 3
@@ -814,7 +909,7 @@ def test_bounds_accepts_tiny_feature_norm(runner, tmp_path, norm):
 
 
 @pytest.mark.parametrize("case", ["risk", "b-floor"])
-def test_bounds_overflow_exits_four_without_warning(runner, tmp_path, case):
+def test_bounds_overflow_exits_four_without_warning(tmp_path, case):
     # moments and scores are finite in both cases: the squared residuals
     # (1e155)^2 overflow in the empirical risk, or a valid subnormal
     # floor B = 1e-320 makes the interval constant sigma / B overflow
@@ -823,11 +918,11 @@ def test_bounds_overflow_exits_four_without_warning(runner, tmp_path, case):
         path.write_text("x0,y\n1e-10,1e155\n2e-10,1e155\n3e-10,3e155\n")
         extra = []
     else:
-        path = gen_dataset(runner, tmp_path, "--seed", "40")
+        path = gen_dataset(tmp_path, "--seed", "40")
         extra = ["--b-floor", "1e-320"]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = runner.invoke(main, ["bounds", "--dataset", str(path), *extra])
+        res = invoke(["bounds", "--dataset", str(path), *extra])
     assert res.exit_code == 4, res.output
     assert "numeric error" in res.stderr
     assert isinstance(res.exception, SystemExit)
@@ -835,16 +930,16 @@ def test_bounds_overflow_exits_four_without_warning(runner, tmp_path, case):
 
 
 @pytest.mark.parametrize("command", ["select", "bounds", "simulate"])
-def test_load_csv_hook_serves_preloaded_dataset(runner, tmp_path,
+def test_load_csv_hook_serves_preloaded_dataset(tmp_path,
                                                 monkeypatch, command):
     # the benchmark's probe times the library without the CSV parse by
     # replacing cli.load_csv; every dataset command reads through it
-    path = gen_dataset(runner, tmp_path, "--n", "30", "--seed", "5")
+    path = gen_dataset(tmp_path, "--n", "30", "--seed", "5")
     args = [command, "--dataset", str(path)]
     if command == "simulate":
         args += ["--protocol", "perfect-delete", "--steps", "2",
                  "--iterations", "3", "--out", str(tmp_path / "sim")]
-    plain = runner.invoke(main, args)
+    plain = invoke(args)
     assert plain.exit_code == 0, plain.output
     files = [tmp_path / "sim" / name for name in ("weights.csv",
              "summary.json") if command == "simulate"]
@@ -856,7 +951,7 @@ def test_load_csv_hook_serves_preloaded_dataset(runner, tmp_path,
         return ds
 
     monkeypatch.setattr("delpoint.cli.load_csv", served)
-    hooked = runner.invoke(main, args)
+    hooked = invoke(args)
     assert hooked.exit_code == 0, hooked.output
     assert calls == [path]
     assert hooked.stdout_bytes == plain.stdout_bytes
@@ -864,13 +959,13 @@ def test_load_csv_hook_serves_preloaded_dataset(runner, tmp_path,
 
 
 @pytest.mark.parametrize("command", ["select", "bounds", "simulate"])
-def test_non_utf8_dataset_exits_two(runner, tmp_path, command):
+def test_non_utf8_dataset_exits_two(tmp_path, command):
     path = tmp_path / "latin1.csv"
     path.write_bytes(b"x0,y\n1.0,2.0\n\xff,3.0\n")
     args = [command, "--dataset", str(path)]
     if command == "simulate":
         args += ["--protocol", "no-delete", "--out", str(tmp_path / "out")]
-    res = runner.invoke(main, args)
+    res = invoke(args)
     assert res.exit_code == 2, res.output
     assert res.stderr.startswith(f"error: {path}: not UTF-8 text")
     # an uncaught exception would be a traceback, not SystemExit
@@ -886,11 +981,11 @@ MANIFEST_KEYS = ["format_version", "command", "config", "artifacts",
                  "tool_version"]
 
 
-def test_manifest_config_keys_and_order(runner, tmp_path):
-    # the manifest records the options as click parsed them, in the
+def test_manifest_config_keys_and_order(tmp_path):
+    # the manifest records the options as they were parsed, in the
     # command's order, and lists the files it wrote under --out, by their
     # names there; summary.json keeps its own config layout
-    path = gen_dataset(runner, tmp_path)
+    path = gen_dataset(tmp_path)
     shared = ([("dataset", str(path))] + HYPER_CONFIG
               + [("w0", "0.5"), ("seed", 9), ("snr_convention", "consistent")])
     scores = tmp_path / "scores.csv"
@@ -909,8 +1004,8 @@ def test_manifest_config_keys_and_order(runner, tmp_path):
     }
     for command, (extra, config, artifacts) in cases.items():
         out = tmp_path / command
-        res = runner.invoke(main, [command, "--dataset", str(path),
-                                   *HYPER_ARGS, *extra, "--out", str(out)])
+        res = invoke([command, "--dataset", str(path),
+                      *HYPER_ARGS, *extra, "--out", str(out)])
         assert res.exit_code in (0, 3), res.output
         doc = json.loads((out / "manifest.json").read_text())
         assert list(doc) == MANIFEST_KEYS
@@ -929,15 +1024,27 @@ def test_manifest_config_keys_and_order(runner, tmp_path):
                 ("tie_break", "paper")]
 
 
-@pytest.mark.parametrize("command", list(main.commands))
-def test_manifest_does_not_depend_on_argv_order(runner, tmp_path, command):
+DATASET_KEYS = ["dataset", "gamma", "sigma", "alpha", "delta", "w0", "seed",
+                "snr_convention"]
+CONFIG_KEYS = {
+    "gen": ["n", "extra_features", "seed", "out_dir"],
+    "select": [*DATASET_KEYS, "tie_break", "scores_csv", "out_dir"],
+    "bounds": [*DATASET_KEYS, "b_floor", "out_dir"],
+    "simulate": [*DATASET_KEYS, "protocol", "steps", "iterations", "bins",
+                 "tie_break", "out_dir"],
+    "report": ["summaries", "seed", "out_dir"],
+}
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_manifest_does_not_depend_on_argv_order(tmp_path, command):
     # the same options typed in two orders write the same manifest bytes,
     # and its config lists every parameter of the command, in its order
-    path = gen_dataset(runner, tmp_path, "--n", "30", "--extra-features", "1")
+    path = gen_dataset(tmp_path, "--n", "30", "--extra-features", "1")
     summary = tmp_path / "sim" / "summary.json"
-    res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                               "--protocol", "no-delete",
-                               "--out", str(summary.parent)])
+    res = invoke(["simulate", "--dataset", str(path),
+                  "--protocol", "no-delete",
+                  "--out", str(summary.parent)])
     assert res.exit_code == 0, res.output
     data = ["--dataset", str(path)]
     options = {
@@ -952,19 +1059,19 @@ def test_manifest_does_not_depend_on_argv_order(runner, tmp_path, command):
     }[command] + [["--out", str(tmp_path / "out")]]
     written = []
     for order in (options, options[::-1]):
-        res = runner.invoke(main, [command, *sum(order, [])])
+        res = invoke([command, *sum(order, [])])
         assert res.exit_code == 0, res.output
         written.append((tmp_path / "out" / "manifest.json").read_bytes())
     assert written[0] == written[1]
-    assert list(json.loads(written[0])["config"]) == \
-        [p.name for p in main.commands[command].params]
+    assert list(json.loads(written[0])["config"]) == CONFIG_KEYS[command]
+    assert len(CONFIG_KEYS[command]) == len(_COMMANDS[command][1])
 
 
 @pytest.mark.parametrize("command", ["select", "bounds", "simulate"])
-def test_reruns_write_identical_artifacts(runner, tmp_path, command):
+def test_reruns_write_identical_artifacts(tmp_path, command):
     # the first run calls main in process, the second is a
     # `python -m delpoint.cli` process, whose entry is run()
-    path = gen_dataset(runner, tmp_path)
+    path = gen_dataset(tmp_path)
     run = tmp_path / "run"
     extra = {"select": ["--scores-csv", str(run / "scores.csv")],
              "bounds": [],
@@ -979,7 +1086,7 @@ def test_reruns_write_identical_artifacts(runner, tmp_path, command):
     for in_process in (True, False):
         run.mkdir()
         if in_process:
-            res = runner.invoke(main, args)
+            res = invoke(args)
             assert res.exit_code == 0, res.output
             output = res.output
         else:
@@ -997,13 +1104,13 @@ def test_reruns_write_identical_artifacts(runner, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["select", "bounds"])
-def test_closed_stdout_still_writes_out(runner, tmp_path, command):
+def test_closed_stdout_still_writes_out(tmp_path, command):
     # `| head -c 100`: the reader goes after 100 bytes, of bounds'
     # document, far larger than a pipe buffer, or of select's head, about
     # 200 bytes, printed after its files.  --out still gets the whole
     # document and the manifest, with the exit code of a run it reads to
     # the end; without --out the command exits with that code too
-    path = gen_dataset(runner, tmp_path, "--n", "2000")
+    path = gen_dataset(tmp_path, "--n", "2000")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = os.environ | {"PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -1028,18 +1135,18 @@ def test_closed_stdout_still_writes_out(runner, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["gen", "select", "simulate", "report"])
-def test_stdout_closed_before_the_first_write(runner, tmp_path, command):
+def test_stdout_closed_before_the_first_write(tmp_path, command):
     # `| head -c0`: the reader has gone before the command writes a byte;
     # it still exits 0, quietly, and writes what a run read to the end
     # writes.  Each run has its own working directory and the same
     # relative --out, so even the manifests match byte for byte.
-    path = gen_dataset(runner, tmp_path).resolve()
+    path = gen_dataset(tmp_path).resolve()
     summary = tmp_path / "sim" / "summary.json"
     if command == "report":
-        res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                                   "--protocol", "no-delete",
-                                   "--iterations", "5",
-                                   "--out", str(summary.parent)])
+        res = invoke(["simulate", "--dataset", str(path),
+                      "--protocol", "no-delete",
+                      "--iterations", "5",
+                      "--out", str(summary.parent)])
         assert res.exit_code == 0, res.output
     args = {"gen": ["--n", "50"],
             "select": ["--dataset", str(path), "--scores-csv", "scores.csv"],
@@ -1077,22 +1184,22 @@ def test_stdout_closed_before_the_first_write(runner, tmp_path, command):
 
 @pytest.mark.parametrize("command, name", [("select", "selection.json"),
                                            ("bounds", "bounds.json")])
-def test_unwritable_out_exits_two(runner, tmp_path, command, name):
-    path = gen_dataset(runner, tmp_path)
+def test_unwritable_out_exits_two(tmp_path, command, name):
+    path = gen_dataset(tmp_path)
     (tmp_path / "out" / name).mkdir(parents=True)
-    res = runner.invoke(main, [command, "--dataset", str(path),
-                               "--out", str(tmp_path / "out")])
+    res = invoke([command, "--dataset", str(path),
+                  "--out", str(tmp_path / "out")])
     assert res.exit_code == 2
     assert "error:" in res.output and name in res.output
 
 
 class TestSimulate:
-    def test_one_step_variance_band(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
+    def test_one_step_variance_band(self, tmp_path):
+        path = gen_dataset(tmp_path)
         out = tmp_path / "sim"
-        res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                                   "--protocol", "no-delete", "--steps", "1",
-                                   "--iterations", "100", "--out", str(out)])
+        res = invoke(["simulate", "--dataset", str(path),
+                      "--protocol", "no-delete", "--steps", "1",
+                      "--iterations", "100", "--out", str(out)])
         assert res.exit_code == 0, res.output
         doc = json.loads((out / "summary.json").read_text())
         v = doc["variance"][0]
@@ -1103,37 +1210,37 @@ class TestSimulate:
         assert weights[0] == "iteration,w0"
         assert len(weights) == 101
 
-    def test_deterministic_without_noise(self, runner, tmp_path):
-        path = gen_dataset(runner, tmp_path)
+    def test_deterministic_without_noise(self, tmp_path):
+        path = gen_dataset(tmp_path)
         outs = []
         for name in ("s1", "s2"):
             out = tmp_path / name
-            res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                                       "--protocol", "no-delete",
-                                       "--sigma", "0", "--iterations", "1",
-                                       "--steps", "3", "--out", str(out)])
+            res = invoke(["simulate", "--dataset", str(path),
+                          "--protocol", "no-delete",
+                          "--sigma", "0", "--iterations", "1",
+                          "--steps", "3", "--out", str(out)])
             assert res.exit_code == 0, res.output
             outs.append((out / "weights.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    def test_paired_seeds_share_noise_draws(self, runner, tmp_path):
+    def test_paired_seeds_share_noise_draws(self, tmp_path):
         # delta=0 degrades every perfect step to no deletion; identical
         # noise streams then make the two protocols byte-identical
-        path = gen_dataset(runner, tmp_path)
+        path = gen_dataset(tmp_path)
         weights = {}
         for proto, name in (("perfect-delete", "p"), ("no-delete", "n")):
             out = tmp_path / name
-            res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                                       "--protocol", proto, "--steps", "2",
-                                       "--iterations", "10", "--delta", "0",
-                                       "--seed", "21", "--out", str(out)])
+            res = invoke(["simulate", "--dataset", str(path),
+                          "--protocol", proto, "--steps", "2",
+                          "--iterations", "10", "--delta", "0",
+                          "--seed", "21", "--out", str(out)])
             assert res.exit_code == 0, res.output
             weights[name] = (out / "weights.csv").read_bytes()
         assert weights["p"] == weights["n"]
         doc = json.loads((tmp_path / "p" / "summary.json").read_text())
         assert all(e is None for log in doc["deletions_log"] for e in log)
 
-    def test_one_step_paired_difference_matches_select(self, runner,
+    def test_one_step_paired_difference_matches_select(self, 
                                                        tmp_path):
         # The CLI form of test_sim.py's
         # test_one_step_paired_difference_is_exact.  Under one seed a
@@ -1163,13 +1270,13 @@ class TestSimulate:
         # in floats, which moves it by a few u of itself.  The comparison
         # is exact: (T - a)_+^2 <= ||w_del - w_no||^2 <= (T + a)^2 in
         # Fractions, with T = 2 gamma d_v denom / (n - 1).
-        path = gen_dataset(runner, tmp_path, "--extra-features", "2")
+        path = gen_dataset(tmp_path, "--extra-features", "2")
         w0 = np.array([2.9, 0.1, -0.4])
         common = ["--dataset", str(path), "--w0", "2.9,0.1,-0.4",
                   "--seed", "5"]
         scores_csv = tmp_path / "scores.csv"
-        res = runner.invoke(main, ["select", *common,
-                                   "--scores-csv", str(scores_csv)])
+        res = invoke(["select", *common,
+                      "--scores-csv", str(scores_csv)])
         assert res.exit_code == 0, res.output
         best = json.loads(res.output)["best"]["index"]
         d_v = [float(line.split(",")[1])
@@ -1178,9 +1285,9 @@ class TestSimulate:
         weights, logs = {}, {}
         for proto in ("perfect-delete", "random-delete", "no-delete"):
             out = tmp_path / proto
-            res = runner.invoke(main, ["simulate", *common, "--protocol",
-                                       proto, "--steps", "1", "--iterations",
-                                       str(iterations), "--out", str(out)])
+            res = invoke(["simulate", *common, "--protocol",
+                          proto, "--steps", "1", "--iterations",
+                          str(iterations), "--out", str(out)])
             assert res.exit_code == 0, res.output
             weights[proto] = [
                 [Fraction(float(v)) for v in line.split(",")[1:]]
@@ -1226,13 +1333,13 @@ class TestSimulate:
         ("random-delete", []),
         ("no-delete", ["--w0", "-0.0"]),
     ], ids=["perfect-skips", "perfect-paper", "random", "none"])
-    def test_summary_bytes_are_indent2(self, runner, tmp_path, proto, extra):
-        path = gen_dataset(runner, tmp_path)
+    def test_summary_bytes_are_indent2(self, tmp_path, proto, extra):
+        path = gen_dataset(tmp_path)
         out = tmp_path / "sim"
-        res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                                   "--protocol", proto, "--steps", "5",
-                                   "--iterations", "8", "--bins", "4",
-                                   *extra, "--out", str(out)])
+        res = invoke(["simulate", "--dataset", str(path),
+                      "--protocol", proto, "--steps", "5",
+                      "--iterations", "8", "--bins", "4",
+                      *extra, "--out", str(out)])
         assert res.exit_code == 0, res.output
         text = (out / "summary.json").read_text(encoding="utf-8")
         doc = json.loads(text)
@@ -1254,28 +1361,28 @@ class TestSimulate:
 
 
 class TestReport:
-    def _simulate(self, runner, tmp_path, proto, steps, name):
-        path = gen_dataset(runner, tmp_path / f"g{name}")
+    def _simulate(self, tmp_path, proto, steps, name):
+        path = gen_dataset(tmp_path / f"g{name}")
         out = tmp_path / name
-        res = runner.invoke(main, ["simulate", "--dataset", str(path),
-                                   "--protocol", proto, "--steps", str(steps),
-                                   "--iterations", "5", "--out", str(out)])
+        res = invoke(["simulate", "--dataset", str(path),
+                      "--protocol", proto, "--steps", str(steps),
+                      "--iterations", "5", "--out", str(out)])
         assert res.exit_code == 0, res.output
         return out / "summary.json"
 
-    def test_single_summary_single_row(self, runner, tmp_path):
-        s = self._simulate(runner, tmp_path, "no-delete", 1, "a")
-        res = runner.invoke(main, ["report", str(s)])
+    def test_single_summary_single_row(self, tmp_path):
+        s = self._simulate(tmp_path, "no-delete", 1, "a")
+        res = invoke(["report", str(s)])
         assert res.exit_code == 0, res.output
         lines = res.output.splitlines()
         assert len(lines) == 3  # header, separator, one row
         assert lines[0].startswith("| steps | protocol |")
 
-    def test_rows_sorted_and_round_trip(self, runner, tmp_path):
-        s1 = self._simulate(runner, tmp_path, "no-delete", 10, "a")
-        s2 = self._simulate(runner, tmp_path, "random-delete", 1, "b")
-        s3 = self._simulate(runner, tmp_path, "no-delete", 1, "c")
-        res = runner.invoke(main, ["report", str(s1), str(s2), str(s3)])
+    def test_rows_sorted_and_round_trip(self, tmp_path):
+        s1 = self._simulate(tmp_path, "no-delete", 10, "a")
+        s2 = self._simulate(tmp_path, "random-delete", 1, "b")
+        s3 = self._simulate(tmp_path, "no-delete", 1, "c")
+        res = invoke(["report", str(s1), str(s2), str(s3)])
         rows = [r for r in res.output.splitlines()[2:]]
         cells = [[c.strip() for c in r.strip("|").split("|")] for r in rows]
         assert [(int(c[0]), c[1]) for c in cells] == [
@@ -1305,31 +1412,31 @@ class TestReport:
             "fractional-steps", "bool-steps", "zero-steps", "str-steps",
             "unknown-protocol", "list-protocol", "empty-lists", "bool-mean",
             "str-variance", "unequal-lengths", "nested-mean"])
-    def test_non_summary_exits_two(self, runner, tmp_path, content):
+    def test_non_summary_exits_two(self, tmp_path, content):
         path = tmp_path / "summary.json"
         if isinstance(content, dict):  # one or two fields of GOOD replaced
             content = json.dumps(self.GOOD | content).encode()
         path.write_bytes(content)
-        res = runner.invoke(main, ["report", str(path)])
+        res = invoke(["report", str(path)])
         assert res.exit_code == 2, res.output
         assert res.stderr.startswith(
             f"error: {path}: not a simulate summary.json: ")
         # an uncaught exception would be a traceback, not SystemExit
         assert isinstance(res.exception, SystemExit)
 
-    def test_good_document_passes(self, runner, tmp_path):
+    def test_good_document_passes(self, tmp_path):
         # the base of the malformed cases above is itself accepted
         path = tmp_path / "summary.json"
         path.write_text(json.dumps(self.GOOD))
-        res = runner.invoke(main, ["report", str(path)])
+        res = invoke(["report", str(path)])
         assert res.exit_code == 0, res.output
         assert res.output.splitlines()[2] == (
             "| 1 | no_delete | 0.5, 1 | 0.25, 0.0 |")
 
-    def test_out_dir_gets_report_and_manifest(self, runner, tmp_path):
-        s = self._simulate(runner, tmp_path, "no-delete", 1, "a")
+    def test_out_dir_gets_report_and_manifest(self, tmp_path):
+        s = self._simulate(tmp_path, "no-delete", 1, "a")
         out = tmp_path / "rep"
-        res = runner.invoke(main, ["report", str(s), "--out", str(out)])
+        res = invoke(["report", str(s), "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert (out / "report.md").read_text() == res.output
         doc = json.loads((out / "manifest.json").read_text())

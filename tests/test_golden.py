@@ -1,9 +1,9 @@
 """The golden artifact set: the bytes of a fixed set of CLI runs.
 
-``runs()`` builds 49 files in process through CliRunner, in a temporary
-directory that is the working directory, so every path the manifests
-record is relative and the same on every build.  Manifests are compared
-byte for byte like every other file: they hold no timing.
+``runs()`` builds 49 files in process through ``conftest.invoke``, in a
+temporary directory that is the working directory, so every path the
+manifests record is relative and the same on every build.  Manifests are
+compared byte for byte like every other file: they hold no timing.
 
 ``golden_sha256.json`` holds the sha256 of each file and, to locate a
 change, the digest of each block of ``BLOCK_LINES`` lines.  It also
@@ -33,9 +33,8 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-from click.testing import CliRunner
 
-from delpoint.cli import main
+from conftest import invoke
 
 TABLE = Path(__file__).with_name("golden_sha256.json")
 BLOCK_LINES = 64
@@ -84,9 +83,8 @@ def environment() -> dict:
 def build(root: Path, monkeypatch) -> dict:
     """Relative path -> lines of every file runs() writes under ``root``."""
     monkeypatch.chdir(root)
-    runner = CliRunner()
     for args in runs():
-        res = runner.invoke(main, args)
+        res = invoke(args)
         assert res.exit_code == 0, (args, res.output)
     files = {}
     for path in sorted(root.rglob("*")):
