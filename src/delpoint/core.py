@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,12 +41,13 @@ def _stats_from_arrays(X: np.ndarray, y: np.ndarray) -> tuple:
     return s_yx, s_xx
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(NamedTuple):
     """Immutable ordered collection of points with their averaged moments.
 
     Construct through from_arrays / load_csv.  All four arrays are
-    read-only, so any number of readers can share one snapshot.
+    read-only, so any number of readers can share one snapshot.  A
+    NamedTuple rather than a frozen dataclass: the class builds at import
+    in a tenth of the time, as no methods are generated from source.
     """
 
     X: np.ndarray
@@ -100,51 +101,92 @@ def as_weights(w, dim: int) -> np.ndarray:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not (0.0 < alpha < 0.5):
-        raise DelpointError(f"alpha must lie in (0, 0.5), got {alpha}")
+    try:
+        ok = 0.0 < alpha < 0.5
+    except TypeError:  # not a number: "0.1", None
+        ok = False
+    if not ok:
+        raise DelpointError(f"alpha must lie in (0, 0.5), got {alpha!r}")
 
 
-@dataclass(frozen=True)
-class HyperParams:
+def _check_scale(name: str, value) -> None:
+    try:
+        ok = value >= 0.0 and np.isfinite(value)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DelpointError(f"{name} must be >= 0 and finite, got {value!r}")
+
+
+class _Frozen:
+    """Base of the immutable parameter records: __init__ sets each name of
+    ``__slots__`` once, through ``_set``, and any later assignment raises
+    AttributeError.  Records compare, hash and print by their fields, in
+    slot order, as a frozen dataclass does; a plain class with slots
+    generates no methods from source at import."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._fields())) + ")"
+
+
+class HyperParams(_Frozen):
     """Run parameters shared by scoring, selection, bounds, and simulation.
 
     alpha must lie strictly inside (0, 0.5) so the advantage-nulling target
     -2 * phi_inv(alpha) = 2 * phi_inv(1 - alpha) is positive.  gamma = 0 or
     sigma = 0 are legal to construct (the plain SGD step tolerates them)
     but any operation whose formula divides by them raises DelpointError.
-    seed is an integer in [0, 2**64), the range of the CLI's --seed.
+    gamma, sigma and delta are finite numbers >= 0, kept as given.  seed is
+    an integer in [0, 2**64), the range of the CLI's --seed, kept as an
+    int.  A value of the wrong type raises DelpointError naming its field.
     """
 
-    gamma: float
-    sigma: float
-    alpha: float
-    delta: float = 100.0
-    snr_convention: str = "paper"
-    seed: int = 0
+    __slots__ = ("gamma", "sigma", "alpha", "delta", "snr_convention", "seed")
 
-    def __post_init__(self):
-        if not (self.gamma >= 0.0 and np.isfinite(self.gamma)):
-            raise DelpointError(
-                f"gamma must be >= 0 and finite, got {self.gamma}")
-        if not (self.sigma >= 0.0 and np.isfinite(self.sigma)):
-            raise DelpointError(
-                f"sigma must be >= 0 and finite, got {self.sigma}")
-        _check_alpha(self.alpha)
-        if not (self.delta >= 0.0 and np.isfinite(self.delta)):
-            raise DelpointError(
-                f"delta must be >= 0 and finite, got {self.delta}")
-        if self.snr_convention not in _SNR_CONVENTIONS:
+    def __init__(self, gamma: float, sigma: float, alpha: float,
+                 delta: float = 100.0, snr_convention: str = "paper",
+                 seed: int = 0):
+        _check_scale("gamma", gamma)
+        _check_scale("sigma", sigma)
+        _check_alpha(alpha)
+        _check_scale("delta", delta)
+        if snr_convention not in _SNR_CONVENTIONS:
             raise DelpointError(
                 f"snr_convention must be one of {_SNR_CONVENTIONS}, "
-                f"got {self.snr_convention!r}")
+                f"got {snr_convention!r}")
         try:
-            seed = operator.index(self.seed)
+            index = operator.index(seed)
         except TypeError:
-            seed = -1
-        if not 0 <= seed < 2**64:
+            index = -1
+        if not 0 <= index < 2**64:
             raise DelpointError(
-                f"seed must be an integer in [0, 2**64), got {self.seed!r}")
-        object.__setattr__(self, "seed", seed)
+                f"seed must be an integer in [0, 2**64), got {seed!r}")
+        self._set(gamma, sigma, alpha, delta, snr_convention, index)
 
 
 def save_csv(ds: Dataset, path) -> None:
@@ -310,17 +352,18 @@ def _parse_blocks(fh, d: int):
     as an (n, d + 1) array, or None when they are not plain enough for
     this reader.
 
-    A block of whole lines is taken when, with CRLF read as LF, only
-    number bytes, spaces, tabs, commas and newlines are in it and every
-    line holds exactly d commas; it is then parsed as one JSON array by
-    orjson, whose number reader rounds as ``float()`` does (the tests pin
-    it).  JSON skips spaces and tabs between tokens as ``float()`` does
-    around a field, and rejects them inside one ("1 2").  A block with
-    anything else (blank lines, quotes, nan, a token that JSON rejects
-    such as 1e400) or a file without data rows gives None for the whole
-    file.  So does a block with a "-0" token, as orjson reads it as the
-    int 0 where ``float("-0")`` is -0.0: when a zero came from an int
-    token and "-0" is followed by a comma, newline, space or tab.
+    A block of whole lines is read with CRLF as LF and without its empty
+    lines, which csv skips too.  It is taken when only number bytes,
+    spaces, tabs, commas and newlines are left in it and every line holds
+    exactly d commas; it is then parsed as one JSON array by orjson, whose
+    number reader rounds as ``float()`` does (the tests pin it).  JSON
+    skips spaces and tabs between tokens as ``float()`` does around a
+    field, and rejects them inside one ("1 2").  A block with anything
+    else (a line of blanks, quotes, nan, a token that JSON rejects such as
+    1e400) or a file without data rows gives None for the whole file.  So
+    does a block with a "-0" token, as orjson reads it as the int 0 where
+    ``float("-0")`` is -0.0: when a zero came from an int token and "-0"
+    is followed by a comma, newline, space or tab.
     orjson is imported here, so ``import delpoint.cli`` does not load it.
     """
     import orjson
@@ -334,11 +377,17 @@ def _parse_blocks(fh, d: int):
     for block in _line_blocks(fh):
         if b"\r" in block:
             block = block.replace(b"\r\n", b"\n")
-        # with the number bytes and blanks deleted, d commas and a newline
-        # per line
-        seps = block.translate(None, _NUMBER_BYTES)
-        if seps != row * (len(seps) // len(row)):
-            return None
+        if not _plain(block, row):
+            # an empty line fails the check; csv skips it, so drop each,
+            # one that opens the block included, and check the rest again.
+            # Searching every block for them took 0.02 s at n = 2e5
+            while b"\n\n" in block:
+                block = block.replace(b"\n\n", b"\n")
+            block = block.removeprefix(b"\n")
+            if not block:
+                continue
+            if not _plain(block, row):
+                return None
         try:
             vals = orjson.loads(b"[" + block[:-1].replace(b"\n", b",") + b"]")
         except orjson.JSONDecodeError:
@@ -350,6 +399,13 @@ def _parse_blocks(fh, d: int):
             return None
         parts.append(arr.reshape(-1, d + 1))
     return np.concatenate(parts) if parts else None
+
+
+def _plain(block: bytes, row: bytes) -> bool:
+    """Whether, with the number bytes and blanks deleted, ``block`` is
+    ``row``, d commas and a newline, once per line."""
+    seps = block.translate(None, _NUMBER_BYTES)
+    return seps == row * (len(seps) // len(row))
 
 
 def _line_blocks(fh):

@@ -4,11 +4,16 @@
 bits follow the platform's C library.
 
 ``phi_inv`` works from the lower tail, where p itself carries full
-precision: Wichura's AS 241 (Applied Statistics 37, 1988), the algorithm of
-the standard library's ``statistics.NormalDist.inv_cdf``, sharpened by one
+precision: Wichura's AS 241 (Applied Statistics 37, 1988), sharpened by one
 Newton step against ``math.erfc``.  For p > 0.5 it mirrors the lower tail,
 phi_inv(p) = -phi_inv(1 - p), where 1 - p is exact.  The result stays
 within a few ulps down to p = 5e-324.
+
+AS 241 is the C function ``_statistics._normal_dist_inv_cdf``, the one
+that ``statistics.NormalDist.inv_cdf`` calls, so the bits are the same.
+Importing it alone spares each process the ``statistics`` module and the
+``fractions`` and ``decimal`` modules that it loads.  Where
+``_statistics`` is missing, ``statistics`` supplies its Python twin.
 
 Random streams are counter-based (Philox) and keyed by an explicit
 64-bit seed plus an integer subkey path, so independent Monte Carlo
@@ -18,7 +23,6 @@ streams can be split per iteration without ever sharing state.
 from __future__ import annotations
 
 import math
-import statistics
 
 import numpy as np
 
@@ -26,7 +30,11 @@ from .errors import DelpointError
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-_STANDARD = statistics.NormalDist()
+
+try:
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:  # an interpreter built without the C module
+    from statistics import _normal_dist_inv_cdf
 
 
 def phi(z):
@@ -52,7 +60,7 @@ def phi_inv(p: float) -> float:
     if not (0.0 < p < 1.0):
         raise DelpointError(f"phi_inv requires 0 < p < 1, got {p}")
     lower = min(p, 1.0 - p)
-    x = _STANDARD.inv_cdf(lower)
+    x = _normal_dist_inv_cdf(lower, 0.0, 1.0)
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     if pdf > 0.0:
         x -= (0.5 * math.erfc(-x / _SQRT2) - lower) / pdf

@@ -49,50 +49,60 @@ the same.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import operator
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from ._choices import PROTOCOLS
-from .core import Dataset, HyperParams, as_weights
+from .core import Dataset, HyperParams, _Frozen, as_weights
 from .errors import DelpointError, NumericOverflow
 from .gauss import make_rng
 from .selector import _check_tie_break, _pick
 from .snr import _scores, advantage_target, feature_norms, snr_denominator
 
 
-@dataclass(frozen=True)
-class StepConfig:
-    """Protocol, repetition counts, and shared run parameters."""
+class StepConfig(_Frozen):
+    """Protocol, repetition counts, and shared run parameters.
 
-    protocol: str
-    steps: int
-    iterations: int
-    hp: HyperParams
-    w0: np.ndarray
-    bins: int = 30
-    tie_break: str = "norm-first"
+    steps, iterations and bins are integers >= 1, kept as ints; w0 is
+    kept as a float64 array.  A value of the wrong type raises
+    DelpointError naming its field.  Immutable: assigning an attribute
+    raises AttributeError.
+    """
 
-    def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
+    __slots__ = ("protocol", "steps", "iterations", "hp", "w0", "bins",
+                 "tie_break")
+
+    def __init__(self, protocol: str, steps: int, iterations: int,
+                 hp: HyperParams, w0: np.ndarray, bins: int = 30,
+                 tie_break: str = "norm-first"):
+        if protocol not in PROTOCOLS:
             raise DelpointError(f"protocol must be one of {PROTOCOLS}, "
-                                f"got {self.protocol!r}")
-        if self.steps < 1:
-            raise DelpointError(f"steps must be >= 1, got {self.steps}")
-        if self.iterations < 1:
-            raise DelpointError(
-                f"iterations must be >= 1, got {self.iterations}")
-        if self.bins < 1:
-            raise DelpointError(f"bins must be >= 1, got {self.bins}")
-        _check_tie_break(self.tie_break)
-        w0 = np.asarray(self.w0, dtype=np.float64)
-        object.__setattr__(self, "w0", w0)
+                                f"got {protocol!r}")
+        steps = _count("steps", steps)
+        iterations = _count("iterations", iterations)
+        bins = _count("bins", bins)
+        _check_tie_break(tie_break)
+        self._set(protocol, steps, iterations, hp,
+                  np.asarray(w0, dtype=np.float64), bins, tie_break)
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    """Per-iteration final weights with summary statistics."""
+def _count(name: str, value) -> int:
+    """``value`` as an int >= 1, or DelpointError naming ``name``."""
+    try:
+        count = operator.index(value)
+    except TypeError:  # 2.5, "3", None
+        raise DelpointError(
+            f"{name} must be an integer, got {value!r}") from None
+    if count < 1:
+        raise DelpointError(f"{name} must be >= 1, got {count}")
+    return count
+
+
+class ExperimentResult(NamedTuple):
+    """Per-iteration final weights with summary statistics; a NamedTuple,
+    so immutable."""
 
     final_weights: np.ndarray            # (iterations, d)
     mean: np.ndarray                     # per coordinate
@@ -243,8 +253,7 @@ def summarize(weights, bins: int) -> tuple[np.ndarray, np.ndarray, list]:
         arr = arr[:, None]
     if arr.size == 0:
         raise DelpointError("cannot summarize an empty weight collection")
-    if bins < 1:
-        raise DelpointError(f"bins must be >= 1, got {bins}")
+    bins = _count("bins", bins)
     m = arr.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         mean = arr.mean(axis=0)

@@ -132,21 +132,31 @@ def test_light_commands_load_no_numpy(tmp_path, args):
         [m for m in LIGHT_MODULES if m != "delpoint.cli"])
 
 
-def test_select_loads_no_click(tmp_path):
-    # the commands parse with argparse: a dataset command, which loads
-    # numpy and orjson, loads no click module either
+# what a dataset command needs not load: click, gone with argparse, nor
+# dataclasses, which compiles methods at each start, nor statistics, which
+# loads fractions and decimal for the one C function that gauss takes
+UNNEEDED = ("click", "dataclasses", "statistics", "fractions", "decimal")
+
+
+@pytest.mark.parametrize("args", [
+    ["select"], ["bounds"],
+    ["simulate", "--protocol", "perfect-delete", "--steps", "1",
+     "--iterations", "2"]], ids=["select", "bounds", "simulate"])
+def test_dataset_commands_load_no_unneeded_module(tmp_path, args):
     (tmp_path / "data.csv").write_text("x0,y\n1,2\n2,3\n3,5\n")
     out = run_python(
         "import atexit, runpy, sys\n"
-        f"atexit.register(lambda: print({LOADED}, file=sys.stderr))\n"
-        "sys.argv = ['delpoint', 'select', '--dataset', 'data.csv',"
+        "atexit.register(lambda: print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('numpy', 'orjson', *"
+        f"{UNNEEDED!r})), file=sys.stderr))\n"
+        f"sys.argv = ['delpoint', *{args!r}, '--dataset', 'data.csv',"
         " '--out', 'out']\n"
         "runpy.run_module('delpoint.cli', run_name='__main__')\n",
         check=False, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     loaded = eval(out.stderr.splitlines()[-1])
     assert "numpy" in loaded and "orjson" in loaded
-    assert [m for m in loaded if m.split(".")[0] == "click"] == []
+    assert [m for m in loaded if m.split(".")[0] in UNNEEDED] == []
 
 
 def test_load_csv_loads_every_module_the_dataset_commands_use(tmp_path):
@@ -385,8 +395,12 @@ def test_one_error_class_per_exit_code():
                  r for r in raised_classes(p.read_text(encoding="utf-8"))
                  if r.split(": ")[1] not in ("DelpointError",
                                              "NumericOverflow")])}
-    # and the option types of cli, whose usage errors argparse exits 2 on
+    # and the option types of cli, whose usage errors argparse exits 2 on,
+    # and the AttributeError of writing to a frozen record, as Python's
+    # own read-only attributes raise
     assert found == {"__init__.py": ["__getattr__: AttributeError"],
+                     "core.py": ["__delattr__: AttributeError",
+                                 "__setattr__: AttributeError"],
                      "cli.py": ["_seed: argparse.ArgumentTypeError",
                                 "convert: argparse.ArgumentTypeError"]}
 

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import re
@@ -127,6 +126,21 @@ class TestComputeStats:
                 with pytest.raises(ValueError):
                     arr.flat[0] = 1.0
 
+    def test_constructed_by_position_or_keyword(self, t3):
+        arrays = (t3.X, t3.y, t3.s_yx, t3.s_xx)
+        names = ("X", "y", "s_yx", "s_xx")
+        for ds in (Dataset(*arrays), Dataset(**dict(zip(names, arrays)))):
+            assert [getattr(ds, name) for name in names] == list(arrays)
+            assert (ds.n, ds.dim) == (3, 1)
+
+    @pytest.mark.parametrize("name", ["X", "y", "s_yx", "s_xx", "n", "dim",
+                                      "extra"])
+    def test_attributes_cannot_be_assigned(self, t3, name):
+        with pytest.raises(AttributeError):
+            setattr(t3, name, np.zeros(1))
+        with pytest.raises(AttributeError):
+            delattr(t3, name)
+
 
 class TestDeletePoint:
     """The reference deletion of run_protocol_loop."""
@@ -180,8 +194,7 @@ class TestDeletePoint:
     def test_overflowing_update_rejected(self):
         # finite moments whose leave-one-out update overflows: n s_yx = 3e308
         ds = Dataset.from_arrays([[1.0], [1.0], [1.0]], [1.0, 1.0, 1.0])
-        big = dataclasses.replace(ds, s_yx=np.array([1e308]),
-                                  s_xx=np.array([[1.0]]))
+        big = ds._replace(s_yx=np.array([1e308]), s_xx=np.array([[1.0]]))
         with pytest.raises(NumericOverflow):
             delete_point(big, 0)
 
@@ -226,6 +239,40 @@ class TestHyperParams:
     def test_seed_in_cli_range_kept(self, seed):
         hp = HyperParams(gamma=0.1, sigma=1.0, alpha=0.05, seed=seed)
         assert type(hp.seed) is int and hp.seed == seed
+
+    @pytest.mark.parametrize("field, value", [
+        ("gamma", "0.1"), ("gamma", None), ("sigma", "2"), ("sigma", None),
+        ("alpha", "0.05"), ("alpha", None), ("delta", "1"), ("delta", None),
+    ], ids=repr)
+    def test_value_not_a_number_names_its_field(self, field, value):
+        with pytest.raises(DelpointError, match=(
+                f"^{field} must .* got {re.escape(repr(value))}$")):
+            HyperParams(**{"gamma": 0.1, "sigma": 1.0, "alpha": 0.05,
+                           field: value})
+
+    def test_constructed_by_position_or_keyword(self):
+        full = HyperParams(gamma=0.1, sigma=1.0, alpha=0.05, delta=100.0,
+                           snr_convention="paper", seed=0)
+        assert HyperParams(0.1, 1.0, 0.05) == full
+        assert HyperParams(0.1, 1.0, 0.05, 100.0, "paper", 0) == full
+        assert hash(HyperParams(0.1, 1.0, 0.05)) == hash(full)
+        assert HyperParams(0.1, 1.0, 0.05, seed=1) != full
+        assert repr(full) == ("HyperParams(gamma=0.1, sigma=1.0, alpha=0.05,"
+                              " delta=100.0, snr_convention='paper', seed=0)")
+        with pytest.raises(TypeError):
+            HyperParams(0.1, 1.0)
+
+    @pytest.mark.parametrize("name", ["gamma", "sigma", "alpha", "delta",
+                                      "snr_convention", "seed", "extra"])
+    def test_attributes_cannot_be_assigned(self, name):
+        hp = HyperParams(gamma=0.1, sigma=1.0, alpha=0.05)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            setattr(hp, name, 0.2)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            delattr(hp, name)
+        assert getattr(hp, name, None) == {
+            "gamma": 0.1, "sigma": 1.0, "alpha": 0.05, "delta": 100.0,
+            "snr_convention": "paper", "seed": 0}.get(name)
 
 
 class TestJsonRows:
@@ -615,16 +662,13 @@ class TestBlockReader:
 
     @staticmethod
     def check_both_readers(tmp_path, text, d):
-        """check, with the file left to _parse_rows, whose arrays are
-        _parse_blocks' on the same rows without their empty lines."""
-        TestBlockReader.check(tmp_path, text, fast=False)
-        plain = tmp_path / "plain.csv"
-        plain.write_bytes(b"".join(
-            line for line in text.encode().splitlines(keepends=True)
-            if line.strip(b"\r\n")))
-        with open(plain, "rb") as fh:
-            assert (_parse_blocks(fh, d).tobytes()
-                    == _parse_rows(tmp_path / "data.csv", d).tobytes())
+        """check on the block reader, whose arrays are also those of
+        _parse_rows on the same file."""
+        TestBlockReader.check(tmp_path, text)
+        path = tmp_path / "data.csv"
+        with open(path, "rb") as fh:
+            assert _parse_blocks(fh, d).tobytes() == \
+                _parse_rows(path, d).tobytes()
 
     @pytest.mark.parametrize("text", [
         "x0,y\n\n1.5,2\n3,4.75\n",
@@ -636,18 +680,30 @@ class TestBlockReader:
     ], ids=["leading", "middle", "trailing", "repeated", "crlf",
             "no-final-newline"])
     def test_empty_lines_go_to_the_loop(self, tmp_path, text):
-        # csv skips empty lines; the block reader leaves them to it
+        # csv skips empty lines, and the block reader drops them: the file
+        # stays off the loop, and both readers give the same arrays
         self.check_both_readers(tmp_path, text, 1)
 
     @pytest.mark.parametrize("size", [1, 2, 9])
     def test_empty_line_at_a_block_cut(self, tmp_path, monkeypatch, size):
         # 9 bytes end the first read at the newline of "1.5,2.25", so the
         # next block opens with the empty line; 1 and 2 give blocks of
-        # empty lines alone
+        # empty lines alone.  Each is dropped on the block reader
         monkeypatch.setattr(core, "_READ_BLOCK", size)
         for text in ("x0,y\n1.5,2.25\n\n3,4.75\n5,6\n",
                      "x0,y\r\n1.5,2.25\r\n\r\n3,4.75\r\n5,6\r\n"):
             self.check_both_readers(tmp_path, text, 1)
+
+    def test_trailing_empty_line_stays_off_the_loop(self, tmp_path,
+                                                    monkeypatch):
+        # one "\n" too many at the end of a large file once sent all of it
+        # to the line reader, several times slower
+        def refuse(path, d):
+            raise AssertionError("the line reader was called")
+
+        monkeypatch.setattr(core, "_parse_rows", refuse)
+        text = self.table(np.random.default_rng(27).normal(size=40_000), 1)
+        self.check(tmp_path, text + "\n")
 
     def test_blank_lines_that_are_not_empty(self, tmp_path):
         # a line of blanks is a row of one field, which csv reports

@@ -1,3 +1,6 @@
+import math
+import statistics
+
 import numpy as np
 import pytest
 
@@ -65,6 +68,20 @@ class TestPhiInv:
             [0.99, 0.9999, 1 - 1e-6]])
         for p in grid:
             assert abs(phi(phi_inv(float(p))) - p) <= 1e-10
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 1e-10, 1e-3, 0.01, 0.05,
+                                   0.25, 0.5, 0.75, 0.99, 1 - 2 ** -53])
+    def test_bits_of_normal_dist_and_one_newton_step(self, p):
+        # the standard library's NormalDist.inv_cdf on the lower tail and
+        # the same Newton step, as phi_inv computed them before it took
+        # AS 241 from _statistics
+        lower = min(p, 1.0 - p)
+        x = statistics.NormalDist().inv_cdf(lower)
+        pdf = 1.0 / math.sqrt(2.0 * math.pi) * math.exp(-0.5 * x * x)
+        if pdf > 0.0:
+            x -= (0.5 * math.erfc(-x / math.sqrt(2.0)) - lower) / pdf
+        want = x if p <= 0.5 else -x
+        assert phi_inv(p).hex() == want.hex()
 
     def test_domain(self):
         for bad in (0.0, 1.0, -0.3, 1.5, float("nan")):

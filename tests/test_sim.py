@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import warnings
 from fractions import Fraction
@@ -263,6 +262,9 @@ class TestRunProtocol:
         # summarize checks bins itself, for a caller without a StepConfig
         with pytest.raises(DelpointError, match="bins must be >= 1, got 0"):
             summarize(np.zeros((2, 1)), bins=0)
+        with pytest.raises(DelpointError,
+                           match="bins must be an integer, got 2.0"):
+            summarize(np.zeros((2, 1)), bins=2.0)
 
     @pytest.mark.parametrize("protocol, s_yx, s_xx", [
         # the moments of test_core's overflowing update: n s_yx = 3e308
@@ -275,8 +277,8 @@ class TestRunProtocol:
             "perfect_delete-s_xx"])
     def test_overflowing_downdate_rejected(self, protocol, s_yx, s_xx):
         ds = Dataset.from_arrays([[1.0], [1.0], [1.0]], [1.0, 1.0, 1.0])
-        big = dataclasses.replace(ds, s_yx=np.array(s_yx, dtype=float),
-                                  s_xx=np.array(s_xx, dtype=float))
+        big = ds._replace(s_yx=np.array(s_yx, dtype=float),
+                          s_xx=np.array(s_xx, dtype=float))
         hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
         cfg = StepConfig(protocol=protocol, steps=1, iterations=2, hp=hp,
                          w0=np.zeros(1))
@@ -301,6 +303,58 @@ class TestRunProtocol:
                                match="candidate scores overflow"):
                 run_protocol(cfg, ds)
         assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("field, value", [
+        ("steps", 2.5), ("steps", "3"), ("iterations", 3.0),
+        ("iterations", None), ("bins", 2.0), ("bins", "30"),
+    ], ids=repr)
+    def test_count_not_an_integer_names_its_field(self, field, value):
+        hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
+        args = {"protocol": "no_delete", "steps": 1, "iterations": 1,
+                "hp": hp, "w0": np.zeros(1), field: value}
+        with pytest.raises(DelpointError, match=(
+                f"^{field} must be an integer, got {value!r}$")):
+            StepConfig(**args)
+
+    def test_constructed_by_position_or_keyword(self):
+        hp = HyperParams(gamma=0.01, sigma=1.0, alpha=0.05)
+        by_position = StepConfig("no_delete", np.int64(2), 3, hp, [0, 1])
+        by_keyword = StepConfig(protocol="no_delete", steps=2, iterations=3,
+                                hp=hp, w0=np.zeros(2), bins=30,
+                                tie_break="norm-first")
+        for cfg in (by_position, by_keyword):
+            assert (cfg.protocol, cfg.steps, cfg.iterations, cfg.hp,
+                    cfg.bins, cfg.tie_break) == (
+                "no_delete", 2, 3, hp, 30, "norm-first")
+            assert type(cfg.steps) is int
+            assert cfg.w0.dtype == np.float64
+        assert by_position.w0.tolist() == [0.0, 1.0]
+        with pytest.raises(TypeError):
+            StepConfig("no_delete", 2, 3, hp)
+
+    @pytest.mark.parametrize("name", ["protocol", "steps", "iterations",
+                                      "hp", "w0", "bins", "tie_break",
+                                      "extra"])
+    def test_config_attributes_cannot_be_assigned(self, name):
+        cfg = loop_config("no_delete", 1)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            setattr(cfg, name, 1)
+        with pytest.raises(AttributeError, match=f"'{name}'"):
+            delattr(cfg, name)
+
+    def test_result_fields_by_position_or_keyword(self, t3):
+        cfg = loop_config("no_delete", 1)
+        result = run_protocol(cfg, t3)
+        names = ("final_weights", "mean", "variance", "histograms",
+                 "deletions_log")
+        fields = [getattr(result, name) for name in names]
+        for again in (sim.ExperimentResult(*fields),
+                      sim.ExperimentResult(**dict(zip(names, fields)))):
+            assert all(getattr(again, name) is value
+                       for name, value in zip(names, fields))
+        for name in (*names, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, None)
 
     @pytest.mark.parametrize("protocol", PROTOCOLS)
     def test_tie_break_checked_at_construction(self, protocol):
@@ -375,8 +429,9 @@ class TestBatchedEngine:
         # the schedule is one integers call over the highs n .. n-steps+1;
         # the loop makes one scalar call per step
         ds = random_dataset(np.random.default_rng(5), n=n, d=2)
-        cfg = dataclasses.replace(loop_config("random_delete", 2),
-                                  steps=steps, iterations=iterations)
+        base = loop_config("random_delete", 2)
+        cfg = StepConfig(protocol="random_delete", steps=steps,
+                         iterations=iterations, hp=base.hp, w0=base.w0)
         result = assert_matches_loop(cfg, ds)
         assert all(len(set(log)) == steps for log in result.deletions_log)
 
